@@ -30,18 +30,20 @@ anecdotes:
 * ``engine_tasks_per_sec`` — event-driven :class:`PipelineEngine`
   throughput on a synthetic double-buffered multi-query task graph.
 
-Results go to ``BENCH_perf.json`` as ``name -> {wall_seconds,
-ops_per_sec, n}`` where ``wall_seconds`` is the mean seconds per
-operation over ``n`` operations.  ``--quick`` shrinks repetitions for
-CI; ``--ceiling`` makes the run fail when the fig12-scale estimate
-exceeds a wall-clock bound (a generous regression tripwire, not a
-benchmark target).
+Results are merged into ``BENCH_perf.json`` (:func:`merge_perf_json`,
+which keeps the ``serve_*`` series other subcommands wrote) as
+``name -> {wall_seconds, ops_per_sec, n}`` where ``wall_seconds`` is
+the mean seconds per operation over ``n`` operations.  ``--quick``
+shrinks repetitions for CI; ``--ceiling`` makes the run fail when the
+fig12-scale estimate exceeds a wall-clock bound (a generous regression
+tripwire, not a benchmark target).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -237,11 +239,28 @@ def render(entries: dict[str, PerfEntry]) -> str:
     return "\n".join(lines)
 
 
-def write_json(entries: dict[str, PerfEntry], path: str) -> None:
-    payload = {name: asdict(entry) for name, entry in entries.items()}
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+def merge_perf_json(entries: dict[str, PerfEntry], path: str) -> None:
+    """Merge ``entries`` into ``BENCH_perf.json`` at ``path``.
+
+    The only writer of the file: ``perf`` and every ``serve`` mode add
+    their own series and keep everyone else's.  The merged payload goes
+    to a temporary file beside ``path`` that then replaces it, so a
+    write that fails part-way leaves the previous file untouched.
+    """
+    payload: dict = {}
+    if os.path.exists(path):
+        with open(path) as handle:
+            payload = json.load(handle)
+    payload.update({name: asdict(entry) for name, entry in entries.items()})
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as handle:
+            json.dump(payload, handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def perf_main(argv: list[str] | None = None) -> int:
@@ -279,7 +298,7 @@ def perf_main(argv: list[str] | None = None) -> int:
         f"(LRU cap {stats.max_entries} entries per cache)"
     )
     if args.out != "-":
-        write_json(entries, args.out)
+        merge_perf_json(entries, args.out)
         print(f"written to {args.out}")
     if args.ceiling is not None:
         cell = entries["fig12_cell_estimate"].wall_seconds

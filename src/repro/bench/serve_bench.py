@@ -84,12 +84,10 @@ tests.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from repro.bench.perf_bench import PerfEntry
+from repro.bench.perf_bench import PerfEntry, merge_perf_json
 from repro.core import estimate_cache, learned_cost, sample_store
 from repro.core.learned_cost import LearnedCostModel
 from repro.core.sample_store import SampleStore
@@ -724,20 +722,6 @@ def fault_perf_entries(
             n=max(len(retried), 1),
         ),
     }
-
-
-def merge_perf_json(entries: dict[str, PerfEntry], path: str) -> None:
-    """Merge entries into an existing ``BENCH_perf.json`` (the ``perf``
-    suite owns the file; the stream harness adds its series without
-    clobbering the micro-benchmarks)."""
-    payload: dict = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            payload = json.load(handle)
-    payload.update({name: asdict(entry) for name, entry in entries.items()})
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
 
 
 def parse_device_caps(text: str | None, devices: int) -> list[int] | None:

@@ -28,7 +28,7 @@ from repro.cpu.numa import NumaModel
 from repro.cpu.radix_partition import CpuPartitionModel
 from repro.data.spec import JoinSpec
 from repro.errors import InvalidConfigError
-from repro.gpusim.calibration import Calibration
+from repro.gpusim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.gpusim.spec import SystemSpec
 
 
@@ -51,8 +51,8 @@ def recommend_partition_threads(
     """
     if not 0.0 < first_ws_fraction <= 1.0:
         raise InvalidConfigError("first_ws_fraction must be in (0, 1]")
-    model = CpuPartitionModel(system, calibration or Calibration())
-    numa = NumaModel(system, calibration or Calibration())
+    model = CpuPartitionModel(system, calibration or DEFAULT_CALIBRATION)
+    numa = NumaModel(system, calibration or DEFAULT_CALIBRATION)
     pcie = system.interconnect.pinned_bandwidth
 
     threads = system.cpu.total_threads
@@ -75,7 +75,7 @@ def recommend_staging_threads(
     job is feeding near-socket pinned buffers.  The copy must sustain at
     least half the PCIe rate (only the far-socket half is staged).
     """
-    calib = calibration or Calibration()
+    calib = calibration or DEFAULT_CALIBRATION
     per_thread = calib.cpu_thread_bandwidth / 2.0
     target = system.interconnect.pinned_bandwidth / 2.0
     return max(1, min(system.cpu.total_cores, math.ceil(target / per_thread)))

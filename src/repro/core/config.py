@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import InvalidConfigError
+from repro.frozen import cached_hash
 from repro.gpusim.shared_memory import join_block_reservation
 from repro.gpusim.spec import GpuSpec
 from repro.kernels.common import is_power_of_two
@@ -22,6 +23,7 @@ HASH_PROBE = "hash"
 NLJ_PROBE = "nlj"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class GpuJoinConfig:
     """Tuning knobs of the partitioned GPU join."""

@@ -133,6 +133,14 @@ class PipelinedJoinStrategy:
     and :meth:`execute` (functional execution, typically re-planning
     with observed durations), and may override :meth:`fits` so the
     planner can test data-placement feasibility without instantiation.
+
+    Immutability contract: a strategy sets all of its state in
+    ``__init__`` and never changes it afterwards — :meth:`prepare`,
+    :meth:`estimate` and the other methods only read ``self``.  The
+    serving scheduler relies on this to share one strategy object per
+    (key, calibration, device-memory grant) across every query it
+    plans; ``tests/serve/test_strategy_sharing.py`` checks it for every
+    registered strategy.
     """
 
     #: Registry key; subclasses must override.

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 from repro.data.relation import DEFAULT_PAYLOAD_BYTES, KEY_BYTES
 from repro.errors import InvalidConfigError
+from repro.frozen import cached_hash
 
 
 class Distribution(enum.Enum):
@@ -30,6 +31,7 @@ class Distribution(enum.Enum):
     ZIPF = "zipf"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class RelationSpec:
     """Statistical description of one relation.
@@ -118,6 +120,7 @@ class RelationSpec:
         )
 
 
+@cached_hash
 @dataclass(frozen=True)
 class JoinSpec:
     """Statistical description of a two-relation equi-join workload.

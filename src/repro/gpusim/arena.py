@@ -75,6 +75,10 @@ class DeviceMemoryArena:
     #: layer reclaimed from a crashed device, so a drained ledger can
     #: still show *why* it drained.
     forced: list[tuple[float, str, int]] = field(default_factory=list)
+    #: Running sum of ``reservations``' bytes, kept by the methods below
+    #: so :attr:`used_bytes` is O(1); :meth:`check_invariants` audits it
+    #: against the ledger.
+    _used: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
@@ -85,11 +89,12 @@ class DeviceMemoryArena:
             raise DeviceMemoryOverflowError(
                 f"arena device id must be >= 0, got {self.device}"
             )
+        self._used = sum(item.nbytes for item in self.reservations.values())
 
     # ------------------------------------------------------------------
     @property
     def used_bytes(self) -> int:
-        return sum(item.nbytes for item in self.reservations.values())
+        return self._used
 
     @property
     def free_bytes(self) -> int:
@@ -125,10 +130,10 @@ class DeviceMemoryArena:
             )
         if nbytes > self.free_bytes:
             return False
-        self.reservations[owner] = Reservation(
-            owner, int(nbytes), at, self.device
-        )
-        used = self.used_bytes
+        granted = int(nbytes)
+        self.reservations[owner] = Reservation(owner, granted, at, self.device)
+        self._used += granted
+        used = self._used
         self.peak_bytes = max(self.peak_bytes, used)
         self.timeline.append((at, used))
         self.check_invariants()
@@ -160,7 +165,8 @@ class DeviceMemoryArena:
                 "the wrong device?)"
             )
         freed = self.reservations.pop(owner).nbytes
-        self.timeline.append((at, self.used_bytes))
+        self._used -= freed
+        self.timeline.append((at, self._used))
         return freed
 
     # ------------------------------------------------------------------
@@ -205,8 +211,16 @@ class DeviceMemoryArena:
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """The accounting the serving benchmark asserts on every run."""
-        used = self.used_bytes
+        """The accounting the serving benchmark asserts on every run:
+        the running :attr:`used_bytes` counter equals the sum of the
+        ledger, which never exceeds capacity, and neither does the
+        high-water mark."""
+        used = sum(item.nbytes for item in self.reservations.values())
+        if used != self._used:
+            raise DeviceMemoryOverflowError(
+                f"arena used-bytes counter {self._used} disagrees with "
+                f"its ledger sum {used} on device {self.device}"
+            )
         if used > self.capacity_bytes:
             raise DeviceMemoryOverflowError(
                 f"arena over-reserved on device {self.device}: "

@@ -33,10 +33,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from repro.frozen import cached_hash
 
+
+@cached_hash
 @dataclass(frozen=True)
 class Calibration:
-    """Tunable constants of the cost model (see module docstring)."""
+    """Tunable constants of the cost model (see module docstring).
+
+    Every instance is validated once, at construction (``__post_init__``
+    runs :meth:`validate`, also for ``dataclasses.replace`` and
+    :meth:`gpu_scaled` results), so a ``Calibration`` that exists is a
+    valid one and its consumers never re-check it.
+    """
 
     # --------------------------------------------------------- GPU memory
     #: Fraction of peak device bandwidth achieved by the radix-partitioning
@@ -154,13 +163,16 @@ class Calibration:
     cogadb_max_tuples: int = 128_000_000
 
     # ------------------------------------------------------------ derived
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        """Sanity-check the constants a cost model is about to consume.
+        """Sanity-check the constants (run once, at construction).
 
         Every ``*_efficiency`` / ``*_utilization`` factor must lie in
         ``(0, 1]`` (they multiply ideal hardware rates) and every other
         numeric constant must be positive.  Raises :class:`ValueError`
-        naming the offending field — per-device calibrations now arrive
+        naming the offending field — per-device calibrations arrive
         from CLI flags (``bench serve --device-calib``), so a malformed
         one must fail at construction, not as a nonsense estimate.
         """
@@ -218,9 +230,7 @@ class Calibration:
                 "gpu_random_growth_seconds",
             )
         }
-        derived = replace(self, **scaled_efficiencies, **scaled_down)
-        derived.validate()
-        return derived
+        return replace(self, **scaled_efficiencies, **scaled_down)
 
 
 DEFAULT_CALIBRATION = Calibration()

@@ -107,9 +107,10 @@ class GpuCostModel:
     :class:`~repro.gpusim.calibration.Calibration` (every strategy a
     device plans with carries that device's cost model, and the
     calibration rides in the strategy's estimate-cache fingerprint so
-    cached estimates and plans never cross devices).  The calibration
-    is validated here — a malformed per-device calibration (CLI-built
-    fleets) must fail at construction, not as a nonsense estimate.
+    cached estimates and plans never cross devices).  The model does
+    not re-check the calibration: every ``Calibration`` is validated
+    once, when it is constructed, so a malformed per-device calibration
+    (CLI-built fleets) has already failed before it reaches here.
     """
 
     def __init__(
@@ -119,7 +120,6 @@ class GpuCostModel:
     ):
         self.system = system or SystemSpec()
         self.calib = calibration or DEFAULT_CALIBRATION
-        self.calib.validate()
 
     # ------------------------------------------------------------------
     # Primitive rates

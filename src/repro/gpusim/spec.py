@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidConfigError
+from repro.frozen import cached_hash
 
 GIB = 1024**3
 GB = 1e9
 WARP_SIZE = 32
 
 
+@cached_hash
 @dataclass(frozen=True)
 class GpuSpec:
     """A discrete GPU device."""
@@ -56,6 +58,7 @@ class GpuSpec:
         return self.num_sms * self.shared_mem_per_sm
 
 
+@cached_hash
 @dataclass(frozen=True)
 class CpuSpec:
     """A multi-socket host CPU."""
@@ -85,6 +88,7 @@ class CpuSpec:
         return self.sockets * self.memory_bandwidth_per_socket
 
 
+@cached_hash
 @dataclass(frozen=True)
 class InterconnectSpec:
     """The CPU–GPU link (PCIe 3.0 x16 on the testbed)."""
@@ -106,6 +110,7 @@ class InterconnectSpec:
     um_fault_seconds: float = 20e-6
 
 
+@cached_hash
 @dataclass(frozen=True)
 class SystemSpec:
     """Complete modelled system: GPU + host + interconnect."""

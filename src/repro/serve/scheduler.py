@@ -80,7 +80,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
 from repro.core import estimate_cache, learned_cost
 from repro.core.config import GpuJoinConfig
@@ -89,6 +89,7 @@ from repro.core.strategy import (
     COPROCESSING,
     COPROCESSING_ADAPTIVE,
     JoinPlan,
+    JoinStrategy,
     create_strategy,
     strategy_factory,
 )
@@ -910,6 +911,11 @@ class QueryScheduler:
             tuple[JoinSpec, bool, str | None, Calibration | None],
             tuple[str, float],
         ] = {}
+        #: One shared strategy object per (registry key, calibration,
+        #: device-memory grant) — see :meth:`_strategy`.
+        self._strategies: dict[
+            tuple[str, Calibration | None, int | None], JoinStrategy
+        ] = {}
 
     def _build_fleet(self) -> DeviceFleet:
         """A fresh fleet per run, honouring per-device overrides."""
@@ -941,11 +947,38 @@ class QueryScheduler:
             config=self.config,
         )
 
-    def _strategy_kwargs(self, key: str, reserved_bytes: int) -> dict[str, Any]:
-        """Constructor extras making the strategy honour its grant."""
+    @staticmethod
+    def _grant(key: str, reserved_bytes: int) -> int | None:
+        """The device-memory grant strategy ``key`` is built with:
+        co-processing shrinks its working sets to honour
+        ``reserved_bytes`` (its ``device_budget``); every other strategy
+        takes none."""
         if key in (COPROCESSING, COPROCESSING_ADAPTIVE):
-            return {"device_budget": reserved_bytes}
-        return {}
+            return reserved_bytes
+        return None
+
+    def _strategy(
+        self,
+        key: str,
+        calibration: Calibration | None,
+        grant: int | None = None,
+    ) -> JoinStrategy:
+        """This scheduler's strategy object for (``key``,
+        ``calibration``, ``grant``), created on first use.
+
+        Strategies are immutable after ``__init__`` (the contract on
+        :class:`~repro.core.strategy.PipelinedJoinStrategy`), so one
+        object per combination serves every solo, alone and plan lookup
+        of every run; system and config are fixed per scheduler."""
+        table_key = (key, calibration, grant)
+        strategy = self._strategies.get(table_key)
+        if strategy is None:
+            extras = {} if grant is None else {"device_budget": grant}
+            strategy = create_strategy(
+                key, self.system, calibration, self.config, **extras
+            )
+            self._strategies[table_key] = strategy
+        return strategy
 
     def _max_degradation_for(self, request: QueryRequest) -> float | None:
         """The degrade-vs-wait bound this query is admitted under: its
@@ -1016,7 +1049,7 @@ class QueryScheduler:
         key = request.strategy or choose_strategy_name(
             request.spec, self.system, calibration=calib, config=self.config
         )
-        strategy = create_strategy(key, self.system, calib, self.config)
+        strategy = self._strategy(key, calib)
         metrics = strategy.estimate(request.spec, materialize=request.materialize)
         self._solo_cache[cache_key] = (key, metrics.seconds)
         return key, metrics.seconds
@@ -1035,13 +1068,7 @@ class QueryScheduler:
         grant and the calibration are both part of the strategy
         fingerprint, so per-device entries never collide."""
         calib = calibration if calibration is not None else self.calibration
-        strategy = create_strategy(
-            key,
-            self.system,
-            calib,
-            self.config,
-            **self._strategy_kwargs(key, reserved_bytes),
-        )
+        strategy = self._strategy(key, calib, self._grant(key, reserved_bytes))
         return strategy.estimate(
             request.spec, materialize=request.materialize
         ).seconds
@@ -1060,7 +1087,7 @@ class QueryScheduler:
         offer short-circuits to the cached solo makespan (the exact
         same float, which is what keeps homogeneous ranking
         bit-identical to the historical load-only order)."""
-        if key == solo_key and not self._strategy_kwargs(key, need):
+        if key == solo_key and self._grant(key, need) is None:
             return self._solo(request, calibration)[1]
         return self._estimate_alone(key, request, need, calibration=calibration)
 
@@ -1082,13 +1109,7 @@ class QueryScheduler:
         to a slow one.
         """
         calib = calibration if calibration is not None else self.calibration
-        strategy = create_strategy(
-            key,
-            self.system,
-            calib,
-            self.config,
-            **self._strategy_kwargs(key, need),
-        )
+        strategy = self._strategy(key, calib, self._grant(key, need))
         plan_key = estimate_cache.make_key(
             strategy.cache_fingerprint(), request.spec, request.materialize, {}
         )

@@ -2,12 +2,16 @@
 
 import json
 
+import pytest
+
+from repro.bench import perf_bench
 from repro.bench.perf_bench import (
+    PerfEntry,
     bench_engine,
+    merge_perf_json,
     perf_main,
     render,
     run_perf,
-    write_json,
 )
 
 
@@ -29,7 +33,7 @@ def test_run_perf_schema_and_render(tmp_path):
     assert "fig12_cell_estimate" in table
 
     out = tmp_path / "BENCH_perf.json"
-    write_json(entries, str(out))
+    merge_perf_json(entries, str(out))
     payload = json.loads(out.read_text())
     for name, record in payload.items():
         assert set(record) == {"wall_seconds", "ops_per_sec", "n"}, name
@@ -44,3 +48,46 @@ def test_perf_main_ceiling(tmp_path, capsys):
     assert perf_main(["--quick", "--out", "-", "--ceiling", "1e-9"]) == 1
     captured = capsys.readouterr().out
     assert "FAIL" in captured
+
+
+SERVE_ENTRY = {"wall_seconds": 2.0, "ops_per_sec": 0.5, "n": 3}
+
+
+def test_perf_write_keeps_serve_series(tmp_path, monkeypatch):
+    """``perf`` merges into BENCH_perf.json: the ``serve_*`` series a
+    ``serve`` run wrote survive, and stale perf entries are updated."""
+    out = tmp_path / "BENCH_perf.json"
+    out.write_text(
+        json.dumps(
+            {
+                "serve_stream_wall[20000x2]": SERVE_ENTRY,
+                "estimate_warm": {"wall_seconds": 9.0, "ops_per_sec": 0.1, "n": 1},
+            }
+        )
+    )
+    fresh = {"estimate_warm": PerfEntry(1e-5, 1e5, 200)}
+    monkeypatch.setattr(perf_bench, "run_perf", lambda quick: fresh)
+    assert perf_main(["--quick", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["serve_stream_wall[20000x2]"] == SERVE_ENTRY
+    assert payload["estimate_warm"] == {
+        "wall_seconds": 1e-5,
+        "ops_per_sec": 1e5,
+        "n": 200,
+    }
+
+
+def test_failed_write_leaves_the_old_file_byte_identical(tmp_path, monkeypatch):
+    out = tmp_path / "BENCH_perf.json"
+    out.write_text(json.dumps({"serve_wall[4]": SERVE_ENTRY}, indent=1) + "\n")
+    before = out.read_bytes()
+
+    def dump_then_fail(payload, handle, **kwargs):
+        handle.write('{"half": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(perf_bench.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        merge_perf_json({"estimate_warm": PerfEntry(1.0, 1.0, 1)}, str(out))
+    assert out.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == [out.name]

@@ -132,3 +132,57 @@ def test_drained_tracks_live_reservations():
     arena.release("a")
     assert arena.drained
     assert arena.timeline[-1][1] == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_running_counter_matches_a_summing_reference(seed):
+    """A seeded random mix of every ledger operation keeps the O(1)
+    ``used_bytes`` counter equal to the sum of live reservations, and
+    the timeline and peak equal a reference that re-sums every time."""
+    import random
+
+    rng = random.Random(seed)
+    capacity = 8 * GB
+    arena = DeviceMemoryArena(capacity, device=seed)
+    live: dict[str, int] = {}
+    timeline: list[tuple[float, int]] = []
+    peak = 0
+    for step in range(400):
+        at = float(step)
+        op = rng.random()
+        if op < 0.5 or not live:
+            owner, nbytes = f"q{step}", rng.randrange(0, 3 * GB)
+            granted = arena.try_reserve(owner, nbytes, at=at)
+            assert granted == (sum(live.values()) + nbytes <= capacity)
+            if granted:
+                live[owner] = nbytes
+                timeline.append((at, sum(live.values())))
+                peak = max(peak, sum(live.values()))
+        elif op < 0.75:
+            owner = rng.choice(sorted(live))
+            assert arena.release(owner, at=at) == live.pop(owner)
+            timeline.append((at, sum(live.values())))
+        elif op < 0.9:
+            owner = rng.choice(sorted(live))
+            assert arena.force_release(owner, at=at) == live.pop(owner)
+            timeline.append((at, sum(live.values())))
+        else:
+            owners = rng.sample(sorted(live), k=rng.randint(1, len(live)))
+            freed = sum(live[owner] for owner in owners)
+            assert arena.reconcile(owners, at=at) == freed
+            for owner in owners:
+                del live[owner]
+                timeline.append((at, sum(live.values())))
+        assert arena.used_bytes == sum(live.values())
+        assert arena.free_bytes == capacity - sum(live.values())
+        arena.check_invariants()
+    assert arena.timeline == timeline
+    assert arena.peak_bytes == peak
+
+
+def test_corrupted_counter_fails_the_invariant_check():
+    arena = DeviceMemoryArena(8 * GB, device=3)
+    arena.reserve("q0", GB)
+    arena._used += 1  # a bookkeeping bug: counter drifts from the ledger
+    with pytest.raises(DeviceMemoryOverflowError, match="device 3"):
+        arena.check_invariants()

@@ -168,7 +168,7 @@ def test_calibration_presets_and_validation():
     fast.validate()
     assert fast.kernel_launch_seconds < Calibration().kernel_launch_seconds
     with pytest.raises(ValueError, match="gpu_scan_efficiency"):
-        Calibration(gpu_scan_efficiency=0.0).validate()
+        Calibration(gpu_scan_efficiency=0.0)
     with pytest.raises(ValueError):
         Calibration().gpu_scaled(0.0)
 
