@@ -7,8 +7,8 @@ Usage::
     python -m repro.bench --list              # what exists
     python -m repro.bench --figure 12 --scale 0.01   # quick smoke run
     python -m repro.bench serve --clients 16  # multi-query serving bench
-    python -m repro.bench serve --online --clients 64 --arrival-rate 8
-    python -m repro.bench serve --clients 16 --devices 2 --online  # sharded fleet
+    python -m repro.bench serve --clients 64 --arrival-rate 8
+    python -m repro.bench serve --clients 16 --devices 2  # sharded fleet
     python -m repro.bench serve --stream --arrivals 100000 --devices 2  # steady state
     python -m repro.bench perf --quick        # tracked micro-benchmarks
 """

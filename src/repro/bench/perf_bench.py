@@ -13,16 +13,13 @@ anecdotes:
 * ``fig12_cell_estimate`` — one full-scale co-processing estimate
   (2048 M-tuple build), the figure sweep's most expensive cell and the
   CI smoke's wall-clock ceiling;
-* ``serve_wall[<clients>]`` — end-to-end scheduler wall time for the
-  mixed serving workload in batch mode (one full engine re-simulation
-  per admission wave), caches cleared per repetition;
-* ``serve_online_wall[<clients>]`` — the same workload through the
-  online admission mode (incremental schedule extension, bit-identical
-  outcomes), the serving layer's production path;
-* ``serve_sharded_wall[<clients>]`` — the same workload scheduled in
-  batch mode across a two-device fleet (per-device arenas + engines,
-  least-loaded placement); comparable against ``serve_wall`` to track
-  the sharding layer's scheduling overhead/win per release;
+* ``serve_online_wall[<clients>]`` — end-to-end scheduler wall time
+  for the mixed serving workload through ``run_online`` on one device,
+  caches cleared per repetition;
+* ``serve_sharded_wall[<clients>]`` — the same workload across a
+  two-device fleet (per-device arenas + engines, least-loaded
+  placement); comparable against ``serve_online_wall`` to track the
+  sharding layer's scheduling overhead;
 * ``learned_fit`` / ``estimate_learned`` — fitting the learned cost
   model's per-strategy regression from a recorded sample population,
   and the per-estimate latency of its opt-in fast path (what the
@@ -122,8 +119,7 @@ def bench_serve(*, quick: bool) -> dict[str, PerfEntry]:
 
     levels = (4, 16) if quick else (4, 16, 64)
     variants = (
-        ("serve_wall", {}),
-        ("serve_online_wall", {"online": True}),
+        ("serve_online_wall", {}),
         ("serve_sharded_wall", {"devices": 2}),
     )
     entries: dict[str, PerfEntry] = {}

@@ -26,11 +26,12 @@ call :func:`run_regression` from tests.
 The module also guards the serving layer (:func:`run_serve_regression`):
 a small concurrency sweep must be deterministic, keep every device's
 arena within capacity and drained, beat serial back-to-back execution,
-and produce **identical** per-query outcomes through the online
-incremental-extension mode and the batch full-re-simulation mode — on
-one device *and* on a two-device sharded fleet, whose makespan must
-additionally never exceed the single-device makespan — the invariants
-the scheduler promises on every PR.  :func:`run_stream_regression`
+and pass the **batch oracle** (:func:`check_batch_oracle`: re-simulating
+each device's final task graph from scratch reproduces every task of
+the incremental schedule) — on one device *and* on a two-device
+sharded fleet, whose makespan must additionally never exceed the
+single-device makespan — the invariants the scheduler promises on
+every change.  :func:`run_stream_regression`
 extends the same guarantee to steady-state streaming: on a mid-size
 open-arrival stream, ``run_stream`` with aggressive schedule
 compaction must match ``run_stream`` without compaction *and*
@@ -43,10 +44,10 @@ golden schedules recorded before per-device calibration existed.
 way: an **empty** :class:`~repro.serve.faults.FaultPlan` must stay
 bit-identical to the golden schedules (the fault machinery may not
 leak into fault-free runs), and crashy seeded plans must conserve
-every query, reconcile every arena, and keep online == batch.
+every query, reconcile every arena, and pass the batch oracle.
 :func:`run_admission_regression` pins the admission-policy registry:
 the default ``fifo`` policy must stay bit-identical to the golden
-schedules, every reordering policy must keep online == batch on
+schedules, every reordering policy must pass the batch oracle on
 classed workloads, ``edf`` must strictly reduce the deadline-miss rate
 against ``fifo`` on the deadline-classed canonical workload, and
 ``sjf`` must never worsen its mean latency.
@@ -196,76 +197,91 @@ SERVE_REGRESSION_CLIENTS = (1, 4, 8)
 SERVE_REGRESSION_DEVICES = 2
 
 
+def check_batch_oracle(report, faults=None) -> int:
+    """Batch re-simulation as the oracle of the incremental schedule.
+
+    Re-simulates each device's final task graph in
+    ``report.device_schedules`` from scratch with
+    :meth:`~repro.pipeline.engine.PipelineEngine.run` — a batch
+    scheduler's way of placing the graph — and raises
+    :class:`~repro.errors.SchedulingError` unless every task's start,
+    finish and lane equal the ones the run placed by extension.
+    Schedules list tasks in placement order, which per resource pool is
+    submission order, so re-adding them rebuilds every FIFO queue.
+    Devices ``faults`` crashes are skipped (the crash dropped their
+    unfinished tail, so the survivors no longer form the graph their
+    lanes were computed from), and compacted schedules are refused:
+    pass a :meth:`~repro.serve.scheduler.QueryScheduler.run_online`
+    report.  Returns the number of tasks checked.
+    """
+    from repro.errors import SchedulingError
+    from repro.pipeline.engine import PipelineEngine
+
+    crashed = {crash.device for crash in faults.crashes} if faults else set()
+    checked = 0
+    for device, schedule in enumerate(report.device_schedules):
+        if device in crashed:
+            continue
+        if schedule.retired_tasks:
+            raise SchedulingError(
+                f"device {device} schedule was compacted; the batch "
+                "oracle needs a complete one"
+            )
+        engine = PipelineEngine(schedule.lanes, device=device)
+        for item in schedule.tasks.values():
+            engine.add(item.task)
+        batch = engine.run()
+        for name, item in schedule.tasks.items():
+            again = batch.tasks[name]
+            if (item.start, item.finish, item.lane) != (
+                again.start, again.finish, again.lane
+            ):
+                raise SchedulingError(
+                    f"device {device} task {name!r}: incremental "
+                    f"{(item.start, item.finish, item.lane)} != batch "
+                    f"{(again.start, again.finish, again.lane)}"
+                )
+        checked += len(schedule.tasks)
+    return checked
+
+
 def run_serve_regression(
     levels: tuple[int, ...] = SERVE_REGRESSION_CLIENTS,
 ) -> list[str]:
     """Assert the serving layer's invariants; returns report lines.
 
-    Each level runs the batch scheduler twice (determinism is checked
-    inside :func:`repro.bench.serve_bench.run_serve`) plus once through
-    the online incremental-extension mode, whose per-query admissions,
-    placements and finish times must be **identical** to batch mode —
-    the serving-layer face of the ``extend()``-equals-``run()``
-    guarantee — and then repeats the pair on a
-    :data:`SERVE_REGRESSION_DEVICES`-device sharded fleet, where the
-    same online==batch identity must hold (device assignments included)
-    and the fleet makespan must never exceed the single-device
-    makespan.  Any violation raises
-    :class:`~repro.errors.SchedulingError`.
+    Each level serves the mixed workload twice (determinism is checked
+    inside :func:`repro.bench.serve_bench.run_serve`) and holds the
+    report to :func:`check_batch_oracle`, then repeats both on a
+    :data:`SERVE_REGRESSION_DEVICES`-device sharded fleet, whose
+    makespan must never exceed the single-device makespan.  Any
+    violation raises :class:`~repro.errors.SchedulingError`.
     """
     import time
 
-    from repro.bench.serve_bench import (
-        fingerprint,
-        fingerprint_sharded,
-        run_serve,
-    )
+    from repro.bench.serve_bench import run_serve
     from repro.errors import SchedulingError
 
     lines: list[str] = []
     for clients in levels:
-        # Both modes run with the determinism re-run included (two
-        # scheduler passes each), so the reported walls compare
-        # like-for-like.
         start = time.perf_counter()
         report = run_serve(clients, check_determinism=True)
-        batch_wall = time.perf_counter() - start
+        wall = time.perf_counter() - start
         start = time.perf_counter()
-        online = run_serve(clients, online=True, check_determinism=True)
-        online_wall = time.perf_counter() - start
-        if fingerprint(online) != fingerprint(report):
-            raise SchedulingError(
-                f"online admission diverged from batch at {clients} clients"
-            )
-        if online.makespan != report.makespan:
-            raise SchedulingError(
-                f"online makespan {online.makespan!r} != batch "
-                f"{report.makespan!r} at {clients} clients"
-            )
+        tasks = check_batch_oracle(report)
+        oracle_wall = time.perf_counter() - start
         lines.append(
             f"serve[{clients:2d} clients]: makespan {report.makespan:10.6f} s, "
             f"serial {report.serial_makespan:10.6f} s, peak "
             f"{report.peak_reserved_bytes / 1e9:.2f}/"
             f"{report.capacity_bytes / 1e9:.2f} GB, "
-            f"{report.degraded_count} degraded, online==batch "
-            f"(wall {online_wall:.2f} s vs {batch_wall:.2f} s)  ok"
+            f"{report.degraded_count} degraded, batch oracle {tasks} tasks "
+            f"(wall {oracle_wall:.2f} s, serve {wall:.2f} s)  ok"
         )
 
         devices = SERVE_REGRESSION_DEVICES
         sharded = run_serve(clients, devices=devices, check_determinism=True)
-        sharded_online = run_serve(
-            clients, devices=devices, online=True, check_determinism=True
-        )
-        if fingerprint_sharded(sharded_online) != fingerprint_sharded(sharded):
-            raise SchedulingError(
-                f"sharded online admission diverged from batch at "
-                f"{clients} clients on {devices} devices"
-            )
-        if sharded_online.makespan != sharded.makespan:
-            raise SchedulingError(
-                f"sharded online makespan {sharded_online.makespan!r} != "
-                f"batch {sharded.makespan!r} at {clients} clients"
-            )
+        tasks = check_batch_oracle(sharded)
         if sharded.makespan > report.makespan * (1 + 1e-9):
             raise SchedulingError(
                 f"sharding regressed the makespan at {clients} clients: "
@@ -277,7 +293,7 @@ def run_serve_regression(
             f"{sharded.makespan:10.6f} s "
             f"({report.makespan / sharded.makespan:.2f}x vs one device), "
             f"peaks {'/'.join(f'{p / 1e9:.2f}' for p in sharded.device_peak_bytes)} GB, "
-            "online==batch  ok"
+            f"batch oracle {tasks} tasks  ok"
         )
     return lines
 
@@ -482,8 +498,8 @@ def run_fault_regression(
       means the fault machinery leaked into unfaulted runs);
     * **Recovery** — a crashy seeded plan on a two-device fleet must
       conserve every query (``completed + failed == arrivals``), drain
-      every arena (crash reservations reconciled), keep online == batch
-      under faults, and replay deterministically.
+      every arena (crash reservations reconciled), pass the batch
+      oracle on every surviving device, and replay deterministically.
 
     Any violation raises :class:`~repro.errors.SchedulingError` (the
     scheduler's own :func:`~repro.serve.faults.check_fault_invariants`
@@ -539,19 +555,10 @@ def run_fault_regression(
         online = QueryScheduler(devices=devices).run_online(
             random_workload(seed), faults=plan
         )
-        batch = QueryScheduler(devices=devices).run(
-            random_workload(seed), faults=plan
-        )
+        check_batch_oracle(online, plan)
         replay = QueryScheduler(devices=devices).run_online(
             random_workload(seed), faults=plan
         )
-        if (
-            fingerprint_sharded(online) != fingerprint_sharded(batch)
-            or online.failed != batch.failed
-        ):
-            raise SchedulingError(
-                f"online diverged from batch under fault plan seed {seed}"
-            )
         if (
             fingerprint_sharded(replay) != fingerprint_sharded(online)
             or replay.failed != online.failed
@@ -579,7 +586,7 @@ def run_fault_regression(
         f"faults[{len(seeds)} seeds]: empty plan bit-identical to golden "
         f"schedules; crashy plans on {devices} devices conserved every "
         f"query ({failures} failed, {retries} retries), arenas "
-        "reconciled, online == batch, replay identical  ok"
+        "reconciled, batch oracle, replay identical  ok"
     ]
 
 
@@ -597,9 +604,9 @@ def run_admission_regression(
       explicitly) must stay bit-identical to the recorded pre-registry
       golden schedules on ``devices=1``: the policy hook may not
       perturb the default path;
-    * **Equivalence** — every registered policy must keep
-      online == batch (device assignments included) on the
-      deadline-classed canonical workload across a two-device fleet;
+    * **Equivalence** — under every registered policy the
+      deadline-classed canonical workload on a two-device fleet must
+      pass the batch oracle;
     * **Wins** — on :func:`~repro.serve.workload.classed_workload`
       (64 clients, one device) ``edf`` must *strictly* reduce the
       deadline-miss rate against ``fifo``, and ``sjf`` must never
@@ -610,7 +617,7 @@ def run_admission_regression(
     import json
     from pathlib import Path
 
-    from repro.bench.serve_bench import fingerprint, fingerprint_sharded
+    from repro.bench.serve_bench import fingerprint
     from repro.errors import SchedulingError
     from repro.serve.admission import registered_admission_policies
     from repro.serve.scheduler import QueryScheduler
@@ -645,23 +652,18 @@ def run_admission_regression(
     devices = SERVE_REGRESSION_DEVICES
     requests = classed_workload(16)
     for policy in registered_admission_policies():
-        batch = QueryScheduler(devices=devices, admission=policy).run(
-            requests
-        )
-        online = QueryScheduler(
-            devices=devices, admission=policy
-        ).run_online(requests)
-        if (
-            fingerprint_sharded(online) != fingerprint_sharded(batch)
-            or online.makespan != batch.makespan
-        ):
-            raise SchedulingError(
-                f"online diverged from batch under {policy!r} admission "
-                "on the classed workload"
+        check_batch_oracle(
+            QueryScheduler(devices=devices, admission=policy).run_online(
+                requests
             )
+        )
 
-    fifo_classed = QueryScheduler(admission="fifo").run(classed_workload(64))
-    edf_classed = QueryScheduler(admission="edf").run(classed_workload(64))
+    fifo_classed = QueryScheduler(admission="fifo").run_online(
+        classed_workload(64)
+    )
+    edf_classed = QueryScheduler(admission="edf").run_online(
+        classed_workload(64)
+    )
     if fifo_classed.deadline_miss_rate == 0.0:
         raise SchedulingError(
             "admission regression is vacuous: fifo missed no deadlines "
@@ -673,8 +675,12 @@ def run_admission_regression(
             f"{edf_classed.deadline_miss_rate:.4f} vs fifo "
             f"{fifo_classed.deadline_miss_rate:.4f}"
         )
-    fifo_mixed = QueryScheduler(admission="fifo").run(mixed_workload(64))
-    sjf_mixed = QueryScheduler(admission="sjf").run(mixed_workload(64))
+    fifo_mixed = QueryScheduler(admission="fifo").run_online(
+        mixed_workload(64)
+    )
+    sjf_mixed = QueryScheduler(admission="sjf").run_online(
+        mixed_workload(64)
+    )
     if sjf_mixed.mean_latency > fifo_mixed.mean_latency * (1 + 1e-9):
         raise SchedulingError(
             f"sjf worsened mean latency on the canonical 64-client "
@@ -683,8 +689,8 @@ def run_admission_regression(
         )
     return [
         f"admission[{len(seeds)} seeds + {len(registered_admission_policies())} "
-        f"policies]: fifo bit-identical to golden schedules; online == "
-        f"batch under every policy on classed workloads; edf miss rate "
+        f"policies]: fifo bit-identical to golden schedules; batch "
+        f"oracle under every policy on classed workloads; edf miss rate "
         f"{edf_classed.deadline_miss_rate:.3f} < fifo "
         f"{fifo_classed.deadline_miss_rate:.3f}; sjf mean latency "
         f"{sjf_mixed.mean_latency:.3f} s <= fifo "
@@ -854,7 +860,7 @@ def main() -> int:
         print(line)
     print(
         "serving scheduler deterministic, every arena within capacity and "
-        "drained, online == batch, sharding never regresses the makespan"
+        "drained, batch oracle holds, sharding never regresses the makespan"
     )
     for line in run_stream_regression():
         print(line)
@@ -878,7 +884,7 @@ def main() -> int:
         print(line)
     print(
         "admission policies: fifo inert against the golden schedules, "
-        "reordering policies keep online == batch and win their metrics"
+        "reordering policies pass the batch oracle and win their metrics"
     )
     for line in run_learned_regression():
         print(line)

@@ -14,16 +14,15 @@ speedup: greedy FIFO interleaving is subject to Graham scheduling
 anomalies, so tiny workloads can lose a few percent to serial execution
 and that is a measurement, not a bug.
 
-``--online`` switches the scheduler to incremental schedule extension
-(:meth:`~repro.serve.scheduler.QueryScheduler.run_online`): outcomes are
-bit-identical to batch mode (asserted by ``bench/regress.py`` and
-``tests/serve/test_online.py``), only the wall clock changes.
-``--arrival-rate R`` spaces submissions ``1/R`` simulated seconds apart
-to model an open arrival process.  ``--devices K`` shards the fleet —
-per-device arenas and engines with a placement policy
-(``--placement``, default least-loaded) choosing the device per
-admission; ``--devices 1`` is bit-identical to the historical
-single-device scheduler.
+Every run goes through
+:meth:`~repro.serve.scheduler.QueryScheduler.run_online` (incremental
+schedule extension; ``bench/regress.py`` holds its schedules to the
+batch re-simulation oracle).  ``--arrival-rate R`` spaces submissions
+``1/R`` simulated seconds apart to model an open arrival process.
+``--devices K`` shards the fleet — per-device arenas and engines with
+a placement policy (``--placement``, default least-loaded) choosing
+the device per admission; ``--devices 1`` is bit-identical to the
+historical single-device scheduler.
 
 ``--stream`` runs the steady-state streaming harness instead of the
 concurrency sweep: ``--arrivals N`` open arrivals (default 100000) from
@@ -73,7 +72,7 @@ mean recovery latency) into ``BENCH_perf.json``, and fail the process
 when ``--max-failed-rate`` is exceeded — the CI chaos smoke bound.
 
 Run via the CLI (``python -m repro.bench serve --clients 16``,
-``... serve --clients 16 --devices 2 --online``,
+``... serve --clients 16 --devices 2``,
 ``... serve --clients 64 --devices 2 --device-calib fast,slow``,
 ``... serve --stream --arrivals 100000 --devices 2``, or
 ``... serve --stream --arrivals 20000 --devices 2 --faults``) or call
@@ -100,7 +99,7 @@ from repro.gpusim.calibration import (
 from repro.serve.admission import FIFO, registered_admission_policies
 from repro.serve.faults import FaultPlan
 from repro.serve.placement import LEAST_LOADED, registered_placement_policies
-from repro.serve.scheduler import QueryScheduler, ServeReport, StreamReport
+from repro.serve.scheduler import QueryScheduler, ServeReport
 from repro.serve.workload import (
     DEADLINE_CLASSES,
     classed_workload,
@@ -149,8 +148,6 @@ def _has_cross_query_overlap(report: ServeReport) -> bool:
     Queries on different fleet devices count as overlapping whenever
     their task windows intersect in time — that *is* the sharding win.
     """
-    if report.schedule is None:
-        return False
     items = sorted(
         (item.start, item.finish, name.split(":", 1)[0])
         for name, item in report.schedule.tasks.items()
@@ -163,6 +160,25 @@ def _has_cross_query_overlap(report: ServeReport) -> bool:
             if other_qid != qid:
                 return True
     return False
+
+
+def _verify_arenas(report: ServeReport) -> None:
+    """Every device's arena stayed within capacity and drained."""
+    for device, (peak, cap) in enumerate(
+        zip(report.device_peak_bytes, report.device_capacity_bytes)
+    ):
+        if peak > cap:
+            raise SchedulingError(
+                f"arena over-reserved on device {device}: peak {peak} > "
+                f"capacity {cap}"
+            )
+    for arena in report.arenas or ():
+        arena.check_invariants()
+        if not arena.drained:
+            raise SchedulingError(
+                f"device {arena.device} arena did not drain: "
+                f"{sorted(arena.reservations)} still reserved"
+            )
 
 
 def verify_report(
@@ -178,23 +194,7 @@ def verify_report(
     percent to Graham scheduling anomalies of the greedy FIFO
     interleaving — reported as a sub-1.0x speedup rather than raised.
     """
-    peaks = report.device_peak_bytes or (report.peak_reserved_bytes,)
-    capacities = report.device_capacity_bytes or tuple(
-        [report.capacity_bytes] * len(peaks)
-    )
-    for device, (peak, cap) in enumerate(zip(peaks, capacities)):
-        if peak > cap:
-            raise SchedulingError(
-                f"arena over-reserved on device {device}: peak {peak} > "
-                f"capacity {cap}"
-            )
-    for arena in report.arenas or ():
-        arena.check_invariants()
-        if not arena.drained:
-            raise SchedulingError(
-                f"device {arena.device} arena did not drain: "
-                f"{sorted(arena.reservations)} still reserved"
-            )
+    _verify_arenas(report)
     if clients <= 1 or not check_serial:
         return
     # Concurrency may never lose to serial back-to-back execution
@@ -215,7 +215,7 @@ def verify_report(
 
 def fingerprint(report: ServeReport) -> list[tuple]:
     """Canonical per-query outcome fingerprint, used by every
-    determinism and online-vs-batch equivalence check (here, in
+    determinism and golden-schedule check (here, in
     ``bench/regress.py`` and in ``tests/serve``).  Deliberately
     device-blind so recorded single-device golden schedules stay
     comparable; sharded checks add :func:`fingerprint_sharded`."""
@@ -227,7 +227,7 @@ def fingerprint(report: ServeReport) -> list[tuple]:
 
 def fingerprint_sharded(report: ServeReport) -> list[tuple]:
     """:func:`fingerprint` plus the placement device per query — the
-    fingerprint sharded determinism and online==batch checks compare."""
+    fingerprint sharded determinism checks compare."""
     return [
         (o.qid, o.device, o.strategy, o.reserved_bytes, o.admit_at, o.finish_at)
         for o in report.outcomes
@@ -239,7 +239,6 @@ def run_serve(
     *,
     scale: float = 1.0,
     spacing_seconds: float = 0.0,
-    online: bool = False,
     devices: int = 1,
     placement: str = LEAST_LOADED,
     device_capacities: list[int] | None = None,
@@ -254,12 +253,10 @@ def run_serve(
     scheduler: QueryScheduler | None = None,
     check_determinism: bool = True,
 ) -> ServeReport:
-    """Schedule ``clients`` mixed queries and verify the guarantees.
-
-    ``online=True`` runs the arrival-driven incremental-extension mode
-    (:meth:`~repro.serve.scheduler.QueryScheduler.run_online`); the
-    determinism re-run then also uses online mode, so the check guards
-    the incremental path itself.  ``devices``/``placement`` and the
+    """Serve ``clients`` mixed queries through
+    :meth:`~repro.serve.scheduler.QueryScheduler.run_online` and verify
+    the guarantees, re-running once on a fresh scheduler when
+    ``check_determinism``.  ``devices``/``placement`` and the
     heterogeneity knobs (``device_capacities`` / ``device_calibrations``
     / ``steal``) shard and diversify the fleet (ignored when an
     explicit ``scheduler`` is passed).  Heterogeneous and stealing runs
@@ -306,8 +303,7 @@ def run_serve(
         learned=learned,
     )
     faulted = faults is not None and not faults.is_empty
-    run = scheduler.run_online if online else scheduler.run
-    report = run(requests, faults=faults)
+    report = scheduler.run_online(requests, faults=faults)
     canonical = (
         scale == 1.0
         and spacing_seconds == 0.0
@@ -332,8 +328,7 @@ def run_serve(
             admission=scheduler.admission,
             learned=scheduler.learned,
         )
-        rerun_fn = fresh.run_online if online else fresh.run
-        rerun = rerun_fn(workload(), faults=faults)
+        rerun = fresh.run_online(workload(), faults=faults)
         if fingerprint_sharded(rerun) != fingerprint_sharded(report):
             raise SchedulingError(
                 f"serve schedule is non-deterministic at {clients} clients "
@@ -352,7 +347,6 @@ def sweep(
     *,
     scale: float = 1.0,
     spacing_seconds: float = 0.0,
-    online: bool = False,
     devices: int = 1,
     placement: str = LEAST_LOADED,
     device_capacities: list[int] | None = None,
@@ -371,7 +365,6 @@ def sweep(
             clients,
             scale=scale,
             spacing_seconds=spacing_seconds,
-            online=online,
             devices=devices,
             placement=placement,
             device_capacities=device_capacities,
@@ -430,7 +423,7 @@ def render_sweep(points: list[ServePoint]) -> str:
 # Streaming harness
 # ---------------------------------------------------------------------------
 def verify_stream_report(
-    report: StreamReport, *, compact_every: int | None
+    report: ServeReport, *, compact_every: int | None
 ) -> None:
     """The streaming run's hard guarantees; raises on violation.
 
@@ -443,24 +436,7 @@ def verify_stream_report(
     tasks each can sit between sweeps, so a violation means compaction
     stopped bounding memory.
     """
-    stream_caps = report.device_capacity_bytes or tuple(
-        [report.capacity_bytes] * len(report.device_peak_bytes)
-    )
-    for device, (peak, cap) in enumerate(
-        zip(report.device_peak_bytes, stream_caps)
-    ):
-        if peak > cap:
-            raise SchedulingError(
-                f"arena over-reserved on device {device}: peak {peak} > "
-                f"capacity {cap}"
-            )
-    for arena in report.arenas or ():
-        arena.check_invariants()
-        if not arena.drained:
-            raise SchedulingError(
-                f"device {arena.device} arena did not drain: "
-                f"{sorted(arena.reservations)} still reserved"
-            )
+    _verify_arenas(report)
     if (
         report.completed + report.shed_count + report.failed_count
         != report.arrivals
@@ -504,7 +480,7 @@ def run_stream_bench(
     deadline_scale: float = 1.0,
     learned: bool = False,
     seed: int = 0,
-) -> tuple[StreamReport, float]:
+) -> tuple[ServeReport, float]:
     """Run the steady-state streaming benchmark; returns (verified
     report, wall seconds).  The workload generator is lazy and the
     retained schedule is compacted, so memory stays O(in-flight) even
@@ -545,7 +521,7 @@ def run_stream_bench(
 
 
 def stream_perf_entries(
-    report: StreamReport, wall: float, *, arrivals: int, devices: int
+    report: ServeReport, wall: float, *, arrivals: int, devices: int
 ) -> dict[str, PerfEntry]:
     """``serve_stream_*`` records in ``BENCH_perf.json``'s uniform
     ``{wall_seconds, ops_per_sec, n}`` schema.  ``wall_seconds`` always
@@ -593,7 +569,7 @@ def stream_perf_entries(
 
 
 def admission_perf_entries(
-    report: "ServeReport | StreamReport",
+    report: ServeReport,
     *,
     policy: str,
     clients: int,
@@ -605,16 +581,13 @@ def admission_perf_entries(
     percentiles (rate form: completions per second at that latency) and
     ``*_miss_rate`` the deadline-miss rate — misses (plus streaming
     deadline-expiry sheds) over every deadline-bearing query that
-    reached a terminal state.  Duck-typed over batch and stream
-    reports."""
+    reached a terminal state."""
     tag = f"[{clients}x{devices}]"
     completed = max(len(report.outcomes), 1)
     p50 = report.p50_latency
     p99 = report.p99_latency
     miss = report.deadline_miss_rate
-    deadline_total = report.deadline_count + getattr(
-        report, "deadline_expired_count", 0
-    )
+    deadline_total = report.deadline_count + report.deadline_expired_count
     return {
         f"serve_admission_{policy}_p50{tag}": PerfEntry(
             wall_seconds=p50,
@@ -681,7 +654,7 @@ def hetero_perf_entries(
 
 
 def fault_perf_entries(
-    report: "ServeReport | StreamReport",
+    report: ServeReport,
     *,
     arrivals: int,
     devices: int,
@@ -693,8 +666,7 @@ def fault_perf_entries(
     ``retries`` the total re-admission attempts charged across
     completed *and* failed queries; ``recovery_latency`` the mean
     submit-to-finish latency of queries that completed only after at
-    least one retry (0 when nothing was retried).  Duck-typed over
-    batch and stream reports."""
+    least one retry (0 when nothing was retried)."""
     tag = f"[{arrivals}x{devices}]"
     completed = list(report.outcomes)
     failed = list(report.failed)
@@ -802,12 +774,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         type=float,
         default=0.0,
         help="seconds between query submissions (default 0: one batch)",
-    )
-    parser.add_argument(
-        "--online",
-        action="store_true",
-        help="arrival-driven admission with incremental schedule "
-        "extension (same outcomes as batch mode, lower wall clock)",
     )
     parser.add_argument(
         "--arrival-rate",
@@ -1211,7 +1177,7 @@ def _serve_dispatch(
         and not args.classes
         and not args.learned
     )
-    mode = "online (incremental extension)" if args.online else "batch"
+    mode = "online (incremental extension)"
     if args.devices > 1:
         mode += f", {args.devices} devices ({args.placement} placement)"
     if args.admission != FIFO:
@@ -1240,7 +1206,6 @@ def _serve_dispatch(
                 args.clients,
                 scale=args.scale,
                 spacing_seconds=spacing,
-                online=args.online,
                 devices=args.devices,
                 placement=args.placement,
                 device_capacities=device_capacities,
@@ -1265,8 +1230,7 @@ def _serve_dispatch(
             args.clients,
             scale=args.scale,
             spacing_seconds=spacing,
-            online=args.online,
-            devices=args.devices,
+                devices=args.devices,
             placement=args.placement,
             device_capacities=device_capacities,
             device_calibrations=device_calibrations,
@@ -1291,7 +1255,7 @@ def _serve_dispatch(
                 f"transient admission failures; retry budget "
                 f"{args.max_retries}"
             )
-        print(report.render())
+        print(report.render(per_query=True))
         if (hetero or args.steal) and args.out != "-":
             merge_perf_json(
                 hetero_perf_entries(
@@ -1354,7 +1318,6 @@ def _serve_dispatch(
         levels,
         scale=args.scale,
         spacing_seconds=spacing,
-        online=args.online,
         devices=args.devices,
         placement=args.placement,
         device_capacities=device_capacities,

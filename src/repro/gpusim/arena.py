@@ -48,10 +48,11 @@ class DeviceMemoryArena:
     reservations and the :attr:`timeline` are **simulated seconds**
     supplied by the scheduler's clock — the arena never reads a wall
     clock, so a request sequence replays to an identical ledger.
-    Tasks placed incrementally by the online admission mode release
-    their reservations at the same simulated finish times as under
-    batch re-simulation, so both modes produce the same timeline and
-    the same exact high-water mark.
+    The serving loop places tasks incrementally and releases each
+    reservation at its query's simulated finish — the same finish a
+    from-scratch re-simulation of the device computes — so the
+    timeline and the exact high-water mark do not depend on how the
+    schedule was built.
 
     ``device`` names which GPU of a sharded fleet this arena accounts
     for (0 for the single-device scheduler); it appears in every

@@ -295,7 +295,7 @@ class PipelineEngine:
         By default the input ``schedule`` is left untouched and a
         combined copy is returned — copying the accumulated task dict
         costs O(all tasks so far) per wave.  Callers that retire the
-        input schedule anyway (the serve scheduler's online mode) pass
+        input schedule anyway (the serve scheduler's event loop) pass
         ``in_place=True`` to mutate and return ``schedule`` itself,
         making a wave genuinely O(new tasks).
 

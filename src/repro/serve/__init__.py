@@ -1,7 +1,7 @@
 """Multi-query GPU serving: shared-arena admission and scheduling.
 
 The ROADMAP's north star — serving heavy concurrent traffic — needs
-more than a single-query planner.  This package runs *batches* of
+more than a single-query planner.  This package runs concurrent
 queries against a simulated GPU fleet: every device gets its own
 :class:`~repro.gpusim.arena.DeviceMemoryArena` so co-resident queries
 share device memory honestly, the
@@ -16,14 +16,14 @@ bit-identical to the historical head-of-line scheduler — ``sjf``,
 :class:`~repro.serve.scheduler.QueryScheduler` admits queries in that
 order,
 re-planning each one against the memory actually free at admission and
-lowering all admitted plans into the placed device's pipeline-engine
-run — per wave in batch mode (``run``), incrementally per arrival
-in online mode (``run_online``, bit-identical outcomes at a fraction
-of the wall clock), or as a bounded-queue steady-state stream
-(``run_stream``: load shedding plus schedule compaction, memory
-O(in-flight) over 10^5+ arrivals).  ``devices=1`` (the default) is the classic
-single-GPU scheduler, bit-identical to the pre-sharding
-implementation.
+extending the placed device's pipeline-engine schedule incrementally.
+One event loop serves two entry points: ``run_online`` (a request
+list, no shedding, full schedules kept) and ``run_stream`` (an
+iterator, with bounded-queue load shedding plus schedule compaction,
+memory O(in-flight) over 10^5+ arrivals); both return a
+:class:`~repro.serve.scheduler.ServeReport`.  ``devices=1`` (the
+default) is the classic single-GPU scheduler, bit-identical to the
+pre-sharding implementation.
 
 Fleets may be heterogeneous and elastic: per-device capacities and
 :class:`~repro.gpusim.calibration.Calibration` instances
@@ -35,8 +35,8 @@ every run method, and an opt-in cross-device work-stealing pass
 method) schedules deterministic device crashes and transient admission
 failures, lost queries retry through the shared admission path under a
 bounded budget, and exhausted/stranded queries are recorded as
-:class:`~repro.serve.faults.FailedOutcome` — audited after every
-faulted run by :func:`~repro.serve.faults.check_fault_invariants`.
+:class:`~repro.serve.faults.FailedOutcome`.  Every run is audited by
+:func:`~repro.serve.faults.check_fault_invariants`.
 See ``docs/serving.md`` for the full policy.
 """
 
@@ -73,7 +73,6 @@ from repro.serve.scheduler import (
     QueryScheduler,
     ServeReport,
     ShedOutcome,
-    StreamReport,
     percentile,
 )
 from repro.serve.workload import (
@@ -104,7 +103,6 @@ __all__ = [
     "QueryScheduler",
     "ServeReport",
     "ShedOutcome",
-    "StreamReport",
     "calibration_preset",
     "check_fault_invariants",
     "classed_workload",

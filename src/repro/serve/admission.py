@@ -160,8 +160,8 @@ class AdmissionPolicy:
     Implementations must be deterministic.  Per-run state (the fairness
     ledger) lives on the instance; the scheduler calls :meth:`reset` at
     the start of every run and :meth:`record_admit` after every
-    successful admission, so batch, online, and streaming replays of
-    the same request list see identical policy decisions.
+    successful admission, so ``run_online`` and unshed ``run_stream``
+    replays of the same request list see identical policy decisions.
     """
 
     #: Registry key; subclasses must override.

@@ -27,12 +27,13 @@ replayable as a fault-free one.  Recovery spans the stack:
   left (and none joining) fails everything still waiting with reason
   ``"fleet_lost"``.
 
-After every faulted run :func:`check_fault_invariants` audits the
-report: conservation (``completed + shed + failed == arrivals``),
-every arena drained, nothing admitted to or finishing on a crashed
-device after its crash time, and no retry budget silently exceeded —
-violations raise :class:`~repro.errors.FaultInvariantError` instead of
-producing a plausible-looking report.
+After every run — faulted or not — :func:`check_fault_invariants`
+audits the report: conservation
+(``completed + shed + failed == arrivals``), every arena drained,
+nothing admitted to or finishing on a crashed device after its crash
+time, and no retry budget silently exceeded — violations raise
+:class:`~repro.errors.FaultInvariantError` instead of producing a
+plausible-looking report.
 
 An **empty** plan is the contract's anchor: the scheduler treats
 ``FaultPlan()`` (or ``faults=None``) as "no fault machinery at all",
@@ -389,13 +390,13 @@ def check_fault_invariants(
     arrivals: int,
     max_retries: int,
 ) -> None:
-    """Audit a faulted run's report; raise
+    """Audit a run's report; raise
     :class:`~repro.errors.FaultInvariantError` on any violation.
 
-    Duck-typed over :class:`~repro.serve.scheduler.ServeReport` and
-    :class:`~repro.serve.scheduler.StreamReport`: reads ``outcomes``,
-    ``failed``, ``shed`` (absent on batch reports), ``arenas`` and
-    ``schedule`` (absent on stream reports).  Checks:
+    Reads a :class:`~repro.serve.scheduler.ServeReport`'s ``outcomes``,
+    ``failed``, ``shed``, ``arenas`` and merged ``schedule``.  The
+    scheduler calls it at the end of every run, passing ``FaultPlan()``
+    for a fault-free one.  Checks:
 
     * **conservation** — every arrival is exactly one of completed,
       shed, or failed;
@@ -403,8 +404,8 @@ def check_fault_invariants(
       holds no reservation (crash reconciliation returned every grant);
     * **crash-time safety** — no completed query was admitted on a
       crashed device at/after its crash, none finished there after it,
-      and (when a merged schedule is present) no surviving task on a
-      crashed device finishes past the crash;
+      and no surviving task on a crashed device finishes past the
+      crash;
     * **retry budgets** — no outcome records more retries than
       ``max_retries`` and no failure more attempts than that;
     * **deadline recording** — no outcome finishes after its hard
@@ -413,21 +414,21 @@ def check_fault_invariants(
       as a miss (``deadline_missed``), and nothing is recorded as a
       miss that finished in time.
     """
-    completed = list(report.outcomes)
-    failed = list(getattr(report, "failed", ()) or ())
-    shed = list(getattr(report, "shed", ()) or ())
+    completed = report.outcomes
+    failed = report.failed
+    shed = report.shed
     if len(completed) + len(shed) + len(failed) != arrivals:
         raise FaultInvariantError(
             f"conservation violated: {len(completed)} completed + "
             f"{len(shed)} shed + {len(failed)} failed != {arrivals} "
             "arrivals"
         )
-    for arena in getattr(report, "arenas", None) or ():
+    for arena in report.arenas or ():
         arena.check_invariants()
         if not arena.drained:
             raise FaultInvariantError(
                 f"device {arena.device} arena still holds "
-                f"{sorted(arena.reservations)} after a faulted run"
+                f"{sorted(arena.reservations)} after the run"
             )
     crash_at = {crash.device: crash.at for crash in plan.crashes}
     for outcome in completed:
@@ -472,9 +473,10 @@ def check_fault_invariants(
                 f"{failure.attempts} attempts, over the budget of "
                 f"{max_retries}"
             )
-    schedule = getattr(report, "schedule", None)
-    if schedule is not None:
-        for name, item in schedule.tasks.items():
+    # Only a crash can fail this check, so crash-free audits skip
+    # building the merged view (O(tasks), on every run).
+    if crash_at and report.schedule is not None:
+        for name, item in report.schedule.tasks.items():
             crashed = crash_at.get(item.task.device)
             if crashed is not None and item.finish > crashed:
                 raise FaultInvariantError(

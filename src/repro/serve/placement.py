@@ -7,12 +7,11 @@ one arena and one engine.  Sharded serving adds a third axis — *where*
 * :class:`DeviceState` — one GPU's serving state: its private
   :class:`~repro.gpusim.arena.DeviceMemoryArena`, its own
   :class:`~repro.pipeline.engine.PipelineEngine` (with independent
-  ``lane_state``, so online extension stays per-device), the tasks
-  lowered onto it so far, and the running/predicted-finish books the
-  wait-vs-degrade estimator reads;
+  ``lane_state``, so schedule extension stays per-device), and the
+  running/predicted-finish books the wait-vs-degrade estimator reads;
 * :class:`DeviceFleet` — the ordered collection of K device states plus
-  the aggregate views reports need (merged schedule, fleet makespan,
-  per-device peaks, drain check);
+  the aggregate views reports need (per-device peaks and capacities,
+  drain check);
 * :class:`PlacementPolicy` and its registry — given the per-device
   admission candidates for one query, pick the device.  Policies only
   ever choose among *feasible, non-degraded* candidates; whether to
@@ -52,9 +51,9 @@ class DeviceState:
     """One GPU's serving state inside a scheduler run.
 
     Memory quantities are **bytes**, every time is **simulated
-    seconds**.  The engine is created lazily (online mode) with the lane
-    widths declared up to the first wave; ``schedule`` always covers
-    exactly the tasks lowered onto this device so far.
+    seconds**.  The engine is created lazily with the lane widths
+    declared up to the first wave; ``schedule`` always covers exactly
+    the tasks lowered onto this device so far (minus compacted ones).
     """
 
     index: int
@@ -67,9 +66,7 @@ class DeviceState:
     calibration: Calibration | None = None
     #: Lane widths declared for this device's resource pools so far.
     resources: dict[str, int] = field(default_factory=dict)
-    #: Every task lowered onto this device, in admission order.
-    tasks: list[Task] = field(default_factory=list)
-    #: Tasks admitted since the last engine pass (online mode).
+    #: Tasks admitted since the last engine pass.
     wave_tasks: list[Task] = field(default_factory=list)
     engine: PipelineEngine | None = None
     schedule: Schedule = field(default_factory=Schedule)
@@ -117,7 +114,7 @@ class DeviceState:
         """Complete a requested retirement once the device drained.
 
         Returns ``True`` the moment the transition happens: the engine
-        (if one exists — batch mode never instantiates it) is sealed
+        (if one exists — a device that never got work has none) is sealed
         via :meth:`~repro.pipeline.engine.PipelineEngine.retire`, so a
         later placement bug raises instead of resurrecting the device.
         """
@@ -133,24 +130,16 @@ class DeviceState:
     def crash(self, at: float) -> list[str]:
         """Ungraceful failure at simulated time ``at``: every running
         query is lost and returned (sorted), their unfinished tasks are
-        invalidated from the schedule (and the engine's books, in
-        lockstep, via :meth:`~repro.pipeline.engine.PipelineEngine.crash`
-        when an engine exists — batch mode prunes the recorded schedule
-        directly), and the device stops accepting forever.  The arena
+        invalidated from the schedule and the engine's books in
+        lockstep (:meth:`~repro.pipeline.engine.PipelineEngine.crash`;
+        a device without an engine never got work, so its schedule is
+        empty), and the device stops accepting forever.  The arena
         is **not** touched here — the scheduler reconciles it with the
         lost-query list so the release bookkeeping stays in one place.
         """
         lost = sorted(self.running)
         if self.engine is not None:
             self.engine.crash(self.schedule, at)
-        else:
-            stale = [
-                name
-                for name, item in self.schedule.tasks.items()
-                if item.finish > at
-            ]
-            for name in stale:
-                del self.schedule.tasks[name]
         self.wave_tasks = []
         self.running.clear()
         self.predicted_finish.clear()
@@ -453,15 +442,6 @@ class DeviceFleet:
     # -- aggregate views ------------------------------------------------
     def any_running(self) -> bool:
         return any(device.running for device in self.devices)
-
-    def merged_schedule(self) -> Schedule:
-        """One reporting view over all devices (see
-        :meth:`~repro.pipeline.tasks.Schedule.merged`).  With one device
-        this is *the* device's schedule object, unchanged — the
-        ``devices=1`` bit-identity guarantee extends to the report."""
-        if len(self.devices) == 1:
-            return self.devices[0].schedule
-        return Schedule.merged([device.schedule for device in self.devices])
 
     def device_peaks(self) -> tuple[int, ...]:
         return tuple(device.arena.peak_bytes for device in self.devices)

@@ -29,17 +29,21 @@ admitted* — and, on a sharded fleet, *where*.  The scheduler:
 * releases the reservation at the query's simulated finish time, which
   is the event that admits the next waiting query.
 
-Three scheduling modes share that admission policy: batch
-(:meth:`QueryScheduler.run`, one full per-device re-simulation per
-admission wave — only devices that gained tasks re-simulate), online
-(:meth:`QueryScheduler.run_online`, incremental schedule extension per
-arrival via :meth:`~repro.pipeline.engine.PipelineEngine.extend`, each
-device carrying its own ``lane_state``), and streaming
-(:meth:`QueryScheduler.run_stream`, the online loop plus bounded-queue
-admission with load shedding and periodic schedule compaction, built
-for steady-state runs of 10^5+ arrivals).  Batch and online outcomes
-are bit-identical, and streaming is bit-identical to both whenever
-shedding is disabled; only the wall-clock and memory costs differ.
+One event loop applies that admission policy, with two entry points:
+:meth:`QueryScheduler.run_online` serves a request list to completion
+(no shedding, every device's full schedule kept in the report), and
+:meth:`QueryScheduler.run_stream` consumes an iterator with
+bounded-queue admission, load shedding and periodic schedule
+compaction, built for steady-state runs of 10^5+ arrivals.  Each
+admission wave extends the placed device's schedule incrementally via
+:meth:`~repro.pipeline.engine.PipelineEngine.extend`, each device
+carrying its own ``lane_state``.  With shedding and compaction off the
+two entry points produce identical outcomes, failures and makespans.
+The report's ``makespan`` is the fleet's schedule makespan: the
+latest finish of any task on any device.  Re-simulating each device's
+final task graph from scratch — the batch oracle in
+:mod:`repro.bench.regress` — must reproduce every task's start, finish
+and lane.
 
 The fleet may be **heterogeneous and elastic**.  Each device carries
 its own :class:`~repro.gpusim.calibration.Calibration`
@@ -62,11 +66,10 @@ Failures are injectable.  A :class:`~repro.serve.faults.FaultPlan`
 and transient admission failures; lost queries are retried through the
 shared admission path under a per-query budget, exhausted budgets and
 fleet loss are recorded as :class:`~repro.serve.faults.FailedOutcome`
-(the third outcome class next to completed and shed), and every
-faulted run is audited by
-:func:`~repro.serve.faults.check_fault_invariants`.  An empty plan (or
-``faults=None``) takes the exact fault-free code path — bit-identical
-to the recorded golden schedules.
+(the third outcome class next to completed and shed).  An empty plan
+(or ``faults=None``) takes the exact fault-free code path —
+bit-identical to the recorded golden schedules.  Every run, faulted or
+not, is audited by :func:`~repro.serve.faults.check_fault_invariants`.
 
 The simulation is deterministic: identical request lists produce
 identical schedules, admissions, placements and latencies, for any
@@ -80,7 +83,8 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from repro.core import estimate_cache, learned_cost
 from repro.core.config import GpuJoinConfig
@@ -148,6 +152,20 @@ def percentile(
     return ordered[max(0, min(len(ordered) - 1, rank))]
 
 
+def _check_simulable(capacity: int, system: SystemSpec, what: str) -> None:
+    """Reject a device the cost model cannot simulate: admission plans
+    against the device's arena capacity, but every strategy checks its
+    working set against ``system.gpu.device_memory``, so a larger arena
+    would admit plans that then overflow mid-run."""
+    limit = system.gpu.device_memory
+    if capacity > limit:
+        raise InvalidConfigError(
+            f"{what} is {capacity} bytes, more than the simulated GPU's "
+            f"{limit} bytes of device memory; the cost model cannot "
+            "simulate a larger device"
+        )
+
+
 def _fmt_secs(value: float | None) -> str:
     """Render a possibly-absent latency: ``n/a`` when the group it
     aggregates is empty (None), else seconds to ms precision."""
@@ -166,8 +184,8 @@ class ClassStats:
     latency.  ``deadline_count`` is the completed queries carrying a
     finite hard deadline, ``deadline_missed`` how many of those
     finished past it, and ``deadline_expired`` the queued queries
-    streaming shed at deadline expiry (always 0 for batch / online
-    runs, which never shed).
+    streaming shed at deadline expiry (always 0 for ``run_online``,
+    which never sheds).
     """
 
     count: int
@@ -329,198 +347,6 @@ class QueryOutcome:
         return self.strategy != self.solo_strategy
 
 
-@dataclass
-class ServeReport:
-    """The outcome of one scheduler run over a batch of queries.
-
-    ``makespan`` and the latency aggregates are **simulated seconds**;
-    ``capacity_bytes`` / ``peak_reserved_bytes`` are **bytes** — with a
-    sharded fleet, ``capacity_bytes`` is *per device* and
-    ``peak_reserved_bytes`` is the highest single-device peak
-    (per-device peaks in :attr:`device_peak_bytes`).  ``schedule`` is
-    the single device's schedule with ``devices=1`` and the merged
-    reporting view (:meth:`~repro.pipeline.tasks.Schedule.merged`)
-    otherwise.  Batch (:meth:`QueryScheduler.run`) and online
-    (:meth:`QueryScheduler.run_online`) admission produce identical
-    reports for the same requests.
-    """
-
-    outcomes: list[QueryOutcome]
-    makespan: float
-    capacity_bytes: int
-    peak_reserved_bytes: int
-    schedule: Schedule | None = field(default=None, repr=False)
-    devices: int = 1
-    #: Exact per-device reservation high-water marks, in **bytes**.
-    device_peak_bytes: tuple[int, ...] = ()
-    #: Per-device arena capacities, in **bytes** — unequal on a
-    #: heterogeneous fleet (``capacity_bytes`` is then the largest).
-    #: Grows past the configured device count when a fleet event added
-    #: devices mid-run.
-    device_capacity_bytes: tuple[int, ...] = ()
-    #: The drained per-device arenas — their ledgers and timelines are
-    #: what the property-based suite audits after every run.
-    arenas: list[DeviceMemoryArena] | None = field(default=None, repr=False)
-    #: Queries the run gave up on (fault-injected runs only — empty
-    #: otherwise): retry budget exhausted, or the whole fleet was lost.
-    #: With faults, ``completed + failed == submitted`` always holds.
-    failed: list[FailedOutcome] = field(default_factory=list)
-
-    @property
-    def failed_count(self) -> int:
-        return len(self.failed)
-
-    @property
-    def retried_count(self) -> int:
-        """Completed queries that needed at least one re-admission."""
-        return sum(1 for o in self.outcomes if o.retries > 0)
-
-    @property
-    def serial_seconds(self) -> float:
-        """Total solo work: the sum of solo makespans."""
-        return sum(item.solo_seconds for item in self.outcomes)
-
-    @property
-    def serial_makespan(self) -> float:
-        """Serial back-to-back baseline honouring submission times: each
-        query starts at ``max(previous finish, submit_at)`` on **one**
-        device.  For one batch (all submitted together) this equals
-        :attr:`serial_seconds`; for staggered arrivals it includes the
-        idle gaps a serial executor would also sit through."""
-        clock = 0.0
-        for item in sorted(self.outcomes, key=lambda o: o.submit_at):
-            clock = max(clock, item.submit_at) + item.solo_seconds
-        return clock
-
-    @property
-    def speedup(self) -> float:
-        return self.serial_makespan / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def queries_per_second(self) -> float:
-        if self.makespan <= 0:
-            return 0.0
-        return len(self.outcomes) / self.makespan
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.outcomes:
-            return 0.0
-        return sum(o.latency_seconds for o in self.outcomes) / len(self.outcomes)
-
-    @property
-    def p50_latency(self) -> float:
-        return percentile((o.latency_seconds for o in self.outcomes), 0.50)
-
-    @property
-    def p95_latency(self) -> float:
-        return percentile((o.latency_seconds for o in self.outcomes), 0.95)
-
-    @property
-    def p99_latency(self) -> float:
-        return percentile((o.latency_seconds for o in self.outcomes), 0.99)
-
-    @property
-    def degraded_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.degraded)
-
-    @property
-    def stolen_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.stolen)
-
-    @property
-    def deadline_count(self) -> int:
-        """Completed queries carrying a finite hard deadline."""
-        return sum(1 for o in self.outcomes if o.deadline_at != math.inf)
-
-    @property
-    def deadline_missed_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.deadline_missed)
-
-    @property
-    def deadline_miss_rate(self) -> float:
-        """Misses over deadline-bearing completions (0.0 if none)."""
-        total = self.deadline_count
-        return self.deadline_missed_count / total if total else 0.0
-
-    def per_class_stats(self) -> dict[str, ClassStats]:
-        """Per-service-class p50/p99 latency and deadline-miss rate."""
-        return _group_class_stats(self.outcomes, "class_name")
-
-    def per_tenant_stats(self) -> dict[str, ClassStats]:
-        """Per-tenant p50/p99 latency and deadline-miss rate."""
-        return _group_class_stats(self.outcomes, "tenant")
-
-    @property
-    def _classed(self) -> bool:
-        """Any non-default class or deadline present?  Gates the render
-        additions so unclassed reports stay byte-identical to the
-        historical format."""
-        return any(
-            o.class_name != "default"
-            or o.tenant != "default"
-            or o.deadline_at != math.inf
-            for o in self.outcomes
-        )
-
-    def render(self) -> str:
-        """Aligned per-query table plus the summary line."""
-        sharded = self.devices > 1
-        device_header = f" {'dev':>3s}" if sharded else ""
-        lines = [
-            f"{'query':10s} {'strategy':22s}{device_header} {'reserved':>10s} "
-            f"{'admit (s)':>10s} {'finish (s)':>11s} {'latency (s)':>12s}  note"
-        ]
-        for o in self.outcomes:
-            notes = []
-            if o.degraded:
-                notes.append(f"degraded from {o.solo_strategy}")
-            if o.stolen:
-                notes.append(f"stolen by device {o.device}")
-            note = ", ".join(notes)
-            device_cell = f" {o.device:3d}" if sharded else ""
-            lines.append(
-                f"{o.qid:10s} {o.strategy:22s}{device_cell} "
-                f"{o.reserved_bytes / 1e9:8.2f}GB "
-                f"{o.admit_at:10.3f} {o.finish_at:11.3f} "
-                f"{o.latency_seconds:12.3f}  {note}"
-            )
-        fleet = f" across {self.devices} devices" if sharded else ""
-        lines.append(
-            f"makespan {self.makespan:.3f} s vs serial "
-            f"{self.serial_makespan:.3f} s ({self.speedup:.2f}x), "
-            f"{self.queries_per_second:.2f} q/s, latency p50/p95/p99 "
-            f"{self.p50_latency:.3f}/{self.p95_latency:.3f}/"
-            f"{self.p99_latency:.3f} s, peak memory "
-            f"{self.peak_reserved_bytes / 1e9:.2f} of "
-            f"{self.capacity_bytes / 1e9:.2f} GB{fleet}"
-        )
-        if self._classed:
-            # Classed runs only, so unclassed renders stay byte-
-            # identical to the historical format.
-            for label, stats in self.per_class_stats().items():
-                lines.append(
-                    f"class {label}: {stats.count} completed, p50/p99 "
-                    f"{_fmt_secs(stats.p50_latency)}/"
-                    f"{_fmt_secs(stats.p99_latency)} s, "
-                    f"deadline miss {stats.deadline_miss_rate * 100:.1f}% "
-                    f"({stats.deadline_missed}/{stats.deadline_count})"
-                )
-        if self.failed:
-            # Only faulted runs ever reach here, so fault-free renders
-            # stay byte-identical to the historical format.
-            lines.append(
-                f"{self.failed_count} failed ("
-                + ", ".join(
-                    f"{f.qid}: {f.reason} after {f.attempts} retr"
-                    + ("y" if f.attempts == 1 else "ies")
-                    for f in self.failed
-                )
-                + f"); {self.retried_count} completed after retries"
-            )
-        return "\n".join(lines)
-
-
 @dataclass(frozen=True)
 class ShedOutcome:
     """One load-shed query: rejected or expired, never completed.
@@ -554,29 +380,47 @@ class ShedOutcome:
 
 
 @dataclass
-class StreamReport:
-    """The outcome of one :meth:`QueryScheduler.run_stream` run.
+class ServeReport:
+    """The outcome of one scheduler run (:meth:`QueryScheduler.run_online`
+    or :meth:`QueryScheduler.run_stream`).
 
-    Aggregates are folded into running accumulators as queries finish —
-    before their tasks are compacted away — so the report is exact even
-    though the retained schedule stays O(in-flight).  Times are
-    **simulated seconds**, memory **bytes**.  Shed queries are recorded
-    in :attr:`shed` and fault-failed queries in :attr:`failed`, never
-    silently dropped:
-    ``completed + shed_count + failed_count == arrivals`` always holds
-    (``failed`` is empty without fault injection).
+    Times are **simulated seconds**, memory **bytes**.  Every arrival
+    ends in exactly one of :attr:`outcomes` (completed), :attr:`shed`
+    (streaming backpressure only) or :attr:`failed` (fault-injected
+    runs only): ``completed + shed_count + failed_count == arrivals``
+    always holds.  ``run_online`` lists outcomes in submission order,
+    ``run_stream`` in completion order.
+
+    Fleet-wide views derive from the per-device data: ``devices``,
+    ``capacity_bytes`` (the largest device) and ``peak_reserved_bytes``
+    (the highest single-device peak) from the per-device tuples, which
+    grow past the configured device count when a fleet event added
+    devices mid-run; :attr:`schedule` merges :attr:`device_schedules`.
+    ``makespan`` is the fleet's schedule makespan, the latest finish of
+    any task on any device — compacted history included, work a crash
+    invalidated excluded, finished pre-crash work of retried or failed
+    queries included.
     """
 
     outcomes: list[QueryOutcome]
-    shed: list[ShedOutcome]
     arrivals: int
     makespan: float
-    capacity_bytes: int
-    devices: int
+    #: Each device's own schedule, in device order.  Complete for
+    #: ``run_online`` (nothing is compacted), so tests can re-simulate
+    #: a device from scratch; the merged :attr:`schedule` cannot serve
+    #: that purpose because it sums lane counts across devices.
+    device_schedules: list[Schedule] = field(default_factory=list, repr=False)
+    #: Exact per-device reservation high-water marks, in **bytes**.
     device_peak_bytes: tuple[int, ...] = ()
-    #: Per-device arena capacities, in **bytes** (see
-    #: :attr:`ServeReport.device_capacity_bytes`).
+    #: Per-device arena capacities, in **bytes**.
     device_capacity_bytes: tuple[int, ...] = ()
+    #: The drained per-device arenas — their ledgers and timelines are
+    #: what the property-based suites audit after every run.
+    arenas: list[DeviceMemoryArena] | None = field(default=None, repr=False)
+    shed: list[ShedOutcome] = field(default_factory=list)
+    #: Queries the run gave up on: retry budget exhausted, or the whole
+    #: fleet was lost.
+    failed: list[FailedOutcome] = field(default_factory=list)
     #: High-water mark of retained (non-retired) scheduled tasks across
     #: the fleet — the quantity compaction bounds to O(in-flight).
     peak_retained_tasks: int = 0
@@ -589,10 +433,27 @@ class StreamReport:
     compactions: int = 0
     #: Wait-queue depth sampled at every ingestion (one per arrival).
     queue_depths: list[int] = field(default_factory=list, repr=False)
-    arenas: list[DeviceMemoryArena] | None = field(default=None, repr=False)
-    #: Queries the run gave up on (fault-injected runs only):
-    #: retry budget exhausted, or the whole fleet was lost.
-    failed: list[FailedOutcome] = field(default_factory=list)
+
+    @property
+    def devices(self) -> int:
+        return len(self.device_capacity_bytes)
+
+    @property
+    def capacity_bytes(self) -> int:
+        return max(self.device_capacity_bytes, default=0)
+
+    @property
+    def peak_reserved_bytes(self) -> int:
+        return max(self.device_peak_bytes, default=0)
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        """One reporting view over every device's schedule (see
+        :meth:`~repro.pipeline.tasks.Schedule.merged`); with one device
+        it is that device's schedule object itself."""
+        if len(self.device_schedules) == 1:
+            return self.device_schedules[0]
+        return Schedule.merged(self.device_schedules)
 
     @property
     def completed(self) -> int:
@@ -620,11 +481,38 @@ class StreamReport:
         return sum(1 for o in self.outcomes if o.retries > 0)
 
     @property
-    def sustained_qps(self) -> float:
+    def serial_seconds(self) -> float:
+        """Total solo work: the sum of solo makespans."""
+        return sum(item.solo_seconds for item in self.outcomes)
+
+    @property
+    def serial_makespan(self) -> float:
+        """Serial back-to-back baseline honouring submission times: each
+        query starts at ``max(previous finish, submit_at)`` on **one**
+        device.  For one batch (all submitted together) this equals
+        :attr:`serial_seconds`; for staggered arrivals it includes the
+        idle gaps a serial executor would also sit through."""
+        clock = 0.0
+        for item in sorted(self.outcomes, key=lambda o: o.submit_at):
+            clock = max(clock, item.submit_at) + item.solo_seconds
+        return clock
+
+    @property
+    def speedup(self) -> float:
+        return self.serial_makespan / self.makespan if self.makespan > 0 else 0.0
+
+    @property
+    def queries_per_second(self) -> float:
         """Completed queries per simulated second over the makespan."""
         if self.makespan <= 0:
             return 0.0
         return self.completed / self.makespan
+
+    @property
+    def sustained_qps(self) -> float:
+        """:attr:`queries_per_second`, the name the streaming benches
+        report it under."""
+        return self.queries_per_second
 
     @property
     def mean_latency(self) -> float:
@@ -690,8 +578,8 @@ class StreamReport:
 
     @property
     def _classed(self) -> bool:
-        """Any non-default class or deadline present?  Gates the render
-        additions so unclassed reports stay byte-identical."""
+        """Any non-default class or deadline present?  Gates the class
+        lines of :meth:`render`."""
         return any(
             o.class_name != "default"
             or o.tenant != "default"
@@ -709,28 +597,60 @@ class StreamReport:
     def queue_depth_percentile(self, q: float) -> float:
         return percentile(self.queue_depths, q)
 
-    def render(self) -> str:
-        """Summary block (per-query tables don't scale to 10^5 rows)."""
-        lines = [
+    def render(self, *, per_query: bool = False) -> str:
+        """Summary block; ``per_query=True`` puts the per-query table
+        (and one line per failed query) in front of it — per-query
+        tables do not scale to 10^5-arrival streams."""
+        lines = []
+        if per_query:
+            sharded = self.devices > 1
+            device_header = f" {'dev':>3s}" if sharded else ""
+            lines.append(
+                f"{'query':10s} {'strategy':22s}{device_header} "
+                f"{'reserved':>10s} {'admit (s)':>10s} {'finish (s)':>11s} "
+                f"{'latency (s)':>12s}  note"
+            )
+            for o in self.outcomes:
+                notes = []
+                if o.degraded:
+                    notes.append(f"degraded from {o.solo_strategy}")
+                if o.stolen:
+                    notes.append(f"stolen by device {o.device}")
+                device_cell = f" {o.device:3d}" if sharded else ""
+                lines.append(
+                    f"{o.qid:10s} {o.strategy:22s}{device_cell} "
+                    f"{o.reserved_bytes / 1e9:8.2f}GB "
+                    f"{o.admit_at:10.3f} {o.finish_at:11.3f} "
+                    f"{o.latency_seconds:12.3f}  {', '.join(notes)}"
+                )
+            for f in self.failed:
+                retries = "retry" if f.attempts == 1 else "retries"
+                lines.append(
+                    f"{f.qid:10s} failed: {f.reason} after {f.attempts} "
+                    f"{retries}"
+                )
+        lines += [
             f"arrivals {self.arrivals}: {self.completed} completed, "
             f"{self.shed_count} shed ({self.shed_rate * 100:.2f}%), "
             f"{self.degraded_count} degraded, {self.stolen_count} stolen",
-            f"makespan {self.makespan:.3f} s, sustained "
-            f"{self.sustained_qps:.2f} q/s across {self.devices} device(s)",
+            f"makespan {self.makespan:.3f} s vs serial "
+            f"{self.serial_makespan:.3f} s ({self.speedup:.2f}x), "
+            f"{self.queries_per_second:.2f} q/s across {self.devices} "
+            "device(s)",
             f"latency mean/p50/p95/p99 {self.mean_latency:.3f}/"
             f"{self.p50_latency:.3f}/{self.p95_latency:.3f}/"
-            f"{self.p99_latency:.3f} s",
+            f"{self.p99_latency:.3f} s, peak memory "
+            f"{self.peak_reserved_bytes / 1e9:.2f} of "
+            f"{self.capacity_bytes / 1e9:.2f} GB",
             f"queue depth p50/p99/max "
             f"{self.queue_depth_percentile(0.50):.0f}/"
             f"{self.queue_depth_percentile(0.99):.0f}/"
-            f"{self.peak_queue_depth}",
-            f"retained tasks peak {self.peak_retained_tasks} "
-            f"(in-flight peak {self.peak_inflight_tasks}); "
-            f"{self.retired_tasks} retired in {self.compactions} sweeps",
+            f"{self.peak_queue_depth}; retained tasks peak "
+            f"{self.peak_retained_tasks} (in-flight peak "
+            f"{self.peak_inflight_tasks}), {self.retired_tasks} retired "
+            f"in {self.compactions} sweeps",
         ]
         if self._classed:
-            # Classed runs only, so unclassed renders stay byte-
-            # identical to the historical format.
             for label, stats in self.per_class_stats().items():
                 lines.append(
                     f"class {label}: {stats.count} completed, p50/p99 "
@@ -742,7 +662,6 @@ class StreamReport:
                     f"{stats.deadline_count + stats.deadline_expired})"
                 )
         if self.failed:
-            # Faulted runs only, so fault-free renders are unchanged.
             lines.append(
                 f"{self.failed_count} failed "
                 f"({self.failed_rate * 100:.2f}%), "
@@ -752,18 +671,17 @@ class StreamReport:
 
 
 class QueryScheduler:
-    """Runs batches of queries concurrently on a simulated GPU fleet.
+    """Runs queries concurrently on a simulated GPU fleet.
 
-    Two entry points with **bit-identical outcomes**: :meth:`run`
-    (batch — full per-device re-simulation per admission wave, the
-    executable specification) and :meth:`run_online` (incremental
-    schedule extension, the cheap production path).  Both are
-    deterministic — identical request lists produce identical reports —
-    and both lean on the process-wide :mod:`repro.core.estimate_cache`
-    for every solo/degraded/wait estimate *and* every prepared plan,
-    which are pure memoizations: cached and recomputed values are
-    interchangeable.  Memory quantities are **bytes**, times
-    **simulated seconds**.
+    One event loop, two entry points: :meth:`run_online` serves a
+    request list (no shedding, full schedules kept) and
+    :meth:`run_stream` an iterator (bounded queue, load shedding,
+    schedule compaction).  Both are deterministic — identical inputs
+    produce identical reports — and both lean on the process-wide
+    :mod:`repro.core.estimate_cache` for every solo/degraded/wait
+    estimate *and* every prepared plan, which are pure memoizations:
+    cached and recomputed values are interchangeable.  Memory
+    quantities are **bytes**, times **simulated seconds**.
 
     ``devices`` shards the fleet: each device gets its own arena,
     engine and resource lanes, and ``placement`` (a registry key from
@@ -785,8 +703,10 @@ class QueryScheduler:
     :class:`~repro.serve.admission.QueryClass`).
 
     ``device_capacities`` / ``device_calibrations`` make the fleet
-    heterogeneous: one entry per device (capacities in **bytes**;
-    calibration ``None`` means the scheduler-wide ``calibration``).
+    heterogeneous: one entry per device (capacities in **bytes**, at
+    most the simulated GPU's ``system.gpu.device_memory``, which is
+    what the cost model checks working sets against; calibration
+    ``None`` means the scheduler-wide ``calibration``).
     Every solo/degraded/alone estimate and every prepared plan for a
     candidate placement is computed under that device's calibration —
     the calibration rides in the strategy fingerprint, so the shared
@@ -842,6 +762,7 @@ class QueryScheduler:
             raise InvalidConfigError("max_retries must be >= 0")
         if retry_backoff_seconds < 0:
             raise InvalidConfigError("retry_backoff_seconds must be >= 0")
+        self.system = system or SystemSpec()
         if device_capacities is not None:
             if len(device_capacities) != devices:
                 raise InvalidConfigError(
@@ -855,13 +776,15 @@ class QueryScheduler:
                         f"device_capacities[{index}] must be positive "
                         f"bytes, got {cap!r}"
                     )
+                _check_simulable(
+                    cap, self.system, f"device_capacities[{index}]"
+                )
         if device_calibrations is not None and len(device_calibrations) != devices:
             raise InvalidConfigError(
                 f"device_calibrations has {len(device_calibrations)} "
                 f"entries for devices={devices}; give one calibration "
                 "(or None for the default) per device"
             )
-        self.system = system or SystemSpec()
         self.calibration = calibration
         self.config = config
         self.lanes = dict(lanes or {})
@@ -1000,22 +923,18 @@ class QueryScheduler:
     ) -> int:
         """Queue index of the admission policy's chosen candidate.
 
-        Builds the arrived-prefix view — every entry with ``submit_at
-        <= clock``; fault retries re-enter at the front with past
-        submit times and the tail stays submit-sorted, so arrivals are
-        always a contiguous prefix — asks the policy, and validates the
-        answer so a buggy policy raises *before* any queue or arena
-        mutation: an exception mid-pop leaves the run's books exactly
-        as they were.  FIFO never reaches here (``reorders=False``
-        short-circuits to index 0 at the call sites), keeping the
-        default path bit-identical to the pre-registry scheduler.
+        The wait queue only ever holds arrived queries (fault retries
+        re-enter at the front with their original, past ``submit_at``),
+        so the whole queue is the policy's candidate view.  The answer
+        is validated so a buggy policy raises *before* any queue or
+        arena mutation: an exception mid-pop leaves the run's books
+        exactly as they were.  FIFO never reaches here
+        (``reorders=False`` short-circuits to index 0 at the call site),
+        keeping the default path bit-identical to the pre-registry
+        scheduler.
         """
         ctx.clock = clock
-        arrived: list[QueryRequest] = []
-        for request in queue:
-            if request.submit_at > clock:
-                break
-            arrived.append(request)
+        arrived = list(queue)
         pos = policy.select(arrived, ctx)
         if (
             not isinstance(pos, int)
@@ -1163,41 +1082,7 @@ class QueryScheduler:
             for task in plan.tasks
         ]
 
-    def _run_engine(
-        self, tasks: list[Task], resources: dict[str, int], device: int
-    ) -> Schedule:
-        engine = PipelineEngine(resources, device=device)
-        for task in tasks:
-            engine.add(task)
-        return engine.run()
-
     # ------------------------------------------------------------------
-    def run(
-        self,
-        requests: list[QueryRequest],
-        *,
-        fleet_events: "Iterable[FleetEvent] | None" = None,
-        faults: "FaultPlan | None" = None,
-    ) -> ServeReport:
-        """Schedule a batch of queries and simulate to completion.
-
-        Arrivals (``submit_at``, simulated seconds) are processed
-        event-by-event, but every admission wave re-simulates each
-        device's whole task graph from scratch (devices untouched by
-        the wave keep their schedule) — the executable specification
-        that :meth:`run_online` is pinned against.  ``fleet_events``
-        adds/retires devices at their timestamps, between admissions;
-        ``faults`` injects device crashes and transient admission
-        failures (see :class:`~repro.serve.faults.FaultPlan`), with
-        lost queries retried through the same admission path.
-        Deterministic: identical request, event and fault lists produce
-        identical reports.
-        """
-        return self._serve(
-            requests, incremental=False, fleet_events=fleet_events,
-            faults=faults,
-        )
-
     def run_online(
         self,
         requests: list[QueryRequest],
@@ -1205,25 +1090,107 @@ class QueryScheduler:
         fleet_events: "Iterable[FleetEvent] | None" = None,
         faults: "FaultPlan | None" = None,
     ) -> ServeReport:
-        """Online admission: extend per-device schedules incrementally.
+        """Serve a request list to completion: :meth:`run_stream`'s loop
+        with no queue cap, no SLO or deadline shedding, and compaction
+        off.
 
-        Same arrival-driven admission policy (admit / place / wait /
-        degrade against every device's live headroom, all placement
-        estimates served by the process-wide estimate cache) and
-        **bit-identical outcomes** to :meth:`run` — later admissions
-        join the tail of every FIFO lane on their device, so
-        already-placed tasks never move.  The difference is cost: each
-        arrival wave is placed by
-        :meth:`~repro.pipeline.engine.PipelineEngine.extend` on top of
-        the placed device's carried-over lane heaps, O(new tasks) per
-        wave instead of a re-simulation, which makes the serve wall
-        clock near-linear in client count.  Equivalence is asserted by
-        ``tests/serve/test_online.py``,
-        ``tests/serve/test_placement_properties.py`` and
-        ``bench/regress.py``.
+        Requests may come in any order; they are admitted by
+        ``submit_at`` (stable for ties) and the report lists outcomes in
+        the given order.  Every device keeps its whole schedule
+        (:attr:`ServeReport.device_schedules`), so tests can re-simulate
+        each device from scratch against it
+        (:func:`repro.bench.regress.check_batch_oracle`).
+        ``fleet_events`` adds/retires devices at their timestamps,
+        between admissions; ``faults`` injects device crashes and
+        transient admission failures (see
+        :class:`~repro.serve.faults.FaultPlan`), with lost queries
+        retried through the same admission path.  Deterministic:
+        identical request, event and fault lists produce identical
+        reports.
         """
-        return self._serve(
-            requests, incremental=True, fleet_events=fleet_events,
+        position = {request.qid: i for i, request in enumerate(requests)}
+        report = self._event_loop(
+            iter(sorted(requests, key=lambda r: r.submit_at)),
+            shedding=False,
+            max_queue_depth=None,
+            slo_wait_seconds=None,
+            compact_every=None,
+            fleet_events=fleet_events,
+            faults=faults,
+        )
+        report.outcomes.sort(key=lambda o: position[o.qid])
+        return report
+
+    def run_stream(
+        self,
+        requests: "Iterable[QueryRequest]",
+        *,
+        max_queue_depth: int | None = None,
+        slo_wait_seconds: float | None = None,
+        compact_every: int | None = 256,
+        fleet_events: "Iterable[FleetEvent] | None" = None,
+        faults: "FaultPlan | None" = None,
+    ) -> ServeReport:
+        """Steady-state streaming admission: bounded queue, load
+        shedding, and schedule compaction.
+
+        Consumes ``requests`` lazily (they must arrive sorted by
+        ``submit_at`` with unique qids — a generator works and keeps
+        ingestion O(1) memory): head-of-line admission against live
+        per-device headroom, incremental schedule extension via
+        :meth:`~repro.pipeline.engine.PipelineEngine.extend`, release at
+        simulated finish.  Memory stays O(in-flight):
+
+        * every ``compact_every`` releases, each device's engine
+          retires tasks that finished at or before the clock
+          (:meth:`~repro.pipeline.engine.PipelineEngine.compact`);
+          lane state is untouched, so extension after compaction places
+          new tasks exactly where the uncompacted run would;
+        * per-query stats are recorded in their :class:`QueryOutcome`
+          at admission/extension time, before compaction can drop the
+          tasks.
+
+        ``compact_every=None`` disables compaction; with it off and no
+        shedding limits, outcomes, failures and makespan equal
+        :meth:`run_online`'s on the same requests.
+
+        Backpressure, applied at **ingestion** (when the stream first
+        presents the arrival), recorded as :class:`ShedOutcome`, never
+        silently dropped:
+
+        * ``max_queue_depth`` — an arrival finding that many queries
+          already waiting is shed with reason ``"queue_full"``;
+        * ``slo_wait_seconds`` — fleet default admission-wait SLO; a
+          request's own ``slo_wait_seconds`` overrides it.  An arrival
+          whose :meth:`_stream_wait_estimate` (referenced to its own
+          ``submit_at``) exceeds its SLO is shed with reason
+          ``"slo_wait"``.  Estimates reuse the cached solo makespans
+          and predicted finishes, so the verdict is O(running+queued)
+          with no new planning work;
+        * **deadline expiry** — a queued query whose hard deadline
+          (:class:`~repro.serve.admission.QueryClass`) passes before it
+          is admitted is shed with reason ``"deadline_expired"``
+          (checked at every clock stop, before admission, so an
+          expired query is never started).
+
+        ``fleet_events`` and ``faults`` work exactly as in
+        :meth:`run_online`; with ``steal=True`` on the scheduler, the
+        work-stealing pass runs here too.  Conservation reads
+        ``completed + shed + failed == arrivals``.
+        """
+        if max_queue_depth is not None and max_queue_depth < 1:
+            raise InvalidConfigError("max_queue_depth must be >= 1")
+        if slo_wait_seconds is not None and slo_wait_seconds < 0:
+            raise InvalidConfigError("slo_wait_seconds must be >= 0")
+        if compact_every is not None and compact_every < 1:
+            raise InvalidConfigError("compact_every must be >= 1")
+        return self._event_loop(
+            iter(requests),
+            shedding=True,
+            max_queue_depth=max_queue_depth,
+            slo_wait_seconds=slo_wait_seconds,
+            compact_every=compact_every,
+            fleet_events=fleet_events,
             faults=faults,
         )
 
@@ -1358,8 +1325,6 @@ class QueryScheduler:
         owner: dict[str, DeviceState],
         clock: float,
         *,
-        incremental: bool,
-        keep_tasks: bool = True,
         stolen: bool = False,
         fault_run: "_FaultRun | None" = None,
     ) -> DeviceState:
@@ -1369,11 +1334,8 @@ class QueryScheduler:
         under the *placed device's* calibration; the recorded
         ``solo_seconds`` baseline stays on the scheduler default so
         serial comparisons are device-independent.  Shared verbatim by
-        batch, online, streaming and stealing admission so their
-        committed state cannot drift.  ``keep_tasks=False`` (streaming)
-        skips the device's cumulative task list, which only batch
-        re-simulation reads — retaining it would be O(total
-        arrivals).
+        head-of-line and stealing admission so their committed state
+        cannot drift.
 
         Re-admissions after a fault (``fault_run`` generation > 0)
         namespace their tasks under the alias ``qid~rN`` instead of the
@@ -1396,10 +1358,9 @@ class QueryScheduler:
         )
         for name, width in plan.resources.items():
             if width > device.resources.get(name, 1) and device.schedule.tasks:
-                # Widening a pool after tasks were scheduled on
-                # this device would re-place already-recorded
-                # finishes on the next re-run; fail loudly
-                # instead of silently corrupting latencies.
+                # The engine fixed this device's lane counts at its
+                # first extension; widening a pool now would leave
+                # recorded finishes on fewer lanes than later ones.
                 raise SchedulingError(
                     f"query {request.qid!r} widens resource "
                     f"{name!r} to {width} lanes after scheduling "
@@ -1410,13 +1371,8 @@ class QueryScheduler:
             device.resources[name] = max(
                 device.resources.get(name, 1), width
             )
-        namespaced = self._namespace(
-            plan, alias, clock, device.index
-        )
-        if keep_tasks:
-            device.tasks.extend(namespaced)
-        if incremental:
-            device.wave_tasks.extend(namespaced)
+        namespaced = self._namespace(plan, alias, clock, device.index)
+        device.wave_tasks.extend(namespaced)
         task_names[request.qid] = [task.name for task in namespaced]
         outcomes[request.qid] = QueryOutcome(
             qid=request.qid,
@@ -1457,8 +1413,6 @@ class QueryScheduler:
         owner: dict[str, DeviceState],
         clock: float,
         *,
-        incremental: bool,
-        keep_tasks: bool = True,
         fault_run: "_FaultRun | None" = None,
     ) -> list[tuple[DeviceState, str]]:
         """Work-stealing pass, run only after FIFO admission blocked on
@@ -1481,10 +1435,6 @@ class QueryScheduler:
             best: tuple[float, int, str, int] | None = None
             for pos in range(1, len(queue)):
                 request = queue[pos]
-                if request.submit_at > clock:
-                    # Batch/online queues hold future arrivals too, in
-                    # submit order — nothing past this point has arrived.
-                    break
                 key = self._choose(request, device.free_bytes)
                 need = strategy_factory(key).device_bytes_needed(
                     request.spec, self.system
@@ -1514,8 +1464,6 @@ class QueryScheduler:
                 task_names,
                 owner,
                 clock,
-                incremental=incremental,
-                keep_tasks=keep_tasks,
                 stolen=True,
                 fault_run=fault_run,
             )
@@ -1538,8 +1486,8 @@ class QueryScheduler:
             else:
                 fleet.retire_device(event.device)
 
-    @staticmethod
     def _sorted_events(
+        self,
         fleet_events: "Iterable[FleetEvent] | None",
         initial_devices: int,
     ) -> "deque[FleetEvent]":
@@ -1547,14 +1495,22 @@ class QueryScheduler:
         same-time events apply in list order).  Cross-event consistency
         — retires of devices the fleet never reaches, double retires —
         is rejected up front by
-        :func:`~repro.serve.placement.validate_fleet_events`, so a bad
-        elasticity schedule cannot fail halfway through a run."""
+        :func:`~repro.serve.placement.validate_fleet_events`, and so is
+        an ``add`` of a device larger than the cost model can simulate,
+        so a bad elasticity schedule cannot fail halfway through a
+        run."""
         events = list(fleet_events or [])
-        for event in events:
+        for index, event in enumerate(events):
             if not isinstance(event, FleetEvent):
                 raise InvalidConfigError(
                     f"fleet_events entries must be FleetEvent, got "
                     f"{type(event).__name__}"
+                )
+            if event.action == "add":
+                _check_simulable(
+                    event.capacity_bytes,
+                    self.system,
+                    f"fleet_events[{index}] (add at t={event.at})",
                 )
         validate_fleet_events(events, initial_devices)
         return deque(sorted(events, key=lambda e: e.at))
@@ -1601,8 +1557,8 @@ class QueryScheduler:
         lost query's in-flight bookkeeping is dropped, and the query is
         charged one attempt — requeued with backoff, or recorded as
         failed when the budget is spent.  Returns the total number of
-        scheduled tasks invalidated, which streaming subtracts from its
-        in-flight task accounting (batch/online ignore it)."""
+        scheduled tasks invalidated, which the loop subtracts from its
+        in-flight task accounting."""
         lost_tasks = 0
         while fault_run.crashes and fault_run.crashes[0].at <= clock:
             event = fault_run.crashes.popleft()
@@ -1621,302 +1577,6 @@ class QueryScheduler:
             fault_run.crashed_devices[event.device] = event.at
         fault_run.requeue_ready(queue, clock)
         return lost_tasks
-
-    def _serve(
-        self,
-        requests: list[QueryRequest],
-        *,
-        incremental: bool,
-        fleet_events: "Iterable[FleetEvent] | None" = None,
-        faults: "FaultPlan | None" = None,
-    ) -> ServeReport:
-        # Every batch/online run executes under this scheduler's learned
-        # setting — a force-set in both directions, so learned=False
-        # runs are bit-identical to golden even when another component
-        # in the process has installed and activated a model.
-        with learned_cost.activation(self.learned):
-            return self._serve_impl(
-                requests, incremental=incremental,
-                fleet_events=fleet_events, faults=faults,
-            )
-
-    def _serve_impl(
-        self,
-        requests: list[QueryRequest],
-        *,
-        incremental: bool,
-        fleet_events: "Iterable[FleetEvent] | None" = None,
-        faults: "FaultPlan | None" = None,
-    ) -> ServeReport:
-        if len({r.qid for r in requests}) != len(requests):
-            raise InvalidConfigError("query ids must be unique")
-        fleet = self._build_fleet()
-        events = self._sorted_events(fleet_events, len(fleet))
-        fault_run = self._start_faults(faults, len(fleet), fleet_events)
-        capacity = max(fleet.device_capacities())
-        policy = create_placement_policy(self.placement)
-        policy.reset()
-        admission = create_admission_policy(self.admission)
-        admission.reset()
-        admission_ctx = AdmissionContext(
-            clock=0.0, solo_seconds=lambda r: self._solo(r)[1]
-        )
-        if not requests:
-            return ServeReport(
-                outcomes=[], makespan=0.0, capacity_bytes=capacity,
-                peak_reserved_bytes=0, devices=len(fleet),
-                device_peak_bytes=fleet.device_peaks(),
-                device_capacity_bytes=fleet.device_capacities(),
-                arenas=[device.arena for device in fleet],
-            )
-
-        pending: deque[QueryRequest] = deque(
-            sorted(requests, key=lambda r: r.submit_at)
-        )
-        task_names: dict[str, list[str]] = {}
-        outcomes: dict[str, QueryOutcome] = {}
-        owner: dict[str, DeviceState] = {}
-        clock = 0.0
-
-        while (
-            pending
-            or fleet.any_running()
-            or (fault_run is not None and fault_run.has_work())
-        ):
-            self._apply_fleet_events(fleet, events, clock)
-            if fault_run is not None:
-                self._apply_faults(
-                    fault_run, fleet, pending, outcomes, task_names,
-                    owner, clock,
-                )
-            if (
-                not fleet.any_running()
-                and pending
-                and pending[0].submit_at > clock
-            ):
-                # Idle jump — but never past a fleet event or a fault
-                # wakeup (crash / retry-ready), which may change what
-                # the next admission can see.
-                horizon = pending[0].submit_at
-                if events and events[0].at < horizon:
-                    horizon = events[0].at
-                if fault_run is not None:
-                    wake = fault_run.next_wake()
-                    if wake is not None and wake < horizon:
-                        horizon = wake
-                clock = horizon
-                self._apply_fleet_events(fleet, events, clock)
-                if fault_run is not None:
-                    self._apply_faults(
-                        fault_run, fleet, pending, outcomes, task_names,
-                        owner, clock,
-                    )
-            elif (
-                fault_run is not None
-                and not fleet.any_running()
-                and not pending
-                and fault_run.has_work()
-            ):
-                # Idle with an empty queue: only a waiting retry can
-                # produce more work (that's the loop condition), so jump
-                # to the next fault wakeup — clamped to fleet events.
-                horizon = fault_run.next_wake()
-                assert horizon is not None  # has_work() implies a retry
-                if events and events[0].at < horizon:
-                    horizon = events[0].at
-                clock = max(clock, horizon)
-                self._apply_fleet_events(fleet, events, clock)
-                self._apply_faults(
-                    fault_run, fleet, pending, outcomes, task_names,
-                    owner, clock,
-                )
-
-            if (
-                fault_run is not None
-                and not fleet.active()
-                and not any(e.action == "add" for e in events)
-            ):
-                # Fleet lost: every accepting device crashed (or was
-                # retiring) and none will join.  Nothing waiting — in
-                # the queue or the retry backlog — can ever be admitted;
-                # fail it all now instead of spinning.  Queries still
-                # draining on a retiring device finish normally.
-                fault_run.fail_stranded(pending)
-
-            # Admit while the admission policy's chosen head can be
-            # placed somewhere; head-of-line blocking — on the *chosen*
-            # head — keeps admission starvation-free.  FIFO (the
-            # default) always chooses index 0, reproducing the
-            # historical popleft loop exactly.
-            while pending and pending[0].submit_at <= clock:
-                pos = (
-                    self._admission_pos(
-                        admission, pending, admission_ctx, clock
-                    )
-                    if admission.reorders
-                    else 0
-                )
-                request = pending[pos]
-                if fault_run is not None and fault_run.take_admission_fault(
-                    request.qid
-                ):
-                    # Planned transient admission failure: the refusal
-                    # charges the same retry budget a crash does, and
-                    # the query re-queues after its backoff.
-                    del pending[pos]
-                    fault_run.record_failure(request, clock)
-                    continue
-                placed = self._place(
-                    request, fleet, policy, outcomes, clock,
-                    can_grow=any(e.action == "add" for e in events),
-                )
-                if placed is None:
-                    break
-                del pending[pos]
-                self._admit(
-                    request, placed, outcomes, task_names, owner, clock,
-                    incremental=incremental, fault_run=fault_run,
-                )
-                admission.record_admit(request, admission_ctx)
-
-            if self.steal and pending:
-                self._steal(
-                    pending, fleet, outcomes, task_names, owner, clock,
-                    incremental=incremental, fault_run=fault_run,
-                )
-
-            if not fleet.any_running():
-                if not pending:
-                    # Queue empty, nothing running: only waiting retries
-                    # keep the loop alive (loop condition); the idle
-                    # fault-wakeup jump above handles the clock.
-                    continue
-                if events:
-                    # Nothing running and the head is blocked (or yet to
-                    # arrive): only a fleet event can change the picture,
-                    # so jump straight to the next one.
-                    clock = max(clock, events[0].at)
-                    continue
-                if pending[0].submit_at > clock:
-                    # The idle jump above stopped short at a fleet event
-                    # or fault wakeup this pass (all applied now); loop
-                    # back so it can jump the rest of the way to the
-                    # head's arrival.
-                    continue
-                if fault_run is not None:
-                    wake = fault_run.next_wake()
-                    if wake is not None:
-                        # Head blocked on an idle, partially-crashed
-                        # fleet: a pending crash or retry is the only
-                        # remaining event source.
-                        clock = max(clock, wake)
-                        continue
-                # Livelock guard: an admission `break` with nothing
-                # running would spin forever (no release event can
-                # advance the clock).  Unreachable under the current
-                # policy — with an empty arena every accepting device
-                # offers the unconstrained placement — but a future gate
-                # that drops the `running` condition must fail loudly,
-                # not hang.
-                head = pending[0]  # pragma: no cover
-                raise SchedulingError(  # pragma: no cover
-                    f"query {head.qid!r} cannot be admitted on an idle fleet"
-                )
-
-            # One engine pass per device that gained tasks — FIFO queues
-            # mean later admissions never perturb earlier queries' start
-            # times, so finish events stay stable across re-runs and a
-            # clean device's schedule can be reused across pure release
-            # events.  Batch mode re-simulates the device's whole graph;
-            # online mode extends the carried-over schedule with just
-            # this wave's tasks (bit-identical by the FIFO-tail
-            # argument above).
-            for device in fleet:
-                if not device.dirty:
-                    continue
-                if incremental:
-                    if device.engine is None:
-                        device.engine = PipelineEngine(
-                            device.resources, device=device.index
-                        )
-                    # The pre-extension schedule is never used again,
-                    # so extend in place: O(new tasks) per wave.
-                    device.schedule = device.engine.extend(
-                        device.schedule, device.wave_tasks, in_place=True
-                    )
-                    device.wave_tasks = []
-                else:
-                    device.schedule = self._run_engine(
-                        device.tasks, device.resources, device.index
-                    )
-                device.dirty = False
-            finishes: dict[str, float] = {}
-            for device in fleet:
-                for qid in device.running:
-                    finishes[qid] = max(
-                        device.schedule.tasks[name].finish
-                        for name in task_names[qid]
-                    )
-                    device.predicted_finish[qid] = finishes[qid]
-            times = list(finishes.values())
-            if pending and pending[0].submit_at > clock:
-                times.append(pending[0].submit_at)
-            if events:
-                # A device join/retire is an admission opportunity too
-                # (all remaining events are strictly in the future —
-                # due ones were applied at the top of the loop).
-                times.append(events[0].at)
-            if fault_run is not None:
-                # Crash and retry-ready times are clock stops: a query
-                # must not simulate *through* a crash to a later finish,
-                # and a retry must not wait past its backoff.  (Due
-                # wakeups were applied at the top, so the next one is
-                # strictly in the future.)
-                wake = fault_run.next_wake()
-                if wake is not None and wake > clock:
-                    times.append(wake)
-            clock = min(times)
-            for qid in sorted(q for q in finishes if finishes[q] <= clock):
-                outcomes[qid].finish_at = finishes[qid]
-                outcomes[qid].deadline_missed = (
-                    finishes[qid] > outcomes[qid].deadline_at
-                )
-                device = owner[qid]
-                device.arena.release(qid, at=clock)
-                device.running.remove(qid)
-                del device.predicted_finish[qid]
-                if fault_run is not None:
-                    fault_run.live.pop(qid, None)
-            fleet.finalize_retirements()
-
-        fleet.check_drained()
-        merged = fleet.merged_schedule()
-        # Failed queries (faulted runs) have no QueryOutcome — they are
-        # reported in `failed` instead; submission order is preserved
-        # for the rest.
-        ordered = [
-            outcomes[r.qid] for r in requests if r.qid in outcomes
-        ]
-        report = ServeReport(
-            outcomes=ordered,
-            makespan=merged.makespan,
-            capacity_bytes=capacity,
-            peak_reserved_bytes=max(fleet.device_peaks()),
-            schedule=merged,
-            devices=len(fleet),
-            device_peak_bytes=fleet.device_peaks(),
-            device_capacity_bytes=fleet.device_capacities(),
-            arenas=[device.arena for device in fleet],
-            failed=list(fault_run.failed) if fault_run is not None else [],
-        )
-        if fault_run is not None:
-            check_fault_invariants(
-                report,
-                faults,
-                arrivals=len(requests),
-                max_retries=self.max_retries,
-            )
-        return report
 
     # ------------------------------------------------------------------
     def _stream_wait_estimate(
@@ -1951,111 +1611,33 @@ class QueryScheduler:
             backlog += self._solo(queued)[1]
         return backlog / len(active)
 
-    def run_stream(
+    def _event_loop(
         self,
-        requests: "Iterable[QueryRequest]",
+        arrivals: "Iterator[QueryRequest]",
         *,
-        max_queue_depth: int | None = None,
-        slo_wait_seconds: float | None = None,
-        compact_every: int | None = 256,
-        fleet_events: "Iterable[FleetEvent] | None" = None,
-        faults: "FaultPlan | None" = None,
-    ) -> StreamReport:
-        """Steady-state streaming admission: bounded queue, load
-        shedding, and schedule compaction.
-
-        Consumes ``requests`` lazily (they must arrive sorted by
-        ``submit_at`` with unique qids — a generator works and keeps
-        ingestion O(1) memory) and runs the **same** event loop as
-        :meth:`run_online`: FIFO head-of-line admission against live
-        per-device headroom, incremental schedule extension, release at
-        simulated finish.  With shedding disabled (no depth cap, no SLO
-        anywhere) the per-query outcomes, device assignments and final
-        makespan are **bit-identical** to :meth:`run_online` on the
-        same requests — asserted by
-        ``tests/serve/test_stream_properties.py`` — while memory stays
-        O(in-flight):
-
-        * every ``compact_every`` releases, each device's engine
-          retires tasks that finished at or before the clock
-          (:meth:`~repro.pipeline.engine.PipelineEngine.compact`);
-          lane state is untouched, so extension after compaction places
-          new tasks exactly where the uncompacted run would;
-        * per-query stats are recorded in their :class:`QueryOutcome`
-          at admission/extension time — before compaction can drop the
-          tasks — and folded into the :class:`StreamReport`
-          accumulators at release;
-        * the device's cumulative task list (batch-mode input) is not
-          kept at all.
-
-        Backpressure, applied at **ingestion** (when the stream first
-        presents the arrival), recorded as :class:`ShedOutcome`, never
-        silently dropped:
-
-        * ``max_queue_depth`` — an arrival finding that many queries
-          already waiting is shed with reason ``"queue_full"``;
-        * ``slo_wait_seconds`` — fleet default admission-wait SLO; a
-          request's own ``slo_wait_seconds`` overrides it.  An arrival
-          whose :meth:`_stream_wait_estimate` (referenced to its own
-          ``submit_at``) exceeds its SLO is shed with reason
-          ``"slo_wait"``.  Estimates reuse the cached solo makespans
-          and predicted finishes, so the verdict is O(running+queued)
-          with no new planning work;
-        * **deadline expiry** — a queued query whose hard deadline
-          (:class:`~repro.serve.admission.QueryClass`) passes before it
-          is admitted is shed with reason ``"deadline_expired"``
-          (checked at every clock stop, before admission, so an
-          expired query is never started).  Streams with no
-          deadline-bearing class run the exact historical path.
-
-        ``compact_every=None`` disables compaction (the run then
-        retains every task ever scheduled — only sensible for
-        differential testing).
-
-        ``fleet_events`` adds/retires devices at their timestamps
-        (between admissions, exactly as in :meth:`run` /
-        :meth:`run_online`); with ``steal=True`` on the scheduler, the
-        work-stealing pass runs here too, with stolen admissions
-        counted by :attr:`StreamReport.stolen_count`.
-
-        ``faults`` injects device crashes and transient admission
-        failures (:class:`~repro.serve.faults.FaultPlan`); lost queries
-        retry through the same admission path under the scheduler's
-        ``max_retries`` budget and exhausted/stranded queries land in
-        :attr:`StreamReport.failed` — conservation then reads
-        ``completed + shed + failed == arrivals``.  An empty plan runs
-        the exact fault-free path.
-        """
-        with learned_cost.activation(self.learned):
-            return self._run_stream_impl(
-                requests,
-                max_queue_depth=max_queue_depth,
-                slo_wait_seconds=slo_wait_seconds,
-                compact_every=compact_every,
-                fleet_events=fleet_events,
-                faults=faults,
-            )
-
-    def _run_stream_impl(
-        self,
-        requests: "Iterable[QueryRequest]",
-        *,
+        shedding: bool,
         max_queue_depth: int | None,
         slo_wait_seconds: float | None,
         compact_every: int | None,
         fleet_events: "Iterable[FleetEvent] | None",
         faults: "FaultPlan | None",
-    ) -> StreamReport:
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise InvalidConfigError("max_queue_depth must be >= 1")
-        if slo_wait_seconds is not None and slo_wait_seconds < 0:
-            raise InvalidConfigError("slo_wait_seconds must be >= 0")
-        if compact_every is not None and compact_every < 1:
-            raise InvalidConfigError("compact_every must be >= 1")
+    ) -> ServeReport:
+        """The serve loop behind both entry points.
+
+        Each pass applies due fleet events and faults, jumps an idle
+        fleet to the next event, ingests every arrival due by the clock
+        (shedding at ingestion when ``shedding`` and a limit applies),
+        sheds expired deadlines, admits while the admission policy's
+        chosen head can be placed (head-of-line blocking on that head),
+        runs the stealing pass, extends each dirty device's schedule
+        with its wave, reads each new query's finish once, and advances
+        the clock to the next finish, arrival, fleet event or fault
+        wakeup, releasing everything due.  Every run ends with
+        :func:`~repro.serve.faults.check_fault_invariants`.
+        """
         fleet = self._build_fleet()
         events = self._sorted_events(fleet_events, len(fleet))
         fault_run = self._start_faults(faults, len(fleet), fleet_events)
-        capacity = max(fleet.device_capacities())
         policy = create_placement_policy(self.placement)
         policy.reset()
         admission = create_admission_policy(self.admission)
@@ -2063,12 +1645,11 @@ class QueryScheduler:
         admission_ctx = AdmissionContext(
             clock=0.0, solo_seconds=lambda r: self._solo(r)[1]
         )
-        #: Set the first time a deadline-bearing query is ingested;
-        #: gates the per-wave expiry sweep so deadline-free streams run
-        #: the exact historical path.
+        #: Set the first time a deadline-bearing query is ingested by a
+        #: shedding run; gates the per-wave expiry sweep so
+        #: deadline-free streams run the exact historical path.
         any_deadlines = False
 
-        arrivals = iter(requests)
         next_req: QueryRequest | None = next(arrivals, None)
         seen: set[str] = set()
         last_submit = 0.0
@@ -2089,7 +1670,6 @@ class QueryScheduler:
         admitted_wave: list[tuple[DeviceState, str]] = []
         clock = 0.0
         arrived = 0
-        makespan = 0.0
         inflight_tasks = 0
         peak_inflight_tasks = 0
         peak_retained_tasks = 0
@@ -2097,6 +1677,26 @@ class QueryScheduler:
         retired_tasks = 0
         compactions = 0
         released_since_compact = 0
+
+        def take() -> QueryRequest:
+            """Consume ``next_req`` — validating submit order and qid
+            uniqueness, counting the arrival — and pull the next one."""
+            nonlocal next_req, last_submit, arrived
+            request = next_req
+            assert request is not None
+            if request.submit_at < last_submit:
+                raise InvalidConfigError(
+                    f"stream arrivals must be sorted by submit_at: "
+                    f"{request.qid!r} at {request.submit_at} after "
+                    f"{last_submit}"
+                )
+            last_submit = request.submit_at
+            if request.qid in seen:
+                raise InvalidConfigError("query ids must be unique")
+            seen.add(request.qid)
+            arrived += 1
+            next_req = next(arrivals, None)
+            return request
 
         def ingest(request: QueryRequest) -> None:
             """Shed or enqueue one arrival, verdict referenced to the
@@ -2121,7 +1721,7 @@ class QueryScheduler:
                 if request.slo_wait_seconds is not None
                 else slo_wait_seconds
             )
-            if slo is not None:
+            if shedding and slo is not None:
                 wait = self._stream_wait_estimate(
                     fleet, wait_queue, request.submit_at
                 )
@@ -2138,344 +1738,331 @@ class QueryScheduler:
                     return
             wait_queue.append(request)
 
-        while (
-            wait_queue
-            or next_req is not None
-            or fleet.any_running()
-            or (fault_run is not None and fault_run.has_work())
-        ):
-            self._apply_fleet_events(fleet, events, clock)
-            if fault_run is not None:
-                inflight_tasks -= self._apply_faults(
-                    fault_run, fleet, wait_queue, outcomes, task_names,
-                    owner, clock,
-                )
-            if (
-                not fleet.any_running()
-                and not wait_queue
-                and next_req is not None
-                and next_req.submit_at > clock
+        def admitted(device: DeviceState, qid: str) -> None:
+            """In-flight task accounting for one fresh admission."""
+            nonlocal inflight_tasks, max_tasks_per_query, peak_inflight_tasks
+            ntasks = len(task_names[qid])
+            inflight_tasks += ntasks
+            if ntasks > max_tasks_per_query:
+                max_tasks_per_query = ntasks
+            if inflight_tasks > peak_inflight_tasks:
+                peak_inflight_tasks = inflight_tasks
+            admitted_wave.append((device, qid))
+
+        # Run under this scheduler's learned setting — a force-set in
+        # both directions, so learned=False runs are bit-identical to
+        # golden even when another component in the process has
+        # installed and activated a model.
+        with learned_cost.activation(self.learned):
+            while (
+                wait_queue
+                or next_req is not None
+                or fleet.any_running()
+                or (fault_run is not None and fault_run.has_work())
             ):
-                horizon = next_req.submit_at
-                if events and events[0].at < horizon:
-                    horizon = events[0].at
-                if fault_run is not None:
-                    wake = fault_run.next_wake()
-                    if wake is not None and wake < horizon:
-                        horizon = wake
-                clock = horizon
                 self._apply_fleet_events(fleet, events, clock)
                 if fault_run is not None:
                     inflight_tasks -= self._apply_faults(
-                        fault_run, fleet, wait_queue, outcomes,
-                        task_names, owner, clock,
+                        fault_run, fleet, wait_queue, outcomes, task_names,
+                        owner, clock,
                     )
-            elif (
-                fault_run is not None
-                and not fleet.any_running()
-                and not wait_queue
-                and next_req is None
-                and fault_run.has_work()
-            ):
-                # Stream exhausted, fleet idle: only a waiting retry can
-                # produce more work — jump to the next fault wakeup,
-                # clamped to fleet events.
-                horizon = fault_run.next_wake()
-                assert horizon is not None  # has_work() implies a retry
-                if events and events[0].at < horizon:
-                    horizon = events[0].at
-                clock = max(clock, horizon)
-                self._apply_fleet_events(fleet, events, clock)
-                inflight_tasks -= self._apply_faults(
-                    fault_run, fleet, wait_queue, outcomes, task_names,
-                    owner, clock,
-                )
-
-            if (
-                fault_run is not None
-                and not fleet.active()
-                and not any(e.action == "add" for e in events)
-            ):
-                # Fleet lost: nothing waiting or still arriving can ever
-                # be admitted.  Fail the queue and retry backlog, then
-                # drain the rest of the stream (validating it exactly as
-                # ingestion would) into `failed` — conservation must
-                # still account for every arrival.
-                fault_run.fail_stranded(wait_queue)
-                while next_req is not None:
-                    request = next_req
-                    if request.submit_at < last_submit:
-                        raise InvalidConfigError(
-                            f"stream arrivals must be sorted by "
-                            f"submit_at: {request.qid!r} at "
-                            f"{request.submit_at} after {last_submit}"
-                        )
-                    last_submit = request.submit_at
-                    if request.qid in seen:
-                        raise InvalidConfigError(
-                            "query ids must be unique"
-                        )
-                    seen.add(request.qid)
-                    arrived += 1
-                    fault_run.fail_now(request, reason="fleet_lost")
-                    next_req = next(arrivals, None)
-
-            # Ingest every arrival due by now.  Mirrors `_serve`'s
-            # pending deque exactly: an arrival behind a blocked head is
-            # considered only once the clock reaches it, and ingestion
-            # itself never advances the clock.
-            while next_req is not None and next_req.submit_at <= clock:
-                request = next_req
-                if request.submit_at < last_submit:
-                    raise InvalidConfigError(
-                        f"stream arrivals must be sorted by submit_at: "
-                        f"{request.qid!r} at {request.submit_at} after "
-                        f"{last_submit}"
-                    )
-                last_submit = request.submit_at
-                if request.qid in seen:
-                    raise InvalidConfigError("query ids must be unique")
-                seen.add(request.qid)
-                arrived += 1
-                if not any_deadlines and hard_deadline(request) != math.inf:
-                    any_deadlines = True
-                ingest(request)
-                next_req = next(arrivals, None)
-
-            if any_deadlines and wait_queue:
-                # Shed queued queries whose hard deadline has already
-                # passed — they can no longer finish in time, and
-                # admitting them would burn fleet time a live query
-                # needs.  Verdict "deadline_expired" (distinct from the
-                # ingestion-time "slo_wait") so audits can attribute
-                # deadline sheds per class.  Runs before admission so an
-                # expired query is never admitted at or past its
-                # deadline; a fault-retried query carries its original
-                # class and is swept by the same rule.
-                expired = [
-                    r for r in wait_queue if hard_deadline(r) <= clock
-                ]
-                if expired:
-                    depth = len(wait_queue)
-                    gone = {r.qid for r in expired}
-                    for request in expired:
-                        shed.append(ShedOutcome(
-                            qid=request.qid,
-                            submit_at=request.submit_at,
-                            reason="deadline_expired",
-                            queue_depth=depth,
-                            estimated_wait_seconds=(
-                                clock - request.submit_at
-                            ),
-                            class_name=class_name_of(request),
-                            tenant=tenant_of(request),
-                        ))
-                    for pos in range(len(wait_queue) - 1, -1, -1):
-                        if wait_queue[pos].qid in gone:
-                            del wait_queue[pos]
-
-            # Admit while the admission policy's chosen head can be
-            # placed somewhere — identical head-of-line blocking to
-            # `_serve` (the stream's wait queue only ever holds arrived
-            # queries, so the whole queue is the policy's candidate
-            # view).
-            while wait_queue:
-                pos = (
-                    self._admission_pos(
-                        admission, wait_queue, admission_ctx, clock
-                    )
-                    if admission.reorders
-                    else 0
-                )
-                request = wait_queue[pos]
-                if fault_run is not None and fault_run.take_admission_fault(
-                    request.qid
+                if (
+                    not fleet.any_running()
+                    and not wait_queue
+                    and next_req is not None
+                    and next_req.submit_at > clock
                 ):
-                    # Transient admission failure — same budget and
-                    # backoff as a crash loss (see `_serve`).
-                    del wait_queue[pos]
-                    fault_run.record_failure(request, clock)
-                    continue
-                placed = self._place(
-                    request, fleet, policy, outcomes, clock,
-                    can_grow=any(e.action == "add" for e in events),
-                )
-                if placed is None:
-                    break
-                del wait_queue[pos]
-                device = self._admit(
-                    request, placed, outcomes, task_names, owner, clock,
-                    incremental=True, keep_tasks=False,
-                    fault_run=fault_run,
-                )
-                admission.record_admit(request, admission_ctx)
-                ntasks = len(task_names[request.qid])
-                inflight_tasks += ntasks
-                if ntasks > max_tasks_per_query:
-                    max_tasks_per_query = ntasks
-                if inflight_tasks > peak_inflight_tasks:
-                    peak_inflight_tasks = inflight_tasks
-                admitted_wave.append((device, request.qid))
-
-            if self.steal and wait_queue:
-                for device, qid in self._steal(
-                    wait_queue, fleet, outcomes, task_names, owner, clock,
-                    incremental=True, keep_tasks=False,
-                    fault_run=fault_run,
+                    # Idle jump — but never past a fleet event or a fault
+                    # wakeup (crash / retry-ready), which may change what
+                    # the next admission can see.
+                    horizon = next_req.submit_at
+                    if events and events[0].at < horizon:
+                        horizon = events[0].at
+                    if fault_run is not None:
+                        wake = fault_run.next_wake()
+                        if wake is not None and wake < horizon:
+                            horizon = wake
+                    clock = horizon
+                    self._apply_fleet_events(fleet, events, clock)
+                    if fault_run is not None:
+                        inflight_tasks -= self._apply_faults(
+                            fault_run, fleet, wait_queue, outcomes,
+                            task_names, owner, clock,
+                        )
+                elif (
+                    fault_run is not None
+                    and not fleet.any_running()
+                    and not wait_queue
+                    and next_req is None
+                    and fault_run.has_work()
                 ):
-                    ntasks = len(task_names[qid])
-                    inflight_tasks += ntasks
-                    if ntasks > max_tasks_per_query:
-                        max_tasks_per_query = ntasks
-                    if inflight_tasks > peak_inflight_tasks:
-                        peak_inflight_tasks = inflight_tasks
-                    admitted_wave.append((device, qid))
-
-            if wait_queue and not fleet.any_running():
-                if events:
-                    # Only a fleet event can unblock the head now.
-                    clock = max(clock, events[0].at)
-                    continue
-                if fault_run is not None:
-                    wake = fault_run.next_wake()
-                    if wake is not None:
-                        # A pending crash or retry is the only
-                        # remaining event source.
-                        clock = max(clock, wake)
-                        continue
-                head = wait_queue[0]  # pragma: no cover - _place bug
-                raise SchedulingError(  # pragma: no cover
-                    f"query {head.qid!r} cannot be admitted on an idle fleet"
-                )
-
-            for device in fleet:
-                if not device.dirty:
-                    continue
-                if device.engine is None:
-                    device.engine = PipelineEngine(
-                        device.resources, device=device.index
+                    # Stream exhausted, fleet idle: only a waiting retry can
+                    # produce more work — jump to the next fault wakeup,
+                    # clamped to fleet events.
+                    horizon = fault_run.next_wake()
+                    assert horizon is not None  # has_work() implies a retry
+                    if events and events[0].at < horizon:
+                        horizon = events[0].at
+                    clock = max(clock, horizon)
+                    self._apply_fleet_events(fleet, events, clock)
+                    inflight_tasks -= self._apply_faults(
+                        fault_run, fleet, wait_queue, outcomes, task_names,
+                        owner, clock,
                     )
-                device.schedule = device.engine.extend(
-                    device.schedule, device.wave_tasks, in_place=True
-                )
-                device.wave_tasks = []
-                device.dirty = False
 
-            # Each admitted query's finish is read once, right after its
-            # wave's extension: FIFO lanes mean later admissions never
-            # move it (the same guarantee `run_online` leans on), so
-            # release events come from a heap instead of re-reading the
-            # schedule — which compaction may have trimmed — every wave.
-            for device, qid in admitted_wave:
-                finish = max(
-                    device.schedule.tasks[name].finish
-                    for name in task_names[qid]
-                )
-                outcomes[qid].finish_at = finish
-                outcomes[qid].deadline_missed = (
-                    finish > outcomes[qid].deadline_at
-                )
-                device.predicted_finish[qid] = finish
-                generation = (
-                    fault_run.generation(qid) if fault_run is not None else 0
-                )
-                heapq.heappush(finish_heap, (finish, qid, generation))
-                if fault_run is None and finish > makespan:
-                    # Faulted runs fold the makespan in at release
-                    # instead: a projected finish the crash voids must
-                    # not count.
-                    makespan = finish
-            admitted_wave = []
-            retained = sum(len(device.schedule.tasks) for device in fleet)
-            if retained > peak_retained_tasks:
-                peak_retained_tasks = retained
-
-            times = []
-            if finish_heap:
-                times.append(finish_heap[0][0])
-            if (
-                not wait_queue
-                and next_req is not None
-                and next_req.submit_at > clock
-            ):
-                times.append(next_req.submit_at)
-            if events:
-                # Remaining fleet events are strictly in the future
-                # (due ones were applied at the top of the loop) and
-                # are admission opportunities.
-                times.append(events[0].at)
-            if fault_run is not None:
-                # Crash / retry-ready times are clock stops (see
-                # `_serve`); due ones were applied at the top, so the
-                # next is strictly in the future.
-                wake = fault_run.next_wake()
-                if wake is not None and wake > clock:
-                    times.append(wake)
-            if not times:  # pragma: no cover - loop condition re-check
-                break
-            clock = min(times)
-            due: list[tuple[float, str, int]] = []
-            while finish_heap and finish_heap[0][0] <= clock:
-                due.append(heapq.heappop(finish_heap))
-            for finish, qid, generation in sorted(
-                due, key=lambda item: item[1]
-            ):
                 if (
                     fault_run is not None
-                    and fault_run.generation(qid) != generation
+                    and not fleet.active()
+                    and not any(e.action == "add" for e in events)
                 ):
-                    # Stale entry: the query was lost to a crash (and
-                    # possibly re-admitted under a newer generation)
-                    # after this finish was predicted.
-                    continue
-                if fault_run is not None and finish > makespan:
-                    makespan = finish
-                completed.append(outcomes.pop(qid))
-                device = owner.pop(qid)
-                device.arena.release(qid, at=clock)
-                device.running.remove(qid)
-                del device.predicted_finish[qid]
-                inflight_tasks -= len(task_names.pop(qid))
-                released_since_compact += 1
-                if fault_run is not None:
-                    fault_run.live.pop(qid, None)
-            fleet.finalize_retirements()
-            if (
-                compact_every is not None
-                and released_since_compact >= compact_every
-            ):
-                for device in fleet:
-                    if device.engine is not None:
-                        retired_tasks += device.engine.compact(
-                            device.schedule, clock
+                    # Fleet lost: every accepting device crashed (or was
+                    # retiring) and none will join.  Nothing waiting or
+                    # still arriving can ever be admitted: fail the queue
+                    # and retry backlog, then the rest of the stream
+                    # (validated exactly as ingestion would) — conservation
+                    # must still account for every arrival.  Queries still
+                    # draining on a retiring device finish normally.
+                    fault_run.fail_stranded(wait_queue)
+                    while next_req is not None:
+                        fault_run.fail_now(take(), reason="fleet_lost")
+
+                # Ingest every arrival due by now; ingestion itself never
+                # advances the clock.
+                while next_req is not None and next_req.submit_at <= clock:
+                    request = take()
+                    if (
+                        shedding
+                        and not any_deadlines
+                        and hard_deadline(request) != math.inf
+                    ):
+                        any_deadlines = True
+                    ingest(request)
+
+                if any_deadlines and wait_queue:
+                    # Shed queued queries whose hard deadline has already
+                    # passed — they can no longer finish in time, and
+                    # admitting them would burn fleet time a live query
+                    # needs.  Verdict "deadline_expired" (distinct from the
+                    # ingestion-time "slo_wait") so audits can attribute
+                    # deadline sheds per class.  Runs before admission so an
+                    # expired query is never admitted at or past its
+                    # deadline; a fault-retried query carries its original
+                    # class and is swept by the same rule.
+                    expired = [
+                        r for r in wait_queue if hard_deadline(r) <= clock
+                    ]
+                    if expired:
+                        depth = len(wait_queue)
+                        gone = {r.qid for r in expired}
+                        for request in expired:
+                            shed.append(ShedOutcome(
+                                qid=request.qid,
+                                submit_at=request.submit_at,
+                                reason="deadline_expired",
+                                queue_depth=depth,
+                                estimated_wait_seconds=(
+                                    clock - request.submit_at
+                                ),
+                                class_name=class_name_of(request),
+                                tenant=tenant_of(request),
+                            ))
+                        for pos in range(len(wait_queue) - 1, -1, -1):
+                            if wait_queue[pos].qid in gone:
+                                del wait_queue[pos]
+
+                # Admit while the admission policy's chosen head can be
+                # placed somewhere; head-of-line blocking — on the *chosen*
+                # head — keeps admission starvation-free.  FIFO (the
+                # default) always chooses index 0.
+                while wait_queue:
+                    pos = (
+                        self._admission_pos(
+                            admission, wait_queue, admission_ctx, clock
                         )
-                compactions += 1
-                released_since_compact = 0
+                        if admission.reorders
+                        else 0
+                    )
+                    request = wait_queue[pos]
+                    if (
+                        fault_run is not None
+                        and fault_run.take_admission_fault(request.qid)
+                    ):
+                        # Planned transient admission failure: the refusal
+                        # charges the same retry budget a crash does, and
+                        # the query re-queues after its backoff.
+                        del wait_queue[pos]
+                        fault_run.record_failure(request, clock)
+                        continue
+                    placed = self._place(
+                        request, fleet, policy, outcomes, clock,
+                        can_grow=any(e.action == "add" for e in events),
+                    )
+                    if placed is None:
+                        break
+                    del wait_queue[pos]
+                    device = self._admit(
+                        request, placed, outcomes, task_names, owner, clock,
+                        fault_run=fault_run,
+                    )
+                    admission.record_admit(request, admission_ctx)
+                    admitted(device, request.qid)
+
+                if self.steal and wait_queue:
+                    for device, qid in self._steal(
+                        wait_queue, fleet, outcomes, task_names, owner, clock,
+                        fault_run=fault_run,
+                    ):
+                        admitted(device, qid)
+
+                if wait_queue and not fleet.any_running():
+                    if events:
+                        # Nothing running and the head is blocked: only a
+                        # fleet event can change the picture.
+                        clock = max(clock, events[0].at)
+                        continue
+                    if fault_run is not None:
+                        wake = fault_run.next_wake()
+                        if wake is not None:
+                            # A pending crash or retry is the only
+                            # remaining event source.
+                            clock = max(clock, wake)
+                            continue
+                    # Livelock guard: unreachable under the current policy
+                    # — with an empty arena every accepting device offers
+                    # the unconstrained placement — but a future gate that
+                    # drops the `running` condition must fail loudly, not
+                    # hang.
+                    head = wait_queue[0]  # pragma: no cover - _place bug
+                    raise SchedulingError(  # pragma: no cover
+                        f"query {head.qid!r} cannot be admitted on an idle "
+                        "fleet"
+                    )
+
+                # One engine extension per device that gained tasks: later
+                # admissions join the tail of every FIFO lane on their
+                # device, so already-placed tasks never move and a wave
+                # costs O(new tasks).
+                for device in fleet:
+                    if not device.dirty:
+                        continue
+                    if device.engine is None:
+                        device.engine = PipelineEngine(
+                            device.resources, device=device.index
+                        )
+                    device.schedule = device.engine.extend(
+                        device.schedule, device.wave_tasks, in_place=True
+                    )
+                    device.wave_tasks = []
+                    device.dirty = False
+
+                # Each admitted query's finish is read once, right after
+                # its wave's extension (the FIFO-tail guarantee above), so
+                # release events come from a heap instead of re-reading
+                # the schedule — which compaction may have trimmed — every
+                # wave.
+                for device, qid in admitted_wave:
+                    finish = max(
+                        device.schedule.tasks[name].finish
+                        for name in task_names[qid]
+                    )
+                    outcomes[qid].finish_at = finish
+                    outcomes[qid].deadline_missed = (
+                        finish > outcomes[qid].deadline_at
+                    )
+                    device.predicted_finish[qid] = finish
+                    generation = (
+                        0 if fault_run is None else fault_run.generation(qid)
+                    )
+                    heapq.heappush(finish_heap, (finish, qid, generation))
+                admitted_wave = []
+                retained = sum(len(device.schedule.tasks) for device in fleet)
+                if retained > peak_retained_tasks:
+                    peak_retained_tasks = retained
+
+                times = []
+                if finish_heap:
+                    times.append(finish_heap[0][0])
+                if (
+                    not wait_queue
+                    and next_req is not None
+                    and next_req.submit_at > clock
+                ):
+                    times.append(next_req.submit_at)
+                if events:
+                    # Remaining fleet events are strictly in the future
+                    # (due ones were applied at the top of the loop) and
+                    # are admission opportunities.
+                    times.append(events[0].at)
+                if fault_run is not None:
+                    # Crash and retry-ready times are clock stops: a query
+                    # must not simulate *through* a crash to a later finish,
+                    # and a retry must not wait past its backoff.  (Due
+                    # wakeups were applied at the top, so the next one is
+                    # strictly in the future.)
+                    wake = fault_run.next_wake()
+                    if wake is not None and wake > clock:
+                        times.append(wake)
+                if not times:  # pragma: no cover - loop condition re-check
+                    break
+                clock = min(times)
+                due: list[tuple[float, str, int]] = []
+                while finish_heap and finish_heap[0][0] <= clock:
+                    due.append(heapq.heappop(finish_heap))
+                for finish, qid, generation in sorted(
+                    due, key=lambda item: item[1]
+                ):
+                    if (
+                        fault_run is not None
+                        and fault_run.generation(qid) != generation
+                    ):
+                        # Stale entry: the query was lost to a crash (and
+                        # possibly re-admitted under a newer generation)
+                        # after this finish was predicted.
+                        continue
+                    completed.append(outcomes.pop(qid))
+                    device = owner.pop(qid)
+                    device.arena.release(qid, at=clock)
+                    device.running.remove(qid)
+                    del device.predicted_finish[qid]
+                    inflight_tasks -= len(task_names.pop(qid))
+                    released_since_compact += 1
+                    if fault_run is not None:
+                        fault_run.live.pop(qid, None)
+                fleet.finalize_retirements()
+                if (
+                    compact_every is not None
+                    and released_since_compact >= compact_every
+                ):
+                    for device in fleet:
+                        if device.engine is not None:
+                            retired_tasks += device.engine.compact(
+                                device.schedule, clock
+                            )
+                    compactions += 1
+                    released_since_compact = 0
 
         fleet.check_drained()
-        report = StreamReport(
+        report = ServeReport(
             outcomes=completed,
-            shed=shed,
             arrivals=arrived,
-            makespan=makespan,
-            capacity_bytes=capacity,
-            devices=len(fleet),
+            makespan=max(device.schedule.makespan for device in fleet),
+            device_schedules=[device.schedule for device in fleet],
             device_peak_bytes=fleet.device_peaks(),
             device_capacity_bytes=fleet.device_capacities(),
+            arenas=[device.arena for device in fleet],
+            shed=shed,
+            failed=list(fault_run.failed) if fault_run is not None else [],
             peak_retained_tasks=peak_retained_tasks,
             peak_inflight_tasks=peak_inflight_tasks,
             max_tasks_per_query=max_tasks_per_query,
             retired_tasks=retired_tasks,
             compactions=compactions,
             queue_depths=queue_depths,
-            arenas=[device.arena for device in fleet],
-            failed=list(fault_run.failed) if fault_run is not None else [],
         )
-        if fault_run is not None:
-            check_fault_invariants(
-                report,
-                faults,
-                arrivals=arrived,
-                max_retries=self.max_retries,
-            )
+        check_fault_invariants(
+            report,
+            faults or FaultPlan(),
+            arrivals=arrived,
+            max_retries=self.max_retries,
+        )
         return report

@@ -28,7 +28,8 @@ def test_run_perf_schema_and_render(tmp_path):
     expected = {"estimate_warm", "fig12_cell_estimate", "engine_tasks_per_sec"}
     assert expected <= set(entries)
     assert any(name.startswith("estimate_cold[") for name in entries)
-    assert any(name.startswith("serve_wall[") for name in entries)
+    assert any(name.startswith("serve_online_wall[") for name in entries)
+    assert not any(name.startswith("serve_wall[") for name in entries)
     table = render(entries)
     assert "fig12_cell_estimate" in table
 

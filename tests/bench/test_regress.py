@@ -53,6 +53,7 @@ def test_serve_regression_invariants():
     assert len(lines) == 4  # one single-device + one sharded line per level
     assert all(line.endswith("ok") for line in lines)
     assert sum("2 devices" in line for line in lines) == 2
+    assert all("batch oracle" in line for line in lines)
 
 
 def test_stream_regression_invariants():
@@ -69,12 +70,12 @@ def test_stream_regression_invariants():
 
 def test_serve_regression_propagates_mid_ladder_failures(monkeypatch):
     """A strategy raising mid-ladder must surface as the library error,
-    not hang the online==batch comparison or report a bogus divergence.
+    not hang the serving regression or report a bogus oracle verdict.
 
     The serving regression re-plans every admission through the planner
     ladder; if a rung's feasibility probe explodes (a buggy strategy, a
-    bad calibration), both the batch and the online pass must fail with
-    that error before any equivalence verdict is printed.
+    bad calibration), the run must fail with that error before any
+    verdict is printed.
     """
     import pytest
 

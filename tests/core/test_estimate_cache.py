@@ -152,10 +152,10 @@ def test_scheduler_reuses_cached_plans_across_runs():
     run over the same workload re-prepares nothing."""
     from repro.serve import QueryScheduler, mixed_workload
 
-    QueryScheduler().run(mixed_workload(4))
+    QueryScheduler().run_online(mixed_workload(4))
     after_first = estimate_cache.stats()
     assert after_first.plan_entries > 0
-    QueryScheduler().run(mixed_workload(4))
+    QueryScheduler().run_online(mixed_workload(4))
     after_second = estimate_cache.stats()
     assert after_second.plan_misses == after_first.plan_misses
     assert after_second.plan_hits > after_first.plan_hits

@@ -92,7 +92,7 @@ def test_every_policy_picks_the_singleton():
 
 def test_empty_workload_is_fine_under_every_policy():
     for key in registered_admission_policies():
-        report = QueryScheduler(admission=key).run([])
+        report = QueryScheduler(admission=key).run_online([])
         assert report.outcomes == []
         assert report.deadline_miss_rate == 0.0
 
@@ -128,7 +128,7 @@ def test_weighted_fair_serves_a_flooded_out_tenant_within_one_round():
     requests = [_request(f"a{i}", tenant="a") for i in range(9)]
     requests.append(_request("b0", tenant="b"))
     policy = _RecordingWeightedFair()
-    QueryScheduler(admission=policy).run(requests)
+    QueryScheduler(admission=policy).run_online(requests)
     order = [r.qid for r in policy.admitted]
     assert sorted(order) == sorted(r.qid for r in requests)
     assert order.index("b0") <= 1
@@ -144,7 +144,7 @@ def test_weighted_fair_round_gap_never_exceeds_active_tenant_count():
         for i in range(4)
     ]
     policy = _RecordingWeightedFair()
-    QueryScheduler(admission=policy).run(requests)
+    QueryScheduler(admission=policy).run_online(requests)
     served = [r.query_class.tenant for r in policy.admitted]
     assert len(served) == len(requests)
     last_seen = {}
@@ -163,7 +163,7 @@ def test_weighted_fair_priority_weights_shift_the_share():
         _request(f"h{i}", tenant="hot", priority=4) for i in range(4)
     ] + [_request(f"c{i}", tenant="cold", priority=1) for i in range(4)]
     policy = _RecordingWeightedFair()
-    QueryScheduler(admission=policy).run(requests)
+    QueryScheduler(admission=policy).run_online(requests)
     order = [r.query_class.tenant for r in policy.admitted]
     hot_positions = [i for i, t in enumerate(order) if t == "hot"]
     cold_positions = [i for i, t in enumerate(order) if t == "cold"]
@@ -201,12 +201,12 @@ def test_policy_exception_mid_pop_propagates_and_books_stay_consistent():
     requests = mixed_workload(8)
     scheduler = QueryScheduler(admission=_BoomPolicy(after=2))
     with pytest.raises(RuntimeError, match="boom"):
-        scheduler.run(requests)
+        scheduler.run_online(requests)
     # The scheduler instance (and its solo-estimate cache, warmed by
     # the aborted run) must still produce the untouched FIFO schedule.
     scheduler.admission = "fifo"
-    recovered = scheduler.run(requests)
-    pristine = QueryScheduler().run(mixed_workload(8))
+    recovered = scheduler.run_online(requests)
+    pristine = QueryScheduler().run_online(mixed_workload(8))
     assert fingerprint(recovered) == fingerprint(pristine)
     assert recovered.makespan == pristine.makespan
 
@@ -215,7 +215,7 @@ def test_policy_exception_mid_pop_propagates_and_books_stay_consistent():
 def test_out_of_range_or_mistyped_selection_raises_naming_the_policy(verdict):
     scheduler = QueryScheduler(admission=_LyingPolicy(verdict))
     with pytest.raises(SchedulingError, match="liar"):
-        scheduler.run(mixed_workload(4))
+        scheduler.run_online(mixed_workload(4))
 
 
 def test_streaming_policy_exception_propagates_too():
@@ -292,7 +292,7 @@ def test_deadline_expired_sheds_are_attributed_per_class():
 # Fault-invariant deadline auditing (negative tests)
 # ---------------------------------------------------------------------------
 def _completed_report():
-    report = QueryScheduler(devices=1).run(
+    report = QueryScheduler(devices=1).run_online(
         [_request("q0", deadline=1000.0)]
     )
     assert len(report.outcomes) == 1
@@ -331,7 +331,9 @@ def test_invariant_checker_accepts_honest_deadline_recording():
 
 
 def test_unclassed_outcomes_audit_trivially():
-    report = QueryScheduler().run([QueryRequest(qid="q0", spec=unique_pair(M))])
+    report = QueryScheduler().run_online(
+        [QueryRequest(qid="q0", spec=unique_pair(M))]
+    )
     assert math.isinf(report.outcomes[0].deadline_at)
     assert not report.outcomes[0].deadline_missed
     check_fault_invariants(report, FaultPlan(), arrivals=1, max_retries=3)

@@ -8,8 +8,11 @@ The robustness contract for the serving fleet, end to end:
 * **Chaos** — 100+ seeded random fault plans (devices 1–3, crashes plus
   transient admission failures) always conserve queries
   (``completed + shed + failed == arrivals``), drain every arena
-  ledger, respect crash times and retry budgets, and keep
-  online == batch under faults;
+  ledger, respect crash times and retry budgets, pass the batch
+  oracle on every surviving device, and keep uncompacted streaming
+  == online under faults (outcomes, failure order, makespan);
+* **Makespan** — one definition, the fleet's schedule makespan:
+  finished pre-crash work counts even when its query later failed;
 * **Recovery** — a query lost to a crash is retried on a surviving
   device (front-of-queue, after backoff), budgets exhaust into
   ``"retries_exhausted"``, a fleet with no accepting device left fails
@@ -32,6 +35,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.bench.regress import check_batch_oracle
 from repro.bench.serve_bench import fingerprint, fingerprint_sharded
 from repro.data.spec import unique_pair
 from repro.errors import (
@@ -105,7 +109,7 @@ def _conserved(report, arrivals: int) -> None:
 @pytest.mark.parametrize("seed", range(0, 200, 10))
 def test_empty_plan_matches_golden_single_device(seed):
     entry = GOLDEN["seeds"][str(seed)]
-    report = QueryScheduler(devices=1).run(
+    report = QueryScheduler(devices=1).run_online(
         random_workload(seed), faults=FaultPlan()
     )
     assert [list(item) for item in fingerprint(report)] == entry["fingerprint"]
@@ -159,14 +163,21 @@ def test_chaos_random_fault_plans(seed):
     online = QueryScheduler(devices=devices).run_online(
         random_workload(seed), faults=plan
     )
-    batch = QueryScheduler(devices=devices).run(
-        random_workload(seed), faults=plan
+    stream = QueryScheduler(devices=devices).run_stream(
+        iter(requests), compact_every=None, faults=plan
     )
-    # Online == batch holds under faults, failures included.
-    assert fingerprint_sharded(online) == fingerprint_sharded(batch)
-    assert online.failed == batch.failed
-    assert online.makespan == batch.makespan
-    for report in (online, batch):
+    # Uncompacted streaming == online under faults: outcomes, failures
+    # (order included) and makespan.
+    assert sorted(fingerprint_sharded(stream)) == sorted(
+        fingerprint_sharded(online)
+    )
+    assert stream.failed == online.failed
+    assert stream.makespan == online.makespan
+    assert online.makespan == max(
+        schedule.makespan for schedule in online.device_schedules
+    )
+    check_batch_oracle(online, plan)
+    for report in (online, stream):
         _conserved(report, len(requests))
         _check_arenas(report)
         crashed = {crash.device: crash.at for crash in plan.crashes}
@@ -304,6 +315,24 @@ def test_total_fleet_loss_fails_everything_as_fleet_lost():
     _check_arenas(report)
 
 
+@pytest.mark.parametrize("stream", [False, True])
+def test_makespan_counts_finished_work_of_failed_queries(stream):
+    """One makespan definition for both entry points: the latest finish
+    of any task still on any device's schedule.  A total fleet loss
+    fails every query, but the work finished before the crash stays."""
+    base = QueryScheduler(devices=1).run_online(mixed_workload(3))
+    crash_at = min(o.finish_at for o in base.outcomes) * 0.99
+    plan = FaultPlan(crashes=(DeviceCrash(at=crash_at, device=0),))
+    scheduler = QueryScheduler(devices=1)
+    if stream:
+        report = scheduler.run_stream(iter(mixed_workload(3)), faults=plan)
+    else:
+        report = scheduler.run_online(mixed_workload(3), faults=plan)
+    assert report.outcomes == [] and len(report.failed) == 3
+    (schedule,) = report.device_schedules
+    assert 0.0 < report.makespan == schedule.makespan <= crash_at
+
+
 def test_add_event_rescues_the_backlog_after_total_loss():
     base = QueryScheduler(devices=1).run_online(mixed_workload(3))
     crash_at = min(o.finish_at for o in base.outcomes) / 2
@@ -409,7 +438,7 @@ def test_stolen_query_survives_destination_crash_without_double_release():
 
 def test_fleet_event_schedule_validated_before_any_mutation():
     with pytest.raises(FleetEventError, match="retires device 5"):
-        QueryScheduler(devices=2).run(
+        QueryScheduler(devices=2).run_online(
             mixed_workload(2),
             fleet_events=[FleetEvent(at=0.5, action="retire", device=5)],
         )
@@ -465,7 +494,7 @@ def test_fault_plan_validation_rejects_bad_plans():
 def test_fault_plan_validated_by_the_scheduler_up_front():
     bad = FaultPlan(crashes=(DeviceCrash(at=1.0, device=3),))
     with pytest.raises(FaultPlanError, match="device 3"):
-        QueryScheduler(devices=2).run(mixed_workload(2), faults=bad)
+        QueryScheduler(devices=2).run_online(mixed_workload(2), faults=bad)
     # A crash of a device an `add` event creates by then is valid...
     plan = FaultPlan(crashes=(DeviceCrash(at=1.0, device=2),))
     events = [FleetEvent(at=0.5, action="add", capacity_bytes=DEFAULT_CAP)]

@@ -23,12 +23,14 @@ Covers the per-device refactor end to end:
 
 import pytest
 
+from repro.bench.regress import check_batch_oracle
 from repro.bench.serve_bench import (
     fingerprint_sharded,
     hetero_perf_entries,
     parse_device_calib,
     parse_device_caps,
     run_serve,
+    serve_main,
     verify_report,
 )
 from repro.data.spec import unique_pair
@@ -38,6 +40,7 @@ from repro.gpusim.calibration import (
     Calibration,
     calibration_preset,
 )
+from repro.gpusim.spec import SystemSpec
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.tasks import Task
 from repro.serve import (
@@ -117,10 +120,50 @@ def test_unequal_capacities_respected_per_device(seed):
         assert arena.peak_bytes <= cap
         arena.check_invariants()
         assert arena.drained
-    batch = QueryScheduler(devices=2, device_capacities=caps).run(
-        random_workload(seed)
+    check_batch_oracle(report)
+
+
+@pytest.mark.parametrize("stream", [False, True])
+def test_capacity_follows_a_larger_device_joining(stream):
+    """The fleet-wide capacity is the largest device's, including one
+    an ``add`` event brings in — not the capacity at run start."""
+    small = 2 * 1024**3
+    scheduler = QueryScheduler(devices=1, device_capacities=[small])
+    events = [FleetEvent(at=0.0, action="add", capacity_bytes=DEFAULT_CAP)]
+    if stream:
+        report = scheduler.run_stream(
+            iter(mixed_workload(8)), fleet_events=events
+        )
+    else:
+        report = scheduler.run_online(mixed_workload(8), fleet_events=events)
+    assert report.device_capacity_bytes == (small, DEFAULT_CAP)
+    assert report.capacity_bytes == DEFAULT_CAP
+    assert small < report.peak_reserved_bytes <= report.capacity_bytes
+    assert f"of {DEFAULT_CAP / 1e9:.2f} GB" in report.render()
+
+
+def test_capacities_the_cost_model_cannot_simulate_are_rejected():
+    """Admission plans against the arena, but every strategy checks the
+    simulated GPU's device memory, so a larger device is refused up
+    front instead of overflowing mid-run."""
+    memory = SystemSpec().gpu.device_memory
+    with pytest.raises(InvalidConfigError, match=r"device_capacities\[1\]"):
+        QueryScheduler(devices=2, device_capacities=[memory, 2 * memory])
+    with pytest.raises(InvalidConfigError, match=r"device_capacities\[0\]"):
+        serve_main(["--clients", "2", "--device-caps", "20", "--out", "-"])
+    with pytest.raises(InvalidConfigError, match=r"fleet_events\[1\]"):
+        QueryScheduler(devices=2).run_online(
+            mixed_workload(8),
+            fleet_events=[
+                FleetEvent(at=0.1, action="add", capacity_bytes=memory),
+                FleetEvent(at=0.2, action="add", capacity_bytes=2 * memory),
+            ],
+        )
+    # The simulated device itself is the largest legal arena.
+    report = QueryScheduler(device_capacities=[memory]).run_online(
+        mixed_workload(2)
     )
-    assert fingerprint_sharded(batch) == fingerprint_sharded(report)
+    assert report.capacity_bytes == memory
 
 
 # ----------------------------------------------------------------------
@@ -153,10 +196,8 @@ def test_hetero_online_matches_batch():
                 calibration_preset("slow"),
             ],
         )
-        batch = QueryScheduler(**kwargs).run(random_workload(seed))
         online = QueryScheduler(**kwargs).run_online(random_workload(seed))
-        assert fingerprint_sharded(online) == fingerprint_sharded(batch)
-        assert online.makespan == batch.makespan
+        check_batch_oracle(online)
 
 
 def test_calibration_presets_and_validation():
@@ -290,10 +331,9 @@ def test_steal_admits_past_a_blocked_head():
 
 def test_steal_matches_between_batch_and_online():
     kwargs = dict(devices=2, device_capacities=STEAL_CAPS, steal=True)
-    batch = QueryScheduler(**kwargs).run(_steal_workload())
     online = QueryScheduler(**kwargs).run_online(_steal_workload())
-    assert fingerprint_sharded(batch) == fingerprint_sharded(online)
-    assert batch.stolen_count == online.stolen_count == 1
+    check_batch_oracle(online)
+    assert online.stolen_count == 1
 
 
 def test_stream_steal_accounting_is_exact():

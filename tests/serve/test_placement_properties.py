@@ -11,7 +11,8 @@ regimes, batched and staggered arrivals) and asserts, per seed:
     reservations, admit/finish times, makespan and peak;
 (b) **Online == batch** — for every fleet size, incremental extension
     (:meth:`~repro.serve.scheduler.QueryScheduler.run_online`) matches
-    the batch re-simulation exactly, device assignments included;
+    a from-scratch batch re-simulation of every device exactly
+    (:func:`~repro.bench.regress.check_batch_oracle`);
 (c) **Arena accounting** — every device's peak stays within capacity,
     every ledger drains (no reservation outlives its query), and every
     timeline ends at zero used bytes;
@@ -28,7 +29,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.serve_bench import fingerprint, fingerprint_sharded
+from repro.bench.regress import check_batch_oracle
+from repro.bench.serve_bench import fingerprint
 from repro.serve import QueryScheduler, mixed_workload, random_workload
 
 GOLDEN_PATH = Path(__file__).parent / "golden_single_device.json"
@@ -69,23 +71,19 @@ def test_randomized_differential(seed):
     entry = GOLDEN["seeds"][str(seed)]
     spans = {}
     for devices in FLEETS:
-        batch = QueryScheduler(devices=devices).run(random_workload(seed))
         online = QueryScheduler(devices=devices).run_online(
             random_workload(seed)
         )
-        # (b) online == batch, including which device each query ran on.
-        assert fingerprint_sharded(online) == fingerprint_sharded(batch)
-        assert online.makespan == batch.makespan
-        assert online.device_peak_bytes == batch.device_peak_bytes
-        # (c) per-device arena accounting, both modes.
-        _check_arenas(batch)
+        # (b) online == batch re-simulation on every device.
+        check_batch_oracle(online)
+        # (c) per-device arena accounting.
         _check_arenas(online)
-        assert all(0 <= o.device < devices for o in batch.outcomes)
-        spans[devices] = batch.makespan
+        assert all(0 <= o.device < devices for o in online.outcomes)
+        spans[devices] = online.makespan
         if devices == 1:
             # (a) sharded devices=1 == the recorded legacy schedule.
-            _golden_matches(batch, entry)
-            assert all(o.device == 0 for o in batch.outcomes)
+            _golden_matches(online, entry)
+            assert all(o.device == 0 for o in online.outcomes)
     # (d) makespan never increases with fleet size.
     for smaller, larger in zip(FLEETS, FLEETS[1:]):
         assert spans[larger] <= spans[smaller] * (1 + 1e-12), (
@@ -97,16 +95,15 @@ def test_randomized_differential(seed):
 @pytest.mark.parametrize("name", sorted(GOLDEN["canonical"]))
 def test_canonical_workloads_match_golden(name):
     clients, spacing = name.split("x")
-    report = QueryScheduler(devices=1).run(
+    report = QueryScheduler(devices=1).run_online(
         mixed_workload(int(clients), spacing_seconds=float(spacing))
     )
     _golden_matches(report, GOLDEN["canonical"][name])
 
 
 def test_two_devices_beat_one_on_the_64_client_acceptance_workload():
-    """The acceptance bar: sharding the canonical serve_wall[64]
-    workload across two devices must strictly beat one device (online
-    mode — outcomes are identical to batch, pinned above)."""
+    """The acceptance bar: sharding the canonical 64-client workload
+    across two devices must strictly beat one device."""
     one = QueryScheduler(devices=1).run_online(mixed_workload(64))
     two = QueryScheduler(devices=2).run_online(mixed_workload(64))
     assert two.makespan < one.makespan
@@ -120,12 +117,8 @@ def test_alternative_policies_hold_the_core_properties(placement):
     """Every registered policy keeps determinism, online==batch and the
     arena invariants — only the default policy's makespan is tracked."""
     for seed in SEEDS[:25]:
-        batch = QueryScheduler(devices=2, placement=placement).run(
-            random_workload(seed)
-        )
         online = QueryScheduler(devices=2, placement=placement).run_online(
             random_workload(seed)
         )
-        assert fingerprint_sharded(online) == fingerprint_sharded(batch)
-        assert online.makespan == batch.makespan
-        _check_arenas(batch)
+        check_batch_oracle(online)
+        _check_arenas(online)

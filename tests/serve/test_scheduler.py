@@ -11,13 +11,13 @@ from repro.serve.workload import M
 
 
 def test_empty_batch():
-    report = QueryScheduler().run([])
+    report = QueryScheduler().run_online([])
     assert report.outcomes == []
     assert report.makespan == 0.0
 
 
 def test_single_query_matches_solo_estimate():
-    report = QueryScheduler().run(
+    report = QueryScheduler().run_online(
         [QueryRequest(qid="q0", spec=unique_pair(16 * M))]
     )
     (outcome,) = report.outcomes
@@ -29,7 +29,7 @@ def test_single_query_matches_solo_estimate():
 def test_duplicate_ids_rejected():
     spec = unique_pair(16 * M)
     with pytest.raises(InvalidConfigError):
-        QueryScheduler().run(
+        QueryScheduler().run_online(
             [QueryRequest(qid="q", spec=spec), QueryRequest(qid="q", spec=spec)]
         )
 
@@ -37,7 +37,7 @@ def test_duplicate_ids_rejected():
 def test_impossible_query_raises():
     # Pinned to GPU-resident at a size that can never fit the device.
     with pytest.raises(SchedulingError):
-        QueryScheduler().run(
+        QueryScheduler().run_online(
             [
                 QueryRequest(
                     qid="q0", spec=unique_pair(1024 * M), strategy=GPU_RESIDENT
@@ -61,7 +61,7 @@ def test_admission_degrades_strategy_under_pressure():
     assert resident_need <= capacity < 2 * resident_need
     assert resident_need + streaming_need <= capacity
 
-    report = scheduler.run(
+    report = scheduler.run_online(
         [
             QueryRequest(qid="q0", spec=spec),
             QueryRequest(qid="q1", spec=spec),
@@ -78,7 +78,7 @@ def test_bounded_degradation_waits_instead():
     """With a tight degradation bound the second query queues for the
     first one's memory instead of taking a much slower placement."""
     spec = unique_pair(96 * M)
-    report = QueryScheduler(max_degradation=1.0).run(
+    report = QueryScheduler(max_degradation=1.0).run_online(
         [
             QueryRequest(qid="q0", spec=spec),
             QueryRequest(qid="q1", spec=spec),
@@ -92,25 +92,25 @@ def test_bounded_degradation_waits_instead():
 
 
 def test_arena_accounting_never_exceeds_device_memory():
-    report = QueryScheduler().run(mixed_workload(12, scale=0.5))
+    report = QueryScheduler().run_online(mixed_workload(12, scale=0.5))
     assert 0 < report.peak_reserved_bytes <= report.capacity_bytes
 
 
 def test_concurrent_beats_serial_on_mixed_workload():
-    report = QueryScheduler().run(mixed_workload(8))
+    report = QueryScheduler().run_online(mixed_workload(8))
     assert report.makespan < report.serial_seconds
     assert report.speedup > 1.0
 
 
 def test_schedule_is_deterministic():
-    a = QueryScheduler().run(mixed_workload(10, scale=0.5))
-    b = QueryScheduler().run(mixed_workload(10, scale=0.5))
+    a = QueryScheduler().run_online(mixed_workload(10, scale=0.5))
+    b = QueryScheduler().run_online(mixed_workload(10, scale=0.5))
     assert _fingerprint(a) == _fingerprint(b)
 
 
 def test_tasks_respect_admission_release_times():
     """No task of a query may start before the query was admitted."""
-    report = QueryScheduler().run(mixed_workload(8, scale=0.5))
+    report = QueryScheduler().run_online(mixed_workload(8, scale=0.5))
     for outcome in report.outcomes:
         starts = [
             item.start
@@ -129,7 +129,7 @@ def test_tasks_respect_admission_release_times():
 
 def test_staggered_submissions_respected():
     requests = mixed_workload(4, scale=0.25, spacing_seconds=0.5)
-    report = QueryScheduler().run(requests)
+    report = QueryScheduler().run_online(requests)
     for request, outcome in zip(requests, report.outcomes):
         assert outcome.submit_at == request.submit_at
         assert outcome.admit_at >= request.submit_at
@@ -137,7 +137,7 @@ def test_staggered_submissions_respected():
 
 
 def test_report_renders_summary():
-    report = QueryScheduler().run(mixed_workload(4, scale=0.25))
-    text = report.render()
+    report = QueryScheduler().run_online(mixed_workload(4, scale=0.25))
+    text = report.render(per_query=True)
     assert "makespan" in text
     assert "q000" in text

@@ -47,7 +47,7 @@ def capture() -> dict:
     from repro.serve import QueryScheduler, mixed_workload, random_workload
 
     def run(requests):
-        return QueryScheduler().run(requests)
+        return QueryScheduler().run_online(requests)
 
     return {
         "seeds": {
