@@ -20,10 +20,6 @@ anecdotes:
   two-device fleet (per-device arenas + engines, least-loaded
   placement); comparable against ``serve_online_wall`` to track the
   sharding layer's scheduling overhead;
-* ``learned_fit`` / ``estimate_learned`` — fitting the learned cost
-  model's per-strategy regression from a recorded sample population,
-  and the per-estimate latency of its opt-in fast path (what the
-  planner's first-pass filter pays per prediction);
 * ``engine_tasks_per_sec`` — event-driven :class:`PipelineEngine`
   throughput on a synthetic double-buffered multi-query task graph.
 
@@ -168,58 +164,10 @@ def bench_engine(*, quick: bool) -> dict[str, PerfEntry]:
     return {"engine_tasks_per_sec": entry}
 
 
-def bench_learned(*, quick: bool) -> dict[str, PerfEntry]:
-    """Learned cost-model path: regression fit time over a recorded
-    sample population, and per-estimate latency through the learned
-    fast path (the planner's first-pass filter cost)."""
-    from repro.core import (
-        create_strategy,
-        learned_cost,
-        registered_strategies,
-        sample_store,
-    )
-    from repro.core.learned_cost import LearnedCostModel
-    from repro.core.sample_store import SampleStore
-    from repro.data import unique_pair
-
-    store = SampleStore()
-    sample_store.attach(store)
-    try:
-        estimate_cache.clear()
-        strategies = [create_strategy(key) for key in registered_strategies()]
-        for step in range(1, 9 if quick else 17):
-            spec = unique_pair(step * 1_000_000, step * 8_000_000)
-            for strategy in strategies:
-                strategy.estimate(spec)
-    finally:
-        sample_store.detach()
-
-    fit_entry = _measure(
-        lambda: LearnedCostModel.fit(store), repeats=20 if quick else 100
-    )
-    model = LearnedCostModel.fit(store)
-    learned_cost.set_model(model)
-    spec = unique_pair(3_000_000, 24_000_000)
-    strategy = create_strategy("gpu_resident")
-    try:
-        with learned_cost.activation(True):
-            learned_entry = _measure(
-                lambda: strategy.estimate(spec),
-                repeats=200 if quick else 1000,
-            )
-    finally:
-        learned_cost.clear_model()
-    return {
-        "learned_fit": fit_entry,
-        "estimate_learned": learned_entry,
-    }
-
-
 def run_perf(*, quick: bool = False) -> dict[str, PerfEntry]:
     """Run every micro-benchmark; returns ``name -> PerfEntry``."""
     entries: dict[str, PerfEntry] = {}
     entries.update(bench_estimates(quick=quick))
-    entries.update(bench_learned(quick=quick))
     entries.update(bench_serve(quick=quick))
     entries.update(bench_engine(quick=quick))
     return entries

@@ -51,13 +51,10 @@ schedules, every reordering policy must pass the batch oracle on
 classed workloads, ``edf`` must strictly reduce the deadline-miss rate
 against ``fifo`` on the deadline-classed canonical workload, and
 ``sjf`` must never worsen its mean latency.
-:func:`run_learned_regression` pins the learned cost-model fast path:
-with a model *fitted and installed* but ``learned=False`` (the
-default) the golden schedules must stay bit-identical — installation
-alone may not perturb anything — and with ``learned=True`` every run
-must still conserve queries, reconcile arenas, replay
-deterministically, and keep its planner-decision divergence from the
-analytic ladder bounded.
+:func:`run_store_regression` pins the persisted cache store: a warm
+start from a reloaded store file must reproduce the golden schedules
+on one device and the cold pass on two, with every estimate, plan and
+ladder miss answered by the store.
 """
 
 from __future__ import annotations
@@ -698,52 +695,41 @@ def run_admission_regression(
     ]
 
 
-#: Seeds of the learned-cost regression — the recording workloads, the
-#: learned-off identity column and the learned-on invariant column all
-#: use the same subset.
-LEARNED_REGRESSION_SEEDS = (0, 60, 120, 180)
-
-#: Upper bound on the fraction of per-query strategy decisions the
-#: learned filter may flip against the analytic ladder.  The filter is
-#: restricted to the analytically *feasible* rungs, so wholesale
-#: divergence means the regression is broken, not merely different.
-LEARNED_MAX_DIVERGENCE = 0.5
+#: Seeds of the persisted-cache regression (cold and warm passes).
+STORE_REGRESSION_SEEDS = (0, 60, 120, 180)
 
 
-def run_learned_regression(
-    seeds: tuple[int, ...] = LEARNED_REGRESSION_SEEDS,
+def run_store_regression(
+    seeds: tuple[int, ...] = STORE_REGRESSION_SEEDS,
 ) -> list[str]:
-    """Assert the learned cost-model fast path's anchor contracts;
+    """Assert a warm start from the persisted cache store is exact;
     returns report lines.
 
-    Records a sample population into an in-memory
-    :class:`~repro.core.sample_store.SampleStore` by serving the seed
-    workloads, fits a :class:`~repro.core.learned_cost.LearnedCostModel`
-    from it, then checks two columns:
+    A cold pass serves the seed workloads on one and on
+    :data:`SERVE_REGRESSION_DEVICES` devices with an empty LRU and a
+    fresh file-backed :class:`~repro.core.sample_store.SampleStore`
+    attached (``estimate_cache.attach_store``), then flushes it.  For
+    each fleet size a warm pass then clears the LRU, reloads the file
+    and serves the seeds again:
 
-    * **Inertness** — with the model *installed* but ``learned=False``
-      (the default), ``devices=1`` runs must stay bit-identical to the
-      recorded golden schedules: installation without activation may
-      not perturb a single decision;
-    * **Safety under activation** — with ``learned=True`` on a
-      two-device fleet, every run must pass
-      :func:`~repro.serve.faults.check_fault_invariants` (conservation,
-      arena reconciliation, retry budgets), replay deterministically,
-      and flip at most :data:`LEARNED_MAX_DIVERGENCE` of the per-query
-      strategy decisions relative to the analytic ladder (the filter
-      only reorders analytically feasible rungs).
+    * **Decision identity** — the one-device warm pass must reproduce
+      the recorded golden schedules, and the multi-device warm pass the
+      cold pass (sharded fingerprint and makespan);
+    * **Store coverage** — every warm-pass miss of the estimate, plan
+      and ladder caches must be answered by the store
+      (``store_hits == misses`` for each), so a warm process computes
+      nothing the cold one already persisted.
 
     Any violation raises :class:`~repro.errors.SchedulingError`.
     """
     import json
+    import os
+    import tempfile
     from pathlib import Path
 
     from repro.bench.serve_bench import fingerprint, fingerprint_sharded
-    from repro.core import learned_cost, sample_store
-    from repro.core.learned_cost import LearnedCostModel
     from repro.core.sample_store import SampleStore
     from repro.errors import SchedulingError
-    from repro.serve.faults import FaultPlan, check_fault_invariants
     from repro.serve.scheduler import QueryScheduler
     from repro.serve.workload import random_workload
 
@@ -752,101 +738,77 @@ def run_learned_regression(
         / "tests" / "serve" / "golden_single_device.json"
     )
     golden = json.loads(golden_path.read_text(encoding="utf-8"))
-
-    # Record: serve the seed workloads with an in-memory store attached
-    # so every estimate contributes a (fingerprint, features, seconds)
-    # sample; the estimate cache is cleared first so cache hits from
-    # earlier columns cannot starve the recorder.
-    store = SampleStore()
-    estimate_cache.clear()
-    sample_store.attach(store)
-    try:
-        for seed in seeds:
-            QueryScheduler(devices=1).run_online(random_workload(seed))
-    finally:
-        sample_store.detach()
-    model = LearnedCostModel.fit(store)
-    if len(model) == 0:
-        raise SchedulingError(
-            f"learned regression fitted no strategies from "
-            f"{len(store.samples)} recorded samples — the recording path "
-            "is broken"
-        )
-
-    learned_cost.set_model(model)
-    try:
-        # Column 1: installed-but-inactive must stay bit-identical to
-        # the recorded golden schedules.
-        for seed in seeds:
-            entry = golden["seeds"][str(seed)]
-            report = QueryScheduler(devices=1, learned=False).run_online(
-                random_workload(seed)
-            )
-            if (
-                [list(item) for item in fingerprint(report)]
-                != entry["fingerprint"]
-                or report.makespan != entry["makespan"]
-                or report.peak_reserved_bytes != entry["peak_reserved_bytes"]
-            ):
-                raise SchedulingError(
-                    f"learned=False diverged from the recorded golden "
-                    f"schedule at seed {seed} with a model installed — "
-                    "installation alone perturbed the planner"
+    fleets = (1, SERVE_REGRESSION_DEVICES)
+    coverage = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "store.jsonl")
+        store = SampleStore(path=path)
+        estimate_cache.clear()
+        estimate_cache.attach_store(store)
+        try:
+            cold = {
+                (devices, seed): QueryScheduler(devices=devices).run_online(
+                    random_workload(seed)
                 )
-
-        # Column 2: activation must preserve the serving invariants.
-        devices = SERVE_REGRESSION_DEVICES
-        flipped = 0
-        total = 0
-        for seed in seeds:
-            requests = random_workload(seed)
-            analytic = QueryScheduler(devices=devices).run_online(
-                random_workload(seed)
-            )
-            learned = QueryScheduler(
-                devices=devices, learned=True
-            ).run_online(random_workload(seed))
-            replay = QueryScheduler(
-                devices=devices, learned=True
-            ).run_online(random_workload(seed))
-            if fingerprint_sharded(replay) != fingerprint_sharded(learned):
-                raise SchedulingError(
-                    f"learned=True did not replay deterministically at "
-                    f"seed {seed}"
+                for devices in fleets
+                for seed in seeds
+            }
+            store.flush()
+            for devices in fleets:
+                estimate_cache.clear()
+                estimate_cache.attach_store(SampleStore.load(path))
+                for seed in seeds:
+                    warm = QueryScheduler(devices=devices).run_online(
+                        random_workload(seed)
+                    )
+                    if devices == 1:
+                        entry = golden["seeds"][str(seed)]
+                        same = (
+                            [list(item) for item in fingerprint(warm)]
+                            == entry["fingerprint"]
+                            and warm.makespan == entry["makespan"]
+                            and warm.peak_reserved_bytes
+                            == entry["peak_reserved_bytes"]
+                        )
+                        expected = "the recorded golden schedule"
+                    else:
+                        reference = cold[(devices, seed)]
+                        same = (
+                            fingerprint_sharded(warm)
+                            == fingerprint_sharded(reference)
+                            and warm.makespan == reference.makespan
+                        )
+                        expected = "the cold pass"
+                    if not same:
+                        raise SchedulingError(
+                            f"warm start from the cache store diverged "
+                            f"from {expected} at seed {seed} on "
+                            f"{devices} device(s)"
+                        )
+                stats = estimate_cache.stats()
+                counts = (
+                    ("estimate", stats.store_hits, stats.misses),
+                    ("plan", stats.plan_store_hits, stats.plan_misses),
+                    ("ladder", stats.ladder_store_hits, stats.ladder_misses),
                 )
-            check_fault_invariants(
-                learned,
-                FaultPlan(),
-                arrivals=len(requests),
-                max_retries=QueryScheduler().max_retries,
-            )
-            analytic_by_qid = {o.qid: o.strategy for o in analytic.outcomes}
-            for outcome in learned.outcomes:
-                total += 1
-                if outcome.strategy != analytic_by_qid.get(outcome.qid):
-                    flipped += 1
-        if total == 0:
-            raise SchedulingError(
-                "learned regression completed no queries — the invariant "
-                "column is vacuous"
-            )
-        divergence = flipped / total
-        if divergence > LEARNED_MAX_DIVERGENCE:
-            raise SchedulingError(
-                f"learned planner flipped {flipped}/{total} strategy "
-                f"decisions ({divergence:.0%}) — above the "
-                f"{LEARNED_MAX_DIVERGENCE:.0%} bound; the filter is no "
-                "longer restricted to feasible rungs"
-            )
-    finally:
-        learned_cost.clear_model()
+                for cache, hits, misses in counts:
+                    if hits != misses or misses == 0:
+                        raise SchedulingError(
+                            f"warm {cache} cache on {devices} device(s): "
+                            f"the store answered {hits} of {misses} misses"
+                        )
+                coverage.append(
+                    "/".join(str(hits) for _, hits, _ in counts)
+                    + f" on {devices}"
+                )
+        finally:
+            estimate_cache.detach_store()
     return [
-        f"learned[{len(seeds)} seeds]: {len(store.samples)} samples, "
-        f"{len(model)} fitted strategies; learned-off bit-identical to "
-        f"golden schedules; learned-on on {SERVE_REGRESSION_DEVICES} "
-        f"devices conserved every query, arenas reconciled, replay "
-        f"identical, {flipped}/{total} decisions flipped "
-        f"({divergence:.0%} <= {LEARNED_MAX_DIVERGENCE:.0%})  ok"
+        f"store[{len(seeds)} seeds]: warm start from the reloaded file "
+        f"bit-identical to golden schedules on 1 device and to the cold "
+        f"pass on {SERVE_REGRESSION_DEVICES}; every warm miss answered "
+        f"by the store (estimate/plan/ladder {', '.join(coverage)} "
+        f"device(s))  ok"
     ]
 
 
@@ -886,12 +848,11 @@ def main() -> int:
         "admission policies: fifo inert against the golden schedules, "
         "reordering policies pass the batch oracle and win their metrics"
     )
-    for line in run_learned_regression():
+    for line in run_store_regression():
         print(line)
     print(
-        "learned cost model: installation inert against the golden "
-        "schedules, activation keeps every serving invariant with "
-        "bounded decision divergence"
+        "cache store: a warm start recomputes nothing and changes no "
+        "decision"
     )
     return 0
 

@@ -87,8 +87,7 @@ import time
 from dataclasses import dataclass
 
 from repro.bench.perf_bench import PerfEntry, merge_perf_json
-from repro.core import estimate_cache, learned_cost, sample_store
-from repro.core.learned_cost import LearnedCostModel
+from repro.core import estimate_cache
 from repro.core.sample_store import SampleStore
 from repro.errors import SampleStoreError, SchedulingError
 from repro.gpusim.calibration import (
@@ -249,7 +248,6 @@ def run_serve(
     admission: str = FIFO,
     classes: bool = False,
     deadline_scale: float = 1.0,
-    learned: bool = False,
     scheduler: QueryScheduler | None = None,
     check_determinism: bool = True,
 ) -> ServeReport:
@@ -271,12 +269,7 @@ def run_serve(
     (:func:`~repro.serve.workload.classed_workload`, deadlines scaled
     by ``deadline_scale``); reordering policies and classed workloads
     skip the serial-baseline assertion — admission order trades
-    makespan for latency/deadline goals on purpose.  ``learned=True``
-    serves under the opt-in learned cost-model fast path (a fitted
-    model must be installed via ``learned_cost.set_model``); learned
-    runs skip the serial-baseline assertion — the learned planner may
-    pick a different rung than solo analytic planning — but are still
-    deterministic and arena-verified.
+    makespan for latency/deadline goals on purpose.
     """
 
     def workload():
@@ -300,7 +293,6 @@ def run_serve(
         steal=steal,
         max_retries=max_retries,
         admission=admission,
-        learned=learned,
     )
     faulted = faults is not None and not faults.is_empty
     report = scheduler.run_online(requests, faults=faults)
@@ -313,7 +305,6 @@ def run_serve(
         and not faulted
         and scheduler.admission == FIFO
         and not classes
-        and not scheduler.learned
     )
     verify_report(report, clients=clients, check_serial=canonical)
     if check_determinism:
@@ -326,7 +317,6 @@ def run_serve(
             steal=scheduler.steal,
             max_retries=scheduler.max_retries,
             admission=scheduler.admission,
-            learned=scheduler.learned,
         )
         rerun = fresh.run_online(workload(), faults=faults)
         if fingerprint_sharded(rerun) != fingerprint_sharded(report):
@@ -355,7 +345,6 @@ def sweep(
     admission: str = FIFO,
     classes: bool = False,
     deadline_scale: float = 1.0,
-    learned: bool = False,
     check_determinism: bool = True,
 ) -> list[ServePoint]:
     """Throughput/latency versus offered concurrency."""
@@ -373,7 +362,6 @@ def sweep(
             admission=admission,
             classes=classes,
             deadline_scale=deadline_scale,
-            learned=learned,
             check_determinism=check_determinism,
         )
         points.append(
@@ -478,7 +466,6 @@ def run_stream_bench(
     admission: str = FIFO,
     classes: bool = False,
     deadline_scale: float = 1.0,
-    learned: bool = False,
     seed: int = 0,
 ) -> tuple[ServeReport, float]:
     """Run the steady-state streaming benchmark; returns (verified
@@ -499,7 +486,6 @@ def run_stream_bench(
         steal=steal,
         max_retries=max_retries,
         admission=admission,
-        learned=learned,
     )
     start = time.perf_counter()
     report = scheduler.run_stream(
@@ -938,19 +924,10 @@ def serve_main(argv: list[str] | None = None) -> int:
         "--sample-store",
         default=None,
         metavar="PATH",
-        help="persistent kernel-sample store: record every estimate of "
-        "this run into PATH (append-only JSONL, created on first use) "
-        "and warm-start the estimate/plan/ladder caches from it — "
-        "warm runs make bit-identical decisions to cold ones",
-    )
-    parser.add_argument(
-        "--learned",
-        action="store_true",
-        help="serve under the learned cost-model fast path: fit a "
-        "per-strategy regression from --sample-store and let the "
-        "planner rank feasible ladder rungs by predicted runtime "
-        "(approximate by design; skips the serial-baseline assertion, "
-        "keeps determinism and every arena invariant)",
+        help="persistent cache store: warm-start the estimate/plan/"
+        "ladder caches from PATH and append every entry this run "
+        "computes (append-only JSONL, created on first use) — warm "
+        "runs make bit-identical decisions to cold ones",
     )
     parser.add_argument(
         "--out",
@@ -997,11 +974,6 @@ def serve_main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     hetero = device_capacities is not None or device_calibrations is not None
-    if args.learned and not args.sample_store:
-        parser.error(
-            "--learned needs --sample-store: the regression is fit from "
-            "recorded kernel samples"
-        )
 
     store = None
     if args.sample_store:
@@ -1011,24 +983,16 @@ def serve_main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
     try:
         if store is not None:
-            # Record every estimate of this run, and serve cache misses
-            # from entries earlier processes persisted.
-            sample_store.attach(store)
+            # Serve cache misses from entries earlier processes
+            # persisted, and persist every entry this run computes.
             estimate_cache.attach_store(store)
             print(f"sample store: {store.summary()}")
-        if args.learned:
-            model = LearnedCostModel.fit(store)
-            learned_cost.set_model(model)
-            print(model.summary())
         return _serve_dispatch(
             parser, args, spacing, device_capacities, device_calibrations,
             hetero,
         )
     finally:
-        if args.learned:
-            learned_cost.clear_model()
         if store is not None:
-            sample_store.detach()
             estimate_cache.detach_store()
             written = store.flush()
             print(
@@ -1076,7 +1040,6 @@ def _serve_dispatch(
             admission=args.admission,
             classes=args.classes,
             deadline_scale=args.deadline_scale,
-            learned=args.learned,
             seed=args.seed,
         )
         classed_note = (
@@ -1175,7 +1138,6 @@ def _serve_dispatch(
         and not args.faults
         and args.admission == FIFO
         and not args.classes
-        and not args.learned
     )
     mode = "online (incremental extension)"
     if args.devices > 1:
@@ -1194,8 +1156,6 @@ def _serve_dispatch(
         mode += ", work stealing"
     if args.faults:
         mode += f", fault injection (seed {args.fault_seed})"
-    if args.learned:
-        mode += ", learned cost model"
 
     if args.clients is not None:
         fault_plan = None
@@ -1214,7 +1174,6 @@ def _serve_dispatch(
                 admission=args.admission,
                 classes=args.classes,
                 deadline_scale=args.deadline_scale,
-                learned=args.learned,
                 check_determinism=False,
             )
             fault_plan = FaultPlan.random(
@@ -1240,7 +1199,6 @@ def _serve_dispatch(
             admission=args.admission,
             classes=args.classes,
             deadline_scale=args.deadline_scale,
-            learned=args.learned,
         )
         wall = time.perf_counter() - start
         print(f"admission mode: {mode}")
@@ -1326,7 +1284,6 @@ def _serve_dispatch(
         admission=args.admission,
         classes=args.classes,
         deadline_scale=args.deadline_scale,
-        learned=args.learned,
     )
     print(f"admission mode: {mode}")
     print(render_sweep(points))

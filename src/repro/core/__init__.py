@@ -1,6 +1,6 @@
 """The paper's contribution: the hardware-conscious GPU join family."""
 
-from repro.core import estimate_cache, learned_cost, sample_store
+from repro.core import estimate_cache, sample_store
 from repro.core.adaptive import (
     AdaptiveCoProcessingJoin,
     recommend_partition_threads,
@@ -15,8 +15,7 @@ from repro.core.config import (
 )
 from repro.core.coprocessing import CoProcessingJoin, CoProcessingPlan
 from repro.core.gpu_nonpartitioned import GpuNonPartitionedJoin, GpuPerfectHashJoin
-from repro.core.learned_cost import LearnedCostModel, StrategyModel
-from repro.core.sample_store import KernelSample, SampleStore
+from repro.core.sample_store import SampleStore
 from repro.core.gpu_partitioned import GpuPartitionedJoin
 from repro.core.planner import (
     PLANNER_LADDER,
@@ -65,14 +64,11 @@ __all__ = [
     "JoinPlan",
     "JoinRunResult",
     "JoinStrategy",
-    "KernelSample",
-    "LearnedCostModel",
     "NLJ_PROBE",
     "PLANNER_LADDER",
     "PipelinedJoinStrategy",
     "STREAMING",
     "SampleStore",
-    "StrategyModel",
     "StreamingProbeJoin",
     "WorkingSet",
     "choose_strategy_name",
@@ -81,7 +77,6 @@ __all__ = [
     "estimate_cache",
     "estimate_with_planner",
     "fig5_config",
-    "learned_cost",
     "knapsack_first_working_set",
     "pack_working_sets",
     "plan_join",

@@ -18,7 +18,7 @@ no concrete strategy class.
 
 from __future__ import annotations
 
-from repro.core import estimate_cache, learned_cost
+from repro.core import estimate_cache
 from repro.core.config import GpuJoinConfig
 from repro.core.strategy import (
     COPROCESSING,
@@ -43,8 +43,6 @@ def choose_strategy_name(
     system: SystemSpec | None = None,
     *,
     available_bytes: float | None = None,
-    calibration: Calibration | None = None,
-    config: GpuJoinConfig | None = None,
 ) -> str:
     """Which of the three execution strategies fits this workload.
 
@@ -54,14 +52,6 @@ def choose_strategy_name(
     query that would run GPU-resident on an idle device degrades to
     streaming (or co-processing) under memory pressure.  ``None`` means
     the whole device is available (the single-query planner).
-
-    ``calibration``/``config`` matter only to the opt-in learned fast
-    path (:mod:`repro.core.learned_cost`): when a fitted model is
-    active, the ladder keeps the analytic capacity check as a hard
-    filter but ranks the *feasible* rungs by predicted runtime instead
-    of taking the first fit.  With the learned path off (the default)
-    both parameters are ignored and the walk — and its memoized cache —
-    behaves exactly as before.
     """
     system = system or SystemSpec()
     if available_bytes is None:
@@ -72,26 +62,6 @@ def choose_strategy_name(
             if strategy_factory(key).fits_in(spec, system, available_bytes):
                 return key
         return COPROCESSING
-
-    model = learned_cost.active()
-    if model is not None:
-        # Learned mode bypasses the ladder cache in both directions:
-        # learned choices never enter it, and analytic entries cached by
-        # earlier non-learned runs never mask the model.
-        feasible = [
-            key
-            for key in PLANNER_LADDER
-            if strategy_factory(key).fits_in(spec, system, available_bytes)
-        ] or [COPROCESSING]
-        choice = learned_cost.filter_ladder(
-            spec,
-            system,
-            PLANNER_LADDER,
-            feasible,
-            calibration=calibration,
-            config=config,
-        )
-        return choice if choice is not None else feasible[0]
 
     # The walk is pure in (spec, system, available_bytes); admission
     # control re-runs it on every scheduling event, so memoize it

@@ -1,35 +1,31 @@
-"""Persistent kernel-sample store: the on-disk memory of the cost model.
+"""Persistent cache store: the on-disk memory of the cost model.
 
 The analytic cost model re-derives every estimate from scratch in each
 process; restart-heavy serving fleets and parallel bench workers pay
 that cost again and again for workloads the system has already sized.
-This module mirrors the ``ElementaryOpCache`` shape of
-``joapolarbear/byteprofile-analysis`` (SNIPPETS.md snippet 3): every
-bench/serve run can append ``(spec fingerprint, strategy fingerprint,
-calibration, simulated-time)`` samples into one append-only file, and
-later processes load it to
-
-* fit the cheap per-strategy-fingerprint regression of
-  :mod:`repro.core.learned_cost` (the ``--learned`` fast path), and
-* warm-start the process-wide estimate/plan/ladder caches of
-  :mod:`repro.core.estimate_cache` (``attach_store``), so a fresh
-  process skips re-estimation for every key an earlier process already
-  computed — with **bit-identical** results, because cached values are
-  exact JSON round-trips of what recomputation would produce.
+This module persists the process-wide estimate, plan and ladder caches
+of :mod:`repro.core.estimate_cache` into one append-only file
+(``estimate_cache.attach_store``; ``serve --sample-store PATH``), so a
+fresh process skips re-estimation for every key an earlier process
+already computed — with **bit-identical** results, because cached
+values are exact JSON round-trips of what recomputation would produce.
 
 File format (version |VERSION|): UTF-8 JSON lines.  The first line is a
 versioned header ``{"format": "repro-kernel-sample-store",
 "version": 1}``; every further line is one record tagged by ``kind`` —
-``"sample"`` (a kernel-cost observation), ``"estimate"`` /
-``"ladder"`` / ``"plan"`` (persisted cache entries keyed by a stable
-digest of the in-memory cache key).  Appends write whole lines in a
-single ``write`` call and new files are created via a temp file +
-``os.replace``, so readers never observe a half-written header.  A
-writer killed mid-append can still leave a truncated final line;
-:meth:`SampleStore.load` therefore *skips* undecodable record lines
-(counted in :attr:`SampleStore.skipped_records`) and only raises
+``"estimate"`` / ``"ladder"`` / ``"plan"``, a persisted cache entry
+keyed by a stable digest of the in-memory cache key.  Appends write
+whole lines in a single ``write`` call and new files are created via a
+temp file + ``os.replace``, so readers never observe a half-written
+header.  A writer killed mid-append can still leave a truncated final
+line; :meth:`SampleStore.load` therefore decodes every record when it
+loads and *skips* lines that do not decode — truncated JSON, unknown
+kinds, malformed payloads — counting them in
+:attr:`SampleStore.skipped_records`.  It only raises
 :class:`~repro.errors.SampleStoreError` when the header itself is
-missing, unparsable, or from an unknown format version.
+missing, unparsable, or from an unknown format version.  ``"sample"``
+lines (kernel-cost samples that older builds recorded) are dropped
+without being counted.
 
 Keys and digests: the estimate/plan/ladder cache keys are tuples of
 frozen dataclasses (specs, system, calibration, config) whose ``repr``
@@ -43,8 +39,8 @@ Determinism: persistence never changes decisions.  A warm-started
 process (store attached) returns byte-identical metrics, plans and
 ladder choices to a cold one, because floats survive the JSON
 round-trip exactly; ``tests/core/test_sample_store.py`` proves the
-cross-process round-trip and ``bench/regress.py`` the decision
-identity.
+cross-process round-trip and ``bench/regress.py``'s store column the
+decision identity on served workloads.
 """
 
 from __future__ import annotations
@@ -52,8 +48,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Hashable, Iterable
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Hashable
 
 from repro.core.results import JoinMetrics
 from repro.data.spec import Distribution, JoinSpec, RelationSpec
@@ -66,37 +62,6 @@ if TYPE_CHECKING:
 #: Format tag and version of the store header line.
 FORMAT = "repro-kernel-sample-store"
 VERSION = 1
-
-#: Record kinds a store file may contain.
-RECORD_KINDS = ("sample", "estimate", "ladder", "plan")
-
-#: Names of the working-set feature vector, in order.  The learned
-#: regression (:mod:`repro.core.learned_cost`) fits simulated seconds as
-#: a linear function of these; keep them cheap (no planning, no kernel
-#: evaluation) and derivable from the spec alone.
-FEATURE_NAMES = (
-    "bias",
-    "build_mtuples",
-    "probe_mtuples",
-    "build_gb",
-    "probe_gb",
-    "materialize",
-)
-
-
-def working_set_features(spec: JoinSpec, materialize: bool) -> tuple[float, ...]:
-    """The working-set feature vector of one estimate (see
-    :data:`FEATURE_NAMES`).  Counts are in millions of tuples and sizes
-    in GB so the least-squares normal equations stay well-conditioned
-    at paper scale (up to 2048 M tuples)."""
-    return (
-        1.0,
-        spec.build.n / 1e6,
-        spec.probe.n / 1e6,
-        spec.build.nbytes / 1e9,
-        spec.probe.nbytes / 1e9,
-        1.0 if materialize else 0.0,
-    )
 
 
 def stable_digest(key: Hashable) -> str | None:
@@ -113,53 +78,6 @@ def stable_digest(key: Hashable) -> str | None:
     if " at 0x" in text:
         return None
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
-
-
-@dataclass(frozen=True)
-class KernelSample:
-    """One kernel-cost observation: what a strategy's analytic model
-    said one workload costs.
-
-    ``fingerprint`` is the stable digest of the strategy's cache
-    fingerprint (class, registry key, system, config, calibration,
-    constructor extras) — samples regress per fingerprint, so a fast
-    device's timings never train a slow device's predictor.
-    ``calibration`` is digested separately too, purely so operators can
-    group a store's samples by device speed.  ``seconds`` is simulated
-    time in the cost model's native units.
-    """
-
-    strategy: str
-    fingerprint: str
-    spec: str
-    calibration: str
-    features: tuple[float, ...]
-    seconds: float
-    materialize: bool = False
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "kind": "sample",
-            "strategy": self.strategy,
-            "fingerprint": self.fingerprint,
-            "spec": self.spec,
-            "calibration": self.calibration,
-            "features": list(self.features),
-            "seconds": self.seconds,
-            "materialize": self.materialize,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict[str, Any]) -> "KernelSample":
-        return cls(
-            strategy=str(record["strategy"]),
-            fingerprint=str(record["fingerprint"]),
-            spec=str(record["spec"]),
-            calibration=str(record["calibration"]),
-            features=tuple(float(x) for x in record["features"]),
-            seconds=float(record["seconds"]),
-            materialize=bool(record.get("materialize", False)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -292,27 +210,26 @@ def plan_from_dict(data: dict[str, Any]) -> "JoinPlan":
 # ---------------------------------------------------------------------------
 @dataclass
 class SampleStore:
-    """Append-only store of kernel samples and persisted cache entries.
+    """Append-only store of persisted cache entries.
 
     ``path=None`` keeps the store purely in memory (``flush`` is then a
-    no-op) — used by tests and the perf bench.  With a path, records
-    accumulate in memory and :meth:`flush` appends the new ones to the
-    file; use :meth:`load` / :meth:`open` to read an existing file.
-    Entries are deduplicated (an identical sample or an already-known
-    cache digest is not re-appended), so attaching the same store to
-    every run keeps the file's growth proportional to *new* knowledge.
+    no-op) — used by tests.  With a path, records accumulate in memory
+    and :meth:`flush` appends the new ones to the file; use
+    :meth:`load` / :meth:`open` to read an existing file.  An
+    already-known cache digest is not re-appended, so attaching the
+    same store to every run keeps the file's growth proportional to
+    *new* knowledge.
     """
 
     path: str | None = None
-    samples: list[KernelSample] = field(default_factory=list)
-    #: Record lines skipped at load: truncated tails, undecodable or
-    #: unknown-kind lines.  Never raises — see the module docstring.
+    #: Record lines skipped at load: truncated tails, undecodable
+    #: lines, unknown kinds and malformed payloads.  Never raises — see
+    #: the module docstring.
     skipped_records: int = 0
-    _estimates: dict[str, dict[str, Any]] = field(default_factory=dict)
+    _estimates: dict[str, JoinMetrics] = field(default_factory=dict)
     _ladder: dict[str, str] = field(default_factory=dict)
-    _plans: dict[str, dict[str, Any]] = field(default_factory=dict)
+    _plans: "dict[str, JoinPlan]" = field(default_factory=dict)
     _pending: list[dict[str, Any]] = field(default_factory=list)
-    _seen_samples: "set[tuple]" = field(default_factory=set)
 
     # -- loading -------------------------------------------------------
     @classmethod
@@ -354,7 +271,13 @@ class SampleStore:
             try:
                 record = json.loads(line)
                 store._ingest(record)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            except (
+                json.JSONDecodeError,
+                AttributeError,
+                KeyError,
+                TypeError,
+                ValueError,
+            ):
                 # A crashed writer's truncated tail, or a corrupted
                 # line: skip it — the rest of the store stays usable.
                 store.skipped_records += 1
@@ -368,64 +291,37 @@ class SampleStore:
         return cls(path=path)
 
     def _ingest(self, record: dict[str, Any]) -> None:
-        """Add one decoded record to the in-memory state (no pending
+        """Decode one record into the in-memory state (no pending
         write — used while loading).  Raises on malformed records; the
         caller turns that into a skip."""
         kind = record["kind"]
-        if kind == "sample":
-            sample = KernelSample.from_record(record)
-            dedup = (
-                sample.fingerprint,
-                sample.spec,
-                sample.materialize,
-                sample.seconds,
+        if kind == "estimate":
+            self._estimates[str(record["key"])] = metrics_from_dict(
+                record["metrics"]
             )
-            if dedup not in self._seen_samples:
-                self._seen_samples.add(dedup)
-                self.samples.append(sample)
-        elif kind == "estimate":
-            self._estimates[str(record["key"])] = dict(record["metrics"])
         elif kind == "ladder":
             self._ladder[str(record["key"])] = str(record["choice"])
         elif kind == "plan":
-            self._plans[str(record["key"])] = dict(record["plan"])
-        else:
+            self._plans[str(record["key"])] = plan_from_dict(record["plan"])
+        elif kind != "sample":  # older builds' kernel samples: dropped
             raise ValueError(f"unknown record kind {kind!r}")
 
-    # -- recording -----------------------------------------------------
-    def record_sample(self, sample: KernelSample) -> bool:
-        """Add a sample; returns whether it was new (duplicates of an
-        already-held observation are dropped)."""
-        dedup = (
-            sample.fingerprint,
-            sample.spec,
-            sample.materialize,
-            sample.seconds,
-        )
-        if dedup in self._seen_samples:
-            return False
-        self._seen_samples.add(dedup)
-        self.samples.append(sample)
-        self._pending.append(sample.to_record())
-        return True
-
     # -- persisted caches (duck-typed by estimate_cache) ---------------
-    def digest_key(self, key: Hashable) -> str | None:
-        return stable_digest(key)
-
     def estimate_for_key(self, key: Hashable) -> JoinMetrics | None:
         digest = stable_digest(key)
         if digest is None:
             return None
-        data = self._estimates.get(digest)
-        return None if data is None else metrics_from_dict(data)
+        return self._estimates.get(digest)
 
     def remember_estimate(self, key: Hashable, metrics: JoinMetrics) -> None:
         digest = stable_digest(key)
         if digest is None or digest in self._estimates:
             return
+        # A copy: the caller may annotate the metrics it was handed.
+        self._estimates[digest] = replace(
+            metrics, phases=dict(metrics.phases), notes=dict(metrics.notes)
+        )
         data = metrics_to_dict(metrics)
-        self._estimates[digest] = data
         self._pending.append({"kind": "estimate", "key": digest, "metrics": data})
 
     def ladder_for_key(self, key: Hashable) -> str | None:
@@ -445,15 +341,16 @@ class SampleStore:
         digest = stable_digest(key)
         if digest is None:
             return None
-        data = self._plans.get(digest)
-        return None if data is None else plan_from_dict(data)
+        return self._plans.get(digest)
 
     def remember_plan(self, key: Hashable, plan: "JoinPlan") -> None:
         digest = stable_digest(key)
         if digest is None or digest in self._plans:
             return
+        # Plans are shared read-only objects (see estimate_cache), so
+        # the store keeps the cached instance itself.
+        self._plans[digest] = plan
         data = plan_to_dict(plan)
-        self._plans[digest] = data
         self._pending.append({"kind": "plan", "key": digest, "plan": data})
 
     # -- persistence ---------------------------------------------------
@@ -492,16 +389,8 @@ class SampleStore:
         self._pending.clear()
         return written
 
-    # -- queries -------------------------------------------------------
-    def samples_by_fingerprint(self) -> dict[str, list[KernelSample]]:
-        grouped: dict[str, list[KernelSample]] = {}
-        for sample in self.samples:
-            grouped.setdefault(sample.fingerprint, []).append(sample)
-        return grouped
-
     def summary(self) -> str:
         est, lad, plans = self.cached_entries
-        fingerprints = len({s.fingerprint for s in self.samples})
         where = self.path if self.path is not None else "<memory>"
         skipped = (
             f", {self.skipped_records} corrupt record(s) skipped"
@@ -509,63 +398,6 @@ class SampleStore:
             else ""
         )
         return (
-            f"{where}: {len(self.samples)} samples over {fingerprints} "
-            f"strategy fingerprint(s); cached {est} estimates, {lad} "
-            f"ladder choices, {plans} plans{skipped}"
+            f"{where}: cached {est} estimates, {lad} ladder choices, "
+            f"{plans} plans{skipped}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Process-wide recording hook (consulted by PipelinedJoinStrategy.estimate)
-# ---------------------------------------------------------------------------
-_recording: SampleStore | None = None
-
-
-def attach(store: SampleStore) -> None:
-    """Record every subsequent estimate into ``store`` (bench/serve
-    recording hook; also see ``estimate_cache.attach_store`` for cache
-    persistence through the same store)."""
-    global _recording
-    _recording = store
-
-
-def detach() -> None:
-    global _recording
-    _recording = None
-
-
-def attached() -> SampleStore | None:
-    return _recording
-
-
-def record_estimate_sample(
-    strategy: Any, spec: JoinSpec, materialize: bool, metrics: JoinMetrics
-) -> None:
-    """Record one estimate into the attached store (no-op when none is
-    attached or the strategy has no stable fingerprint).  Called on
-    *every* estimate — cache hits included — so a warm process still
-    contributes its working set; the store deduplicates."""
-    if _recording is None:
-        return
-    fingerprint = stable_digest(strategy.cache_fingerprint())
-    spec_digest = stable_digest(spec)
-    if fingerprint is None or spec_digest is None:
-        return
-    cost_model = getattr(strategy, "cost_model", None)
-    calibration = stable_digest(getattr(cost_model, "calib", None)) or "none"
-    _recording.record_sample(
-        KernelSample(
-            strategy=getattr(strategy, "key", type(strategy).__name__),
-            fingerprint=fingerprint,
-            spec=spec_digest,
-            calibration=calibration,
-            features=working_set_features(spec, materialize),
-            seconds=metrics.seconds,
-            materialize=materialize,
-        )
-    )
-
-
-def snapshot_iter(samples: Iterable[KernelSample]) -> list[dict[str, Any]]:
-    """JSON-ready records of ``samples`` (diagnostics/tests helper)."""
-    return [sample.to_record() for sample in samples]

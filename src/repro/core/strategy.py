@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar, Protocol, runtime_checkable
 
-from repro.core import estimate_cache, learned_cost, sample_store
+from repro.core import estimate_cache
 from repro.core.results import JoinMetrics, JoinRunResult
 from repro.data.spec import JoinSpec
 from repro.errors import InvalidConfigError, UnknownStrategyError
@@ -234,33 +234,15 @@ class PipelinedJoinStrategy:
         memoized in :mod:`repro.core.estimate_cache`; the planner ladder
         and the serving scheduler's re-planning hit the same cache, so a
         workload's kernel costs are computed once per process.
-
-        Two opt-in hooks ride along.  When the learned fast path is
-        active (:func:`repro.core.learned_cost.activation` — the
-        ``learned=True`` flag) and its model covers this strategy's
-        fingerprint, the regression answers *before* the cache and its
-        approximate metrics never enter it, so turning the flag off
-        instantly restores bit-identical analytic results.  When a
-        sample store is attached for recording
-        (:func:`repro.core.sample_store.attach`), every analytic
-        estimate — cache hits included, so warm processes still
-        contribute — is recorded as a training sample.
         """
-        learned = learned_cost.fast_estimate(self, spec, materialize)
-        if learned is not None and not kwargs:
-            return learned
         key = estimate_cache.make_key(
             self.cache_fingerprint(), spec, materialize, kwargs
         )
         cached = estimate_cache.lookup(key)
         if cached is not None:
-            if not kwargs:
-                sample_store.record_estimate_sample(self, spec, materialize, cached)
             return cached
         metrics = self.simulate(self.prepare(spec, materialize=materialize, **kwargs))
         estimate_cache.store(key, metrics)
-        if not kwargs:
-            sample_store.record_estimate_sample(self, spec, materialize, metrics)
         return metrics
 
     def run(

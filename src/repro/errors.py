@@ -44,13 +44,13 @@ class FaultPlanError(InvalidConfigError):
 
 
 class SampleStoreError(ReproError):
-    """A kernel-sample store file is unusable.
+    """A cache-store file is unusable.
 
     Raised by :meth:`repro.core.sample_store.SampleStore.load` when the
     file's versioned header is missing, unparsable, or names a format
-    version this code cannot read.  Truncated or partially-written
-    *record* lines (the tail a crashed writer leaves behind) are **not**
-    errors: loading skips them and counts them in
+    version this code cannot read.  Truncated, partially-written or
+    malformed *record* lines (the tail a crashed writer leaves behind)
+    are **not** errors: loading skips them and counts them in
     :attr:`~repro.core.sample_store.SampleStore.skipped_records`.
     """
 

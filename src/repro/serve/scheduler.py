@@ -86,7 +86,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from repro.core import estimate_cache, learned_cost
+from repro.core import estimate_cache
 from repro.core.config import GpuJoinConfig
 from repro.core.planner import choose_strategy_name
 from repro.core.strategy import (
@@ -752,7 +752,6 @@ class QueryScheduler:
         steal: bool = False,
         max_retries: int = 3,
         retry_backoff_seconds: float = 0.05,
-        learned: bool = False,
     ):
         if max_degradation is not None and max_degradation < 1.0:
             raise InvalidConfigError("max_degradation must be >= 1.0")
@@ -801,16 +800,6 @@ class QueryScheduler:
         )
         self.admission = admission
         self.steal = steal
-        #: Opt-in learned cost-model fast path: every run of this
-        #: scheduler executes inside
-        #: ``learned_cost.activation(self.learned)`` — a force-set in
-        #: both directions, so ``learned=False`` (the default) keeps
-        #: runs bit-identical to golden even when some other component
-        #: in the process has installed a fitted model.  ``learned=True``
-        #: additionally requires a model (``learned_cost.set_model``) to
-        #: actually change anything; without one every estimate falls
-        #: through to the analytic path.
-        self.learned = learned
         #: Fault recovery (used only when a run gets a non-empty
         #: ``faults=`` plan): how many times one query may be
         #: re-admitted after a crash or transient admission failure,
@@ -859,15 +848,8 @@ class QueryScheduler:
     def _choose(self, request: QueryRequest, available_bytes: int) -> str:
         if request.strategy is not None:
             return request.strategy
-        # calibration/config only matter to the opt-in learned ladder
-        # filter (they pick which fingerprints it predicts under); the
-        # analytic walk ignores them, so learned=False is unchanged.
         return choose_strategy_name(
-            request.spec,
-            self.system,
-            available_bytes=available_bytes,
-            calibration=self.calibration,
-            config=self.config,
+            request.spec, self.system, available_bytes=available_bytes
         )
 
     @staticmethod
@@ -966,7 +948,7 @@ class QueryScheduler:
         if cached is not None:
             return cached
         key = request.strategy or choose_strategy_name(
-            request.spec, self.system, calibration=calib, config=self.config
+            request.spec, self.system
         )
         strategy = self._strategy(key, calib)
         metrics = strategy.estimate(request.spec, materialize=request.materialize)
@@ -1749,297 +1731,292 @@ class QueryScheduler:
                 peak_inflight_tasks = inflight_tasks
             admitted_wave.append((device, qid))
 
-        # Run under this scheduler's learned setting — a force-set in
-        # both directions, so learned=False runs are bit-identical to
-        # golden even when another component in the process has
-        # installed and activated a model.
-        with learned_cost.activation(self.learned):
-            while (
-                wait_queue
-                or next_req is not None
-                or fleet.any_running()
-                or (fault_run is not None and fault_run.has_work())
+        while (
+            wait_queue
+            or next_req is not None
+            or fleet.any_running()
+            or (fault_run is not None and fault_run.has_work())
+        ):
+            self._apply_fleet_events(fleet, events, clock)
+            if fault_run is not None:
+                inflight_tasks -= self._apply_faults(
+                    fault_run, fleet, wait_queue, outcomes, task_names,
+                    owner, clock,
+                )
+            if (
+                not fleet.any_running()
+                and not wait_queue
+                and next_req is not None
+                and next_req.submit_at > clock
             ):
+                # Idle jump — but never past a fleet event or a fault
+                # wakeup (crash / retry-ready), which may change what
+                # the next admission can see.
+                horizon = next_req.submit_at
+                if events and events[0].at < horizon:
+                    horizon = events[0].at
+                if fault_run is not None:
+                    wake = fault_run.next_wake()
+                    if wake is not None and wake < horizon:
+                        horizon = wake
+                clock = horizon
                 self._apply_fleet_events(fleet, events, clock)
                 if fault_run is not None:
                     inflight_tasks -= self._apply_faults(
-                        fault_run, fleet, wait_queue, outcomes, task_names,
-                        owner, clock,
+                        fault_run, fleet, wait_queue, outcomes,
+                        task_names, owner, clock,
                     )
+            elif (
+                fault_run is not None
+                and not fleet.any_running()
+                and not wait_queue
+                and next_req is None
+                and fault_run.has_work()
+            ):
+                # Stream exhausted, fleet idle: only a waiting retry can
+                # produce more work — jump to the next fault wakeup,
+                # clamped to fleet events.
+                horizon = fault_run.next_wake()
+                assert horizon is not None  # has_work() implies a retry
+                if events and events[0].at < horizon:
+                    horizon = events[0].at
+                clock = max(clock, horizon)
+                self._apply_fleet_events(fleet, events, clock)
+                inflight_tasks -= self._apply_faults(
+                    fault_run, fleet, wait_queue, outcomes, task_names,
+                    owner, clock,
+                )
+
+            if (
+                fault_run is not None
+                and not fleet.active()
+                and not any(e.action == "add" for e in events)
+            ):
+                # Fleet lost: every accepting device crashed (or was
+                # retiring) and none will join.  Nothing waiting or
+                # still arriving can ever be admitted: fail the queue
+                # and retry backlog, then the rest of the stream
+                # (validated exactly as ingestion would) — conservation
+                # must still account for every arrival.  Queries still
+                # draining on a retiring device finish normally.
+                fault_run.fail_stranded(wait_queue)
+                while next_req is not None:
+                    fault_run.fail_now(take(), reason="fleet_lost")
+
+            # Ingest every arrival due by now; ingestion itself never
+            # advances the clock.
+            while next_req is not None and next_req.submit_at <= clock:
+                request = take()
                 if (
-                    not fleet.any_running()
-                    and not wait_queue
-                    and next_req is not None
-                    and next_req.submit_at > clock
+                    shedding
+                    and not any_deadlines
+                    and hard_deadline(request) != math.inf
                 ):
-                    # Idle jump — but never past a fleet event or a fault
-                    # wakeup (crash / retry-ready), which may change what
-                    # the next admission can see.
-                    horizon = next_req.submit_at
-                    if events and events[0].at < horizon:
-                        horizon = events[0].at
-                    if fault_run is not None:
-                        wake = fault_run.next_wake()
-                        if wake is not None and wake < horizon:
-                            horizon = wake
-                    clock = horizon
-                    self._apply_fleet_events(fleet, events, clock)
-                    if fault_run is not None:
-                        inflight_tasks -= self._apply_faults(
-                            fault_run, fleet, wait_queue, outcomes,
-                            task_names, owner, clock,
-                        )
-                elif (
-                    fault_run is not None
-                    and not fleet.any_running()
-                    and not wait_queue
-                    and next_req is None
-                    and fault_run.has_work()
-                ):
-                    # Stream exhausted, fleet idle: only a waiting retry can
-                    # produce more work — jump to the next fault wakeup,
-                    # clamped to fleet events.
-                    horizon = fault_run.next_wake()
-                    assert horizon is not None  # has_work() implies a retry
-                    if events and events[0].at < horizon:
-                        horizon = events[0].at
-                    clock = max(clock, horizon)
-                    self._apply_fleet_events(fleet, events, clock)
-                    inflight_tasks -= self._apply_faults(
-                        fault_run, fleet, wait_queue, outcomes, task_names,
-                        owner, clock,
-                    )
+                    any_deadlines = True
+                ingest(request)
 
+            if any_deadlines and wait_queue:
+                # Shed queued queries whose hard deadline has already
+                # passed — they can no longer finish in time, and
+                # admitting them would burn fleet time a live query
+                # needs.  Verdict "deadline_expired" (distinct from the
+                # ingestion-time "slo_wait") so audits can attribute
+                # deadline sheds per class.  Runs before admission so an
+                # expired query is never admitted at or past its
+                # deadline; a fault-retried query carries its original
+                # class and is swept by the same rule.
+                expired = [
+                    r for r in wait_queue if hard_deadline(r) <= clock
+                ]
+                if expired:
+                    depth = len(wait_queue)
+                    gone = {r.qid for r in expired}
+                    for request in expired:
+                        shed.append(ShedOutcome(
+                            qid=request.qid,
+                            submit_at=request.submit_at,
+                            reason="deadline_expired",
+                            queue_depth=depth,
+                            estimated_wait_seconds=(
+                                clock - request.submit_at
+                            ),
+                            class_name=class_name_of(request),
+                            tenant=tenant_of(request),
+                        ))
+                    for pos in range(len(wait_queue) - 1, -1, -1):
+                        if wait_queue[pos].qid in gone:
+                            del wait_queue[pos]
+
+            # Admit while the admission policy's chosen head can be
+            # placed somewhere; head-of-line blocking — on the *chosen*
+            # head — keeps admission starvation-free.  FIFO (the
+            # default) always chooses index 0.
+            while wait_queue:
+                pos = (
+                    self._admission_pos(
+                        admission, wait_queue, admission_ctx, clock
+                    )
+                    if admission.reorders
+                    else 0
+                )
+                request = wait_queue[pos]
                 if (
                     fault_run is not None
-                    and not fleet.active()
-                    and not any(e.action == "add" for e in events)
+                    and fault_run.take_admission_fault(request.qid)
                 ):
-                    # Fleet lost: every accepting device crashed (or was
-                    # retiring) and none will join.  Nothing waiting or
-                    # still arriving can ever be admitted: fail the queue
-                    # and retry backlog, then the rest of the stream
-                    # (validated exactly as ingestion would) — conservation
-                    # must still account for every arrival.  Queries still
-                    # draining on a retiring device finish normally.
-                    fault_run.fail_stranded(wait_queue)
-                    while next_req is not None:
-                        fault_run.fail_now(take(), reason="fleet_lost")
-
-                # Ingest every arrival due by now; ingestion itself never
-                # advances the clock.
-                while next_req is not None and next_req.submit_at <= clock:
-                    request = take()
-                    if (
-                        shedding
-                        and not any_deadlines
-                        and hard_deadline(request) != math.inf
-                    ):
-                        any_deadlines = True
-                    ingest(request)
-
-                if any_deadlines and wait_queue:
-                    # Shed queued queries whose hard deadline has already
-                    # passed — they can no longer finish in time, and
-                    # admitting them would burn fleet time a live query
-                    # needs.  Verdict "deadline_expired" (distinct from the
-                    # ingestion-time "slo_wait") so audits can attribute
-                    # deadline sheds per class.  Runs before admission so an
-                    # expired query is never admitted at or past its
-                    # deadline; a fault-retried query carries its original
-                    # class and is swept by the same rule.
-                    expired = [
-                        r for r in wait_queue if hard_deadline(r) <= clock
-                    ]
-                    if expired:
-                        depth = len(wait_queue)
-                        gone = {r.qid for r in expired}
-                        for request in expired:
-                            shed.append(ShedOutcome(
-                                qid=request.qid,
-                                submit_at=request.submit_at,
-                                reason="deadline_expired",
-                                queue_depth=depth,
-                                estimated_wait_seconds=(
-                                    clock - request.submit_at
-                                ),
-                                class_name=class_name_of(request),
-                                tenant=tenant_of(request),
-                            ))
-                        for pos in range(len(wait_queue) - 1, -1, -1):
-                            if wait_queue[pos].qid in gone:
-                                del wait_queue[pos]
-
-                # Admit while the admission policy's chosen head can be
-                # placed somewhere; head-of-line blocking — on the *chosen*
-                # head — keeps admission starvation-free.  FIFO (the
-                # default) always chooses index 0.
-                while wait_queue:
-                    pos = (
-                        self._admission_pos(
-                            admission, wait_queue, admission_ctx, clock
-                        )
-                        if admission.reorders
-                        else 0
-                    )
-                    request = wait_queue[pos]
-                    if (
-                        fault_run is not None
-                        and fault_run.take_admission_fault(request.qid)
-                    ):
-                        # Planned transient admission failure: the refusal
-                        # charges the same retry budget a crash does, and
-                        # the query re-queues after its backoff.
-                        del wait_queue[pos]
-                        fault_run.record_failure(request, clock)
-                        continue
-                    placed = self._place(
-                        request, fleet, policy, outcomes, clock,
-                        can_grow=any(e.action == "add" for e in events),
-                    )
-                    if placed is None:
-                        break
+                    # Planned transient admission failure: the refusal
+                    # charges the same retry budget a crash does, and
+                    # the query re-queues after its backoff.
                     del wait_queue[pos]
-                    device = self._admit(
-                        request, placed, outcomes, task_names, owner, clock,
-                        fault_run=fault_run,
-                    )
-                    admission.record_admit(request, admission_ctx)
-                    admitted(device, request.qid)
-
-                if self.steal and wait_queue:
-                    for device, qid in self._steal(
-                        wait_queue, fleet, outcomes, task_names, owner, clock,
-                        fault_run=fault_run,
-                    ):
-                        admitted(device, qid)
-
-                if wait_queue and not fleet.any_running():
-                    if events:
-                        # Nothing running and the head is blocked: only a
-                        # fleet event can change the picture.
-                        clock = max(clock, events[0].at)
-                        continue
-                    if fault_run is not None:
-                        wake = fault_run.next_wake()
-                        if wake is not None:
-                            # A pending crash or retry is the only
-                            # remaining event source.
-                            clock = max(clock, wake)
-                            continue
-                    # Livelock guard: unreachable under the current policy
-                    # — with an empty arena every accepting device offers
-                    # the unconstrained placement — but a future gate that
-                    # drops the `running` condition must fail loudly, not
-                    # hang.
-                    head = wait_queue[0]  # pragma: no cover - _place bug
-                    raise SchedulingError(  # pragma: no cover
-                        f"query {head.qid!r} cannot be admitted on an idle "
-                        "fleet"
-                    )
-
-                # One engine extension per device that gained tasks: later
-                # admissions join the tail of every FIFO lane on their
-                # device, so already-placed tasks never move and a wave
-                # costs O(new tasks).
-                for device in fleet:
-                    if not device.dirty:
-                        continue
-                    if device.engine is None:
-                        device.engine = PipelineEngine(
-                            device.resources, device=device.index
-                        )
-                    device.schedule = device.engine.extend(
-                        device.schedule, device.wave_tasks, in_place=True
-                    )
-                    device.wave_tasks = []
-                    device.dirty = False
-
-                # Each admitted query's finish is read once, right after
-                # its wave's extension (the FIFO-tail guarantee above), so
-                # release events come from a heap instead of re-reading
-                # the schedule — which compaction may have trimmed — every
-                # wave.
-                for device, qid in admitted_wave:
-                    finish = max(
-                        device.schedule.tasks[name].finish
-                        for name in task_names[qid]
-                    )
-                    outcomes[qid].finish_at = finish
-                    outcomes[qid].deadline_missed = (
-                        finish > outcomes[qid].deadline_at
-                    )
-                    device.predicted_finish[qid] = finish
-                    generation = (
-                        0 if fault_run is None else fault_run.generation(qid)
-                    )
-                    heapq.heappush(finish_heap, (finish, qid, generation))
-                admitted_wave = []
-                retained = sum(len(device.schedule.tasks) for device in fleet)
-                if retained > peak_retained_tasks:
-                    peak_retained_tasks = retained
-
-                times = []
-                if finish_heap:
-                    times.append(finish_heap[0][0])
-                if (
-                    not wait_queue
-                    and next_req is not None
-                    and next_req.submit_at > clock
-                ):
-                    times.append(next_req.submit_at)
-                if events:
-                    # Remaining fleet events are strictly in the future
-                    # (due ones were applied at the top of the loop) and
-                    # are admission opportunities.
-                    times.append(events[0].at)
-                if fault_run is not None:
-                    # Crash and retry-ready times are clock stops: a query
-                    # must not simulate *through* a crash to a later finish,
-                    # and a retry must not wait past its backoff.  (Due
-                    # wakeups were applied at the top, so the next one is
-                    # strictly in the future.)
-                    wake = fault_run.next_wake()
-                    if wake is not None and wake > clock:
-                        times.append(wake)
-                if not times:  # pragma: no cover - loop condition re-check
+                    fault_run.record_failure(request, clock)
+                    continue
+                placed = self._place(
+                    request, fleet, policy, outcomes, clock,
+                    can_grow=any(e.action == "add" for e in events),
+                )
+                if placed is None:
                     break
-                clock = min(times)
-                due: list[tuple[float, str, int]] = []
-                while finish_heap and finish_heap[0][0] <= clock:
-                    due.append(heapq.heappop(finish_heap))
-                for finish, qid, generation in sorted(
-                    due, key=lambda item: item[1]
+                del wait_queue[pos]
+                device = self._admit(
+                    request, placed, outcomes, task_names, owner, clock,
+                    fault_run=fault_run,
+                )
+                admission.record_admit(request, admission_ctx)
+                admitted(device, request.qid)
+
+            if self.steal and wait_queue:
+                for device, qid in self._steal(
+                    wait_queue, fleet, outcomes, task_names, owner, clock,
+                    fault_run=fault_run,
                 ):
-                    if (
-                        fault_run is not None
-                        and fault_run.generation(qid) != generation
-                    ):
-                        # Stale entry: the query was lost to a crash (and
-                        # possibly re-admitted under a newer generation)
-                        # after this finish was predicted.
+                    admitted(device, qid)
+
+            if wait_queue and not fleet.any_running():
+                if events:
+                    # Nothing running and the head is blocked: only a
+                    # fleet event can change the picture.
+                    clock = max(clock, events[0].at)
+                    continue
+                if fault_run is not None:
+                    wake = fault_run.next_wake()
+                    if wake is not None:
+                        # A pending crash or retry is the only
+                        # remaining event source.
+                        clock = max(clock, wake)
                         continue
-                    completed.append(outcomes.pop(qid))
-                    device = owner.pop(qid)
-                    device.arena.release(qid, at=clock)
-                    device.running.remove(qid)
-                    del device.predicted_finish[qid]
-                    inflight_tasks -= len(task_names.pop(qid))
-                    released_since_compact += 1
-                    if fault_run is not None:
-                        fault_run.live.pop(qid, None)
-                fleet.finalize_retirements()
+                # Livelock guard: unreachable under the current policy
+                # — with an empty arena every accepting device offers
+                # the unconstrained placement — but a future gate that
+                # drops the `running` condition must fail loudly, not
+                # hang.
+                head = wait_queue[0]  # pragma: no cover - _place bug
+                raise SchedulingError(  # pragma: no cover
+                    f"query {head.qid!r} cannot be admitted on an idle "
+                    "fleet"
+                )
+
+            # One engine extension per device that gained tasks: later
+            # admissions join the tail of every FIFO lane on their
+            # device, so already-placed tasks never move and a wave
+            # costs O(new tasks).
+            for device in fleet:
+                if not device.dirty:
+                    continue
+                if device.engine is None:
+                    device.engine = PipelineEngine(
+                        device.resources, device=device.index
+                    )
+                device.schedule = device.engine.extend(
+                    device.schedule, device.wave_tasks, in_place=True
+                )
+                device.wave_tasks = []
+                device.dirty = False
+
+            # Each admitted query's finish is read once, right after
+            # its wave's extension (the FIFO-tail guarantee above), so
+            # release events come from a heap instead of re-reading
+            # the schedule — which compaction may have trimmed — every
+            # wave.
+            for device, qid in admitted_wave:
+                finish = max(
+                    device.schedule.tasks[name].finish
+                    for name in task_names[qid]
+                )
+                outcomes[qid].finish_at = finish
+                outcomes[qid].deadline_missed = (
+                    finish > outcomes[qid].deadline_at
+                )
+                device.predicted_finish[qid] = finish
+                generation = (
+                    0 if fault_run is None else fault_run.generation(qid)
+                )
+                heapq.heappush(finish_heap, (finish, qid, generation))
+            admitted_wave = []
+            retained = sum(len(device.schedule.tasks) for device in fleet)
+            if retained > peak_retained_tasks:
+                peak_retained_tasks = retained
+
+            times = []
+            if finish_heap:
+                times.append(finish_heap[0][0])
+            if (
+                not wait_queue
+                and next_req is not None
+                and next_req.submit_at > clock
+            ):
+                times.append(next_req.submit_at)
+            if events:
+                # Remaining fleet events are strictly in the future
+                # (due ones were applied at the top of the loop) and
+                # are admission opportunities.
+                times.append(events[0].at)
+            if fault_run is not None:
+                # Crash and retry-ready times are clock stops: a query
+                # must not simulate *through* a crash to a later finish,
+                # and a retry must not wait past its backoff.  (Due
+                # wakeups were applied at the top, so the next one is
+                # strictly in the future.)
+                wake = fault_run.next_wake()
+                if wake is not None and wake > clock:
+                    times.append(wake)
+            if not times:  # pragma: no cover - loop condition re-check
+                break
+            clock = min(times)
+            due: list[tuple[float, str, int]] = []
+            while finish_heap and finish_heap[0][0] <= clock:
+                due.append(heapq.heappop(finish_heap))
+            for finish, qid, generation in sorted(
+                due, key=lambda item: item[1]
+            ):
                 if (
-                    compact_every is not None
-                    and released_since_compact >= compact_every
+                    fault_run is not None
+                    and fault_run.generation(qid) != generation
                 ):
-                    for device in fleet:
-                        if device.engine is not None:
-                            retired_tasks += device.engine.compact(
-                                device.schedule, clock
-                            )
-                    compactions += 1
-                    released_since_compact = 0
+                    # Stale entry: the query was lost to a crash (and
+                    # possibly re-admitted under a newer generation)
+                    # after this finish was predicted.
+                    continue
+                completed.append(outcomes.pop(qid))
+                device = owner.pop(qid)
+                device.arena.release(qid, at=clock)
+                device.running.remove(qid)
+                del device.predicted_finish[qid]
+                inflight_tasks -= len(task_names.pop(qid))
+                released_since_compact += 1
+                if fault_run is not None:
+                    fault_run.live.pop(qid, None)
+            fleet.finalize_retirements()
+            if (
+                compact_every is not None
+                and released_since_compact >= compact_every
+            ):
+                for device in fleet:
+                    if device.engine is not None:
+                        retired_tasks += device.engine.compact(
+                            device.schedule, clock
+                        )
+                compactions += 1
+                released_since_compact = 0
 
         fleet.check_drained()
         report = ServeReport(

@@ -93,3 +93,14 @@ def test_serve_regression_propagates_mid_ladder_failures(monkeypatch):
     with pytest.raises(ReproError, match="mid-ladder"):
         run_serve_regression(levels=(2,))
     estimate_cache.clear()  # don't leak poisoned ladder entries
+
+
+def test_store_regression_warm_start_is_exact():
+    """A warm start from a reloaded cache-store file reproduces the
+    golden and cold schedules, and the store answers every warm miss."""
+    from repro.bench.regress import run_store_regression
+
+    lines = run_store_regression(seeds=(0, 60))
+    assert len(lines) == 1
+    assert lines[0].endswith("ok")
+    assert "every warm miss answered by the store" in lines[0]

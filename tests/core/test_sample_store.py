@@ -1,14 +1,14 @@
-"""Persistence contracts of the kernel-sample store.
+"""Persistence contracts of the cache store.
 
 Three anchor properties, matching ``docs/cost_model.md``:
 
-* **Round-trip fidelity** — samples and persisted cache entries
-  survive ``flush()`` + ``load()`` exactly, including across a real
-  process boundary (a subprocess writes, this process reads);
-* **Corruption tolerance** — a truncated or garbled record line (a
-  crashed writer's tail) is *skipped* and counted, never fatal, while
-  a missing/corrupt/unknown-version header raises the named
-  :class:`~repro.errors.SampleStoreError`;
+* **Round-trip fidelity** — persisted cache entries survive
+  ``flush()`` + ``load()`` exactly, including across a real process
+  boundary (a subprocess writes, this process reads);
+* **Corruption tolerance** — a truncated, garbled or malformed record
+  line (a crashed writer's tail) is *skipped* and counted, never fatal
+  and never served, while a missing/corrupt/unknown-version header
+  raises the named :class:`~repro.errors.SampleStoreError`;
 * **Decision identity** — a warm-started process (store attached to
   the estimate cache) returns bit-identical metrics to a cold one,
   and its store hits are visible in ``stats()``.
@@ -21,16 +21,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import create_strategy, estimate_cache, sample_store
+from repro.core import create_strategy, estimate_cache
 from repro.core.sample_store import (
     FORMAT,
     VERSION,
-    KernelSample,
     SampleStore,
+    metrics_to_dict,
     plan_from_dict,
     plan_to_dict,
     stable_digest,
-    working_set_features,
 )
 from repro.data import unique_pair
 from repro.errors import SampleStoreError
@@ -41,58 +40,53 @@ SPEC = unique_pair(32_000_000)
 @pytest.fixture(autouse=True)
 def detached():
     """Every test starts and ends with no store attached anywhere."""
-    sample_store.detach()
     estimate_cache.detach_store()
     estimate_cache.clear()
     yield
-    sample_store.detach()
     estimate_cache.detach_store()
     estimate_cache.clear()
 
 
-def _sample(seconds: float = 1.25, spec: str = "spec-a") -> KernelSample:
-    return KernelSample(
-        strategy="gpu_resident",
-        fingerprint="fp-1",
-        spec=spec,
-        calibration="none",
-        features=working_set_features(SPEC, False),
-        seconds=seconds,
-    )
+def _estimate_key(spec=SPEC):
+    strategy = create_strategy("gpu_resident")
+    return estimate_cache.make_key(strategy.cache_fingerprint(), spec, False, {})
+
+
+def _estimate_record(spec=SPEC) -> dict:
+    """The store line ``estimate_cache`` writes through for ``spec``."""
+    metrics = create_strategy("gpu_resident").estimate(spec)
+    return {
+        "kind": "estimate",
+        "key": stable_digest(_estimate_key(spec)),
+        "metrics": metrics_to_dict(metrics),
+    }
 
 
 # ---------------------------------------------------------------------------
 # Round trips
 # ---------------------------------------------------------------------------
-def test_sample_record_round_trip():
-    sample = _sample()
-    assert KernelSample.from_record(sample.to_record()) == sample
-
-
-def test_record_sample_deduplicates():
+def test_known_digests_are_not_reappended():
     store = SampleStore()
-    assert store.record_sample(_sample()) is True
-    assert store.record_sample(_sample()) is False
-    assert store.record_sample(_sample(seconds=2.5)) is True
-    assert len(store.samples) == 2
+    store.remember_ladder(("ladder", "k"), "gpu_resident")
+    store.remember_ladder(("ladder", "k"), "gpu_resident")
+    store.remember_ladder(("ladder", "other"), "streaming")
+    assert store.pending_records == 2
+    assert store.cached_entries == (0, 2, 0)
 
 
 def test_flush_load_round_trip(tmp_path):
     path = str(tmp_path / "store.jsonl")
     store = SampleStore(path=path)
-    store.record_sample(_sample())
-    store.record_sample(_sample(spec="spec-b"))
     strategy = create_strategy("gpu_resident")
-    key = estimate_cache.make_key(strategy.cache_fingerprint(), SPEC, False, {})
+    key = _estimate_key()
     store.remember_estimate(key, strategy.estimate(SPEC))
     store.remember_ladder(("ladder", "k"), "gpu_resident")
     store.remember_plan(("plan", "k"), strategy.prepare(SPEC))
-    assert store.flush() == 5
+    assert store.flush() == 3
     assert store.pending_records == 0
     assert store.flush() == 0  # nothing new
 
     loaded = SampleStore.load(path)
-    assert loaded.samples == store.samples
     assert loaded.skipped_records == 0
     assert loaded.cached_entries == (1, 1, 1)
     assert loaded.estimate_for_key(key) == strategy.estimate(SPEC)
@@ -110,19 +104,17 @@ def test_plan_serialization_round_trip():
 
 def test_cross_process_round_trip(tmp_path):
     """A store written by another interpreter loads here with identical
-    samples and cache entries — the digests really are cross-process."""
+    cache entries — the digests really are cross-process."""
     path = tmp_path / "store.jsonl"
     src = Path(__file__).resolve().parents[2] / "src"
     script = (
-        "from repro.core import create_strategy, estimate_cache, sample_store\n"
+        "from repro.core import create_strategy, estimate_cache\n"
         "from repro.core.sample_store import SampleStore\n"
         "from repro.data import unique_pair\n"
         f"store = SampleStore(path={str(path)!r})\n"
-        "sample_store.attach(store)\n"
         "estimate_cache.attach_store(store)\n"
         "spec = unique_pair(32_000_000)\n"
         "metrics = create_strategy('gpu_resident').estimate(spec)\n"
-        "sample_store.detach()\n"
         "estimate_cache.detach_store()\n"
         "store.flush()\n"
         "print(repr(metrics.seconds))\n"
@@ -138,11 +130,9 @@ def test_cross_process_round_trip(tmp_path):
 
     loaded = SampleStore.load(str(path))
     assert loaded.skipped_records == 0
-    assert len(loaded.samples) == 1
-    assert loaded.samples[0].seconds == child_seconds
+    assert loaded.cached_entries == (1, 0, 0)
     strategy = create_strategy("gpu_resident")
-    key = estimate_cache.make_key(strategy.cache_fingerprint(), SPEC, False, {})
-    persisted = loaded.estimate_for_key(key)
+    persisted = loaded.estimate_for_key(_estimate_key())
     assert persisted is not None
     assert persisted.seconds == child_seconds
     # And it agrees bit-for-bit with recomputation in this process.
@@ -170,15 +160,21 @@ def test_warm_process_makes_identical_decisions(tmp_path):
     assert estimate_cache.stats().hits == stats.hits + 1
 
 
-def test_recording_fires_on_cache_hits_too():
-    """A warm process (every estimate a cache hit) still contributes
-    samples — recording is not gated on the miss path."""
-    create_strategy("gpu_resident").estimate(SPEC)  # warm the cache
-    store = SampleStore()
-    sample_store.attach(store)
-    create_strategy("gpu_resident").estimate(SPEC)  # pure cache hit
-    sample_store.detach()
-    assert len(store.samples) == 1
+def test_serve_cli_warm_start_appends_nothing(tmp_path, capsys):
+    """A repeat ``serve --sample-store`` run finds every cache entry it
+    needs in the store, so it has nothing new to append."""
+    from repro.bench.serve_bench import serve_main
+
+    path = str(tmp_path / "samples.jsonl")
+    argv = ["--clients", "4", "--sample-store", path, "--out", "-"]
+    assert serve_main(argv) == 0
+    cold = capsys.readouterr().out
+    assert "0 new record(s) appended" not in cold
+    estimate_cache.clear()  # a fresh process starts with an empty LRU
+    assert serve_main(argv) == 0
+    warm = capsys.readouterr().out
+    assert f"sample store {path}: 0 new record(s) appended" in warm
+    assert estimate_cache.stats().store_hits > 0
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +188,68 @@ def _write_store(tmp_path, *lines: str) -> str:
 
 
 def test_truncated_tail_is_skipped_not_fatal(tmp_path):
-    good = json.dumps(_sample().to_record())
-    truncated = json.dumps(_sample(spec="spec-b").to_record())[:-9]
+    good = json.dumps(_estimate_record())
+    truncated = json.dumps(_estimate_record(unique_pair(16_000_000)))[:-9]
     store = SampleStore.load(_write_store(tmp_path, good, truncated))
-    assert len(store.samples) == 1
+    assert store.cached_entries == (1, 0, 0)
     assert store.skipped_records == 1
     assert "skipped" in store.summary()
 
 
 def test_garbled_and_unknown_kind_records_are_skipped(tmp_path):
+    analytic = create_strategy("gpu_resident").estimate(SPEC)
+    digest = stable_digest(_estimate_key())
+    plan = plan_to_dict(create_strategy("gpu_resident").prepare(SPEC))
+    del plan["tasks"][0]["duration"]
+    listed_phases = dict(metrics_to_dict(analytic), phases=[1, 2])
     store = SampleStore.load(
         _write_store(
             tmp_path,
             "not json at all {{{",
             json.dumps({"kind": "hologram", "x": 1}),
-            json.dumps({"kind": "sample"}),  # missing required fields
-            json.dumps(_sample().to_record()),
+            json.dumps({"kind": "estimate"}),  # missing required fields
+            # Valid JSON under a real key, but not a JoinMetrics payload.
+            json.dumps(
+                {"kind": "estimate", "key": digest, "metrics": {"seconds": 1.0}}
+            ),
+            json.dumps({"kind": "plan", "key": "p", "plan": plan}),
+            json.dumps({"kind": "estimate", "key": "e", "metrics": listed_phases}),
+            json.dumps({"kind": "ladder", "key": "k", "choice": "streaming"}),
         )
     )
-    assert len(store.samples) == 1
-    assert store.skipped_records == 3
+    assert store.skipped_records == 6
+    assert store.cached_entries == (0, 1, 0)
+    # The malformed payload was never served: the estimate recomputes.
+    estimate_cache.clear()
+    estimate_cache.attach_store(store)
+    assert create_strategy("gpu_resident").estimate(SPEC) == analytic
+    assert estimate_cache.stats().store_hits == 0
+
+
+def test_sample_lines_of_older_builds_load_without_skips(tmp_path):
+    """Version-1 files also hold the kernel-cost ``sample`` lines older
+    builds recorded; they are dropped without counting as corrupt, and
+    the cache entries beside them still warm-start."""
+    legacy = {
+        "kind": "sample",
+        "strategy": "gpu_resident",
+        "fingerprint": "0" * 32,
+        "spec": "1" * 32,
+        "calibration": "none",
+        "features": [1.0, 32.0, 32.0, 0.512, 0.512, 0.0],
+        "seconds": 0.0125,
+        "materialize": False,
+    }
+    store = SampleStore.load(
+        _write_store(tmp_path, json.dumps(legacy), json.dumps(_estimate_record()))
+    )
+    assert store.skipped_records == 0
+    assert store.cached_entries == (1, 0, 0)
+    analytic = create_strategy("gpu_resident").estimate(SPEC)
+    estimate_cache.clear()
+    estimate_cache.attach_store(store)
+    assert create_strategy("gpu_resident").estimate(SPEC) == analytic
+    assert estimate_cache.stats().store_hits == 1
 
 
 def test_missing_file_raises_sample_store_error(tmp_path):
@@ -219,7 +257,7 @@ def test_missing_file_raises_sample_store_error(tmp_path):
         SampleStore.load(str(tmp_path / "absent.jsonl"))
     # open() tolerates absence: an empty store bound to the path.
     store = SampleStore.open(str(tmp_path / "absent.jsonl"))
-    assert store.samples == [] and store.path is not None
+    assert store.cached_entries == (0, 0, 0) and store.path is not None
 
 
 @pytest.mark.parametrize(
@@ -242,7 +280,7 @@ def test_bad_headers_raise_sample_store_error(tmp_path, header):
 def test_flush_creates_file_with_header_atomically(tmp_path):
     path = str(tmp_path / "fresh.jsonl")
     store = SampleStore(path=path)
-    store.record_sample(_sample())
+    store.remember_ladder(("ladder", "k"), "gpu_resident")
     store.flush()
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0]) == {"format": FORMAT, "version": VERSION}
@@ -252,7 +290,7 @@ def test_flush_creates_file_with_header_atomically(tmp_path):
 
 def test_in_memory_store_never_touches_disk():
     store = SampleStore()
-    store.record_sample(_sample())
+    store.remember_ladder(("ladder", "k"), "gpu_resident")
     assert store.flush() == 0
     assert store.pending_records == 0
 
