@@ -17,15 +17,17 @@ Three anchor properties, matching ``docs/cost_model.md``:
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.core import create_strategy, estimate_cache
+from repro.core import create_strategy, estimate_cache, registered_strategies
 from repro.core.sample_store import (
     FORMAT,
     VERSION,
     SampleStore,
+    metrics_from_dict,
     metrics_to_dict,
     plan_from_dict,
     plan_to_dict,
@@ -65,13 +67,38 @@ def _estimate_record(spec=SPEC) -> dict:
 # ---------------------------------------------------------------------------
 # Round trips
 # ---------------------------------------------------------------------------
-def test_known_digests_are_not_reappended():
+def test_sample_record_round_trip():
+    """An estimate record survives its JSON line exactly: every float of
+    the metrics, its phases and its notes, for every registry strategy."""
+    for strategy in registered_strategies():
+        for materialize in (False, True):
+            metrics = create_strategy(strategy).estimate(
+                SPEC, materialize=materialize
+            )
+            record = {
+                "kind": "estimate",
+                "key": "k",
+                "metrics": metrics_to_dict(metrics),
+            }
+            line = json.dumps(record, sort_keys=True)
+            assert metrics_from_dict(json.loads(line)["metrics"]) == metrics
+
+
+def test_record_sample_deduplicates():
+    """A record whose digest the store already holds is not appended
+    again, and the first value recorded under a key is the one kept."""
     store = SampleStore()
     store.remember_ladder(("ladder", "k"), "gpu_resident")
     store.remember_ladder(("ladder", "k"), "gpu_resident")
     store.remember_ladder(("ladder", "other"), "streaming")
     assert store.pending_records == 2
     assert store.cached_entries == (0, 2, 0)
+    metrics = create_strategy("gpu_resident").estimate(SPEC)
+    store.remember_estimate(_estimate_key(), metrics)
+    store.remember_estimate(_estimate_key(), replace(metrics, seconds=2.5))
+    assert store.pending_records == 3
+    assert store.cached_entries == (1, 2, 0)
+    assert store.estimate_for_key(_estimate_key()) == metrics
 
 
 def test_flush_load_round_trip(tmp_path):
