@@ -62,6 +62,24 @@ WORKING_SET_MEMORY_FRACTION = 0.65
 COPROC_RESERVED_WS_BYTES = 256 * 1024 * 1024
 
 
+def working_set_columns(final_sizes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Expected sizes of the final co-partitions resident in one working
+    set, each scaled by its host partition's weight in that set.
+
+    ``weights[p]`` is the working set's share of host partition ``p``
+    (:attr:`CoProcessingPlan.ws_weights`).  Final co-partition ``i``
+    belongs to host partition ``i % fanout``, so column ``p`` of the
+    ``(-1, fanout)`` view holds host partition ``p``'s co-partitions.
+    Selecting the live columns yields the same elements, IEEE products
+    and order as scaling the full-length array by the per-co-partition
+    weight and masking out the zero-weight ones, at O(live
+    co-partitions) instead of O(all) cost.
+    """
+    live = np.flatnonzero(weights > 0)
+    columns = final_sizes.reshape(-1, weights.shape[0])[:, live]
+    return (columns * weights[live]).ravel()
+
+
 @dataclass
 class CoProcessingPlan:
     """Static execution plan: packing, chunking and splitting decisions.
@@ -372,16 +390,6 @@ class CoProcessingJoin(PipelinedJoinStrategy):
         probe_final = stats_mod.expected_partition_sizes(spec.probe, final_bits)
         matches = stats_mod.expected_join_cardinality(spec)
         key_bits = key_bit_width(max(spec.build.distinct, spec.probe.distinct) - 1)
-        cpu_fanout = 1 << self.cpu_bits
-
-        final_to_cpu = np.arange(build_final.shape[0], dtype=np.int64) & (
-            cpu_fanout - 1
-        )
-
-        def ws_factor(w: int) -> np.ndarray:
-            # Fraction of each final co-partition resident in working set
-            # w (fractional when an oversized host partition was split).
-            return plan.ws_weights[w][final_to_cpu]
 
         def ws_prep_seconds(w: int) -> float:
             # Partition the working set on the GPU, then build its
@@ -408,10 +416,8 @@ class CoProcessingJoin(PipelinedJoinStrategy):
         def ws_evaluator(w: int) -> tuple:
             cached = evaluators.get(w)
             if cached is None:
-                factor = ws_factor(w)
-                live = factor > 0
-                b = (build_final * factor)[live]
-                s = (probe_final * factor)[live]
+                b = working_set_columns(build_final, plan.ws_weights[w])
+                s = working_set_columns(probe_final, plan.ws_weights[w])
                 evaluator = self._resident._join_cost_evaluator(
                     b,
                     s,

@@ -30,6 +30,11 @@ This module provides one shared cache:
   cached; the sharded serving layer re-prepares the same (spec,
   placement, memory-grant) combination on every device-placement
   candidate and determinism re-run, so plans are memoized the same way.
+  ``estimate()`` and the serving scheduler's admission share one
+  prepare per key: both go through
+  :meth:`~repro.core.strategy.PipelinedJoinStrategy.cached_prepare`,
+  which keys the plan exactly as the estimate is keyed, so an estimate
+  miss leaves behind the plan its admission then reuses.
   Cached plans are **shared, read-only** objects: callers must not
   mutate ``plan.tasks`` / ``plan.resources`` (the serving scheduler
   only reads them, re-materializing namespaced copies of the tasks);

@@ -233,17 +233,37 @@ class PipelinedJoinStrategy:
         Estimates are pure in (strategy fingerprint, spec, kwargs) and
         memoized in :mod:`repro.core.estimate_cache`; the planner ladder
         and the serving scheduler's re-planning hit the same cache, so a
-        workload's kernel costs are computed once per process.
+        workload's kernel costs are computed once per process.  A miss
+        takes its plan from :meth:`cached_prepare` under the same key,
+        so the serving scheduler admitting this query later reuses that
+        plan instead of preparing it a second time.
         """
-        key = estimate_cache.make_key(
-            self.cache_fingerprint(), spec, materialize, kwargs
-        )
+        key = self._cache_key(spec, materialize, kwargs)
         cached = estimate_cache.lookup(key)
         if cached is not None:
             return cached
-        metrics = self.simulate(self.prepare(spec, materialize=materialize, **kwargs))
+        metrics = self.simulate(
+            self.cached_prepare(spec, materialize=materialize, **kwargs)
+        )
         estimate_cache.store(key, metrics)
         return metrics
+
+    def cached_prepare(
+        self, spec: JoinSpec, *, materialize: bool = False, **kwargs: Any
+    ) -> JoinPlan:
+        """:meth:`prepare`, memoized in the shared plan cache under the
+        key :meth:`estimate` uses for the same arguments: one prepare
+        per key serves both the estimate and the admission that
+        follows it.  The plan is shared and read-only."""
+        return estimate_cache.cached_plan(
+            self._cache_key(spec, materialize, kwargs),
+            lambda: self.prepare(spec, materialize=materialize, **kwargs),
+        )
+
+    def _cache_key(self, spec: JoinSpec, materialize: bool, kwargs: dict):
+        return estimate_cache.make_key(
+            self.cache_fingerprint(), spec, materialize, kwargs
+        )
 
     def run(
         self,

@@ -86,7 +86,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from repro.core import estimate_cache
 from repro.core.config import GpuJoinConfig
 from repro.core.planner import choose_strategy_name
 from repro.core.strategy import (
@@ -1007,18 +1006,15 @@ class QueryScheduler:
         (tasks are re-materialized by :meth:`_namespace`), so cached
         plans are shared safely across runs, determinism re-runs and
         devices, and a fast device's task durations can never be served
-        to a slow one.
+        to a slow one.  ``cached_prepare`` keys the plan exactly as the
+        strategy's ``estimate()`` does: when the alone-estimate that
+        priced this placement missed the cache, it prepared this plan,
+        and admission reuses that object instead of preparing it again.
         """
         calib = calibration if calibration is not None else self.calibration
         strategy = self._strategy(key, calib, self._grant(key, need))
-        plan_key = estimate_cache.make_key(
-            strategy.cache_fingerprint(), request.spec, request.materialize, {}
-        )
-        return estimate_cache.cached_plan(
-            plan_key,
-            lambda: strategy.prepare(
-                request.spec, materialize=request.materialize
-            ),
+        return strategy.cached_prepare(
+            request.spec, materialize=request.materialize
         )
 
     @staticmethod

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CoProcessingJoin, GpuJoinConfig
+from repro.core import coprocessing
 from repro.data import (
     Distribution,
     JoinSpec,
@@ -125,3 +126,77 @@ def test_plan_covers_all_partitions():
     plan = coproc.plan(sizes, 8, probe_n=100_000)
     covered = sorted(p for ws in plan.working_sets for p in ws.partition_ids)
     assert covered == list(range(16))
+
+
+# ---------------------------------------------------------------------------
+# Working-set column selection
+# ---------------------------------------------------------------------------
+GIB = 1 << 30
+#: Grants: the whole device, the serving benchmark's co-processing
+#: grant, and the 32 MiB working-set floor, which splits host partitions.
+GRANTS = (None, int(1.25 * GIB), GIB)
+
+
+def _gathered(sizes, weights):
+    """The full-length gather-and-mask the column selection replaced."""
+    n, fanout = sizes.shape[0], weights.shape[0]
+    factor = weights[np.arange(n) & (fanout - 1)]
+    return (sizes * factor)[factor > 0]
+
+
+def _recorded_columns(monkeypatch, coproc, spec):
+    """Prepare ``spec`` and return every (sizes, weights, selected)
+    triple ``prepare`` passed through :func:`working_set_columns`."""
+    calls = []
+    select = coprocessing.working_set_columns
+
+    def record(sizes, weights):
+        selected = select(sizes, weights)
+        calls.append((sizes, weights, selected))
+        return selected
+
+    monkeypatch.setattr(coprocessing, "working_set_columns", record)
+    plan = coproc.prepare(spec)
+    # One build and one probe selection per working set.
+    assert len(calls) == 2 * plan.notes["working_sets"]
+    return calls
+
+
+@pytest.mark.parametrize("grant", GRANTS, ids=("whole", "1.25GiB", "split"))
+@pytest.mark.parametrize("cpu_bits", (1, 4, 6))
+@pytest.mark.parametrize(
+    "spec",
+    (
+        unique_pair(512_000_000, 64_000_000),
+        zipf_pair(512_000_000, 0.5, probe_n=64_000_000),
+        zipf_pair(512_000_000, 1.0, probe_n=64_000_000),
+    ),
+    ids=("unique", "zipf0.5", "zipf1.0"),
+)
+def test_working_set_columns_equal_the_full_gather(monkeypatch, spec, cpu_bits, grant):
+    """Slicing a working set's host-partition columns yields the bytes
+    of the full-length gather, product and mask, for the build and the
+    probe arrays of every working set (a small radix config keeps the
+    reference gather cheap)."""
+    coproc = CoProcessingJoin(
+        config=GpuJoinConfig(total_radix_bits=8),
+        cpu_bits=cpu_bits,
+        device_budget=grant,
+    )
+    calls = _recorded_columns(monkeypatch, coproc, spec)
+    for sizes, weights, selected in calls:
+        assert selected.tobytes() == _gathered(sizes, weights).tobytes()
+    if grant == GIB:
+        # The floor grant really splits a host partition across sets.
+        assert any(((w > 0) & (w < 1)).any() for _, w, _ in calls)
+
+
+def test_working_set_columns_at_paper_scale(monkeypatch):
+    """The same identity on the default config's 2^19 final
+    co-partitions, one host partition per working set."""
+    coproc = CoProcessingJoin(device_budget=GRANTS[1])
+    calls = _recorded_columns(monkeypatch, coproc, unique_pair(512_000_000))
+    assert calls[0][0].shape == (1 << 19,)
+    for sizes, weights, selected in calls:
+        assert np.count_nonzero(weights) == 1
+        assert selected.tobytes() == _gathered(sizes, weights).tobytes()

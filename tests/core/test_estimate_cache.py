@@ -161,6 +161,78 @@ def test_scheduler_reuses_cached_plans_across_runs():
     assert after_second.plan_hits > after_first.plan_hits
 
 
+@pytest.mark.parametrize("devices", (1, 2))
+def test_serve_prepares_each_plan_key_once(monkeypatch, devices):
+    """A cold serve prepares each (fingerprint, spec, materialize,
+    kwargs) key exactly once: an estimate miss and the admission that
+    follows it share one plan, so the plan an admitted query gets is
+    the very object its estimate built."""
+    from repro.core.strategy import (
+        PipelinedJoinStrategy,
+        registered_strategies,
+        strategy_factory,
+    )
+    from repro.serve import QueryScheduler, mixed_workload
+
+    prepared: dict = {}
+    built_in_estimate: list = []
+    admitted: list = []
+    depth = {"prepare": 0, "estimate": 0}
+
+    def counted(original):
+        # Count outermost calls only, so a subclass's super().prepare()
+        # is not a second prepare.
+        def prepare(self, spec, *, materialize=False, **kwargs):
+            depth["prepare"] += 1
+            try:
+                plan = original(self, spec, materialize=materialize, **kwargs)
+            finally:
+                depth["prepare"] -= 1
+            if depth["prepare"] == 0:
+                key = estimate_cache.make_key(
+                    self.cache_fingerprint(), spec, materialize, kwargs
+                )
+                prepared[key] = prepared.get(key, 0) + 1
+                if depth["estimate"]:
+                    built_in_estimate.append(plan)
+            return plan
+
+        return prepare
+
+    classes = {strategy_factory(key) for key in registered_strategies()}
+    for cls in classes:
+        if "prepare" in vars(cls):
+            monkeypatch.setattr(cls, "prepare", counted(vars(cls)["prepare"]))
+    estimate = PipelinedJoinStrategy.estimate
+
+    def estimating(self, *args, **kwargs):
+        depth["estimate"] += 1
+        try:
+            return estimate(self, *args, **kwargs)
+        finally:
+            depth["estimate"] -= 1
+
+    monkeypatch.setattr(PipelinedJoinStrategy, "estimate", estimating)
+    prepare_plan = QueryScheduler._prepare_plan
+
+    def admitting(self, *args, **kwargs):
+        plan = prepare_plan(self, *args, **kwargs)
+        admitted.append(plan)
+        return plan
+
+    monkeypatch.setattr(QueryScheduler, "_prepare_plan", admitting)
+
+    QueryScheduler(devices=devices).run_online(mixed_workload(8))
+
+    repeated = [key for key, count in prepared.items() if count != 1]
+    assert prepared and not repeated, (
+        f"{len(repeated)} of {len(prepared)} plan keys prepared more than once"
+    )
+    assert len(admitted) == 8
+    for plan in admitted:
+        assert any(plan is built for built in built_in_estimate)
+
+
 # ---------------------------------------------------------------------------
 # LRU bounding
 # ---------------------------------------------------------------------------

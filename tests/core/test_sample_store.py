@@ -157,13 +157,25 @@ def test_cross_process_round_trip(tmp_path):
 
     loaded = SampleStore.load(str(path))
     assert loaded.skipped_records == 0
-    assert loaded.cached_entries == (1, 0, 0)
+    # The estimate miss prepared its plan through the plan cache, so the
+    # plan was written through too (for the admission that reuses it).
+    assert loaded.cached_entries == (1, 0, 1)
     strategy = create_strategy("gpu_resident")
     persisted = loaded.estimate_for_key(_estimate_key())
     assert persisted is not None
     assert persisted.seconds == child_seconds
     # And it agrees bit-for-bit with recomputation in this process.
     assert persisted == strategy.estimate(SPEC)
+    plan = loaded.plan_for_key(_estimate_key())
+    fresh = strategy.prepare(SPEC)
+    assert plan is not None and fresh.tasks
+    assert [
+        (task.name, task.resource, task.duration, task.deps)
+        for task in plan.tasks
+    ] == [
+        (task.name, task.resource, task.duration, task.deps)
+        for task in fresh.tasks
+    ]
 
 
 def test_warm_process_makes_identical_decisions(tmp_path):
