@@ -3,9 +3,9 @@
 The analytic ``estimate()`` paths are pure functions of (strategy
 configuration, workload spec, keyword arguments): the same inputs always
 produce the same :class:`~repro.core.results.JoinMetrics`.  The serving
-layer re-plans every admitted query (solo baseline, degraded-placement
-estimate, wait-vs-degrade comparison), the planner ladder estimates the
-same spec it just sized, and the benchmark sweeps revisit identical
+layer prices every distinct request again in every run (solo baseline,
+degraded-placement estimates), the planner ladder estimates the same
+spec it just sized, and the benchmark sweeps revisit identical
 workloads across concurrency levels and determinism re-runs — so the
 same kernel costs used to be recomputed hundreds of times per run.
 
@@ -64,10 +64,10 @@ decisions to a cold one without re-estimating.
 
 Per-device memory budgets are part of every key already: a strategy's
 fingerprint includes its constructor extras (co-processing's
-``device_budget`` grant), and the ladder key includes the free bytes
-the admission decision saw — so a sharded fleet's devices, each with
-its own headroom, share cache entries exactly when their placement
-inputs coincide and never otherwise.
+``device_budget`` grant), and the ladder key includes the available
+bytes the walk was asked about — so a sharded fleet's devices, each
+with its own headroom, share cache entries exactly when their
+placement inputs coincide and never otherwise.
 
 Metrics are stored and returned as defensive copies (their ``phases`` /
 ``notes`` dicts are mutable), so callers can annotate a result without
@@ -344,9 +344,9 @@ def cached_ladder_choice(
 ) -> str:
     """Memoize the planner ladder's strategy choice.
 
-    The ladder's ``fits_in`` walk is pure in (spec, system,
-    available_bytes); admission control re-runs it on every scheduling
-    event and the determinism re-run repeats the whole sequence.
+    The ladder walk is pure in (spec, system, available_bytes).  The
+    serving scheduler asks it once per request and run, for the solo
+    choice; the bench figures and the determinism re-runs repeat it.
     """
     global _ladder_hits, _ladder_misses, _ladder_evictions, _ladder_store_hits
     if not _enabled:

@@ -3,8 +3,8 @@
 A central claim of the paper is that "a one-size-fits-all approach is
 not suitable for GPU joins": the right algorithm depends on where the
 data can live.  The planner encodes that decision as a ladder of
-registry keys — each candidate strategy's own :meth:`fits` predicate
-decides whether the workload's data placement suits it:
+registry keys — each rung is taken when its strategy's device
+footprint (``device_bytes_needed``) fits the memory available:
 
 * both relations (plus partitioned copies) fit in device memory
   → in-GPU partitioned join (§III);
@@ -13,10 +13,15 @@ decides whether the workload's data placement suits it:
 * neither fits → CPU–GPU co-processing (§IV-B).
 
 The planner dispatches purely through the strategy registry; it names
-no concrete strategy class.
+no concrete strategy class.  The walk itself is :func:`ladder_rung`
+over precomputed footprints (:func:`ladder_footprints`): the serving
+scheduler computes a request's footprints once per run and re-walks
+them against every device's headroom with integer comparisons only.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from repro.core import estimate_cache
 from repro.core.config import GpuJoinConfig
@@ -36,6 +41,29 @@ from repro.gpusim.spec import SystemSpec
 #: Preference order: fastest placement first, co-processing as the
 #: always-feasible floor.
 PLANNER_LADDER = (GPU_RESIDENT, STREAMING, COPROCESSING)
+
+
+def ladder_footprints(
+    spec: JoinSpec,
+    system: SystemSpec,
+    ladder: Sequence[str] = PLANNER_LADDER,
+) -> tuple[int, ...]:
+    """Each rung's device footprint for ``spec``, in ``ladder`` order
+    (bytes; the strategy's ``device_bytes_needed``)."""
+    return tuple(
+        strategy_factory(key).device_bytes_needed(spec, system)
+        for key in ladder
+    )
+
+
+def ladder_rung(footprints: Sequence[int], available_bytes: float) -> int:
+    """The ladder walk: index of the first rung whose footprint fits in
+    ``available_bytes``, or the last rung — the always-feasible floor —
+    when none does."""
+    for rung, need in enumerate(footprints):
+        if need <= available_bytes:
+            return rung
+    return len(footprints) - 1
 
 
 def choose_strategy_name(
@@ -58,10 +86,8 @@ def choose_strategy_name(
         available_bytes = system.gpu.device_memory
 
     def walk_ladder() -> str:
-        for key in PLANNER_LADDER:
-            if strategy_factory(key).fits_in(spec, system, available_bytes):
-                return key
-        return COPROCESSING
+        footprints = ladder_footprints(spec, system)
+        return PLANNER_LADDER[ladder_rung(footprints, available_bytes)]
 
     # The walk is pure in (spec, system, available_bytes); admission
     # control re-runs it on every scheduling event, so memoize it

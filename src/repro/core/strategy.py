@@ -131,8 +131,9 @@ class PipelinedJoinStrategy:
 
     Subclasses implement :meth:`prepare` (analytic plans from a spec)
     and :meth:`execute` (functional execution, typically re-planning
-    with observed durations), and may override :meth:`fits` so the
-    planner can test data-placement feasibility without instantiation.
+    with observed durations), and may override
+    :meth:`device_bytes_needed` so the planner can test data-placement
+    feasibility without instantiation.
 
     Immutability contract: a strategy sets all of its state in
     ``__init__`` and never changes it afterwards — :meth:`prepare`,
@@ -162,18 +163,10 @@ class PipelinedJoinStrategy:
         return 0
 
     @classmethod
-    def fits_in(
-        cls, spec: JoinSpec, system: "SystemSpec", available_bytes: float
-    ) -> bool:
-        """Whether this strategy's footprint fits in ``available_bytes``
-        of free device memory (admission-control variant of :meth:`fits`)."""
-        return cls.device_bytes_needed(spec, system) <= available_bytes
-
-    @classmethod
     def fits(cls, spec: JoinSpec, system: "SystemSpec") -> bool:
         """Whether the workload's data placement suits this strategy
         when it has the whole device to itself."""
-        return cls.fits_in(spec, system, system.gpu.device_memory)
+        return cls.device_bytes_needed(spec, system) <= system.gpu.device_memory
 
     # -- protocol -------------------------------------------------------
     def prepare(

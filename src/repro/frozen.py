@@ -1,7 +1,8 @@
 """Cached hashing for the frozen value types behind every cache key.
 
-The estimate, plan, ladder and solo caches key on tuples of frozen
-dataclasses (specs, calibrations, configs).  The ``__hash__`` that
+The estimate, plan and ladder caches and the serving scheduler's
+per-run admission profiles key on tuples of frozen dataclasses (specs,
+calibrations, configs).  The ``__hash__`` that
 ``@dataclass(frozen=True)`` generates re-hashes every field on every
 call, recursing into nested specs, so a hot serving loop spends a large
 share of its time re-deriving hashes of objects that can never change.

@@ -138,9 +138,9 @@ class AdmissionContext:
     ``clock`` is the simulated time of the admission attempt (the
     scheduler refreshes it before every :meth:`AdmissionPolicy.select`
     call — one context object lives per run); ``solo_seconds`` maps a
-    request to its cached unconstrained solo estimate (the scheduler's
-    ``_solo`` cache — a dict hit after the first call per distinct
-    spec, so ranking the queue is cheap).
+    request to its unconstrained solo estimate, read from the run's
+    admission profile of the request (estimated once per distinct
+    spec and run, then a table hit, so ranking the queue is cheap).
     """
 
     clock: float

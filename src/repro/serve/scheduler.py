@@ -13,11 +13,12 @@ admitted* — and, on a sharded fleet, *where*.  The scheduler:
   default, is the classic single-GPU scheduler, bit-identical to the
   pre-sharding implementation);
 * on admission, re-plans the query against every device's current
-  headroom (``choose_strategy_name(..., available_bytes=...)``) and
+  headroom (the planner ladder walked over the footprints in the run's
+  profile of the request, :func:`~repro.core.planner.ladder_rung`) and
   asks the :class:`~repro.serve.placement.PlacementPolicy` to pick
   among the devices that can host the query's *unconstrained* solo
   placement right now.  When no device can, the best degraded
-  placement across the fleet (by cached alone-estimate) competes with
+  placement across the fleet (by alone-estimate) competes with
   the fleet-wide estimated wait: a query degrades only when the
   cheaper placement is within ``max_degradation`` of its solo makespan
   *and* starting now beats queueing for the memory the solo placement
@@ -87,14 +88,18 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from repro.core.config import GpuJoinConfig
-from repro.core.planner import choose_strategy_name
+from repro.core.planner import (
+    PLANNER_LADDER,
+    choose_strategy_name,
+    ladder_footprints,
+    ladder_rung,
+)
 from repro.core.strategy import (
     COPROCESSING,
     COPROCESSING_ADAPTIVE,
     JoinPlan,
     JoinStrategy,
     create_strategy,
-    strategy_factory,
 )
 from repro.data.spec import JoinSpec
 from repro.errors import InvalidConfigError, SchedulingError
@@ -669,6 +674,44 @@ class ServeReport:
         return "\n".join(lines)
 
 
+class _Profile:
+    """What admission reads about one request under one calibration.
+
+    One entry per (spec, materialize, pin, calibration) and run (see
+    :meth:`QueryScheduler._profile`).  ``ladder`` / ``needs`` are the
+    offer keys and their device footprints in rung order — the planner
+    ladder, or just the pin for a pinned request — so choosing a
+    device's offer is :func:`~repro.core.planner.ladder_rung` over
+    integers.  ``solo_key`` / ``solo_need`` are the unconstrained
+    placement, and ``calibration`` the one every price below is
+    estimated under.  The prices are filled on first use: ``solo_seconds``
+    (the solo makespan), ``alone`` (the alone-estimate per offer key,
+    under that key's memory grant) and ``plans`` (the prepared plan per
+    admitted key).
+    """
+
+    __slots__ = (
+        "ladder", "needs", "solo_key", "solo_need", "calibration",
+        "solo_seconds", "alone", "plans",
+    )
+
+    def __init__(
+        self,
+        ladder: tuple[str, ...],
+        needs: tuple[int, ...],
+        solo_key: str,
+        calibration: Calibration | None,
+    ):
+        self.ladder = ladder
+        self.needs = needs
+        self.solo_key = solo_key
+        self.solo_need = needs[ladder.index(solo_key)]
+        self.calibration = calibration
+        self.solo_seconds: float | None = None
+        self.alone: dict[str, float] = {}
+        self.plans: dict[str, JoinPlan] = {}
+
+
 class QueryScheduler:
     """Runs queries concurrently on a simulated GPU fleet.
 
@@ -676,11 +719,12 @@ class QueryScheduler:
     request list (no shedding, full schedules kept) and
     :meth:`run_stream` an iterator (bounded queue, load shedding,
     schedule compaction).  Both are deterministic — identical inputs
-    produce identical reports — and both lean on the process-wide
-    :mod:`repro.core.estimate_cache` for every solo/degraded/wait
-    estimate *and* every prepared plan, which are pure memoizations:
-    cached and recomputed values are interchangeable.  Memory
-    quantities are **bytes**, times **simulated seconds**.
+    produce identical reports.  A run prices each request once: its
+    footprints, solo choice, solo/alone estimates and admitted plans
+    live in the run's profile table (:meth:`_profile`), filled through
+    the process-wide :mod:`repro.core.estimate_cache` — pure
+    memoizations, so cached and recomputed values are interchangeable.
+    Memory quantities are **bytes**, times **simulated seconds**.
 
     ``devices`` shards the fleet: each device gets its own arena,
     engine and resource lanes, and ``placement`` (a registry key from
@@ -752,14 +796,25 @@ class QueryScheduler:
         max_retries: int = 3,
         retry_backoff_seconds: float = 0.05,
     ):
-        if max_degradation is not None and max_degradation < 1.0:
-            raise InvalidConfigError("max_degradation must be >= 1.0")
+        # Negated comparisons, so NaN fails them too.
+        if max_degradation is not None and not max_degradation >= 1.0:
+            raise InvalidConfigError(
+                f"max_degradation must be >= 1.0, got {max_degradation!r}"
+            )
         if devices < 1:
             raise InvalidConfigError("devices must be >= 1")
         if max_retries < 0:
             raise InvalidConfigError("max_retries must be >= 0")
-        if retry_backoff_seconds < 0:
-            raise InvalidConfigError("retry_backoff_seconds must be >= 0")
+        if not retry_backoff_seconds >= 0:
+            raise InvalidConfigError(
+                "retry_backoff_seconds must be >= 0, got "
+                f"{retry_backoff_seconds!r}"
+            )
+        for name, width in (lanes or {}).items():
+            if not isinstance(width, int) or isinstance(width, bool) or width < 1:
+                raise InvalidConfigError(
+                    f"lanes[{name!r}] must be a positive int, got {width!r}"
+                )
         self.system = system or SystemSpec()
         if device_capacities is not None:
             if len(device_capacities) != devices:
@@ -777,12 +832,19 @@ class QueryScheduler:
                 _check_simulable(
                     cap, self.system, f"device_capacities[{index}]"
                 )
-        if device_calibrations is not None and len(device_calibrations) != devices:
-            raise InvalidConfigError(
-                f"device_calibrations has {len(device_calibrations)} "
-                f"entries for devices={devices}; give one calibration "
-                "(or None for the default) per device"
-            )
+        if device_calibrations is not None:
+            if len(device_calibrations) != devices:
+                raise InvalidConfigError(
+                    f"device_calibrations has {len(device_calibrations)} "
+                    f"entries for devices={devices}; give one calibration "
+                    "(or None for the default) per device"
+                )
+            for index, calib in enumerate(device_calibrations):
+                if calib is not None and not isinstance(calib, Calibration):
+                    raise InvalidConfigError(
+                        f"device_calibrations[{index}] must be a "
+                        f"Calibration or None, got {calib!r}"
+                    )
         self.calibration = calibration
         self.config = config
         self.lanes = dict(lanes or {})
@@ -811,16 +873,13 @@ class QueryScheduler:
             create_placement_policy(placement)  # validate the key eagerly
         if isinstance(admission, str):
             create_admission_policy(admission)  # validate the key eagerly
-        #: Solo-placement cache; workloads repeat spec templates and the
-        #: baseline is a pure function of (spec, materialize, pin,
-        #: calibration).  The makespans themselves are memoized
-        #: process-wide by :mod:`repro.core.estimate_cache` (underneath
-        #: ``estimate()``), so re-planning, determinism re-runs and
-        #: sweep levels share kernel-cost work; this dict only saves the
-        #: re-dispatch.
-        self._solo_cache: dict[
+        #: The run's admission profiles (:meth:`_profile`), emptied at
+        #: the start of every run: workloads repeat spec templates, and
+        #: everything admission reads about a request is a pure function
+        #: of (spec, materialize, pin, calibration).
+        self._profiles: dict[
             tuple[JoinSpec, bool, str | None, Calibration | None],
-            tuple[str, float],
+            _Profile,
         ] = {}
         #: One shared strategy object per (registry key, calibration,
         #: device-memory grant) — see :meth:`_strategy`.
@@ -844,13 +903,6 @@ class QueryScheduler:
         )
 
     # ------------------------------------------------------------------
-    def _choose(self, request: QueryRequest, available_bytes: int) -> str:
-        if request.strategy is not None:
-            return request.strategy
-        return choose_strategy_name(
-            request.spec, self.system, available_bytes=available_bytes
-        )
-
     @staticmethod
     def _grant(key: str, reserved_bytes: int) -> int | None:
         """The device-memory grant strategy ``key`` is built with:
@@ -928,50 +980,64 @@ class QueryScheduler:
             )
         return pos
 
-    def _solo(
+    def _profile(
         self,
         request: QueryRequest,
         calibration: Calibration | None = None,
-    ) -> tuple[str, float]:
-        """Unconstrained placement and makespan on an idle device.
+    ) -> _Profile:
+        """This run's profile of ``request`` under ``calibration`` (a
+        device's; the scheduler default when ``None``), built on first
+        use.
 
-        The strategy *choice* is calibration-independent (the planner
-        ladder ranks by memory fit), but the makespan is computed under
-        ``calibration`` — a specific device's, or the scheduler default
-        when ``None`` — so heterogeneous placement comparisons see each
-        device's own speed.
+        Building it sizes the offers and picks the solo placement — one
+        ``choose_strategy_name`` call per (spec, materialize, pin); a
+        device calibration's entry copies the default entry's, since the
+        ladder ranks by memory fit alone — and estimates nothing, so a
+        pin that never fits is rejected before anything is estimated.
         """
         calib = calibration if calibration is not None else self.calibration
-        cache_key = (request.spec, request.materialize, request.strategy, calib)
-        cached = self._solo_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        key = request.strategy or choose_strategy_name(
-            request.spec, self.system
-        )
-        strategy = self._strategy(key, calib)
-        metrics = strategy.estimate(request.spec, materialize=request.materialize)
-        self._solo_cache[cache_key] = (key, metrics.seconds)
-        return key, metrics.seconds
+        key = (request.spec, request.materialize, request.strategy, calib)
+        profile = self._profiles.get(key)
+        if profile is None:
+            if calib != self.calibration:
+                base = self._profile(request)
+                profile = _Profile(
+                    base.ladder, base.needs, base.solo_key, calib
+                )
+            elif request.strategy is not None:
+                pin = (request.strategy,)
+                profile = _Profile(
+                    pin,
+                    ladder_footprints(request.spec, self.system, pin),
+                    request.strategy,
+                    calib,
+                )
+            else:
+                profile = _Profile(
+                    PLANNER_LADDER,
+                    ladder_footprints(request.spec, self.system),
+                    choose_strategy_name(request.spec, self.system),
+                    calib,
+                )
+            self._profiles[key] = profile
+        return profile
 
-    def _estimate_alone(
+    def _solo_seconds(
         self,
-        key: str,
         request: QueryRequest,
-        reserved_bytes: int,
         calibration: Calibration | None = None,
     ) -> float:
-        """Estimated makespan of running ``key`` alone for this query,
-        under the same memory grant the admitted strategy would get and
-        under ``calibration`` (the candidate device's; scheduler default
-        when ``None``).  Memoized by the shared estimate cache — the
-        grant and the calibration are both part of the strategy
-        fingerprint, so per-device entries never collide."""
-        calib = calibration if calibration is not None else self.calibration
-        strategy = self._strategy(key, calib, self._grant(key, reserved_bytes))
-        return strategy.estimate(
-            request.spec, materialize=request.materialize
-        ).seconds
+        """Makespan of the unconstrained placement on an idle device,
+        under ``calibration`` (the scheduler default when ``None``) — so
+        heterogeneous placement comparisons see each device's own
+        speed.  Estimated once per profile."""
+        profile = self._profile(request, calibration)
+        if profile.solo_seconds is None:
+            strategy = self._strategy(profile.solo_key, profile.calibration)
+            profile.solo_seconds = strategy.estimate(
+                request.spec, materialize=request.materialize
+            ).seconds
+        return profile.solo_seconds
 
     def _offer_estimate(
         self,
@@ -979,17 +1045,28 @@ class QueryScheduler:
         key: str,
         need: int,
         calibration: Calibration | None,
-        solo_key: str,
     ) -> float:
-        """Alone-makespan of offer ``key`` on a device with
-        ``calibration`` — the :attr:`PlacementCandidate.est_seconds`
-        placement policies rank.  The common non-degraded, no-extras
-        offer short-circuits to the cached solo makespan (the exact
-        same float, which is what keeps homogeneous ranking
-        bit-identical to the historical load-only order)."""
-        if key == solo_key and self._grant(key, need) is None:
-            return self._solo(request, calibration)[1]
-        return self._estimate_alone(key, request, need, calibration=calibration)
+        """Alone-makespan of offer ``key`` (footprint ``need``) on a
+        device with ``calibration`` — the
+        :attr:`PlacementCandidate.est_seconds` placement policies rank —
+        under the memory grant the admitted strategy would get.
+        Estimated once per profile and key.  The non-degraded, no-grant
+        offer is the solo makespan itself (the exact same float, which
+        is what keeps homogeneous ranking bit-identical to the
+        historical load-only order)."""
+        profile = self._profile(request, calibration)
+        seconds = profile.alone.get(key)
+        if seconds is None:
+            grant = self._grant(key, need)
+            if key == profile.solo_key and grant is None:
+                seconds = self._solo_seconds(request, calibration)
+            else:
+                strategy = self._strategy(key, profile.calibration, grant)
+                seconds = strategy.estimate(
+                    request.spec, materialize=request.materialize
+                ).seconds
+            profile.alone[key] = seconds
+        return seconds
 
     def _prepare_plan(
         self,
@@ -998,7 +1075,8 @@ class QueryScheduler:
         need: int,
         calibration: Calibration | None = None,
     ) -> JoinPlan:
-        """The admitted strategy's plan, memoized process-wide.
+        """The admitted strategy's plan, kept in the profile and
+        memoized process-wide.
 
         Plans are pure in (strategy fingerprint, spec, materialize) —
         the per-device memory grant and the device's calibration both
@@ -1011,11 +1089,16 @@ class QueryScheduler:
         priced this placement missed the cache, it prepared this plan,
         and admission reuses that object instead of preparing it again.
         """
-        calib = calibration if calibration is not None else self.calibration
-        strategy = self._strategy(key, calib, self._grant(key, need))
-        return strategy.cached_prepare(
-            request.spec, materialize=request.materialize
-        )
+        profile = self._profile(request, calibration)
+        plan = profile.plans.get(key)
+        if plan is None:
+            strategy = self._strategy(
+                key, profile.calibration, self._grant(key, need)
+            )
+            plan = profile.plans[key] = strategy.cached_prepare(
+                request.spec, materialize=request.materialize
+            )
+        return plan
 
     @staticmethod
     def _estimated_wait(
@@ -1195,51 +1278,48 @@ class QueryScheduler:
         case it waits for a bigger device to join.
         """
         active = fleet.active()
-        offers = [
-            (device, self._choose(request, device.free_bytes))
-            for device in active
-        ]
-        needs = {
-            key: strategy_factory(key).device_bytes_needed(
-                request.spec, self.system
-            )
-            for key in {key for _, key in offers}
-        }
+        profile = self._profile(request)
+        ladder, needs = profile.ladder, profile.needs
+        # Each device's offer: the request's ladder walked against that
+        # device's headroom (a pinned request's ladder is its pin).
+        rungs = [ladder_rung(needs, device.free_bytes) for device in active]
         if all(
-            needs[key] > device.capacity_bytes for device, key in offers
+            needs[rung] > device.capacity_bytes
+            for device, rung in zip(active, rungs)
         ):
             # Checked before the solo estimate on purpose: estimating a
             # pinned, never-fitting strategy can itself overflow device
             # memory, and "can never be admitted" is the clearer error.
             if can_grow:
                 return None  # a pending 'add' event may bring a bigger device
-            _, key = offers[0]
+            rung = rungs[0]
             raise SchedulingError(
-                f"query {request.qid!r} needs {needs[key] / 1e9:.2f} GB "
-                f"({key}) but no fleet device has that much memory; "
-                "it can never be admitted"
+                f"query {request.qid!r} needs {needs[rung] / 1e9:.2f} GB "
+                f"({ladder[rung]}) but no fleet device has that much "
+                "memory; it can never be admitted"
             )
-        solo_key, _ = self._solo(request)
-        candidates = [
-            PlacementCandidate(
+        solo_key = profile.solo_key
+        candidates = []
+        for device, rung in zip(active, rungs):
+            key, need = ladder[rung], needs[rung]
+            fits = need <= device.free_bytes
+            candidates.append(PlacementCandidate(
                 device=device.index,
                 strategy=key,
-                need_bytes=needs[key],
-                fits=needs[key] <= device.free_bytes,
+                need_bytes=need,
+                fits=fits,
                 degraded=key != solo_key,
                 # Estimated only for fitting offers — placement and the
                 # degrade comparison never look at the rest (and a
                 # never-fitting pinned strategy may not even estimate).
                 est_seconds=(
                     self._offer_estimate(
-                        request, key, needs[key], device.calibration, solo_key
+                        request, key, need, device.calibration
                     )
-                    if needs[key] <= device.free_bytes
+                    if fits
                     else 0.0
                 ),
-            )
-            for device, key in offers
-        ]
+            ))
 
         feasible_solo = [c for c in candidates if c.fits and not c.degraded]
         if feasible_solo:
@@ -1257,11 +1337,8 @@ class QueryScheduler:
         max_degradation = self._max_degradation_for(request)
         if max_degradation is not None and fleet.any_running():
             degraded_alone = best.est_seconds
-            solo_on_best = self._solo(
+            solo_on_best = self._solo_seconds(
                 request, fleet[best.device].calibration
-            )[1]
-            solo_need = strategy_factory(solo_key).device_bytes_needed(
-                request.spec, self.system
             )
             # Queueing alternative: for each accepting device, the time
             # until the unconstrained placement's memory frees there
@@ -1272,7 +1349,7 @@ class QueryScheduler:
             # min is exactly the historical min-wait plus solo.
             wait_then_solo = min(
                 self._estimated_wait(
-                    solo_need,
+                    profile.solo_need,
                     clock=clock,
                     free_bytes=device.free_bytes,
                     reserved={
@@ -1281,7 +1358,7 @@ class QueryScheduler:
                     },
                     predicted_finish=device.predicted_finish,
                 )
-                + self._solo(request, device.calibration)[1]
+                + self._solo_seconds(request, device.calibration)
                 for device in active
             )
             if (
@@ -1330,7 +1407,7 @@ class QueryScheduler:
                 f"placement chose device {device.index} for "
                 f"{request.qid!r} but the reservation failed"
             )
-        solo_key, solo_seconds = self._solo(request)
+        solo_seconds = self._solo_seconds(request)
         plan = self._prepare_plan(
             key, request, need, calibration=device.calibration
         )
@@ -1355,7 +1432,7 @@ class QueryScheduler:
         outcomes[request.qid] = QueryOutcome(
             qid=request.qid,
             strategy=key,
-            solo_strategy=solo_key,
+            solo_strategy=self._profile(request).solo_key,
             reserved_bytes=need,
             submit_at=request.submit_at,
             admit_at=clock,
@@ -1372,12 +1449,9 @@ class QueryScheduler:
         if fault_run is not None:
             fault_run.live[request.qid] = request
         # The wait estimator's predicted finish must reflect *this*
-        # device's speed; `_offer_estimate` short-circuits the common
-        # non-degraded, no-extras admission to the cached solo makespan
-        # under the device's calibration.
-        alone = self._offer_estimate(
-            request, key, need, device.calibration, solo_key
-        )
+        # device's speed: the offer's alone-estimate under the device's
+        # calibration, which priced this placement in `_place`.
+        alone = self._offer_estimate(request, key, need, device.calibration)
         device.predicted_finish[request.qid] = clock + alone
         device.dirty = True
         return device
@@ -1413,19 +1487,18 @@ class QueryScheduler:
             best: tuple[float, int, str, int] | None = None
             for pos in range(1, len(queue)):
                 request = queue[pos]
-                key = self._choose(request, device.free_bytes)
-                need = strategy_factory(key).device_bytes_needed(
-                    request.spec, self.system
-                )
+                profile = self._profile(request)
+                rung = ladder_rung(profile.needs, device.free_bytes)
+                need = profile.needs[rung]
                 if need > device.free_bytes:
                     continue
-                solo_key, _ = self._solo(request)
+                key = profile.ladder[rung]
                 est = self._offer_estimate(
-                    request, key, need, device.calibration, solo_key
+                    request, key, need, device.calibration
                 )
                 max_degradation = self._max_degradation_for(request)
-                if key != solo_key and max_degradation is not None:
-                    solo_here = self._solo(request, device.calibration)[1]
+                if key != profile.solo_key and max_degradation is not None:
+                    solo_here = self._solo_seconds(request, device.calibration)
                     if est > max_degradation * solo_here:
                         continue
                 if best is None or (est, pos) < best[:2]:
@@ -1585,8 +1658,18 @@ class QueryScheduler:
             for finish in device.predicted_finish.values():
                 if finish > at:
                     backlog += finish - at
+        # One table hit per queued request, inlined: a full queue is
+        # re-summed at every shed arrival, so a helper call per entry
+        # shows up in the arrival gaps.
+        profiles, calib = self._profiles, self.calibration
         for queued in wait_queue:
-            backlog += self._solo(queued)[1]
+            profile = profiles.get(
+                (queued.spec, queued.materialize, queued.strategy, calib)
+            )
+            if profile is None or profile.solo_seconds is None:
+                backlog += self._solo_seconds(queued)
+            else:
+                backlog += profile.solo_seconds
         return backlog / len(active)
 
     def _event_loop(
@@ -1620,8 +1703,9 @@ class QueryScheduler:
         policy.reset()
         admission = create_admission_policy(self.admission)
         admission.reset()
+        self._profiles = {}
         admission_ctx = AdmissionContext(
-            clock=0.0, solo_seconds=lambda r: self._solo(r)[1]
+            clock=0.0, solo_seconds=self._solo_seconds
         )
         #: Set the first time a deadline-bearing query is ingested by a
         #: shedding run; gates the per-wave expiry sweep so

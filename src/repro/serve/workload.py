@@ -274,7 +274,7 @@ def random_workload(
 
 #: Interned (spec, materialize) templates the streaming workload draws
 #: from.  Built once at import: 10^5+ arrivals share these few spec
-#: objects, so the scheduler's solo cache and the process-wide
+#: objects, so the scheduler's admission profiles and the process-wide
 #: estimate/plan caches hit on every arrival after warm-up and spec
 #: memory stays O(1) in stream length.  Weighted toward small resident
 #: joins (3-task graphs) with a pressure band and a streaming tail —

@@ -72,10 +72,10 @@ def test_serve_regression_propagates_mid_ladder_failures(monkeypatch):
     """A strategy raising mid-ladder must surface as the library error,
     not hang the serving regression or report a bogus oracle verdict.
 
-    The serving regression re-plans every admission through the planner
-    ladder; if a rung's feasibility probe explodes (a buggy strategy, a
-    bad calibration), the run must fail with that error before any
-    verdict is printed.
+    The serving regression sizes every request's offers on the planner
+    ladder; if a rung's footprint explodes (a buggy strategy, a bad
+    calibration), the run must fail with that error before any verdict
+    is printed.
     """
     import pytest
 
@@ -86,10 +86,12 @@ def test_serve_regression_propagates_mid_ladder_failures(monkeypatch):
 
     estimate_cache.clear()  # drop memoized ladder walks from other tests
 
-    def explode(cls, spec, system, available_bytes):
+    def explode(cls, spec, system):
         raise SchedulingError("streaming rung exploded mid-ladder")
 
-    monkeypatch.setattr(StreamingProbeJoin, "fits_in", classmethod(explode))
+    monkeypatch.setattr(
+        StreamingProbeJoin, "device_bytes_needed", classmethod(explode)
+    )
     with pytest.raises(ReproError, match="mid-ladder"):
         run_serve_regression(levels=(2,))
     estimate_cache.clear()  # don't leak poisoned ladder entries

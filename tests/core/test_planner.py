@@ -64,3 +64,26 @@ def test_planner_picks_fastest_feasible_option():
     coproc = CoProcessingJoin().estimate(spec)
     assert resident.throughput > coproc.throughput
     assert estimate_with_planner(spec).throughput == resident.throughput
+
+
+def test_ladder_rung_takes_a_footprint_equal_to_the_headroom():
+    """A rung fits when its footprint is at most the available bytes —
+    the admission gate reserves exactly the footprint, so an exact fit
+    must be taken — and the co-processing floor is the answer when
+    nothing fits.  ``choose_strategy_name`` walks the same rungs."""
+    from repro.core.planner import ladder_footprints, ladder_rung
+    from repro.gpusim.spec import SystemSpec
+
+    spec = unique_pair(64 * M)
+    resident, streaming, coproc = ladder_footprints(spec, SystemSpec())
+    assert resident > streaming > coproc
+    assert ladder_rung((resident, streaming, coproc), resident) == 0
+    assert ladder_rung((resident, streaming, coproc), resident - 1) == 1
+    assert ladder_rung((resident, streaming, coproc), streaming - 1) == 2
+    assert ladder_rung((resident, streaming, coproc), 0) == 2
+    for available, key in (
+        (resident, GPU_RESIDENT),
+        (streaming, STREAMING),
+        (streaming - 1, COPROCESSING),
+    ):
+        assert choose_strategy_name(spec, available_bytes=available) == key

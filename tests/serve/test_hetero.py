@@ -9,7 +9,8 @@ Covers the per-device refactor end to end:
 * **Unequal capacities** — placement only targets devices a query
   fits, and every per-device arena stays within its *own* cap;
 * **Per-device calibrations** — a fast+slow fleet strictly beats the
-  slow device alone on the 64-client acceptance workload;
+  slow device alone on the 64-client acceptance workload, and 204
+  fast/slow fleet runs are pinned to ``golden_hetero.json``;
 * **Elasticity** — mid-run ``add`` never regresses the makespan,
   ``retire`` drains without ever admitting past the retirement time,
   and invalid events/retirements fail loudly;
@@ -20,6 +21,9 @@ Covers the per-device refactor end to end:
 * **CLI plumbing** — ``--device-caps`` / ``--device-calib`` parsing
   and the ``serve_hetero_*`` / ``serve_steal_*`` perf-entry schema.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -184,6 +188,51 @@ def test_fast_plus_slow_fleet_beats_slow_alone():
     ).run_online(mixed_workload(64))
     assert fleet.makespan < alone.makespan
     assert {o.device for o in fleet.outcomes} == {0, 1}
+
+
+HETERO_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_hetero.json").read_text(encoding="utf-8")
+)
+
+
+def _hetero_workload(name: str) -> list[QueryRequest]:
+    if name.startswith("random"):
+        return random_workload(int(name.removeprefix("random")))
+    return mixed_workload(int(name.removeprefix("mixed")))
+
+
+def test_hetero_golden_covers_every_fleet_and_mode():
+    """204 runs: 50 random seeds plus mixed(32), on fast+slow and
+    slow+fast fleets, stealing off and on."""
+    assert len(HETERO_GOLDEN) == 204
+    assert {name.rsplit("-", 1)[0] for name in HETERO_GOLDEN} == {
+        f"{fleet}-{mode}"
+        for fleet in ("fast,slow", "slow,fast")
+        for mode in ("nosteal", "steal")
+    }
+
+
+@pytest.mark.parametrize("name", sorted(HETERO_GOLDEN))
+def test_hetero_fleet_matches_golden(name):
+    """Every placement, strategy, grant and simulated time on a
+    heterogeneous fleet is pinned (``golden_hetero.json``, captured by
+    ``tools/capture_serve_golden.py``): offers are estimated under each
+    device's own calibration, so a memo that drops the calibration from
+    its key moves these outcomes."""
+    fleet, mode, workload = name.split("-")
+    report = QueryScheduler(
+        devices=2,
+        device_calibrations=[
+            calibration_preset(preset) for preset in fleet.split(",")
+        ],
+        steal=mode == "steal",
+    ).run_online(_hetero_workload(workload))
+    entry = HETERO_GOLDEN[name]
+    assert [list(item) for item in fingerprint_sharded(report)] == (
+        entry["fingerprint"]
+    )
+    assert report.makespan == entry["makespan"]
+    assert list(report.device_peak_bytes) == entry["device_peak_bytes"]
 
 
 def test_hetero_online_matches_batch():

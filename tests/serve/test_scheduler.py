@@ -26,6 +26,36 @@ def test_single_query_matches_solo_estimate():
     assert report.makespan == pytest.approx(outcome.solo_seconds, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        (dict(lanes={"h2d": 0}), r"lanes\['h2d'\]"),
+        (dict(lanes={"h2d": -2}), r"lanes\['h2d'\]"),
+        (dict(lanes={"h2d": 1.5}), r"lanes\['h2d'\]"),
+        (dict(lanes={"gpu": True}), r"lanes\['gpu'\]"),
+        (dict(device_calibrations=["fast"]), r"device_calibrations\[0\]"),
+        (
+            dict(devices=2, device_calibrations=[None, "slow"]),
+            r"device_calibrations\[1\]",
+        ),
+        (dict(max_degradation=float("nan")), "max_degradation"),
+        (dict(retry_backoff_seconds=float("nan")), "retry_backoff_seconds"),
+    ],
+    ids=[
+        "lanes-zero", "lanes-negative", "lanes-float", "lanes-bool",
+        "calibration-name", "calibration-name-second-device",
+        "max-degradation-nan", "retry-backoff-nan",
+    ],
+)
+def test_constructor_rejects_invalid_inputs(kwargs, match):
+    """Every input the constructor accepts must be usable: a zero or
+    fractional lane width, a calibration given by name and a NaN bound
+    each used to pass construction and then fail (or, for NaN
+    ``max_degradation``, silently drop the degradation bound) mid-run."""
+    with pytest.raises(InvalidConfigError, match=match):
+        QueryScheduler(**kwargs)
+
+
 def test_duplicate_ids_rejected():
     spec = unique_pair(16 * M)
     with pytest.raises(InvalidConfigError):

@@ -1,9 +1,12 @@
-"""One shared strategy object per (key, calibration, grant) per scheduler.
+"""One shared strategy object per (key, calibration, grant) per scheduler,
+and one price per request per run.
 
 The scheduler plans every query with strategy objects it creates once
 and keeps; that is only sound because strategies never change their
 own state after ``__init__`` (the contract documented on
-:class:`~repro.core.strategy.PipelinedJoinStrategy`).
+:class:`~repro.core.strategy.PipelinedJoinStrategy`).  What admission
+reads about a request — its solo choice and its estimates — is
+computed once per run and kept in the run's profile table.
 """
 
 from collections import Counter
@@ -13,7 +16,9 @@ import pytest
 
 import repro.serve.scheduler as scheduler_module
 from repro.bench.regress import reference_spec
+from repro.bench.serve_bench import fingerprint_sharded
 from repro.core import create_strategy, estimate_cache, registered_strategies
+from repro.core.strategy import PipelinedJoinStrategy
 from repro.gpusim.calibration import DEFAULT_CALIBRATION, calibration_preset
 from repro.serve import QueryScheduler
 from repro.serve.workload import mixed_workload, stream_workload
@@ -95,3 +100,62 @@ def test_fast_slow_fleet_gets_a_strategy_per_calibration(creations):
     assert any({fast, slow} <= calibrations for calibrations in by_key.values())
     for (key, calibration, grant), strategy in scheduler._strategies.items():
         assert strategy.cost_model.calib == (calibration or DEFAULT_CALIBRATION)
+
+
+@pytest.fixture
+def choices(monkeypatch):
+    """Every ``choose_strategy_name`` call the scheduler makes, as
+    (spec, available_bytes) -> count."""
+    counts: Counter = Counter()
+    real = scheduler_module.choose_strategy_name
+
+    def counting(spec, system=None, **kwargs):
+        counts[spec, kwargs.get("available_bytes")] += 1
+        return real(spec, system, **kwargs)
+
+    monkeypatch.setattr(scheduler_module, "choose_strategy_name", counting)
+    return counts
+
+
+@pytest.fixture
+def estimates(monkeypatch):
+    """Every strategy estimate, as (key, calibration, device_budget
+    grant, spec) -> count."""
+    counts: Counter = Counter()
+    real = PipelinedJoinStrategy.estimate
+
+    def counting(self, spec, **kwargs):
+        grant = getattr(self, "device_budget", None)
+        counts[self.key, self.cost_model.calib, grant, spec] += 1
+        return real(self, spec, **kwargs)
+
+    monkeypatch.setattr(PipelinedJoinStrategy, "estimate", counting)
+    return counts
+
+
+def test_admission_prices_each_request_once_per_run(choices, estimates):
+    requests = list(stream_workload(400))
+    scheduler = QueryScheduler(devices=2)
+    estimate_cache.clear()
+    first = scheduler.run_stream(iter(requests))
+    assert first.completed == len(requests)
+    # One solo choice per distinct (spec, materialize, pin), asked of
+    # the idle device; offers re-walk the stored footprints.
+    distinct = {(r.spec, r.materialize, r.strategy) for r in requests}
+    solo_choices = Counter(
+        (spec, None) for spec, _, pin in distinct if pin is None
+    )
+    assert choices == solo_choices
+    assert estimates, "the stream priced nothing"
+    assert set(estimates.values()) == {1}
+    priced = dict(estimates)
+
+    # The table lives one run: a second run on the same scheduler, with
+    # the process-wide caches cleared, prices everything again.
+    choices.clear()
+    estimates.clear()
+    estimate_cache.clear()
+    second = scheduler.run_stream(iter(requests))
+    assert fingerprint_sharded(second) == fingerprint_sharded(first)
+    assert choices == solo_choices
+    assert estimates == priced

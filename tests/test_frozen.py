@@ -1,7 +1,7 @@
 """The cached-hash contract of the frozen value types behind cache keys.
 
-Every estimate, plan, ladder and solo cache key is built from these
-eight types.  Their cached ``__hash__`` must be indistinguishable from
+Every estimate, plan and ladder cache key, and every admission-profile
+key of the serving scheduler, is built from these eight types.  Their cached ``__hash__`` must be indistinguishable from
 the one ``@dataclass(frozen=True)`` generates — same value, so dict and
 set orders cannot change — and invisible everywhere else.
 """
