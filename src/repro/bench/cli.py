@@ -81,19 +81,24 @@ def main(argv: list[str] | None = None) -> int:
         print(f"refreshed {len(refreshed)} tables in {args.refresh_experiments}")
         return 0
 
-    if args.snapshot:
-        from repro.bench.compare import snapshot
+    if args.snapshot or args.compare:
+        from repro.bench.compare import compare, snapshot
+        from repro.errors import SnapshotError
 
-        snapshot(args.snapshot, scale=args.scale)
-        print(f"snapshot written to {args.snapshot}")
-        return 0
-    if args.compare:
-        from repro.bench.compare import compare
-
-        deviations = compare(args.compare, tolerance=args.tolerance)
+        try:
+            if args.snapshot:
+                snapshot(args.snapshot, scale=args.scale)
+                print(f"snapshot written to {args.snapshot}")
+                return 0
+            deviations = compare(args.compare, tolerance=args.tolerance)
+        except SnapshotError as exc:
+            parser.error(str(exc))
         for deviation in deviations:
             print(deviation)
-        print(f"{len(deviations)} deviation(s) beyond {args.tolerance:.0%}")
+        print(
+            f"{len(deviations)} deviation(s) beyond relative tolerance "
+            f"{args.tolerance:g}"
+        )
         return 1 if deviations else 0
 
     if args.list:

@@ -4,7 +4,10 @@ The calibration constants are supposed to be touched rarely and as a
 whole; this module makes that safe: ``snapshot()`` stores every figure's
 series as JSON, and ``compare()`` reports any point that moved beyond a
 tolerance — so a model change that silently bends a curve the paper
-pinned down is caught in review.
+pinned down is caught in review.  The comparison is two-sided: a
+snapshot whose figure names, series labels or x points differ from what
+the figures produce is rejected (:class:`~repro.errors.SnapshotError`),
+and ``snapshot()`` never overwrites an existing file.
 
 CLI::
 
@@ -20,7 +23,7 @@ from pathlib import Path
 
 from repro.bench.figures import ALL_FIGURES
 from repro.bench.harness import FigureResult
-from repro.errors import InvalidConfigError
+from repro.errors import SnapshotError
 
 SNAPSHOT_VERSION = 1
 
@@ -38,7 +41,14 @@ def snapshot(
     scale: float = 1.0,
     figures: dict | None = None,
 ) -> dict:
-    """Run every figure and store the series to ``path`` (JSON)."""
+    """Run every figure and store the series to ``path`` (JSON).
+
+    Raises :class:`~repro.errors.SnapshotError` if ``path`` exists:
+    re-recording a reference means deleting it first.
+    """
+    path = Path(path)
+    if path.exists():
+        raise SnapshotError(f"snapshot {path} already exists; delete it to re-record")
     figures = figures or ALL_FIGURES
     payload = {
         "version": SNAPSHOT_VERSION,
@@ -47,7 +57,8 @@ def snapshot(
             name: figure_to_dict(fn(scale=scale)) for name, fn in figures.items()
         },
     }
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
+    with path.open("x") as handle:
+        handle.write(json.dumps(payload, indent=1, sort_keys=True))
     return payload
 
 
@@ -68,6 +79,18 @@ class Deviation:
         )
 
 
+def _require_same(what: str, stored, fresh) -> None:
+    """Raise unless the snapshot holds exactly the keys the figures
+    produce."""
+    unstored = [key for key in fresh if key not in stored]
+    unproduced = [key for key in stored if key not in fresh]
+    if unstored or unproduced:
+        raise SnapshotError(
+            f"snapshot and figures disagree on {what}: "
+            f"not in the snapshot {unstored}, not produced {unproduced}"
+        )
+
+
 def compare(
     path: str | Path,
     *,
@@ -78,27 +101,29 @@ def compare(
 
     Returns every (figure, series, x) whose value moved by more than
     ``tolerance`` relatively — including points that flipped between
-    "runs" and "fails".
+    "runs" and "fails".  Raises :class:`~repro.errors.SnapshotError` if
+    the snapshot's version, figure names, series labels or x points
+    differ from the figures'.
     """
     reference = json.loads(Path(path).read_text())
     if reference.get("version") != SNAPSHOT_VERSION:
-        raise InvalidConfigError(
+        raise SnapshotError(
             f"snapshot version mismatch: {reference.get('version')!r}"
         )
     scale = float(reference.get("scale", 1.0))
     figures = figures or ALL_FIGURES
+    stored_figures = reference.get("figures", {})
+    _require_same("figures", stored_figures, figures)
 
     deviations: list[Deviation] = []
-    for name, stored in reference["figures"].items():
-        if name not in figures:
-            continue
+    for name, stored in stored_figures.items():
         fresh = figure_to_dict(figures[name](scale=scale))
+        _require_same(f"{name} series", stored, fresh)
         for label, stored_points in stored.items():
-            fresh_points = dict(
-                (x, y) for x, y in fresh.get(label, [])
-            )
+            fresh_points = dict(fresh[label])
+            _require_same(f"{name}/{label} x points", dict(stored_points), fresh_points)
             for x, ref_y in stored_points:
-                new_y = fresh_points.get(x)
+                new_y = fresh_points[x]
                 if ref_y is None or new_y is None:
                     if ref_y != new_y:
                         deviations.append(Deviation(name, label, x, ref_y, new_y))

@@ -73,9 +73,13 @@ def working_set_columns(final_sizes: np.ndarray, weights: np.ndarray) -> np.ndar
     Selecting the live columns yields the same elements, IEEE products
     and order as scaling the full-length array by the per-co-partition
     weight and masking out the zero-weight ones, at O(live
-    co-partitions) instead of O(all) cost.
+    co-partitions) instead of O(all) cost.  A contiguous run of live
+    host partitions (the usual packing) is a basic slice, which skips
+    the gather's copy; any other live set gathers its columns.
     """
     live = np.flatnonzero(weights > 0)
+    if live.size and live[-1] - live[0] + 1 == live.size:
+        live = slice(live[0], live[-1] + 1)
     columns = final_sizes.reshape(-1, weights.shape[0])[:, live]
     return (columns * weights[live]).ravel()
 
@@ -406,15 +410,37 @@ class CoProcessingJoin(PipelinedJoinStrategy):
         # build-derived invariant of the join formula) is fixed per
         # working set, and a chunk only scales the probe side by its
         # fraction of the probe relation — which takes at most two
-        # distinct values.  Build one scaled evaluator per working set
-        # and memoize per chunk size, collapsing the ~n_ws * n_chunks
-        # kernel-formula evaluations of the inner loop to ~2 per
-        # working set.
-        evaluators: dict[int, tuple] = {}
-        join_memo: dict[tuple[int, int], float] = {}
+        # distinct values.  Build one scaled evaluator per distinct
+        # working set and memoize per chunk size, collapsing the
+        # ~n_ws * n_chunks kernel-formula evaluations of the inner loop
+        # to ~2 per distinct working set.
+        #
+        # A working set's evaluator depends only on its match share and
+        # its build and probe columns.  A side whose final co-partitions
+        # all have the same expected size (every uniform-family relation)
+        # yields the same columns for any host partitions with the same
+        # live weights in order, so that side keys on those weights; a
+        # skewed side keys on the whole weights row.  Equal keys mean
+        # bitwise-equal inputs, so sharing changes no duration.
+        build_uniform = bool((build_final == build_final[0]).all())
+        probe_uniform = bool((probe_final == probe_final[0]).all())
+
+        def side_key(uniform: bool, weights: np.ndarray) -> bytes:
+            return (weights[weights > 0] if uniform else weights).tobytes()
+
+        ws_keys = [
+            (
+                plan.build_fractions[w],
+                side_key(build_uniform, weights),
+                side_key(probe_uniform, weights),
+            )
+            for w, weights in enumerate(plan.ws_weights)
+        ]
+        evaluators: dict[tuple, tuple] = {}
+        join_memo: dict[tuple, float] = {}
 
         def ws_evaluator(w: int) -> tuple:
-            cached = evaluators.get(w)
+            cached = evaluators.get(ws_keys[w])
             if cached is None:
                 b = working_set_columns(build_final, plan.ws_weights[w])
                 s = working_set_columns(probe_final, plan.ws_weights[w])
@@ -429,12 +455,13 @@ class CoProcessingJoin(PipelinedJoinStrategy):
                     charge_build=False,
                 )
                 cached = (evaluator, float(s.sum()))
-                evaluators[w] = cached
+                evaluators[ws_keys[w]] = cached
             return cached
 
         def ws_join_seconds(w: int, c: int) -> float:
             this_chunk = min(plan.chunk_tuples, spec.probe.n - c * plan.chunk_tuples)
-            cached = join_memo.get((w, this_chunk))
+            memo_key = (ws_keys[w], this_chunk)
+            cached = join_memo.get(memo_key)
             if cached is None:
                 chunk_frac = this_chunk / spec.probe.n
                 evaluator, probe_total = ws_evaluator(w)
@@ -445,7 +472,7 @@ class CoProcessingJoin(PipelinedJoinStrategy):
                     self.cost_model,
                 )
                 cached = partition.seconds + evaluator.seconds(chunk_frac)
-                join_memo[(w, this_chunk)] = cached
+                join_memo[memo_key] = cached
             return cached
 
         return self._pipeline_plan(

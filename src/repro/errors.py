@@ -55,6 +55,18 @@ class SampleStoreError(ReproError):
     """
 
 
+class SnapshotError(InvalidConfigError):
+    """A figure snapshot cannot be written or compared.
+
+    Raised by :func:`repro.bench.compare.snapshot` when the target file
+    already exists (a stored snapshot is a reference and is never
+    overwritten), and by :func:`repro.bench.compare.compare` when the
+    file's format version, figure names, series labels or x points
+    differ from what the figures produce — a stale or truncated
+    snapshot must not pass as "no deviations".
+    """
+
+
 class CapacityError(ReproError):
     """A simulated memory allocation exceeded the available capacity."""
 

@@ -9,9 +9,10 @@ each under the whole device, the serving benchmark's 1.25 GiB grant and
 a 1 GiB grant (which splits host partitions across working sets), with
 and without materialization.
 
-The file was recorded from the code before the working-set evaluator
-memo existed.  To re-record it deliberately, for a reviewed change of
-the cost model, delete the file and run::
+The file was recorded before ``prepare`` shared one join evaluator
+between working sets with equal inputs, so it checks that the sharing
+moved no duration.  To re-record it deliberately, for a reviewed change
+of the cost model, delete the file and run::
 
     PYTHONPATH=src python -m tests.core.test_coproc_golden
 """

@@ -14,6 +14,7 @@ from repro.data import (
     unique_pair,
     zipf_pair,
 )
+from repro.data.stats import expected_partition_sizes
 
 CFG = GpuJoinConfig(total_radix_bits=4)
 
@@ -144,6 +145,31 @@ def _gathered(sizes, weights):
     return (sizes * factor)[factor > 0]
 
 
+def _working_set_inputs(coproc, spec):
+    """(match share, build columns, probe columns) of every working set
+    ``prepare`` plans for ``spec``, with the columns as bytes of the
+    full-length gather."""
+    cpu_bits = coproc.cpu_bits
+    plan = coproc.plan(
+        expected_partition_sizes(spec.build, cpu_bits),
+        spec.build.tuple_bytes,
+        spec.probe.n,
+    )
+    gpu_bits = coproc.config.radix_bits_for(spec.build.n // (1 << cpu_bits))
+    final_bits = cpu_bits + max(gpu_bits, 1)
+    build, probe = (
+        expected_partition_sizes(side, final_bits) for side in (spec.build, spec.probe)
+    )
+    return [
+        (
+            share,
+            _gathered(build, weights).tobytes(),
+            _gathered(probe, weights).tobytes(),
+        )
+        for share, weights in zip(plan.build_fractions, plan.ws_weights)
+    ]
+
+
 def _recorded_columns(monkeypatch, coproc, spec):
     """Prepare ``spec`` and return every (sizes, weights, selected)
     triple ``prepare`` passed through :func:`working_set_columns`."""
@@ -156,9 +182,10 @@ def _recorded_columns(monkeypatch, coproc, spec):
         return selected
 
     monkeypatch.setattr(coprocessing, "working_set_columns", record)
-    plan = coproc.prepare(spec)
-    # One build and one probe selection per working set.
-    assert len(calls) == 2 * plan.notes["working_sets"]
+    coproc.prepare(spec)
+    # One build and one probe selection per distinct working set: sets
+    # with the same match share and columns share one evaluator.
+    assert len(calls) == 2 * len(set(_working_set_inputs(coproc, spec)))
     return calls
 
 
@@ -200,3 +227,62 @@ def test_working_set_columns_at_paper_scale(monkeypatch):
     for sizes, weights, selected in calls:
         assert np.count_nonzero(weights) == 1
         assert selected.tobytes() == _gathered(sizes, weights).tobytes()
+
+
+def _contiguous(weights):
+    live = np.flatnonzero(weights)
+    return live[-1] - live[0] + 1 == live.size
+
+
+def test_both_selection_paths_are_exercised(monkeypatch):
+    """Packing usually keeps a working set's host partitions contiguous
+    (the basic slice), but Zipf sizes over 64 host partitions also pack
+    scattered ones (the gather); both equal the full-length gather."""
+    paths = set()
+    for cpu_bits in (4, 6):
+        coproc = CoProcessingJoin(
+            config=GpuJoinConfig(total_radix_bits=8),
+            cpu_bits=cpu_bits,
+            device_budget=GRANTS[1],
+        )
+        spec = zipf_pair(512_000_000, 1.0, probe_n=64_000_000)
+        with monkeypatch.context() as patch:
+            calls = _recorded_columns(patch, coproc, spec)
+        for sizes, weights, selected in calls:
+            assert selected.tobytes() == _gathered(sizes, weights).tobytes()
+            paths.add("slice" if _contiguous(weights) else "gather")
+    assert paths == {"slice", "gather"}
+
+
+def _recorded_evaluators(monkeypatch, coproc):
+    """Probe columns of every join evaluator ``coproc`` builds."""
+    built = []
+    build_evaluator = coproc._resident._join_cost_evaluator
+
+    def record(build_sizes, probe_sizes, *args, **kwargs):
+        built.append(probe_sizes.tobytes())
+        return build_evaluator(build_sizes, probe_sizes, *args, **kwargs)
+
+    monkeypatch.setattr(coproc._resident, "_join_cost_evaluator", record)
+    return built
+
+
+def test_duplicate_working_sets_share_one_evaluator(monkeypatch):
+    """Every single-partition working set of a uniform relation has the
+    same columns and match share, so they share one evaluator.  A skewed
+    probe side builds one per distinct probe column set: under the 1 GiB
+    grant each of the 16 host partitions is split 8 ways, and the 8
+    working sets holding one partition share its probe columns."""
+    coproc = CoProcessingJoin(device_budget=GRANTS[1])
+    built = _recorded_evaluators(monkeypatch, coproc)
+    plan = coproc.prepare(unique_pair(512_000_000))
+    assert plan.notes["working_sets"] == 16
+    assert len(built) == 1
+
+    coproc = CoProcessingJoin(device_budget=GRANTS[2])
+    built = _recorded_evaluators(monkeypatch, coproc)
+    spec = zipf_pair(512_000_000, 1.0, skew_side="probe")
+    plan = coproc.prepare(spec)
+    probe_sets = {probe for _, _, probe in _working_set_inputs(coproc, spec)}
+    assert (plan.notes["working_sets"], len(probe_sets)) == (128, 16)
+    assert sorted(built) == sorted(probe_sets)
