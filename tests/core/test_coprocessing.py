@@ -229,11 +229,6 @@ def test_working_set_columns_at_paper_scale(monkeypatch):
         assert selected.tobytes() == _gathered(sizes, weights).tobytes()
 
 
-def _contiguous(weights):
-    live = np.flatnonzero(weights)
-    return live[-1] - live[0] + 1 == live.size
-
-
 def test_both_selection_paths_are_exercised(monkeypatch):
     """Packing usually keeps a working set's host partitions contiguous
     (the basic slice), but Zipf sizes over 64 host partitions also pack
@@ -250,7 +245,9 @@ def test_both_selection_paths_are_exercised(monkeypatch):
             calls = _recorded_columns(patch, coproc, spec)
         for sizes, weights, selected in calls:
             assert selected.tobytes() == _gathered(sizes, weights).tobytes()
-            paths.add("slice" if _contiguous(weights) else "gather")
+            live = np.flatnonzero(weights)
+            contiguous = live[-1] - live[0] + 1 == live.size
+            paths.add("slice" if contiguous else "gather")
     assert paths == {"slice", "gather"}
 
 
