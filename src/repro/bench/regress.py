@@ -13,9 +13,10 @@ simulated time produced by every entry point that must agree:
   and recomputed estimates trips the harness;
 * **pipeline** — the decomposed ``simulate(prepare(spec))`` path,
   proving ``estimate`` is nothing but plan + engine simulation;
-* **scanner** — the same plan simulated by the retained all-queue-heads
-  reference scanner (``PipelineEngine.run_reference``), pinning the
-  event-driven engine to its executable specification;
+* **scanner** — the same plan simulated by the all-queue-heads
+  reference scanner (:func:`repro.pipeline.oracle.run_reference`),
+  pinning the engine's linear dispatch pass to its executable
+  specification;
 * **hand-summed** (serial strategies only) — when a plan's tasks all
   occupy one resource, the engine's makespan must equal the summed task
   durations the pre-engine implementation computed by hand.
@@ -26,9 +27,10 @@ call :func:`run_regression` from tests.
 The module also guards the serving layer (:func:`run_serve_regression`):
 a small concurrency sweep must be deterministic, keep every device's
 arena within capacity and drained, beat serial back-to-back execution,
-and pass the **batch oracle** (:func:`check_batch_oracle`: re-simulating
-each device's final task graph from scratch reproduces every task of
-the incremental schedule) — on one device *and* on a two-device
+and pass the **batch oracle**
+(:func:`~repro.pipeline.oracle.check_batch_oracle`: re-simulating each
+device's final task graph from scratch reproduces every task of the
+incremental schedule) — on one device *and* on a two-device
 sharded fleet, whose makespan must additionally never exceed the
 single-device makespan — the invariants the scheduler promises on
 every change.  :func:`run_stream_regression`
@@ -74,6 +76,7 @@ from repro.core.strategy import (
     strategy_factory,
 )
 from repro.data import Distribution, JoinSpec, RelationSpec, unique_pair
+from repro.pipeline.oracle import check_batch_oracle, run_reference
 
 M = 1_000_000
 
@@ -142,7 +145,7 @@ def run_regression(keys: tuple[str, ...] | None = None) -> list[RegressRow]:
         for task in plan.tasks:
             engine.add(task)
         scanner = strategy.metrics_from_schedule(
-            plan, engine.run_reference()
+            plan, run_reference(engine)
         ).seconds
 
         handsum: float | None = None
@@ -192,54 +195,6 @@ SERVE_REGRESSION_CLIENTS = (1, 4, 8)
 
 #: Fleet size of the sharded serving regression.
 SERVE_REGRESSION_DEVICES = 2
-
-
-def check_batch_oracle(report, faults=None) -> int:
-    """Batch re-simulation as the oracle of the incremental schedule.
-
-    Re-simulates each device's final task graph in
-    ``report.device_schedules`` from scratch with
-    :meth:`~repro.pipeline.engine.PipelineEngine.run` — a batch
-    scheduler's way of placing the graph — and raises
-    :class:`~repro.errors.SchedulingError` unless every task's start,
-    finish and lane equal the ones the run placed by extension.
-    Schedules list tasks in placement order, which per resource pool is
-    submission order, so re-adding them rebuilds every FIFO queue.
-    Devices ``faults`` crashes are skipped (the crash dropped their
-    unfinished tail, so the survivors no longer form the graph their
-    lanes were computed from), and compacted schedules are refused:
-    pass a :meth:`~repro.serve.scheduler.QueryScheduler.run_online`
-    report.  Returns the number of tasks checked.
-    """
-    from repro.errors import SchedulingError
-    from repro.pipeline.engine import PipelineEngine
-
-    crashed = {crash.device for crash in faults.crashes} if faults else set()
-    checked = 0
-    for device, schedule in enumerate(report.device_schedules):
-        if device in crashed:
-            continue
-        if schedule.retired_tasks:
-            raise SchedulingError(
-                f"device {device} schedule was compacted; the batch "
-                "oracle needs a complete one"
-            )
-        engine = PipelineEngine(schedule.lanes, device=device)
-        for item in schedule.tasks.values():
-            engine.add(item.task)
-        batch = engine.run()
-        for name, item in schedule.tasks.items():
-            again = batch.tasks[name]
-            if (item.start, item.finish, item.lane) != (
-                again.start, again.finish, again.lane
-            ):
-                raise SchedulingError(
-                    f"device {device} task {name!r}: incremental "
-                    f"{(item.start, item.finish, item.lane)} != batch "
-                    f"{(again.start, again.finish, again.lane)}"
-                )
-        checked += len(schedule.tasks)
-    return checked
 
 
 def run_serve_regression(

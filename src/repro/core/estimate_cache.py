@@ -37,7 +37,10 @@ This module provides one shared cache:
   miss leaves behind the plan its admission then reuses.
   Cached plans are **shared, read-only** objects: callers must not
   mutate ``plan.tasks`` / ``plan.resources`` (the serving scheduler
-  only reads them, re-materializing namespaced copies of the tasks);
+  only reads them, admitting each plan's template under the query's
+  alias).  A plan's lowered template (:attr:`~repro.core.strategy.
+  JoinPlan.template`) lives on the plan, so :func:`clear` drops it
+  with the plan;
 * :func:`clear` / :func:`stats` / :func:`configure` — test and
   benchmark hooks.
 
@@ -389,8 +392,9 @@ def cached_plan(
     per-device memory grant captured by the fingerprint's constructor
     extras (``device_budget``).  The returned plan is a **shared,
     read-only** object: callers that need to adapt tasks (the serving
-    scheduler's qid/device namespacing) must build new ``Task``
-    instances rather than mutate the cached ones.  ``key=None`` (an
+    scheduler's qid/device namespacing) place its template under an
+    alias (:class:`~repro.pipeline.engine.Admission`) rather than
+    mutate the cached tasks.  ``key=None`` (an
     unhashable fingerprint) and a disabled cache both recompute.
     Hits/misses are tracked separately from the estimate counters
     (``stats().plan_hits`` / ``plan_misses`` / ``plan_entries``), so a

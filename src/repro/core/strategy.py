@@ -31,7 +31,7 @@ from repro.core import estimate_cache
 from repro.core.results import JoinMetrics, JoinRunResult
 from repro.data.spec import JoinSpec
 from repro.errors import InvalidConfigError, UnknownStrategyError
-from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.engine import Admission, PipelineEngine, PlanTemplate
 from repro.pipeline.tasks import Schedule, Task
 
 if TYPE_CHECKING:
@@ -59,7 +59,8 @@ class JoinPlan:
     ``resources`` maps resource names to lane counts (stream counts) for
     the engine; unnamed resources default to one serial lane.
     ``phases`` pre-seeds the metric phases (so a phase with no tasks —
-    e.g. D2H in aggregation mode — still reports 0.0).
+    e.g. D2H in aggregation mode — still reports 0.0).  :attr:`template`
+    is the task graph lowered for the engine, built on first use.
     """
 
     strategy: str
@@ -72,6 +73,21 @@ class JoinPlan:
     pcie_h2d_bytes: float = 0.0
     pcie_d2h_bytes: float = 0.0
     notes: dict[str, float] = field(default_factory=dict)
+    _template: PlanTemplate | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def template(self) -> PlanTemplate:
+        """The task graph lowered once into the engine's dispatch order
+        (:class:`~repro.pipeline.engine.PlanTemplate`).  It lives as
+        long as the plan, so a cached plan's template is shared by its
+        estimate and every admission of it, and dropped with the plan.
+        Built on first read: a plan is complete once ``prepare``
+        returns it."""
+        if self._template is None:
+            self._template = PlanTemplate(self.tasks)
+        return self._template
 
     def add(
         self,
@@ -189,8 +205,7 @@ class PipelinedJoinStrategy:
     ) -> Schedule:
         """Simulate the plan's task graph on the pipeline engine."""
         engine = engine if engine is not None else PipelineEngine(plan.resources)
-        for task in plan.tasks:
-            engine.add(task)
+        engine.admit(Admission(plan.template, device=engine.device))
         return engine.run()
 
     def simulate(self, plan: JoinPlan) -> JoinMetrics:

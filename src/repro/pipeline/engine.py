@@ -13,15 +13,228 @@ overlapped end-to-end times of the paper's Figures 11–13: "the total
 execution time is the transfer time for the data plus the GPU execution
 time for the last chunk" (§IV-A) falls out of the simulation rather than
 being hard-coded.
+
+A task graph is lowered once into a :class:`PlanTemplate`: its tasks in
+a *dispatch order* in which every task follows its dependencies and its
+FIFO predecessor on the same resource.  Only a queue's head can ever
+start, so a task's start is final once everything before it in that
+order is placed, and one linear pass places the whole graph.  The
+all-queue-heads scanner this pass is checked against lives in
+:mod:`repro.pipeline.oracle`.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+import math
+from itertools import repeat
+from typing import Container, Sequence
 
 from repro.errors import SchedulingError
 from repro.pipeline.tasks import ResourcePool, Schedule, ScheduledTask, Task
+
+
+def _check_seconds(value: float, what: str, owner: str) -> None:
+    # Negated comparison, so NaN fails it too.
+    if not 0.0 <= value < math.inf:
+        kind = "negative" if value < 0 else "non-finite"
+        raise SchedulingError(f"{kind} {what} for {owner}: {value!r}")
+
+
+class PlanTemplate:
+    """A task graph lowered once into the engine's dispatch order.
+
+    The tasks are listed so that each comes after its dependencies and
+    after its FIFO predecessor on the same resource, ties broken by
+    submission index; dependencies are stored as indices into that
+    order.  Building a template validates the graph once: unique names,
+    finite non-negative durations and release times, known
+    dependencies, and no cycle through dependencies and FIFO order (a
+    pipeline deadlock).  Per resource the dispatch order is the
+    submission order, so placing a template reproduces the schedule of
+    its tasks submitted one by one.
+
+    ``external`` names tasks outside the graph that dependencies may
+    also reference — the already-placed tasks of an engine extension.
+    They stay names (:attr:`external`, per task), and placement folds
+    their finishes into the dependents' release times.
+
+    Templates are immutable; :attr:`repro.core.strategy.JoinPlan.
+    template` lowers each plan once and every admission of the plan
+    reuses it.
+    """
+
+    __slots__ = (
+        "tasks", "names", "resources", "durations", "deps", "releases",
+        "external", "pools",
+    )
+
+    def __init__(
+        self, tasks: Sequence[Task], external: Container[str] = ()
+    ) -> None:
+        position: dict[str, int] = {}
+        for index, task in enumerate(tasks):
+            if task.name in position:
+                raise SchedulingError(f"duplicate task name: {task.name!r}")
+            position[task.name] = index
+            _check_seconds(task.duration, "duration", f"task {task.name!r}")
+            _check_seconds(
+                task.available_at, "available_at", f"task {task.name!r}"
+            )
+        count = len(tasks)
+        inner: list[list[int]] = []
+        outer: list[tuple[str, ...]] = []
+        # Kahn's algorithm over dependency and FIFO-predecessor edges,
+        # the lowest submission index first among ready tasks.
+        waiting = [0] * count
+        unblocks: list[list[int]] = [[] for _ in range(count)]
+        tail: dict[str, int] = {}
+        for index, task in enumerate(tasks):
+            deps: list[int] = []
+            names: list[str] = []
+            for dep in dict.fromkeys(task.deps):
+                at = position.get(dep)
+                if at is not None:
+                    deps.append(at)
+                    unblocks[at].append(index)
+                elif dep in external:
+                    names.append(dep)
+                else:
+                    raise SchedulingError(
+                        f"task {task.name!r} depends on unknown task {dep!r}"
+                    )
+            before = tail.get(task.resource)
+            if before is not None:
+                unblocks[before].append(index)
+            tail[task.resource] = index
+            waiting[index] = len(deps) + (before is not None)
+            inner.append(deps)
+            outer.append(tuple(names))
+        ready = [index for index in range(count) if not waiting[index]]
+        order: list[int] = []
+        while ready:
+            index = heapq.heappop(ready)
+            order.append(index)
+            for after in unblocks[index]:
+                waiting[after] -= 1
+                if not waiting[after]:
+                    heapq.heappush(ready, after)
+        if len(order) < count:
+            placed = set(order)
+            heads: dict[str, str] = {}
+            for index, task in enumerate(tasks):
+                if index not in placed:
+                    heads.setdefault(task.resource, task.name)
+            raise SchedulingError(
+                f"pipeline deadlock: queue heads {list(heads.values())} all "
+                "blocked (cyclic dependencies across FIFO queues?)"
+            )
+        rank = [0] * count
+        for at, index in enumerate(order):
+            rank[index] = at
+        ordered = tuple(tasks[index] for index in order)
+        #: The submitted tasks, in dispatch order.
+        self.tasks = ordered
+        self.names = tuple(task.name for task in ordered)
+        self.resources = tuple(task.resource for task in ordered)
+        self.durations = tuple(task.duration for task in ordered)
+        self.releases = tuple(task.available_at for task in ordered)
+        #: Per task, the dispatch-order indices of its dependencies.
+        self.deps = tuple(
+            tuple(rank[dep] for dep in inner[index]) for index in order
+        )
+        #: Per task, its dependencies outside the graph (``None`` when
+        #: the graph is self-contained, as every plan is).
+        self.external = (
+            tuple(outer[index] for index in order) if any(outer) else None
+        )
+        #: Resources in order of first submission.
+        self.pools = tuple(tail)
+
+    def __len__(self) -> int:
+        return len(self.tasks)
+
+
+class Admission:
+    """One placement of a template on an engine.
+
+    With an ``alias`` the template's tasks are namespaced as
+    ``"{alias}:{name}"`` (dependencies too), released at
+    ``available_at`` and tagged with ``device`` — how the serving layer
+    lowers an admitted query onto its device.  With ``alias=None`` and
+    ``available_at=None`` the template's own tasks are placed as
+    submitted.  :meth:`task` builds a placed task on demand; the engine
+    sets :attr:`finish`, the latest finish among the placed tasks.
+    """
+
+    __slots__ = (
+        "template", "alias", "available_at", "device", "prefix", "finish",
+    )
+
+    def __init__(
+        self,
+        template: PlanTemplate,
+        alias: str | None = None,
+        available_at: float | None = None,
+        device: int = 0,
+    ) -> None:
+        self.template = template
+        self.alias = alias
+        self.available_at = available_at
+        self.device = device
+        self.prefix = "" if alias is None else alias + ":"
+        self.finish: float | None = None
+
+    def __len__(self) -> int:
+        return len(self.template)
+
+    def task(self, index: int) -> Task:
+        """The placed form of the template's ``index``-th task (in
+        dispatch order)."""
+        task = self.template.tasks[index]
+        release = self.available_at
+        if not self.prefix and release is None and task.device == self.device:
+            return task
+        prefix = self.prefix
+        return Task(
+            name=prefix + task.name,
+            resource=task.resource,
+            duration=task.duration,
+            deps=tuple(prefix + dep for dep in task.deps),
+            phase=task.phase,
+            available_at=task.available_at if release is None else release,
+            device=self.device,
+        )
+
+
+class Wave:
+    """The admissions one :meth:`PipelineEngine.extend` call places.
+
+    ``len()`` is the number of tasks the wave places, as for a task
+    list passed to ``extend``.
+    """
+
+    __slots__ = ("admissions", "_size")
+
+    def __init__(self, admissions: Sequence[Admission] = ()) -> None:
+        self.admissions: list[Admission] = []
+        self._size = 0
+        for admission in admissions:
+            self.add(admission)
+
+    def add(self, admission: Admission) -> None:
+        self.admissions.append(admission)
+        self._size += len(admission)
+
+    def __len__(self) -> int:
+        return self._size
+
+
+def _releases(admission: Admission) -> "Sequence[float] | repeat[float]":
+    """Per-task release times of an admission, in dispatch order."""
+    if admission.available_at is None:
+        return admission.template.releases
+    return repeat(admission.available_at)
 
 
 class PipelineEngine:
@@ -36,9 +249,11 @@ class PipelineEngine:
     Simulation is deterministic: the same submission order, durations,
     dependencies and lane counts always yield the same schedule —
     ties are broken by submission order and lowest lane index, and no
-    unordered-container iteration or randomness is involved.  The three
-    entry points (:meth:`run`, :meth:`run_reference`, :meth:`extend`)
-    are pinned to identical schedules by the pipeline test suite.
+    unordered-container iteration or randomness is involved.  Both
+    entry points (:meth:`run`, :meth:`extend`) place tasks with the one
+    linear pass over a :class:`PlanTemplate`, and the pipeline test
+    suite pins them to the reference scanner of
+    :mod:`repro.pipeline.oracle`.
     """
 
     def __init__(
@@ -54,8 +269,16 @@ class PipelineEngine:
         #: wrong device's engine is a placement bug, not a schedulable
         #: input.  Single-device code never sets it (both default to 0).
         self.device = device
-        self._tasks: list[Task] = []
-        self._by_name: dict[str, Task] = {}
+        #: The submitted graph — tasks and admissions, in submission
+        #: order — while it can still be re-simulated (``None`` once
+        #: :meth:`compact` or :meth:`crash` dropped part of it).
+        self._graph: list[Task | Admission] | None = []
+        #: Names of the submitted :class:`Task` objects, for
+        #: :meth:`add`'s duplicate check (admissions are checked
+        #: against the schedule they extend).
+        self._names: set[str] = set()
+        #: Tasks currently in the engine's books.
+        self._count = 0
         self._lanes: dict[str, int] = {}
         #: Tasks dropped by :meth:`compact` — once nonzero the engine
         #: only supports :meth:`extend`, never a full re-simulation.
@@ -100,19 +323,13 @@ class PipelineEngine:
                 f"device {self.device} is retired: task {task.name!r} "
                 "cannot be placed on an engine that left the fleet"
             )
-        if task.name in self._by_name:
+        self._check_not_compacted("add()")
+        if task.name in self._names:
             raise SchedulingError(f"duplicate task name: {task.name!r}")
-        if task.duration < 0:
-            raise SchedulingError(f"negative duration for task {task.name!r}")
-        if task.available_at < 0:
-            raise SchedulingError(f"negative available_at for task {task.name!r}")
-        if task.device != self.device:
-            raise SchedulingError(
-                f"task {task.name!r} is placed on device {task.device} but "
-                f"this engine simulates device {self.device}"
-            )
-        self._tasks.append(task)
-        self._by_name[task.name] = task
+        self._check_task(task)
+        self._graph.append(task)
+        self._names.add(task.name)
+        self._count += 1
         return task
 
     def add_task(
@@ -134,134 +351,60 @@ class PipelineEngine:
             )
         )
 
+    def admit(self, admission: Admission) -> Admission:
+        """Append an admission — a template placed as a unit — to the
+        submitted graph, for :meth:`run` to place."""
+        if self._device_retired:
+            raise SchedulingError(
+                f"device {self.device} is retired: admission "
+                f"{admission.alias!r} cannot be placed on an engine that "
+                "left the fleet"
+            )
+        self._check_not_compacted("admit()")
+        self._check_admission(admission)
+        self._graph.append(admission)
+        self._count += len(admission)
+        return admission
+
     @property
     def tasks(self) -> list[Task]:
-        return list(self._tasks)
+        """The submitted tasks; admitted templates contribute their
+        namespaced tasks, in dispatch order."""
+        self._check_not_compacted("list tasks")
+        tasks: list[Task] = []
+        for entry in self._graph:
+            if isinstance(entry, Admission):
+                tasks.extend(map(entry.task, range(len(entry))))
+            else:
+                tasks.append(entry)
+        return tasks
 
     # ------------------------------------------------------------------
     def run(self) -> Schedule:
-        """Simulate the graph and return the schedule (event-driven).
+        """Simulate the whole submitted graph from scratch.
 
-        A task is *dispatchable* once it reaches the head of its
-        resource's FIFO queue and all its dependencies have finished —
-        at that point its start time is final: every earlier task of the
-        same queue has already been placed (fixing the lane-free times)
-        and dependency finishes never change once recorded.  The
-        simulator therefore tracks dependency indegrees, keeps one heap
-        of free times per resource pool's lanes, and drains an event
-        calendar of dispatchable tasks ordered by start time — placing
-        each task exactly once, O((T + E) log T) overall, instead of
-        rescanning every queue head per decision as the original
-        scanner (retained as :meth:`run_reference`) did.
-
-        The schedule is identical to :meth:`run_reference`'s, including
-        lane assignment (ties go to the lowest lane index) and deadlock
-        detection: if no queue head is dispatchable while tasks remain,
-        the dependency structure is cyclic across the FIFO queues (or
-        references an unknown task) and a :class:`SchedulingError` is
-        raised.
+        A graph of admissions only is placed as it stands: templates
+        are self-contained, so their dispatch orders concatenate.  Any
+        other graph is lowered into one :class:`PlanTemplate` — which
+        detects unknown dependencies and deadlocks (no queue head
+        dispatchable while tasks remain: the dependencies are cyclic
+        across the FIFO queues).  Either way one linear pass places
+        it.  Lane assignment goes to whichever lane of a pool frees
+        first, lowest index on ties.
         """
         self._check_not_compacted("run()")
-        for task in self._tasks:
-            for dep in task.deps:
-                if dep not in self._by_name:
-                    raise SchedulingError(
-                        f"task {task.name!r} depends on unknown task {dep!r}"
-                    )
-
-        queues: dict[str, list[Task]] = defaultdict(list)
-        position: dict[str, int] = {}
-        for task in self._tasks:
-            position[task.name] = len(queues[task.resource])
-            queues[task.resource].append(task)
-        cursor = {resource: 0 for resource in queues}
-        # One free-time per lane, as a heap of (free_at, lane_index): a
-        # pool's next task is dispatched onto whichever lane frees first
-        # (round-robin copy engines/streams), lowest index on ties.
-        lane_free = {
-            resource: [(0.0, lane) for lane in range(self.lanes_of(resource))]
-            for resource in queues
-        }
-        finish_at: dict[str, float] = {}
-        indegree: dict[str, int] = {}
-        dependents: dict[str, list[str]] = defaultdict(list)
-        for task in self._tasks:
-            unique_deps = set(task.deps)
-            indegree[task.name] = len(unique_deps)
-            for dep in unique_deps:
-                dependents[dep].append(task.name)
-
-        schedule = Schedule(
-            lanes={resource: self.lanes_of(resource) for resource in queues}
-        )
-
-        # Event calendar: dispatchable tasks keyed by their (final)
-        # start time; the sequence number makes heap entries total-ordered
-        # and preserves submission order among equal start times.
-        calendar: list[tuple[float, int, str]] = []
-        queued: set[str] = set()
-        sequence = 0
-
-        def maybe_push(task: Task) -> None:
-            nonlocal sequence
-            if (
-                task.name in queued
-                or indegree[task.name] > 0
-                or cursor[task.resource] != position[task.name]
-            ):
-                return
-            dep_ready = max(
-                (finish_at[dep] for dep in task.deps), default=0.0
-            )
-            start = max(lane_free[task.resource][0][0], dep_ready, task.available_at)
-            heapq.heappush(calendar, (start, sequence, task.name))
-            queued.add(task.name)
-            sequence += 1
-
-        for queue in queues.values():
-            maybe_push(queue[0])
-
-        remaining = len(self._tasks)
-        while remaining:
-            if not calendar:
-                pending = [
-                    queue[cursor[resource]].name
-                    for resource, queue in queues.items()
-                    if cursor[resource] < len(queue)
-                ]
-                raise SchedulingError(
-                    f"pipeline deadlock: queue heads {pending} all blocked "
-                    "(cyclic dependencies across FIFO queues?)"
-                )
-            start, _, name = heapq.heappop(calendar)
-            task = self._by_name[name]
-            _, lane = heapq.heappop(lane_free[task.resource])
-            finish = start + task.duration
-            schedule.tasks[name] = ScheduledTask(task, start, finish, lane=lane)
-            finish_at[name] = finish
-            heapq.heappush(lane_free[task.resource], (finish, lane))
-            cursor[task.resource] += 1
-            remaining -= 1
-            # Two kinds of tasks may have become dispatchable: the next
-            # task of this queue, and dependents that were only waiting
-            # on this finish.  (A dependent still behind its queue head
-            # is woken later, by its own queue's cursor reaching it.)
-            queue = queues[task.resource]
-            if cursor[task.resource] < len(queue):
-                maybe_push(queue[cursor[task.resource]])
-            for child in dependents[name]:
-                indegree[child] -= 1
-                maybe_push(self._by_name[child])
-        schedule.lane_state = {
-            resource: sorted(heap) for resource, heap in lane_free.items()
-        }
+        admissions = self._graph
+        if not all(isinstance(entry, Admission) for entry in admissions):
+            admissions = [Admission(PlanTemplate(self.tasks), device=self.device)]
+        schedule = Schedule()
+        self._place(schedule, admissions)
         return schedule
 
     # ------------------------------------------------------------------
     def extend(
         self,
         schedule: Schedule,
-        new_tasks: list[Task],
+        new_tasks: "Sequence[Task] | Wave",
         *,
         in_place: bool = False,
     ) -> Schedule:
@@ -275,10 +418,15 @@ class PipelineEngine:
         re-scheduling in the serving layer cheap: one admission wave
         costs O(new tasks), not O(all tasks admitted so far).
 
+        ``new_tasks`` is a list of :class:`Task` or a :class:`Wave` of
+        template admissions — the serving layer's form, which places
+        each admitted plan's template under the query's alias without
+        building a task object per placed task.
+
         Equivalence (pinned by ``tests/pipeline/test_engine_extend.py``
-        and kept honest by retaining :meth:`run` as the oracle): since
-        tasks already in the engine occupy earlier positions of every
-        FIFO queue and never depend on later submissions, their start
+        against :meth:`run` and the reference scanner): since tasks
+        already in the engine occupy earlier positions of every FIFO
+        queue and never depend on later submissions, their start
         times, finishes and lane assignments are unaffected by the new
         tasks — so carrying over the end-of-run per-pool lane heaps
         (:attr:`~repro.pipeline.tasks.Schedule.lane_state`) and the
@@ -302,14 +450,14 @@ class PipelineEngine:
         Raises :class:`SchedulingError` when ``schedule`` is a merged
         multi-device reporting view
         (:attr:`~repro.pipeline.tasks.Schedule.is_merged_view`), when
-        ``schedule`` does not
-        cover the engine's current tasks, when a new task duplicates a
-        name / has negative duration or ``available_at`` / depends on
-        an unknown task, when lane counts changed since ``schedule``
-        was computed, or when the new tasks deadlock.  A rejected
-        batch — including a deadlocked one — rolls back: the engine
-        and, with ``in_place=True``, the schedule are left exactly as
-        they were, still extendable.
+        ``schedule`` does not cover the engine's current tasks, when a
+        new task duplicates a name / has a negative or non-finite
+        duration or release time / depends on an unknown task, when an
+        admission targets another device, when lane counts changed
+        since ``schedule`` was computed, or when the new tasks
+        deadlock.  A rejected batch rolls back: the engine and, with
+        ``in_place=True``, the schedule are left exactly as they were,
+        still extendable.
         """
         if schedule.is_merged_view:
             raise SchedulingError(
@@ -318,50 +466,18 @@ class PipelineEngine:
                 "physical resources; extend the owning device's schedule "
                 "instead"
             )
-        if len(schedule.tasks) != len(self._tasks):
+        if len(schedule.tasks) != self._count:
             raise SchedulingError(
                 f"stale schedule: covers {len(schedule.tasks)} tasks but "
-                f"the engine holds {len(self._tasks)}; extend() needs the "
+                f"the engine holds {self._count}; extend() needs the "
                 "schedule of exactly the tasks already submitted"
             )
-        if new_tasks and self._device_retired:
+        if len(new_tasks) and self._device_retired:
             raise SchedulingError(
                 f"device {self.device} is retired: "
                 f"{len(new_tasks)} new task(s) cannot be placed on an "
                 "engine that left the fleet"
             )
-        new_names = {task.name for task in new_tasks}
-        if len(new_names) != len(new_tasks):
-            raise SchedulingError("duplicate task names in new_tasks")
-        # Validate everything up front so a bad batch leaves the engine
-        # (and the caller's schedule) untouched.
-        for task in new_tasks:
-            if task.name in self._by_name:
-                raise SchedulingError(f"duplicate task name: {task.name!r}")
-            if task.duration < 0:
-                raise SchedulingError(
-                    f"negative duration for task {task.name!r}"
-                )
-            if task.available_at < 0:
-                raise SchedulingError(
-                    f"negative available_at for task {task.name!r}"
-                )
-            if task.device != self.device:
-                raise SchedulingError(
-                    f"task {task.name!r} is placed on device {task.device} "
-                    f"but this engine simulates device {self.device}"
-                )
-            for dep in task.deps:
-                if dep not in self._by_name and dep not in new_names:
-                    hint = (
-                        " (or one retired by compact()?)"
-                        if self._retired
-                        else ""
-                    )
-                    raise SchedulingError(
-                        f"task {task.name!r} depends on unknown task "
-                        f"{dep!r}{hint}"
-                    )
         for resource, lanes in schedule.lanes.items():
             if lanes != self.lanes_of(resource):
                 raise SchedulingError(
@@ -369,40 +485,45 @@ class PipelineEngine:
                     f"{self.lanes_of(resource)} lanes since the schedule "
                     "was computed; lane counts must be declared up front"
                 )
-        for task in new_tasks:
-            self.add(task)  # validates name collisions and durations
-
-        queues: dict[str, list[Task]] = defaultdict(list)
-        position: dict[str, int] = {}
-        for task in new_tasks:
-            position[task.name] = len(queues[task.resource])
-            queues[task.resource].append(task)
-        cursor = {resource: 0 for resource in queues}
-        # Carried-over lane heaps: each pool resumes from the free
-        # times the previous run left behind (sorted lists are valid
-        # heaps, so pop order matches an uninterrupted simulation).
-        lane_free: dict[str, list[tuple[float, int]]] = {}
-        for resource in queues:
-            state = schedule.lane_state.get(resource)
-            if state is None:
-                state = self._reconstruct_lane_state(schedule, resource)
-            lane_free[resource] = list(state)
-
         old = schedule.tasks
-        finish_at: dict[str, float] = {}
-
-        def dep_finish(dep: str) -> float:
-            got = finish_at.get(dep)
-            return got if got is not None else old[dep].finish
-
-        indegree: dict[str, int] = {}
-        dependents: dict[str, list[str]] = defaultdict(list)
-        for task in new_tasks:
-            unresolved = {dep for dep in task.deps if dep in new_names}
-            indegree[task.name] = len(unresolved)
-            for dep in unresolved:
-                dependents[dep].append(task.name)
-
+        if isinstance(new_tasks, Wave):
+            admissions = new_tasks.admissions
+            for admission in admissions:
+                self._check_admission(admission)
+            releases = None
+        else:
+            # Validate everything up front so a bad batch leaves the
+            # engine (and the caller's schedule) untouched; the template
+            # checks names within the batch, durations, release times
+            # and deadlocks.
+            new_names = {task.name for task in new_tasks}
+            for task in new_tasks:
+                if task.name in old:
+                    raise SchedulingError(f"duplicate task name: {task.name!r}")
+                self._check_device(task)
+                for dep in task.deps:
+                    if dep not in old and dep not in new_names:
+                        hint = (
+                            " (or one retired by compact()?)"
+                            if self._retired
+                            else ""
+                        )
+                        raise SchedulingError(
+                            f"task {task.name!r} depends on unknown task "
+                            f"{dep!r}{hint}"
+                        )
+            template = PlanTemplate(new_tasks, external=old)
+            admissions = [Admission(template, device=self.device)]
+            releases = None
+            if template.external is not None:
+                # A dependency on an already-placed task is a release
+                # time: its finish is final.
+                releases = [[
+                    max([release, *(old[dep].finish for dep in deps)])
+                    for release, deps in zip(
+                        template.releases, template.external
+                    )
+                ]]
         if in_place:
             combined = schedule
         else:
@@ -411,82 +532,138 @@ class PipelineEngine:
                 lanes=dict(schedule.lanes),
                 lane_state=dict(schedule.lane_state),
             )
-        added_lanes: list[str] = []
-        for resource in queues:
-            if resource not in combined.lanes:
-                combined.lanes[resource] = self.lanes_of(resource)
-                added_lanes.append(resource)
-
-        calendar: list[tuple[float, int, str]] = []
-        queued: set[str] = set()
-        sequence = 0
-
-        def maybe_push(task: Task) -> None:
-            nonlocal sequence
-            if (
-                task.name in queued
-                or indegree[task.name] > 0
-                or cursor[task.resource] != position[task.name]
-            ):
-                return
-            dep_ready = max(
-                (dep_finish(dep) for dep in task.deps), default=0.0
-            )
-            start = max(lane_free[task.resource][0][0], dep_ready, task.available_at)
-            heapq.heappush(calendar, (start, sequence, task.name))
-            queued.add(task.name)
-            sequence += 1
-
-        for queue in queues.values():
-            maybe_push(queue[0])
-
-        remaining = len(new_tasks)
-        while remaining:
-            if not calendar:
-                pending = [
-                    queue[cursor[resource]].name
-                    for resource, queue in queues.items()
-                    if cursor[resource] < len(queue)
-                ]
-                # Roll back: a deadlocked batch must leave the engine
-                # (and, in place, the schedule) extendable, like every
-                # other rejected batch.
-                del self._tasks[len(self._tasks) - len(new_tasks):]
-                for task in new_tasks:
-                    del self._by_name[task.name]
-                    combined.tasks.pop(task.name, None)
-                for resource in added_lanes:
-                    del combined.lanes[resource]
-                raise SchedulingError(
-                    f"pipeline deadlock: queue heads {pending} all blocked "
-                    "(cyclic dependencies across FIFO queues?)"
-                )
-            start, _, name = heapq.heappop(calendar)
-            task = self._by_name[name]
-            _, lane = heapq.heappop(lane_free[task.resource])
-            finish = start + task.duration
-            combined.tasks[name] = ScheduledTask(task, start, finish, lane=lane)
-            finish_at[name] = finish
-            heapq.heappush(lane_free[task.resource], (finish, lane))
-            cursor[task.resource] += 1
-            remaining -= 1
-            queue = queues[task.resource]
-            if cursor[task.resource] < len(queue):
-                maybe_push(queue[cursor[task.resource]])
-            for child in dependents[name]:
-                indegree[child] -= 1
-                maybe_push(self._by_name[child])
-        for resource, heap in lane_free.items():
-            combined.lane_state[resource] = sorted(heap)
+        self._place(combined, admissions, releases)
+        if self._graph is not None:
+            if isinstance(new_tasks, Wave):
+                self._graph.extend(admissions)
+            else:
+                self._graph.extend(new_tasks)
+                self._names.update(task.name for task in new_tasks)
+        self._count += len(new_tasks)
         return combined
+
+    def _place(
+        self,
+        schedule: Schedule,
+        admissions: list[Admission],
+        releases: list | None = None,
+    ) -> None:
+        """The linear dispatch pass: place every admission's template,
+        in order, on top of ``schedule``'s carried-over lane heaps.
+        ``releases`` overrides the admissions' per-task release times.
+
+        Each task pops its pool's lane heap (the lane that frees first,
+        lowest index on ties) and starts at ``max(lane free, dependency
+        finishes, release)``.  Dispatch order puts a task after its
+        dependencies and its FIFO predecessor, and only a queue's head
+        can start, so every start is final when computed.  Admissions
+        are self-contained graphs, so their dispatch orders concatenate
+        into one for the whole wave.  A name collision with an already
+        placed task rolls the wave back and raises.
+        """
+        lane_free: dict[str, list[tuple[float, int]]] = {}
+        for admission in admissions:
+            for resource in admission.template.pools:
+                if resource not in lane_free:
+                    lane_free[resource] = self._lane_heap(schedule, resource)
+        if releases is None:
+            releases = map(_releases, admissions)
+        placed = schedule.tasks
+        claim = placed.setdefault
+        for done, (admission, release_of) in enumerate(zip(admissions, releases)):
+            template = admission.template
+            prefix = admission.prefix
+            finishes: list[float] = []
+            record = finishes.append
+            for index, (name, resource, duration, deps, release) in enumerate(
+                zip(
+                    template.names,
+                    template.resources,
+                    template.durations,
+                    template.deps,
+                    release_of,
+                )
+            ):
+                heap = lane_free[resource]
+                start, lane = heap[0]
+                for dep in deps:
+                    if finishes[dep] > start:
+                        start = finishes[dep]
+                if release > start:
+                    start = release
+                finish = start + duration
+                heapq.heapreplace(heap, (finish, lane))
+                record(finish)
+                item = ScheduledTask(None, start, finish, lane, admission, index)
+                if claim(prefix + name, item) is not item:
+                    # Roll back every task this pass placed; the lane
+                    # heaps are copies, committed only below.
+                    for earlier in admissions[:done]:
+                        for other in earlier.template.names:
+                            del placed[earlier.prefix + other]
+                    for other in template.names[:index]:
+                        del placed[prefix + other]
+                    raise SchedulingError(
+                        f"duplicate task name: {prefix + name!r}"
+                    )
+            admission.finish = max(finishes, default=admission.available_at)
+        for resource, heap in lane_free.items():
+            if resource not in schedule.lanes:
+                schedule.lanes[resource] = self.lanes_of(resource)
+            schedule.lane_state[resource] = sorted(heap)
+
+    def _lane_heap(
+        self, schedule: Schedule, resource: str
+    ) -> list[tuple[float, int]]:
+        """A copy of one pool's carried-over lane heap: the recorded
+        :attr:`~repro.pipeline.tasks.Schedule.lane_state` (a sorted list
+        is a valid heap, so pop order matches an uninterrupted
+        simulation); fresh lanes for a pool the schedule never used; or,
+        for a schedule that recorded no lane state at all (e.g. one
+        deserialized or hand-built by a test), per-lane free times
+        rebuilt from its tasks."""
+        state = schedule.lane_state.get(resource)
+        if state is not None:
+            return list(state)
+        free = [0.0] * self.lanes_of(resource)
+        if not schedule.lane_state:
+            for item in schedule.tasks.values():
+                if item.task.resource == resource and item.finish > free[item.lane]:
+                    free[item.lane] = item.finish
+        return sorted((free_at, lane) for lane, free_at in enumerate(free))
+
+    def _check_device(self, task: Task) -> None:
+        if task.device != self.device:
+            raise SchedulingError(
+                f"task {task.name!r} is placed on device {task.device} but "
+                f"this engine simulates device {self.device}"
+            )
+
+    def _check_admission(self, admission: Admission) -> None:
+        if admission.device != self.device:
+            raise SchedulingError(
+                f"admission {admission.alias!r} is placed on device "
+                f"{admission.device} but this engine simulates device "
+                f"{self.device}"
+            )
+        if admission.available_at is not None:
+            _check_seconds(
+                admission.available_at,
+                "available_at",
+                f"admission {admission.alias!r}",
+            )
+
+    def _check_task(self, task: Task) -> None:
+        _check_seconds(task.duration, "duration", f"task {task.name!r}")
+        _check_seconds(task.available_at, "available_at", f"task {task.name!r}")
+        self._check_device(task)
 
     def compact(self, schedule: Schedule, horizon: float) -> int:
         """Retire tasks finished at or before ``horizon`` from both
         ``schedule`` and this engine's books, in lockstep.
 
         This is the engine half of steady-state streaming: without it a
-        long-lived serving engine accumulates every task ever admitted
-        (the ``_tasks`` list and name index grow O(total arrivals));
+        long-lived serving engine accumulates every task ever admitted;
         with it, retained state is O(in-flight + one compaction
         interval).  ``schedule`` must be this engine's current schedule
         (the result of :meth:`run` or :meth:`extend` over exactly the
@@ -503,34 +680,28 @@ class PipelineEngine:
         must never depend on a retired task (the serving layer only
         retires queries whose dependents all finished; a violation
         raises ``unknown task`` at the next ``extend``).  A compacted
-        engine refuses :meth:`run` / :meth:`run_reference` — the full
-        graph no longer exists to re-simulate.
+        engine drops its record of the submitted graph and refuses
+        :meth:`run` and :meth:`add` — the full graph no longer exists
+        to re-simulate.
         """
         if schedule.is_merged_view:
             raise SchedulingError(
                 "cannot compact a merged reporting view: compact each "
                 "owning device's schedule through its own engine"
             )
-        if len(schedule.tasks) != len(self._tasks):
+        if len(schedule.tasks) != self._count:
             raise SchedulingError(
                 f"stale schedule: covers {len(schedule.tasks)} tasks but "
-                f"the engine holds {len(self._tasks)}; compact() needs the "
+                f"the engine holds {self._count}; compact() needs the "
                 "schedule of exactly the tasks currently submitted"
             )
-        retired = {
-            name
-            for name, item in schedule.tasks.items()
-            if item.finish <= horizon
-        }
-        if not retired:
-            return 0
-        schedule.compact(horizon)
-        self._tasks = [task for task in self._tasks if task.name not in retired]
-        for name in retired:
-            del self._by_name[name]
-        self._retired += len(retired)
-        return len(retired)
-
+        retired = schedule.compact(horizon)
+        if retired:
+            self._count -= retired
+            self._retired += retired
+            self._graph = None
+            self._names = set()
+        return retired
     def crash(self, schedule: Schedule, at: float) -> list[str]:
         """Ungraceful device failure at simulated time ``at``.
 
@@ -548,12 +719,12 @@ class PipelineEngine:
 
         The engine is sealed exactly like retirement (new
         :meth:`add` / non-empty :meth:`extend` raise) and additionally
-        refuses :meth:`run` / :meth:`run_reference` — a crashed device
-        has no future to simulate.  :meth:`compact` keeps working on
-        the surviving history, so a streaming run's periodic sweeps
-        need not special-case crashed devices.  ``schedule`` must
-        be this engine's own current schedule, not a merged reporting
-        view.  Idempotent in effect: a second crash on an already-sealed
+        refuses :meth:`run` — a crashed device has no future to
+        simulate.  :meth:`compact` keeps working on the surviving
+        history, so a streaming run's periodic sweeps need not
+        special-case crashed devices.  ``schedule`` must be this
+        engine's own current schedule, not a merged reporting view.
+        Idempotent in effect: a second crash on an already-sealed
         engine just invalidates whatever (nothing) remains unfinished.
         """
         if schedule.is_merged_view:
@@ -561,10 +732,10 @@ class PipelineEngine:
                 "cannot crash a merged reporting view: crash the owning "
                 "device's schedule through its own engine"
             )
-        if len(schedule.tasks) != len(self._tasks):
+        if len(schedule.tasks) != self._count:
             raise SchedulingError(
                 f"stale schedule: covers {len(schedule.tasks)} tasks but "
-                f"the engine holds {len(self._tasks)}; crash() needs the "
+                f"the engine holds {self._count}; crash() needs the "
                 "schedule of exactly the tasks currently submitted"
             )
         lost = sorted(
@@ -574,10 +745,9 @@ class PipelineEngine:
         )
         for name in lost:
             del schedule.tasks[name]
-            del self._by_name[name]
-        if lost:
-            gone = set(lost)
-            self._tasks = [t for t in self._tasks if t.name not in gone]
+        self._count -= len(lost)
+        self._graph = None
+        self._names = set()
         self._crashed = True
         self._device_retired = True
         return lost
@@ -620,95 +790,6 @@ class PipelineEngine:
                 "task(s) were retired, so the full graph no longer exists "
                 "to re-simulate; keep using extend()"
             )
-
-    def _reconstruct_lane_state(
-        self, schedule: Schedule, resource: str
-    ) -> list[tuple[float, int]]:
-        """Per-lane free times of one pool, rebuilt from a schedule that
-        did not record :attr:`~repro.pipeline.tasks.Schedule.lane_state`
-        (e.g. one deserialized or hand-built by a test)."""
-        free = [0.0] * self.lanes_of(resource)
-        for item in schedule.tasks.values():
-            if item.task.resource == resource and item.finish > free[item.lane]:
-                free[item.lane] = item.finish
-        return sorted((free_at, lane) for lane, free_at in enumerate(free))
-
-    # ------------------------------------------------------------------
-    def run_reference(self) -> Schedule:
-        """The original all-queue-heads scanner, kept as the executable
-        specification of :meth:`run`: repeatedly starts the earliest-
-        ready head-of-queue task, rescanning every queue per decision.
-        ``tests/pipeline/test_engine_reference.py`` asserts both produce
-        identical schedules on randomized DAGs.
-        """
-        self._check_not_compacted("run_reference()")
-        for task in self._tasks:
-            for dep in task.deps:
-                if dep not in self._by_name:
-                    raise SchedulingError(
-                        f"task {task.name!r} depends on unknown task {dep!r}"
-                    )
-
-        queues: dict[str, list[Task]] = defaultdict(list)
-        for task in self._tasks:
-            queues[task.resource].append(task)
-        cursor = {resource: 0 for resource in queues}
-        # One free-time per lane; a pool's next task is dispatched onto
-        # whichever lane frees first (round-robin copy engines/streams).
-        lane_free = {
-            resource: [0.0] * self.lanes_of(resource) for resource in queues
-        }
-
-        schedule = Schedule(
-            lanes={resource: self.lanes_of(resource) for resource in queues}
-        )
-        remaining = len(self._tasks)
-        while remaining:
-            best_name = None
-            best_start = None
-            best_lane = 0
-            for resource, queue in queues.items():
-                position = cursor[resource]
-                if position >= len(queue):
-                    continue
-                task = queue[position]
-                if any(dep not in schedule.tasks for dep in task.deps):
-                    continue
-                dep_ready = max(
-                    (schedule.tasks[dep].finish for dep in task.deps), default=0.0
-                )
-                lane = min(
-                    range(len(lane_free[resource])),
-                    key=lane_free[resource].__getitem__,
-                )
-                start = max(lane_free[resource][lane], dep_ready, task.available_at)
-                if best_start is None or start < best_start:
-                    best_start, best_name, best_lane = start, task.name, lane
-            if best_name is None:
-                pending = [
-                    queue[cursor[resource]].name
-                    for resource, queue in queues.items()
-                    if cursor[resource] < len(queue)
-                ]
-                raise SchedulingError(
-                    f"pipeline deadlock: queue heads {pending} all blocked "
-                    "(cyclic dependencies across FIFO queues?)"
-                )
-            task = self._by_name[best_name]
-            finish = best_start + task.duration
-            schedule.tasks[task.name] = ScheduledTask(
-                task, best_start, finish, lane=best_lane
-            )
-            lane_free[task.resource][best_lane] = finish
-            cursor[task.resource] += 1
-            remaining -= 1
-        schedule.lane_state = {
-            resource: sorted(
-                (free_at, lane) for lane, free_at in enumerate(frees)
-            )
-            for resource, frees in lane_free.items()
-        }
-        return schedule
 
 
 def double_buffered_stream(

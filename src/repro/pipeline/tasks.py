@@ -92,14 +92,48 @@ class Task:
         return self.phase if self.phase is not None else self.resource
 
 
-@dataclass
 class ScheduledTask:
-    """A task with its computed start/finish times and assigned lane."""
+    """A task with its computed start/finish times and assigned lane.
 
-    task: Task
-    start: float
-    finish: float
-    lane: int = 0
+    The engine places admitted plan templates without building their
+    :class:`Task` objects: it passes ``task=None`` plus the
+    :class:`~repro.pipeline.engine.Admission` and the task's index in
+    the template's dispatch order, and :attr:`task` builds the
+    namespaced task the first time something reads it (reports, the
+    oracles, the fault audit).  Until then a placed task is this one
+    object.
+    """
+
+    __slots__ = ("start", "finish", "lane", "_task", "_admission", "_index")
+
+    def __init__(
+        self,
+        task: Task | None,
+        start: float,
+        finish: float,
+        lane: int = 0,
+        admission=None,
+        index: int = 0,
+    ) -> None:
+        self._task = task
+        self.start = start
+        self.finish = finish
+        self.lane = lane
+        self._admission = admission
+        self._index = index
+
+    @property
+    def task(self) -> Task:
+        task = self._task
+        if task is None:
+            task = self._task = self._admission.task(self._index)
+        return task
+
+    def __repr__(self) -> str:
+        return (
+            f"ScheduledTask(task={self.task!r}, start={self.start!r}, "
+            f"finish={self.finish!r}, lane={self.lane!r})"
+        )
 
 
 @dataclass
@@ -112,6 +146,8 @@ class Schedule:
     produces the same start/finish times and lane assignments.
     """
 
+    #: Placed tasks by name, in dispatch order: each after its
+    #: dependencies, and per resource pool in submission order.
     tasks: dict[str, ScheduledTask] = field(default_factory=dict)
     #: Lane counts of the pools the schedule ran on (default 1 each).
     lanes: dict[str, int] = field(default_factory=dict)
@@ -229,8 +265,7 @@ class Schedule:
 
         Task dicts are unioned (names must be globally unique — the
         serving layer's qid prefixes guarantee it, since a query runs
-        entirely on one device) and lane counts are merged at their
-        maximum per resource name.  The merged view is for *reporting*
+        entirely on one device).  The merged view is for *reporting*
         (makespan, per-query latency, cross-query overlap); same-named
         resources on different devices are distinct physical pools, so
         :meth:`busy_time` aggregates over all devices sharing the name

@@ -37,8 +37,8 @@ from typing import ClassVar, Iterator
 from repro.errors import FleetEventError, InvalidConfigError, SchedulingError
 from repro.gpusim.arena import DeviceMemoryArena
 from repro.gpusim.calibration import Calibration
-from repro.pipeline.engine import PipelineEngine
-from repro.pipeline.tasks import Schedule, Task
+from repro.pipeline.engine import PipelineEngine, Wave
+from repro.pipeline.tasks import Schedule
 
 #: Registry keys of the built-in policies.
 LEAST_LOADED = "least_loaded"
@@ -66,12 +66,10 @@ class DeviceState:
     calibration: Calibration | None = None
     #: Lane widths declared for this device's resource pools so far.
     resources: dict[str, int] = field(default_factory=dict)
-    #: Tasks admitted since the last engine pass.
-    wave_tasks: list[Task] = field(default_factory=list)
+    #: Plan admissions since the last engine pass.
+    wave: Wave = field(default_factory=Wave)
     engine: PipelineEngine | None = None
     schedule: Schedule = field(default_factory=Schedule)
-    #: Tasks were added since ``schedule`` was computed.
-    dirty: bool = False
     #: Query ids currently holding a reservation on this device.
     running: set[str] = field(default_factory=set)
     #: Expected finish per running query — engine-accurate once the
@@ -140,10 +138,9 @@ class DeviceState:
         lost = sorted(self.running)
         if self.engine is not None:
             self.engine.crash(self.schedule, at)
-        self.wave_tasks = []
+        self.wave = Wave()
         self.running.clear()
         self.predicted_finish.clear()
-        self.dirty = False
         self.crashed = True
         self.crashed_at = at
         return lost

@@ -24,9 +24,10 @@ admitted* — and, on a sharded fleet, *where*.  The scheduler:
   *and* starting now beats queueing for the memory the solo placement
   wants on whichever device frees it first;
 * lowers every admitted query's :class:`JoinPlan` into **its device's**
-  engine, task names prefixed with the query id, tagged with the
-  device, and released at the admission time, so H2D/D2H/GPU resource
-  lanes interleave across co-resident queries per device;
+  engine — the plan's template, lowered once per plan, admitted under
+  the query id as task-name prefix, tagged with the device and released
+  at the admission time — so H2D/D2H/GPU resource lanes interleave
+  across co-resident queries per device;
 * releases the reservation at the query's simulated finish time, which
   is the event that admits the next waiting query.
 
@@ -43,8 +44,8 @@ two entry points produce identical outcomes, failures and makespans.
 The report's ``makespan`` is the fleet's schedule makespan: the
 latest finish of any task on any device.  Re-simulating each device's
 final task graph from scratch — the batch oracle in
-:mod:`repro.bench.regress` — must reproduce every task's start, finish
-and lane.
+:mod:`repro.pipeline.oracle` — must reproduce every task's start,
+finish and lane.
 
 The fleet may be **heterogeneous and elastic**.  Each device carries
 its own :class:`~repro.gpusim.calibration.Calibration`
@@ -106,8 +107,8 @@ from repro.errors import InvalidConfigError, SchedulingError
 from repro.gpusim.arena import DeviceMemoryArena
 from repro.gpusim.calibration import Calibration
 from repro.gpusim.spec import SystemSpec
-from repro.pipeline.engine import PipelineEngine
-from repro.pipeline.tasks import Schedule, Task
+from repro.pipeline.engine import Admission, PipelineEngine, Wave
+from repro.pipeline.tasks import Schedule
 from repro.serve.admission import (
     AdmissionContext,
     AdmissionPolicy,
@@ -1081,13 +1082,14 @@ class QueryScheduler:
         Plans are pure in (strategy fingerprint, spec, materialize) —
         the per-device memory grant and the device's calibration both
         ride in the fingerprint — and the scheduler only *reads* them
-        (tasks are re-materialized by :meth:`_namespace`), so cached
-        plans are shared safely across runs, determinism re-runs and
-        devices, and a fast device's task durations can never be served
-        to a slow one.  ``cached_prepare`` keys the plan exactly as the
-        strategy's ``estimate()`` does: when the alone-estimate that
-        priced this placement missed the cache, it prepared this plan,
-        and admission reuses that object instead of preparing it again.
+        (admission places the plan's template under the query's alias),
+        so cached plans are shared safely across runs, determinism
+        re-runs and devices, and a fast device's task durations can
+        never be served to a slow one.  ``cached_prepare`` keys the plan
+        exactly as the strategy's ``estimate()`` does: when the
+        alone-estimate that priced this placement missed the cache, it
+        prepared this plan, and admission reuses that object instead of
+        preparing it again.
         """
         profile = self._profile(request, calibration)
         plan = profile.plans.get(key)
@@ -1124,25 +1126,6 @@ class QueryScheduler:
                 return max(0.0, predicted_finish[qid] - clock)
         return float("inf")
 
-    @staticmethod
-    def _namespace(
-        plan: JoinPlan, qid: str, available_at: float, device: int
-    ) -> list[Task]:
-        """Prefix a plan's task graph so it can share one engine, and
-        tag every task with the device the query was placed on."""
-        return [
-            Task(
-                name=f"{qid}:{task.name}",
-                resource=task.resource,
-                duration=task.duration,
-                deps=tuple(f"{qid}:{dep}" for dep in task.deps),
-                phase=task.phase,
-                available_at=available_at,
-                device=device,
-            )
-            for task in plan.tasks
-        ]
-
     # ------------------------------------------------------------------
     def run_online(
         self,
@@ -1160,7 +1143,7 @@ class QueryScheduler:
         the given order.  Every device keeps its whole schedule
         (:attr:`ServeReport.device_schedules`), so tests can re-simulate
         each device from scratch against it
-        (:func:`repro.bench.regress.check_batch_oracle`).
+        (:func:`repro.pipeline.oracle.check_batch_oracle`).
         ``fleet_events`` adds/retires devices at their timestamps,
         between admissions; ``faults`` injects device crashes and
         transient admission failures (see
@@ -1376,21 +1359,21 @@ class QueryScheduler:
         request: QueryRequest,
         placed: tuple[DeviceState, str, int],
         outcomes: dict[str, QueryOutcome],
-        task_names: dict[str, list[str]],
+        admitted_plans: dict[str, Admission],
         owner: dict[str, DeviceState],
         clock: float,
         *,
         stolen: bool = False,
         fault_run: "_FaultRun | None" = None,
     ) -> DeviceState:
-        """Commit a placement decision: reserve the arena grant, lower
-        the plan's namespaced task graph onto the device, and record the
-        outcome skeleton.  The plan and the predicted finish are built
-        under the *placed device's* calibration; the recorded
-        ``solo_seconds`` baseline stays on the scheduler default so
-        serial comparisons are device-independent.  Shared verbatim by
-        head-of-line and stealing admission so their committed state
-        cannot drift.
+        """Commit a placement decision: reserve the arena grant, add the
+        plan's template to the device's wave under the query's alias,
+        and record the outcome skeleton.  The plan and the predicted
+        finish are built under the *placed device's* calibration; the
+        recorded ``solo_seconds`` baseline stays on the scheduler
+        default so serial comparisons are device-independent.  Shared
+        verbatim by head-of-line and stealing admission so their
+        committed state cannot drift.
 
         Re-admissions after a fault (``fault_run`` generation > 0)
         namespace their tasks under the alias ``qid~rN`` instead of the
@@ -1426,9 +1409,9 @@ class QueryScheduler:
             device.resources[name] = max(
                 device.resources.get(name, 1), width
             )
-        namespaced = self._namespace(plan, alias, clock, device.index)
-        device.wave_tasks.extend(namespaced)
-        task_names[request.qid] = [task.name for task in namespaced]
+        admission = Admission(plan.template, alias, clock, device.index)
+        device.wave.add(admission)
+        admitted_plans[request.qid] = admission
         outcomes[request.qid] = QueryOutcome(
             qid=request.qid,
             strategy=key,
@@ -1453,7 +1436,6 @@ class QueryScheduler:
         # calibration, which priced this placement in `_place`.
         alone = self._offer_estimate(request, key, need, device.calibration)
         device.predicted_finish[request.qid] = clock + alone
-        device.dirty = True
         return device
 
     def _steal(
@@ -1461,7 +1443,7 @@ class QueryScheduler:
         queue: "deque[QueryRequest]",
         fleet: DeviceFleet,
         outcomes: dict[str, QueryOutcome],
-        task_names: dict[str, list[str]],
+        admitted_plans: dict[str, Admission],
         owner: dict[str, DeviceState],
         clock: float,
         *,
@@ -1512,7 +1494,7 @@ class QueryScheduler:
                 request,
                 (device, key, need),
                 outcomes,
-                task_names,
+                admitted_plans,
                 owner,
                 clock,
                 stolen=True,
@@ -1590,7 +1572,7 @@ class QueryScheduler:
         fleet: DeviceFleet,
         queue: "deque[QueryRequest]",
         outcomes: dict[str, QueryOutcome],
-        task_names: dict[str, list[str]],
+        admitted_plans: dict[str, Admission],
         owner: dict[str, DeviceState],
         clock: float,
     ) -> int:
@@ -1617,9 +1599,9 @@ class QueryScheduler:
             fleet[event.device].arena.reconcile(lost, at=event.at)
             for qid in lost:
                 outcomes.pop(qid, None)
-                names = task_names.pop(qid, None)
-                if names is not None:
-                    lost_tasks += len(names)
+                lowered = admitted_plans.pop(qid, None)
+                if lowered is not None:
+                    lost_tasks += len(lowered)
                 owner.pop(qid, None)
                 request = fault_run.live.pop(qid)
                 fault_run.record_failure(
@@ -1690,10 +1672,10 @@ class QueryScheduler:
         (shedding at ingestion when ``shedding`` and a limit applies),
         sheds expired deadlines, admits while the admission policy's
         chosen head can be placed (head-of-line blocking on that head),
-        runs the stealing pass, extends each dirty device's schedule
-        with its wave, reads each new query's finish once, and advances
-        the clock to the next finish, arrival, fleet event or fault
-        wakeup, releasing everything due.  Every run ends with
+        runs the stealing pass, extends each device's schedule with its
+        wave of plan admissions, reads each new query's finish once, and
+        advances the clock to the next finish, arrival, fleet event or
+        fault wakeup, releasing everything due.  Every run ends with
         :func:`~repro.serve.faults.check_fault_invariants`.
         """
         fleet = self._build_fleet()
@@ -1717,7 +1699,7 @@ class QueryScheduler:
         last_submit = 0.0
         wait_queue: deque[QueryRequest] = deque()
         outcomes: dict[str, QueryOutcome] = {}
-        task_names: dict[str, list[str]] = {}
+        admitted_plans: dict[str, Admission] = {}
         owner: dict[str, DeviceState] = {}
         completed: list[QueryOutcome] = []
         shed: list[ShedOutcome] = []
@@ -1803,7 +1785,7 @@ class QueryScheduler:
         def admitted(device: DeviceState, qid: str) -> None:
             """In-flight task accounting for one fresh admission."""
             nonlocal inflight_tasks, max_tasks_per_query, peak_inflight_tasks
-            ntasks = len(task_names[qid])
+            ntasks = len(admitted_plans[qid])
             inflight_tasks += ntasks
             if ntasks > max_tasks_per_query:
                 max_tasks_per_query = ntasks
@@ -1820,7 +1802,7 @@ class QueryScheduler:
             self._apply_fleet_events(fleet, events, clock)
             if fault_run is not None:
                 inflight_tasks -= self._apply_faults(
-                    fault_run, fleet, wait_queue, outcomes, task_names,
+                    fault_run, fleet, wait_queue, outcomes, admitted_plans,
                     owner, clock,
                 )
             if (
@@ -1844,7 +1826,7 @@ class QueryScheduler:
                 if fault_run is not None:
                     inflight_tasks -= self._apply_faults(
                         fault_run, fleet, wait_queue, outcomes,
-                        task_names, owner, clock,
+                        admitted_plans, owner, clock,
                     )
             elif (
                 fault_run is not None
@@ -1863,7 +1845,7 @@ class QueryScheduler:
                 clock = max(clock, horizon)
                 self._apply_fleet_events(fleet, events, clock)
                 inflight_tasks -= self._apply_faults(
-                    fault_run, fleet, wait_queue, outcomes, task_names,
+                    fault_run, fleet, wait_queue, outcomes, admitted_plans,
                     owner, clock,
                 )
 
@@ -1958,7 +1940,7 @@ class QueryScheduler:
                     break
                 del wait_queue[pos]
                 device = self._admit(
-                    request, placed, outcomes, task_names, owner, clock,
+                    request, placed, outcomes, admitted_plans, owner, clock,
                     fault_run=fault_run,
                 )
                 admission.record_admit(request, admission_ctx)
@@ -1966,7 +1948,7 @@ class QueryScheduler:
 
             if self.steal and wait_queue:
                 for device, qid in self._steal(
-                    wait_queue, fleet, outcomes, task_names, owner, clock,
+                    wait_queue, fleet, outcomes, admitted_plans, owner, clock,
                     fault_run=fault_run,
                 ):
                     admitted(device, qid)
@@ -1995,33 +1977,28 @@ class QueryScheduler:
                     "fleet"
                 )
 
-            # One engine extension per device that gained tasks: later
-            # admissions join the tail of every FIFO lane on their
+            # One engine extension per device that admitted queries:
+            # later admissions join the tail of every FIFO lane on their
             # device, so already-placed tasks never move and a wave
             # costs O(new tasks).
             for device in fleet:
-                if not device.dirty:
+                if not device.wave.admissions:
                     continue
                 if device.engine is None:
                     device.engine = PipelineEngine(
                         device.resources, device=device.index
                     )
                 device.schedule = device.engine.extend(
-                    device.schedule, device.wave_tasks, in_place=True
+                    device.schedule, device.wave, in_place=True
                 )
-                device.wave_tasks = []
-                device.dirty = False
+                device.wave = Wave()
 
-            # Each admitted query's finish is read once, right after
-            # its wave's extension (the FIFO-tail guarantee above), so
-            # release events come from a heap instead of re-reading
-            # the schedule — which compaction may have trimmed — every
-            # wave.
+            # Each admitted query's finish is fixed by its wave's
+            # extension (the FIFO-tail guarantee above), so release
+            # events come from a heap instead of re-reading the
+            # schedule — which compaction may have trimmed — every wave.
             for device, qid in admitted_wave:
-                finish = max(
-                    device.schedule.tasks[name].finish
-                    for name in task_names[qid]
-                )
+                finish = admitted_plans[qid].finish
                 outcomes[qid].finish_at = finish
                 outcomes[qid].deadline_missed = (
                     finish > outcomes[qid].deadline_at
@@ -2081,7 +2058,7 @@ class QueryScheduler:
                 device.arena.release(qid, at=clock)
                 device.running.remove(qid)
                 del device.predicted_finish[qid]
-                inflight_tasks -= len(task_names.pop(qid))
+                inflight_tasks -= len(admitted_plans.pop(qid))
                 released_since_compact += 1
                 if fault_run is not None:
                     fault_run.live.pop(qid, None)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.oracle import run_reference
 from repro.pipeline.tasks import Schedule, Task
 
 
@@ -112,7 +113,7 @@ def test_run_and_reference_refuse_after_compact():
     with pytest.raises(SchedulingError, match="after compact"):
         engine.run()
     with pytest.raises(SchedulingError, match="after compact"):
-        engine.run_reference()
+        run_reference(engine)
 
 
 def test_compact_refuses_merged_view():

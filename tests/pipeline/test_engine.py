@@ -1,5 +1,7 @@
 """Discrete-event pipeline engine semantics."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,39 @@ def test_negative_duration_rejected():
     engine = PipelineEngine()
     with pytest.raises(SchedulingError):
         engine.add_task("a", "gpu", -1.0)
+
+
+def test_nan_duration_rejected():
+    """A NaN duration used to give a NaN finish and makespan."""
+    engine = PipelineEngine()
+    with pytest.raises(SchedulingError, match="non-finite duration"):
+        engine.add_task("a", "gpu", math.nan)
+    schedule = engine.run()
+    with pytest.raises(SchedulingError, match="non-finite duration"):
+        engine.extend(schedule, [Task("a", "gpu", math.nan)])
+    assert engine.tasks == [] and engine.run().makespan == 0.0
+
+
+def test_nan_release_time_rejected():
+    """``available_at=nan`` used to be ignored: the task started at 0.0."""
+    engine = PipelineEngine()
+    with pytest.raises(SchedulingError, match="non-finite available_at"):
+        engine.add(Task("a", "gpu", 1.0, available_at=math.nan))
+    schedule = engine.run()
+    with pytest.raises(SchedulingError, match="non-finite available_at"):
+        engine.extend(schedule, [Task("a", "gpu", 1.0, available_at=math.nan)])
+    assert engine.tasks == []
+
+
+def test_infinite_duration_rejected():
+    """An infinite duration used to give an infinite makespan."""
+    engine = PipelineEngine()
+    with pytest.raises(SchedulingError, match="non-finite duration"):
+        engine.add_task("a", "gpu", math.inf)
+    schedule = engine.run()
+    with pytest.raises(SchedulingError, match="non-finite duration"):
+        engine.extend(schedule, [Task("a", "gpu", math.inf)])
+    assert engine.tasks == []
 
 
 def test_unknown_dependency_rejected():

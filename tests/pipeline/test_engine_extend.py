@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.oracle import run_reference
 from repro.pipeline.tasks import Schedule, Task
 
 
@@ -181,7 +182,7 @@ def test_extend_after_run_reference():
     engine = PipelineEngine({"pool": 2})
     engine.add(Task("a", "pool", 3.0))
     engine.add(Task("b", "pool", 1.0))
-    schedule = engine.run_reference()
+    schedule = run_reference(engine)
     assert schedule.lane_state["pool"] == [(1.0, 1), (3.0, 0)]
     extended = engine.extend(schedule, [Task("c", "pool", 1.0)])
     assert extended.tasks["c"].lane == 1

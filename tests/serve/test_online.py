@@ -3,7 +3,7 @@
 ``QueryScheduler.run_online`` places every admission wave with
 ``PipelineEngine.extend`` over the carried-over lane state; re-running
 each device's final task graph from scratch (the batch oracle,
-:func:`~repro.bench.regress.check_batch_oracle`) must reproduce every
+:func:`~repro.pipeline.oracle.check_batch_oracle`) must reproduce every
 task's start, finish and lane **exactly**.  These tests pin that
 equivalence on the mixed serving workload, batched and staggered, and
 check the online mode's own determinism and arena accounting.
@@ -17,7 +17,8 @@ from repro.bench.regress import check_batch_oracle
 from repro.bench.serve_bench import fingerprint as _fingerprint
 from repro.bench.serve_bench import run_serve, verify_report
 from repro.errors import SchedulingError
-from repro.pipeline.tasks import ScheduledTask
+from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.tasks import ScheduledTask, Task
 from repro.serve import QueryScheduler, mixed_workload
 
 
@@ -99,3 +100,58 @@ def test_online_matches_batch_with_widened_lanes():
     online = QueryScheduler(lanes={"h2d": 2}).run_online(mixed_workload(4))
     assert online.schedule.lanes["h2d"] == 2
     check_batch_oracle(online)
+
+
+def test_placed_tasks_are_built_only_when_read(monkeypatch):
+    """Admission places each plan's template without building a Task
+    per placed task; reading ``.task`` builds one equal, field for
+    field, to the plan task namespaced under the query id, released at
+    the admission clock and tagged with the device."""
+    plans = {}
+    prepare_plan = QueryScheduler._prepare_plan
+
+    def admitting(self, key, request, *args, **kwargs):
+        plan = prepare_plan(self, key, request, *args, **kwargs)
+        plans[request.qid] = plan
+        return plan
+
+    monkeypatch.setattr(QueryScheduler, "_prepare_plan", admitting)
+    report = QueryScheduler(devices=2).run_online(mixed_workload(16))
+
+    schedules = report.device_schedules
+    placed = [item for s in schedules for item in s.tasks.values()]
+    # White-box: the slot stays empty until something reads ``.task``.
+    assert placed and all(item._task is None for item in placed)
+    expected_names = set()
+    for outcome in report.outcomes:
+        qid = outcome.qid
+        for task in plans[qid].tasks:
+            expected = Task(
+                name=f"{qid}:{task.name}",
+                resource=task.resource,
+                duration=task.duration,
+                deps=tuple(f"{qid}:{dep}" for dep in task.deps),
+                phase=task.phase,
+                available_at=outcome.admit_at,
+                device=outcome.device,
+            )
+            assert schedules[outcome.device].tasks[expected.name].task == expected
+            expected_names.add(expected.name)
+    assert expected_names == {name for s in schedules for name in s.tasks}
+
+
+def test_extension_lengths_count_the_placed_tasks(monkeypatch):
+    """``len()`` of each wave handed to ``PipelineEngine.extend`` is its
+    task count, so the lengths sum to the tasks in the device
+    schedules — the count the benchmark's layer tracer reports."""
+    lengths = []
+    extend = PipelineEngine.extend
+
+    def counted(self, schedule, new_tasks, **kwargs):
+        lengths.append(len(new_tasks))
+        return extend(self, schedule, new_tasks, **kwargs)
+
+    monkeypatch.setattr(PipelineEngine, "extend", counted)
+    report = QueryScheduler(devices=2).run_online(mixed_workload(16))
+    assert len(lengths) > 2
+    assert sum(lengths) == sum(len(s.tasks) for s in report.device_schedules)
