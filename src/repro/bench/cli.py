@@ -10,7 +10,9 @@ Usage::
     python -m repro.bench serve --clients 64 --arrival-rate 8
     python -m repro.bench serve --clients 16 --devices 2  # sharded fleet
     python -m repro.bench serve --stream --arrivals 100000 --devices 2  # steady state
-    python -m repro.bench perf --quick        # tracked micro-benchmarks
+
+Wall-clock performance is measured by the repository benchmark,
+``perfbench/run.py``, not by this command.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.bench.serve_bench import serve_main
 
         return serve_main(argv[1:])
-    if argv and argv[0] == "perf":
-        from repro.bench.perf_bench import perf_main
-
-        return perf_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="repro-bench",
@@ -67,19 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         default=0.05,
         help="relative tolerance for --compare (default 0.05)",
     )
-    parser.add_argument(
-        "--refresh-experiments",
-        metavar="FILE",
-        help="re-run the figures and splice fresh tables into EXPERIMENTS.md",
-    )
     args = parser.parse_args(argv)
-
-    if args.refresh_experiments:
-        from repro.bench.report import refresh_experiments
-
-        refreshed = refresh_experiments(args.refresh_experiments, scale=args.scale)
-        print(f"refreshed {len(refreshed)} tables in {args.refresh_experiments}")
-        return 0
 
     if args.snapshot or args.compare:
         from repro.bench.compare import compare, snapshot

@@ -33,9 +33,9 @@ bounded wait queue (``--max-queue``), an optional admission-wait SLO
 The run is verified (:func:`verify_stream_report`): arenas drained and
 within capacity, every arrival accounted for (completed + shed ==
 arrivals), and the peak retained schedule bounded by a constant
-multiple of the in-flight work — the compaction guarantee.  Results
-land in ``BENCH_perf.json`` as ``serve_stream_*`` entries merged next
-to the ``perf`` suite's records.
+multiple of the in-flight work — the compaction guarantee.
+``--max-wall`` and ``--max-shed-rate`` turn the run into a gate (exit
+1 when exceeded); both are accepted only with ``--stream``.
 
 Heterogeneous fleets: ``--device-caps GB,GB,...`` and
 ``--device-calib NAME,NAME,...`` give each device its own memory
@@ -44,8 +44,7 @@ capacity and calibration preset
 must match ``--devices``.  ``--steal`` enables the cross-device
 work-stealing pass.  Heterogeneous and stealing runs skip the
 serial-baseline assertion (the baseline assumes the default
-calibration) and merge ``serve_hetero_*`` / ``serve_steal_*`` series
-into ``BENCH_perf.json``.
+calibration).
 
 Admission policies: ``--admission`` picks the wait-queue ordering
 policy (:mod:`repro.serve.admission`; default ``fifo``, bit-identical
@@ -54,9 +53,8 @@ the canonical deadline-bearing service classes
 (:data:`~repro.serve.workload.DEADLINE_CLASSES` cycled across three
 tenants) and ``--deadline-scale`` stretches or squeezes their
 deadlines.  Classed runs report per-class/per-tenant latency and
-deadline-miss rates and merge ``serve_admission_*`` series (p50/p99
-latency and deadline-miss rate per policy) into ``BENCH_perf.json``;
-the serial-baseline assertion only applies to unclassed FIFO runs
+deadline-miss rates; the serial-baseline assertion only applies to
+unclassed FIFO runs
 (reordering trades makespan for latency/deadline goals by design).
 
 Fault injection: ``--faults`` derives a deterministic
@@ -67,9 +65,12 @@ the scheduler's recovery path under a ``--max-retries`` budget.
 Faulted runs skip the serial-baseline assertion (losing devices is
 allowed to cost makespan), verify conservation
 (``completed + shed + failed == arrivals``) and drained arenas
-instead, merge ``serve_faults_*`` series (failed rate, total retries,
-mean recovery latency) into ``BENCH_perf.json``, and fail the process
-when ``--max-failed-rate`` is exceeded — the CI chaos smoke bound.
+instead, and fail the process when ``--max-failed-rate`` is exceeded —
+the CI chaos smoke bound, accepted only with ``--faults``.
+
+Every mode prints its results; the only file the command writes is an
+explicit ``--sample-store PATH``.  Wall-clock performance is measured
+by the repository benchmark, ``perfbench/run.py``.
 
 Run via the CLI (``python -m repro.bench serve --clients 16``,
 ``... serve --clients 16 --devices 2``,
@@ -86,7 +87,6 @@ import argparse
 import time
 from dataclasses import dataclass
 
-from repro.bench.perf_bench import PerfEntry, merge_perf_json
 from repro.core import estimate_cache
 from repro.core.sample_store import SampleStore
 from repro.errors import SampleStoreError, SchedulingError
@@ -316,6 +316,7 @@ def run_serve(
             device_calibrations=scheduler.device_calibrations,
             steal=scheduler.steal,
             max_retries=scheduler.max_retries,
+            retry_backoff_seconds=scheduler.retry_backoff_seconds,
             admission=scheduler.admission,
         )
         rerun = fresh.run_online(workload(), faults=faults)
@@ -506,182 +507,6 @@ def run_stream_bench(
     return report, wall
 
 
-def stream_perf_entries(
-    report: ServeReport, wall: float, *, arrivals: int, devices: int
-) -> dict[str, PerfEntry]:
-    """``serve_stream_*`` records in ``BENCH_perf.json``'s uniform
-    ``{wall_seconds, ops_per_sec, n}`` schema.  ``wall_seconds`` always
-    carries the metric's natural per-item value (wall seconds per
-    arrival, simulated seconds of latency, shed fraction, queue depth);
-    ``ops_per_sec`` its rate form where one exists, else 0; ``n`` the
-    population the metric aggregates."""
-    tag = f"[{arrivals}x{devices}]"
-    completed = max(report.completed, 1)
-
-    def entry(value: float, rate: float, n: int) -> PerfEntry:
-        return PerfEntry(wall_seconds=value, ops_per_sec=rate, n=max(n, 1))
-
-    return {
-        f"serve_stream_wall{tag}": entry(
-            wall / max(report.arrivals, 1),
-            report.arrivals / wall if wall > 0 else 0.0,
-            report.arrivals,
-        ),
-        f"serve_stream_sustained_qps{tag}": entry(
-            report.makespan / completed, report.sustained_qps, report.completed
-        ),
-        f"serve_stream_p50_latency{tag}": entry(
-            report.p50_latency,
-            1.0 / report.p50_latency if report.p50_latency > 0 else 0.0,
-            report.completed,
-        ),
-        f"serve_stream_p99_latency{tag}": entry(
-            report.p99_latency,
-            1.0 / report.p99_latency if report.p99_latency > 0 else 0.0,
-            report.completed,
-        ),
-        f"serve_stream_shed_rate{tag}": entry(
-            report.shed_rate,
-            report.shed_count / report.makespan if report.makespan > 0 else 0.0,
-            report.arrivals,
-        ),
-        f"serve_stream_queue_p50{tag}": entry(
-            report.queue_depth_percentile(0.50), 0.0, report.arrivals
-        ),
-        f"serve_stream_queue_p99{tag}": entry(
-            report.queue_depth_percentile(0.99), 0.0, report.arrivals
-        ),
-    }
-
-
-def admission_perf_entries(
-    report: ServeReport,
-    *,
-    policy: str,
-    clients: int,
-    devices: int,
-) -> dict[str, PerfEntry]:
-    """``serve_admission_*`` records for policy-classed serve runs, in
-    ``BENCH_perf.json``'s uniform ``{wall_seconds, ops_per_sec, n}``
-    schema.  Per policy: ``*_p50``/``*_p99`` carry the latency
-    percentiles (rate form: completions per second at that latency) and
-    ``*_miss_rate`` the deadline-miss rate — misses (plus streaming
-    deadline-expiry sheds) over every deadline-bearing query that
-    reached a terminal state."""
-    tag = f"[{clients}x{devices}]"
-    completed = max(len(report.outcomes), 1)
-    p50 = report.p50_latency
-    p99 = report.p99_latency
-    miss = report.deadline_miss_rate
-    deadline_total = report.deadline_count + report.deadline_expired_count
-    return {
-        f"serve_admission_{policy}_p50{tag}": PerfEntry(
-            wall_seconds=p50,
-            ops_per_sec=1.0 / p50 if p50 > 0 else 0.0,
-            n=completed,
-        ),
-        f"serve_admission_{policy}_p99{tag}": PerfEntry(
-            wall_seconds=p99,
-            ops_per_sec=1.0 / p99 if p99 > 0 else 0.0,
-            n=completed,
-        ),
-        f"serve_admission_{policy}_miss_rate{tag}": PerfEntry(
-            wall_seconds=miss,
-            ops_per_sec=(
-                miss * deadline_total / report.makespan
-                if report.makespan > 0
-                else 0.0
-            ),
-            n=max(deadline_total, 1),
-        ),
-    }
-
-
-def hetero_perf_entries(
-    report: ServeReport,
-    wall: float,
-    *,
-    clients: int,
-    steal: bool,
-) -> dict[str, PerfEntry]:
-    """``serve_hetero_*`` / ``serve_steal_*`` records for heterogeneous
-    and work-stealing serve runs, in ``BENCH_perf.json``'s uniform
-    ``{wall_seconds, ops_per_sec, n}`` schema.  ``*_wall`` carries the
-    bench wall clock per query, ``*_makespan`` the simulated makespan
-    per query (rate form: completed queries per simulated second), and
-    with stealing on, ``serve_steal_stolen`` the stolen-admission count
-    of the run."""
-    prefix = "serve_steal" if steal else "serve_hetero"
-    tag = f"[{clients}x{report.devices}]"
-    n = max(len(report.outcomes), 1)
-    entries = {
-        f"{prefix}_wall{tag}": PerfEntry(
-            wall_seconds=wall / n,
-            ops_per_sec=n / wall if wall > 0 else 0.0,
-            n=n,
-        ),
-        f"{prefix}_makespan{tag}": PerfEntry(
-            wall_seconds=report.makespan / n,
-            ops_per_sec=report.queries_per_second,
-            n=n,
-        ),
-    }
-    if steal:
-        entries[f"serve_steal_stolen{tag}"] = PerfEntry(
-            wall_seconds=float(report.stolen_count),
-            ops_per_sec=(
-                report.stolen_count / report.makespan
-                if report.makespan > 0
-                else 0.0
-            ),
-            n=n,
-        )
-    return entries
-
-
-def fault_perf_entries(
-    report: ServeReport,
-    *,
-    arrivals: int,
-    devices: int,
-) -> dict[str, PerfEntry]:
-    """``serve_faults_*`` records for fault-injected runs, in
-    ``BENCH_perf.json``'s uniform ``{wall_seconds, ops_per_sec, n}``
-    schema.  ``failed_rate`` carries the fraction of arrivals the run
-    gave up on (rate form: failures per simulated second);
-    ``retries`` the total re-admission attempts charged across
-    completed *and* failed queries; ``recovery_latency`` the mean
-    submit-to-finish latency of queries that completed only after at
-    least one retry (0 when nothing was retried)."""
-    tag = f"[{arrivals}x{devices}]"
-    completed = list(report.outcomes)
-    failed = list(report.failed)
-    retried = [o for o in completed if o.retries]
-    total_retries = sum(o.retries for o in completed) + sum(
-        f.attempts for f in failed
-    )
-    makespan = report.makespan
-    recovery = [o.finish_at - o.submit_at for o in retried]
-    mean_recovery = sum(recovery) / len(recovery) if recovery else 0.0
-    return {
-        f"serve_faults_failed_rate{tag}": PerfEntry(
-            wall_seconds=len(failed) / arrivals if arrivals else 0.0,
-            ops_per_sec=len(failed) / makespan if makespan > 0 else 0.0,
-            n=max(arrivals, 1),
-        ),
-        f"serve_faults_retries{tag}": PerfEntry(
-            wall_seconds=float(total_retries),
-            ops_per_sec=total_retries / makespan if makespan > 0 else 0.0,
-            n=max(len(completed) + len(failed), 1),
-        ),
-        f"serve_faults_recovery_latency{tag}": PerfEntry(
-            wall_seconds=mean_recovery,
-            ops_per_sec=1.0 / mean_recovery if mean_recovery > 0 else 0.0,
-            n=max(len(retried), 1),
-        ),
-    }
-
-
 def parse_device_caps(text: str | None, devices: int) -> list[int] | None:
     """Parse ``--device-caps`` (comma-separated GB) into bytes.
 
@@ -819,9 +644,8 @@ def serve_main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="stamp the workload with the canonical deadline-bearing "
         "service classes (interactive/standard/batch across three "
-        "tenants): per-class latency and deadline-miss reporting, "
-        "streaming deadline-expiry shedding, and serve_admission_* "
-        "series in BENCH_perf.json",
+        "tenants): per-class latency and deadline-miss reporting, and "
+        "streaming deadline-expiry shedding",
     )
     parser.add_argument(
         "--deadline-scale",
@@ -836,7 +660,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="steady-state streaming harness: bounded-queue admission "
         "with load shedding and schedule compaction over --arrivals "
-        "open arrivals (results merged into BENCH_perf.json)",
+        "open arrivals",
     )
     parser.add_argument(
         "--arrivals",
@@ -904,7 +728,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="FRACTION",
         help="fail when the fraction of arrivals that ended failed "
-        "exceeds this bound (fault-injected runs)",
+        "exceeds this bound (needs --faults)",
     )
     parser.add_argument(
         "--max-wall",
@@ -929,12 +753,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         "computes (append-only JSONL, created on first use) — warm "
         "runs make bit-identical decisions to cold ones",
     )
-    parser.add_argument(
-        "--out",
-        default="BENCH_perf.json",
-        help="JSON path the --stream series merge into "
-        "(default BENCH_perf.json); '-' skips writing",
-    )
     args = parser.parse_args(argv)
 
     if args.clients is not None and args.sweep:
@@ -951,6 +769,17 @@ def serve_main(argv: list[str] | None = None) -> int:
         parser.error("--max-retries must be >= 0")
     if args.faults and not args.stream and args.clients is None:
         parser.error("--faults needs --clients or --stream")
+    # A bound outside its mode would be read by nothing and pass.
+    if args.max_wall is not None and not args.stream:
+        parser.error("--max-wall needs --stream")
+    if args.max_shed_rate is not None and not args.stream:
+        parser.error("--max-shed-rate needs --stream")
+    if args.max_failed_rate is not None and not args.faults:
+        parser.error("--max-failed-rate needs --faults")
+    if args.max_queue < 0:
+        parser.error("--max-queue must be >= 0 (0 = unbounded)")
+    if args.compact_every < 0:
+        parser.error("--compact-every must be >= 0 (0 disables compaction)")
     if args.faults and args.devices < 2:
         parser.error(
             "--faults needs --devices >= 2: at least one device must "
@@ -1079,30 +908,6 @@ def _serve_dispatch(
                 "arrivals accounted for, retained schedule bounded by "
                 "in-flight work"
             )
-        if args.out != "-":
-            entries = stream_perf_entries(
-                report, wall, arrivals=args.arrivals, devices=args.devices
-            )
-            merged = "serve_stream_*"
-            if fault_plan is not None:
-                entries.update(
-                    fault_perf_entries(
-                        report, arrivals=args.arrivals, devices=args.devices
-                    )
-                )
-                merged += " and serve_faults_*"
-            if args.classes:
-                entries.update(
-                    admission_perf_entries(
-                        report,
-                        policy=args.admission,
-                        clients=args.arrivals,
-                        devices=args.devices,
-                    )
-                )
-                merged += " and serve_admission_*"
-            merge_perf_json(entries, args.out)
-            print(f"{merged} series merged into {args.out}")
         failed = False
         if args.max_wall is not None and wall > args.max_wall:
             print(
@@ -1184,12 +989,11 @@ def _serve_dispatch(
                 admission_fault_rate=0.1,
                 allow_total_loss=False,
             )
-        start = time.perf_counter()
         report = run_serve(
             args.clients,
             scale=args.scale,
             spacing_seconds=spacing,
-                devices=args.devices,
+            devices=args.devices,
             placement=args.placement,
             device_capacities=device_capacities,
             device_calibrations=device_calibrations,
@@ -1200,7 +1004,6 @@ def _serve_dispatch(
             classes=args.classes,
             deadline_scale=args.deadline_scale,
         )
-        wall = time.perf_counter() - start
         print(f"admission mode: {mode}")
         if fault_plan is not None:
             crashes = ", ".join(
@@ -1214,37 +1017,8 @@ def _serve_dispatch(
                 f"{args.max_retries}"
             )
         print(report.render(per_query=True))
-        if (hetero or args.steal) and args.out != "-":
-            merge_perf_json(
-                hetero_perf_entries(
-                    report, wall, clients=args.clients, steal=args.steal
-                ),
-                args.out,
-            )
-            prefix = "serve_steal" if args.steal else "serve_hetero"
-            print(f"{prefix}_* series merged into {args.out}")
-        if fault_plan is not None and args.out != "-":
-            merge_perf_json(
-                fault_perf_entries(
-                    report, arrivals=args.clients, devices=args.devices
-                ),
-                args.out,
-            )
-            print(f"serve_faults_* series merged into {args.out}")
-        if args.classes and args.out != "-":
-            merge_perf_json(
-                admission_perf_entries(
-                    report,
-                    policy=args.admission,
-                    clients=args.clients,
-                    devices=args.devices,
-                ),
-                args.out,
-            )
-            print(f"serve_admission_* series merged into {args.out}")
         if (
-            fault_plan is not None
-            and args.max_failed_rate is not None
+            args.max_failed_rate is not None
             and report.failed_count / args.clients > args.max_failed_rate
         ):
             print(

@@ -51,8 +51,8 @@ admitting an unbounded stream of *distinct* queries therefore holds at
 most ``3 * max_entries`` cached objects instead of growing without
 limit; a lookup refreshes an entry's recency, and evictions are
 counted per cache (``stats().evictions`` / ``plan_evictions`` /
-``ladder_evictions``) so a thrashing cache shows up in the
-``bench perf`` accounting instead of hiding as slow estimates.
+``ladder_evictions``) so a thrashing cache shows up in
+:func:`stats` instead of hiding as slow estimates.
 Eviction never affects results — an evicted entry is simply recomputed
 on its next use.  All three insertion sites evict *before* inserting
 when ``len(cache) >= max_entries`` — the ``>=`` (not ``>``) comparison
@@ -211,7 +211,7 @@ def reset_stats() -> None:
     """Zero every hit/miss/eviction counter without touching entries.
 
     Called by :func:`configure` so reconfigurations don't pollute
-    ``bench perf`` hit-rates with counts from a previous configuration;
+    hit-rates with counts from a previous configuration;
     also available directly for benchmarks that want per-phase
     accounting over a warm cache.
     """

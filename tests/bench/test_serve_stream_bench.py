@@ -1,14 +1,10 @@
 """Smoke tests of the ``serve --stream`` steady-state harness."""
 
-import json
-
 import pytest
 
 from repro.bench.serve_bench import (
-    merge_perf_json,
     run_stream_bench,
     serve_main,
-    stream_perf_entries,
     verify_stream_report,
 )
 from repro.errors import SchedulingError
@@ -26,46 +22,6 @@ def test_run_stream_bench_verifies_and_reports():
     assert report.peak_retained_tasks <= (
         report.peak_inflight_tasks + 32 * report.max_tasks_per_query
     )
-
-
-def test_stream_perf_entries_schema():
-    report, wall = run_stream_bench(
-        300, arrival_rate=250.0, max_queue_depth=16, compact_every=16
-    )
-    entries = stream_perf_entries(report, wall, arrivals=300, devices=1)
-    expected = {
-        "serve_stream_wall[300x1]",
-        "serve_stream_sustained_qps[300x1]",
-        "serve_stream_p50_latency[300x1]",
-        "serve_stream_p99_latency[300x1]",
-        "serve_stream_shed_rate[300x1]",
-        "serve_stream_queue_p50[300x1]",
-        "serve_stream_queue_p99[300x1]",
-    }
-    assert set(entries) == expected
-    for name, entry in entries.items():
-        assert entry.n >= 1, name
-        assert entry.wall_seconds >= 0, name
-    qps = entries["serve_stream_sustained_qps[300x1]"]
-    assert qps.ops_per_sec == pytest.approx(report.sustained_qps)
-
-
-def test_merge_perf_json_preserves_existing_records(tmp_path):
-    out = tmp_path / "BENCH_perf.json"
-    out.write_text(
-        '{"estimate_warm": {"wall_seconds": 1.0, "ops_per_sec": 1.0, "n": 5}}\n'
-    )
-    report, wall = run_stream_bench(
-        200, arrival_rate=250.0, max_queue_depth=16, compact_every=16
-    )
-    merge_perf_json(
-        stream_perf_entries(report, wall, arrivals=200, devices=1), str(out)
-    )
-    payload = json.loads(out.read_text())
-    assert payload["estimate_warm"]["n"] == 5  # untouched
-    assert "serve_stream_wall[200x1]" in payload
-    for name, record in payload.items():
-        assert set(record) == {"wall_seconds", "ops_per_sec", "n"}, name
 
 
 def test_verify_stream_report_catches_lost_arrivals():
@@ -86,28 +42,26 @@ def test_verify_stream_report_catches_unbounded_retention():
         verify_stream_report(report, compact_every=16)
 
 
-def test_serve_main_stream_cli(tmp_path, capsys):
-    out = str(tmp_path / "perf.json")
+def test_serve_main_stream_cli(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code = serve_main(
         ["--stream", "--arrivals", "400", "--devices", "2",
          "--arrival-rate", "250", "--max-queue", "32", "--slo", "2.0",
-         "--compact-every", "32", "--out", out]
+         "--compact-every", "32"]
     )
     assert code == 0
     captured = capsys.readouterr().out
     assert "verified" in captured
-    assert "serve_stream_*" in captured
-    payload = json.loads(open(out).read())
-    assert "serve_stream_wall[400x2]" in payload
+    assert "arrivals/s processed" in captured
+    # The run prints its results and writes nothing.
+    assert list(tmp_path.iterdir()) == []
 
     # Sanity bounds fail loudly.
-    assert serve_main(
-        ["--stream", "--arrivals", "100", "--max-wall", "0.0", "--out", "-"]
-    ) == 1
+    assert serve_main(["--stream", "--arrivals", "100", "--max-wall", "0.0"]) == 1
     assert "FAIL" in capsys.readouterr().out
     assert serve_main(
         ["--stream", "--arrivals", "400", "--arrival-rate", "300",
-         "--max-queue", "8", "--max-shed-rate", "0.0", "--out", "-"]
+         "--max-queue", "8", "--max-shed-rate", "0.0"]
     ) == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -115,3 +69,36 @@ def test_serve_main_stream_cli(tmp_path, capsys):
 def test_serve_main_stream_excludes_sweep_flags(capsys):
     with pytest.raises(SystemExit):
         serve_main(["--stream", "--clients", "4"])
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--clients", "2", "--max-wall", "0", "--max-shed-rate", "0"],
+         "--max-wall"),
+        (["--clients", "2", "--max-shed-rate", "0"], "--max-shed-rate"),
+        (["--sweep", "2,4", "--max-wall", "0"], "--max-wall"),
+        (["--clients", "4", "--max-failed-rate", "0"], "--max-failed-rate"),
+        (["--stream", "--arrivals", "50", "--max-failed-rate", "0"],
+         "--max-failed-rate"),
+        (["--stream", "--arrivals", "50", "--max-queue", "-3"], "--max-queue"),
+        (["--stream", "--arrivals", "50", "--compact-every", "-1"],
+         "--compact-every"),
+    ],
+    ids=[
+        "max-wall-with-clients",
+        "max-shed-rate-with-clients",
+        "max-wall-with-sweep",
+        "max-failed-rate-without-faults",
+        "max-failed-rate-stream-without-faults",
+        "negative-max-queue",
+        "negative-compact-every",
+    ],
+)
+def test_serve_cli_rejects_bounds_it_would_ignore(argv, flag, capsys):
+    """A bound outside its mode, or a negative cap, used to be read by
+    nothing and exit 0; it must fail argument parsing, naming the flag."""
+    with pytest.raises(SystemExit) as excinfo:
+        serve_main(argv)
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err

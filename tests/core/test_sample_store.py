@@ -205,7 +205,7 @@ def test_serve_cli_warm_start_appends_nothing(tmp_path, capsys):
     from repro.bench.serve_bench import serve_main
 
     path = str(tmp_path / "samples.jsonl")
-    argv = ["--clients", "4", "--sample-store", path, "--out", "-"]
+    argv = ["--clients", "4", "--sample-store", path]
     assert serve_main(argv) == 0
     cold = capsys.readouterr().out
     assert "0 new record(s) appended" not in cold

@@ -10,6 +10,8 @@ materialization, probe-only (``charge_build=False``) invocations, and
 partial trailing chunks.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,17 @@ def test_strategy_estimates_unchanged_by_memoization(key, spec, config, kwargs):
         estimate_cache.configure(enabled=True)
     assert warm == pytest.approx(cold, abs=TOLERANCE)
     assert hit == pytest.approx(cold, abs=TOLERANCE)
+
+
+def test_fig12_scale_estimate_under_one_second():
+    """fig12's most expensive cell — one co-processing estimate of a
+    2048 M-tuple build, cache cleared — stays under 1 s of wall.  It
+    took about 1.7 s before the scaled evaluators and takes
+    milliseconds with them; the ceiling is a tripwire for slow
+    runners, not a target."""
+    spec = unique_pair(2048 * 10**6)
+    estimate_cache.clear()
+    start = time.perf_counter()
+    create_strategy("coprocessing").estimate(spec)
+    elapsed = time.perf_counter() - start
+    assert elapsed <= 1.0, f"fig12-scale estimate took {elapsed:.3f} s"

@@ -36,7 +36,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.bench.regress import check_batch_oracle
-from repro.bench.serve_bench import fingerprint, fingerprint_sharded
+from repro.bench.serve_bench import fingerprint, fingerprint_sharded, run_serve
 from repro.data.spec import unique_pair
 from repro.errors import (
     DeviceMemoryOverflowError,
@@ -237,8 +237,25 @@ def test_faulted_run_is_deterministic():
     assert runs[0].makespan == runs[1].makespan
 
 
-# ----------------------------------------------------------------------
-# Targeted recovery semantics.
+def test_serve_bench_rerun_keeps_the_retry_backoff():
+    """``run_serve``'s determinism re-run builds a fresh scheduler; it
+    must copy every knob, including a non-default retry backoff, or a
+    run that retries anything is flagged non-deterministic."""
+    baseline = run_serve(16, devices=2, check_determinism=False)
+    plan = FaultPlan.random(
+        0,
+        devices=2,
+        horizon=baseline.makespan,
+        qids=[f"q{i:03d}" for i in range(16)],
+        admission_fault_rate=0.1,
+        allow_total_loss=False,
+    )
+    report = run_serve(
+        16,
+        scheduler=QueryScheduler(devices=2, retry_backoff_seconds=1.0),
+        faults=plan,
+    )
+    assert any(o.retries for o in report.outcomes) or report.failed
 # ----------------------------------------------------------------------
 
 def test_crash_retries_lost_queries_on_surviving_device():

@@ -18,8 +18,7 @@ Covers the per-device refactor end to end:
   blocked FIFO head, accounting stays exact (stream:
   ``completed + shed == arrivals``), and stealing never delays any
   admission;
-* **CLI plumbing** — ``--device-caps`` / ``--device-calib`` parsing
-  and the ``serve_hetero_*`` / ``serve_steal_*`` perf-entry schema.
+* **CLI plumbing** — ``--device-caps`` / ``--device-calib`` parsing.
 """
 
 import json
@@ -30,12 +29,9 @@ import pytest
 from repro.bench.regress import check_batch_oracle
 from repro.bench.serve_bench import (
     fingerprint_sharded,
-    hetero_perf_entries,
     parse_device_calib,
     parse_device_caps,
-    run_serve,
     serve_main,
-    verify_report,
 )
 from repro.data.spec import unique_pair
 from repro.errors import InvalidConfigError, SchedulingError
@@ -154,7 +150,7 @@ def test_capacities_the_cost_model_cannot_simulate_are_rejected():
     with pytest.raises(InvalidConfigError, match=r"device_capacities\[1\]"):
         QueryScheduler(devices=2, device_capacities=[memory, 2 * memory])
     with pytest.raises(InvalidConfigError, match=r"device_capacities\[0\]"):
-        serve_main(["--clients", "2", "--device-caps", "20", "--out", "-"])
+        serve_main(["--clients", "2", "--device-caps", "20"])
     with pytest.raises(InvalidConfigError, match=r"fleet_events\[1\]"):
         QueryScheduler(devices=2).run_online(
             mixed_workload(8),
@@ -429,36 +425,3 @@ def test_parse_device_calib():
         parse_device_calib("fast", 2)
     with pytest.raises(ValueError, match="--device-calib.*turbo"):
         parse_device_calib("fast,turbo", 2)
-
-
-def test_hetero_perf_entries_schema():
-    report = run_serve(
-        8,
-        devices=2,
-        device_calibrations=[
-            calibration_preset("fast"),
-            calibration_preset("slow"),
-        ],
-    )
-    entries = hetero_perf_entries(report, 0.25, clients=8, steal=False)
-    assert set(entries) == {
-        "serve_hetero_wall[8x2]",
-        "serve_hetero_makespan[8x2]",
-    }
-    for entry in entries.values():
-        assert entry.n == 8 and entry.wall_seconds > 0
-
-    stolen_report = QueryScheduler(
-        devices=2, device_capacities=STEAL_CAPS, steal=True
-    ).run_online(_steal_workload())
-    verify_report(stolen_report, clients=3, check_serial=False)
-    steal_entries = hetero_perf_entries(
-        stolen_report, 0.25, clients=3, steal=True
-    )
-    assert set(steal_entries) == {
-        "serve_steal_wall[3x2]",
-        "serve_steal_makespan[3x2]",
-        "serve_steal_stolen[3x2]",
-    }
-    # The stolen series carries the stolen-admission count of the run.
-    assert steal_entries["serve_steal_stolen[3x2]"].wall_seconds == 1.0
