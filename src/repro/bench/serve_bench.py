@@ -16,9 +16,10 @@ and that is a measurement, not a bug.
 
 Every run goes through
 :meth:`~repro.serve.scheduler.QueryScheduler.run_online` (incremental
-schedule extension; ``bench/regress.py`` holds its schedules to the
-batch re-simulation oracle).  ``--arrival-rate R`` spaces submissions
-``1/R`` simulated seconds apart to model an open arrival process.
+schedule extension; the tier-1 suites under ``tests/serve`` hold its
+schedules to the batch re-simulation oracle).  ``--arrival-rate R``
+spaces submissions ``1/R`` simulated seconds apart to model an open
+arrival process.
 ``--devices K`` shards the fleet — per-device arenas and engines with
 a placement policy (``--placement``, default least-loaded) choosing
 the device per admission; ``--devices 1`` is bit-identical to the
@@ -43,8 +44,9 @@ capacity and calibration preset
 (:data:`~repro.gpusim.calibration.CALIBRATION_PRESETS`); entry counts
 must match ``--devices``.  ``--steal`` enables the cross-device
 work-stealing pass.  Heterogeneous and stealing runs skip the
-serial-baseline assertion (the baseline assumes the default
-calibration).
+serial-baseline assertion (the baseline prices each query alone on a
+full-size device under the default calibration; see
+:func:`serial_baseline_applies`).
 
 Admission policies: ``--admission`` picks the wait-queue ordering
 policy (:mod:`repro.serve.admission`; default ``fifo``, bit-identical
@@ -214,10 +216,9 @@ def verify_report(
 
 def fingerprint(report: ServeReport) -> list[tuple]:
     """Canonical per-query outcome fingerprint, used by every
-    determinism and golden-schedule check (here, in
-    ``bench/regress.py`` and in ``tests/serve``).  Deliberately
-    device-blind so recorded single-device golden schedules stay
-    comparable; sharded checks add :func:`fingerprint_sharded`."""
+    determinism and golden-schedule check (here and in ``tests/serve``).
+    Deliberately device-blind so recorded single-device golden schedules
+    stay comparable; sharded checks add :func:`fingerprint_sharded`."""
     return [
         (o.qid, o.strategy, o.reserved_bytes, o.admit_at, o.finish_at)
         for o in report.outcomes
@@ -231,6 +232,41 @@ def fingerprint_sharded(report: ServeReport) -> list[tuple]:
         (o.qid, o.device, o.strategy, o.reserved_bytes, o.admit_at, o.finish_at)
         for o in report.outcomes
     ]
+
+
+def serial_baseline_applies(
+    *,
+    scale: float = 1.0,
+    spacing_seconds: float = 0.0,
+    bounded_degradation: bool = True,
+    device_capacities: list[int] | None = None,
+    device_calibrations: "list[Calibration | None] | None" = None,
+    steal: bool = False,
+    faulted: bool = False,
+    admission: str = FIFO,
+    classes: bool = False,
+) -> bool:
+    """Is a serve run held to the serial back-to-back baseline?
+
+    The baseline prices each query alone on one full-size device under
+    the default calibration, so only the canonical run (the defaults)
+    is held to it.  A capped or slower fleet may lose to it, and so may
+    a faulted run or a reordering policy, which trade makespan for
+    other goals on purpose.  :func:`run_serve` asserts the baseline
+    exactly when this holds; the CLI's ``verified:`` line claims it on
+    the same condition.
+    """
+    return (
+        scale == 1.0
+        and spacing_seconds == 0.0
+        and bounded_degradation
+        and device_capacities is None
+        and device_calibrations is None
+        and not steal
+        and not faulted
+        and admission == FIFO
+        and not classes
+    )
 
 
 def run_serve(
@@ -257,19 +293,14 @@ def run_serve(
     ``check_determinism``.  ``devices``/``placement`` and the
     heterogeneity knobs (``device_capacities`` / ``device_calibrations``
     / ``steal``) shard and diversify the fleet (ignored when an
-    explicit ``scheduler`` is passed).  Heterogeneous and stealing runs
-    skip the serial-baseline assertion: the serial baseline assumes
-    solo runs on a default-calibration device, which a slower fleet is
-    allowed to lose to.  ``faults`` replays the run through the
-    fault-injection path (also skipping the serial baseline — losing a
-    device mid-run may cost makespan); faulted runs are still
+    explicit ``scheduler`` is passed).  ``faults`` replays the run
+    through the fault-injection path; faulted runs are still
     deterministic, so the re-run check holds for them too.
     ``admission`` picks the wait-queue ordering policy and ``classes``
     swaps in the deadline-classed canonical workload
     (:func:`~repro.serve.workload.classed_workload`, deadlines scaled
-    by ``deadline_scale``); reordering policies and classed workloads
-    skip the serial-baseline assertion — admission order trades
-    makespan for latency/deadline goals on purpose.
+    by ``deadline_scale``).  The serial-baseline assertion applies only
+    when :func:`serial_baseline_applies` holds for the run.
     """
 
     def workload():
@@ -294,17 +325,17 @@ def run_serve(
         max_retries=max_retries,
         admission=admission,
     )
-    faulted = faults is not None and not faults.is_empty
     report = scheduler.run_online(requests, faults=faults)
-    canonical = (
-        scale == 1.0
-        and spacing_seconds == 0.0
-        and scheduler.max_degradation is not None
-        and scheduler.device_calibrations is None
-        and not scheduler.steal
-        and not faulted
-        and scheduler.admission == FIFO
-        and not classes
+    canonical = serial_baseline_applies(
+        scale=scale,
+        spacing_seconds=spacing_seconds,
+        bounded_degradation=scheduler.max_degradation is not None,
+        device_capacities=scheduler.device_capacities,
+        device_calibrations=scheduler.device_calibrations,
+        steal=scheduler.steal,
+        faulted=faults is not None and not faults.is_empty,
+        admission=scheduler.admission,
+        classes=classes,
     )
     verify_report(report, clients=clients, check_serial=canonical)
     if check_determinism:
@@ -802,7 +833,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    hetero = device_capacities is not None or device_calibrations is not None
 
     store = None
     if args.sample_store:
@@ -817,8 +847,7 @@ def serve_main(argv: list[str] | None = None) -> int:
             estimate_cache.attach_store(store)
             print(f"sample store: {store.summary()}")
         return _serve_dispatch(
-            parser, args, spacing, device_capacities, device_calibrations,
-            hetero,
+            parser, args, spacing, device_capacities, device_calibrations
         )
     finally:
         if store is not None:
@@ -836,7 +865,6 @@ def _serve_dispatch(
     spacing: float,
     device_capacities: list[int] | None,
     device_calibrations: "list[Calibration | None] | None",
-    hetero: bool,
 ) -> int:
     if args.stream:
         rate = args.arrival_rate if args.arrival_rate else DEFAULT_STREAM_RATE
@@ -935,14 +963,15 @@ def _serve_dispatch(
             failed = True
         return 1 if failed else 0
 
-    canonical = (
-        args.scale == 1.0
-        and spacing == 0.0
-        and not hetero
-        and not args.steal
-        and not args.faults
-        and args.admission == FIFO
-        and not args.classes
+    canonical = serial_baseline_applies(
+        scale=args.scale,
+        spacing_seconds=spacing,
+        device_capacities=device_capacities,
+        device_calibrations=device_calibrations,
+        steal=args.steal,
+        faulted=args.faults,
+        admission=args.admission,
+        classes=args.classes,
     )
     mode = "online (incremental extension)"
     if args.devices > 1:

@@ -39,8 +39,9 @@ Determinism: persistence never changes decisions.  A warm-started
 process (store attached) returns byte-identical metrics, plans and
 ladder choices to a cold one, because floats survive the JSON
 round-trip exactly; ``tests/core/test_sample_store.py`` proves the
-cross-process round-trip and ``bench/regress.py``'s store column the
-decision identity on served workloads.
+cross-process round-trip and ``tests/serve/test_learned.py`` the
+decision identity on served workloads, warm-started from a reloaded
+store file included.
 """
 
 from __future__ import annotations

@@ -189,8 +189,8 @@ class FifoAdmission(AdmissionPolicy):
     """Default: strict arrival order — always the queue head.
 
     Pinned bit-identical to the historical scheduler by the recorded
-    golden schedules (``tests/serve/golden_single_device.json``) and the
-    admission column of ``repro.bench.regress``.  Fault retries keep
+    golden schedules (``test_fifo_bit_identical_to_golden`` in
+    ``tests/serve/test_admission_properties.py``).  Fault retries keep
     their historical head-of-queue re-entry under this policy.
     """
 

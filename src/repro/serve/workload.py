@@ -12,10 +12,10 @@ different strategies' H2D/GPU/D2H/CPU tasks interleave.
 generator — the input source for the property-based differential suite
 (``tests/serve/test_placement_properties.py``).  It is **stable by
 contract**: the same seed must produce the same request list across
-releases, because recorded golden schedules
-(``tests/serve/golden_single_device.json``) pin the scheduler's output
-on these workloads.  Cardinalities come from small discrete grids, so
-the process-wide estimate cache absorbs repeated specs across seeds.
+releases, because recorded golden schedules (``tests/serve/golden.py``)
+pin the scheduler's output on these workloads.  Cardinalities come from
+small discrete grids, so the process-wide estimate cache absorbs
+repeated specs across seeds.
 
 :func:`stream_workload` is the open-arrival source for
 :meth:`~repro.serve.scheduler.QueryScheduler.run_stream`: a lazy,

@@ -1,42 +1,41 @@
 """Differential property suite for the admission-policy registry.
 
-Four properties over 100 recorded seeds and fleets of 1-3 devices:
+Four properties over 100 recorded seeds and fleets of 1-3 devices,
+plus the deadline win ``edf`` exists for:
 
 (a) ``fifo`` (the default) reproduces the recorded pre-registry golden
     schedules bit-identically — the policy hook may not perturb the
     default path;
 (b) online incremental extension == batch re-simulation (the
-    :func:`~repro.bench.regress.check_batch_oracle`) under *every*
+    :func:`~repro.pipeline.oracle.check_batch_oracle`) under *every*
     registered policy on classed workloads;
 (c) conservation — ``completed + shed + failed == arrivals`` — holds
     under every policy crossed with seeded fault plans, and the fault
     invariant audit (which now also checks deadline recording) passes;
 (d) ``sjf`` never worsens mean latency against ``fifo`` on the
-    canonical 64-client workload.
+    canonical 64-client workload;
+(e) ``edf`` strictly lowers the deadline-miss rate against ``fifo`` on
+    the deadline-classed 64-client workload.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
-from repro.bench.regress import check_batch_oracle
-from repro.bench.serve_bench import fingerprint
+from repro.pipeline.oracle import check_batch_oracle
 from repro.serve import (
     DEADLINE_CLASSES,
     FaultPlan,
     QueryScheduler,
     check_fault_invariants,
+    classed_workload,
     mixed_workload,
     random_workload,
     stream_workload,
     with_classes,
 )
 from repro.serve.admission import FIFO, registered_admission_policies
+from tests.serve.golden import GOLDEN, GOLDEN_SEEDS, assert_matches_golden
 
-GOLDEN_PATH = Path(__file__).parent / "golden_single_device.json"
-GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-SEEDS = sorted(int(seed) for seed in GOLDEN["seeds"])[:100]
+SEEDS = GOLDEN_SEEDS[:100]
 FLEETS = (1, 2, 3)
 POLICIES = registered_admission_policies()
 
@@ -49,13 +48,10 @@ def test_suite_covers_100_seeds_and_every_policy():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fifo_bit_identical_to_golden(seed):
     """(a) The explicit default policy replays the recorded schedules."""
-    entry = GOLDEN["seeds"][str(seed)]
     report = QueryScheduler(devices=1, admission=FIFO).run_online(
         random_workload(seed)
     )
-    assert [list(item) for item in fingerprint(report)] == entry["fingerprint"]
-    assert report.makespan == entry["makespan"]
-    assert report.peak_reserved_bytes == entry["peak_reserved_bytes"]
+    assert_matches_golden(report, GOLDEN["seeds"][str(seed)])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -129,3 +125,12 @@ def test_sjf_never_worsens_mean_latency():
     fifo = QueryScheduler(admission=FIFO).run_online(mixed_workload(64))
     sjf = QueryScheduler(admission="sjf").run_online(mixed_workload(64))
     assert sjf.mean_latency <= fifo.mean_latency * (1 + 1e-12)
+
+
+def test_edf_misses_fewer_deadlines_than_fifo():
+    """(e) On one device, the deadline-classed 64-client workload makes
+    fifo miss deadlines, and earliest-deadline-first strictly fewer."""
+    fifo = QueryScheduler(admission=FIFO).run_online(classed_workload(64))
+    edf = QueryScheduler(admission="edf").run_online(classed_workload(64))
+    assert fifo.deadline_miss_rate > 0.0
+    assert edf.deadline_miss_rate < fifo.deadline_miss_rate

@@ -29,14 +29,11 @@ The robustness contract for the serving fleet, end to end:
   violate conservation, crash-time safety, or retry budgets.
 """
 
-import json
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.regress import check_batch_oracle
-from repro.bench.serve_bench import fingerprint, fingerprint_sharded, run_serve
+from repro.bench.serve_bench import fingerprint_sharded, run_serve
 from repro.data.spec import unique_pair
 from repro.errors import (
     DeviceMemoryOverflowError,
@@ -48,6 +45,7 @@ from repro.errors import (
 )
 from repro.gpusim.arena import DeviceMemoryArena
 from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.oracle import check_batch_oracle
 from repro.pipeline.tasks import Task
 from repro.serve import (
     DeviceCrash,
@@ -62,9 +60,7 @@ from repro.serve import (
     validate_fleet_events,
 )
 from repro.serve.placement import DeviceFleet
-
-GOLDEN_PATH = Path(__file__).parent / "golden_single_device.json"
-GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+from tests.serve.golden import GOLDEN, assert_matches_golden, check_arenas
 
 M = 1_000_000
 DEFAULT_CAP = 8_589_934_592
@@ -86,17 +82,6 @@ def _steal_workload() -> list[QueryRequest]:
     ]
 
 
-def _check_arenas(report) -> None:
-    assert report.arenas is not None
-    for arena in report.arenas:
-        assert arena.peak_bytes <= arena.capacity_bytes
-        arena.check_invariants()
-        assert arena.drained
-        assert arena.used_bytes == 0
-        if arena.timeline:
-            assert arena.timeline[-1][1] == 0
-
-
 def _conserved(report, arrivals: int) -> None:
     shed = len(getattr(report, "shed", ()) or ())
     assert len(report.outcomes) + shed + len(report.failed) == arrivals
@@ -108,13 +93,10 @@ def _conserved(report, arrivals: int) -> None:
 
 @pytest.mark.parametrize("seed", range(0, 200, 10))
 def test_empty_plan_matches_golden_single_device(seed):
-    entry = GOLDEN["seeds"][str(seed)]
     report = QueryScheduler(devices=1).run_online(
         random_workload(seed), faults=FaultPlan()
     )
-    assert [list(item) for item in fingerprint(report)] == entry["fingerprint"]
-    assert report.makespan == entry["makespan"]
-    assert report.peak_reserved_bytes == entry["peak_reserved_bytes"]
+    assert_matches_golden(report, GOLDEN["seeds"][str(seed)])
     assert report.failed == [] and report.retried_count == 0
 
 
@@ -179,7 +161,7 @@ def test_chaos_random_fault_plans(seed):
     check_batch_oracle(online, plan)
     for report in (online, stream):
         _conserved(report, len(requests))
-        _check_arenas(report)
+        check_arenas(report)
         crashed = {crash.device: crash.at for crash in plan.crashes}
         for outcome in report.outcomes:
             assert 0 <= outcome.retries <= 3
@@ -210,7 +192,7 @@ def test_chaos_streaming_fault_plans(seed):
         iter(requests), **kwargs
     )
     _conserved(report, arrivals)
-    _check_arenas(report)
+    check_arenas(report)
     # Determinism: the same faulted stream replays identically.
     again = QueryScheduler(devices=devices).run_stream(
         iter(requests), **kwargs
@@ -271,7 +253,7 @@ def test_crash_retries_lost_queries_on_surviving_device():
     # Everything completes — nothing is lost, nothing fails.
     _conserved(report, len(requests))
     assert report.failed == []
-    _check_arenas(report)
+    check_arenas(report)
     retried = [o for o in report.outcomes if o.retries]
     assert retried, "the crash must actually cost at least one retry"
     for outcome in retried:
@@ -300,7 +282,7 @@ def test_query_finished_before_the_crash_keeps_its_outcome():
     (failure,) = report.failed
     assert failure.reason == "retries_exhausted"
     assert failure.attempts == 0 and failure.last_device == 0
-    _check_arenas(report)
+    check_arenas(report)
 
 
 def test_exhausted_retry_budget_records_failure():
@@ -315,7 +297,7 @@ def test_exhausted_retry_budget_records_failure():
     assert failure.reason == "retries_exhausted"
     assert failure.attempts == 0
     assert failure.last_device == 0
-    _check_arenas(report)
+    check_arenas(report)
 
 
 def test_total_fleet_loss_fails_everything_as_fleet_lost():
@@ -329,7 +311,7 @@ def test_total_fleet_loss_fails_everything_as_fleet_lost():
     assert report.outcomes == []
     assert len(report.failed) == 3
     assert all(f.reason == "fleet_lost" for f in report.failed)
-    _check_arenas(report)
+    check_arenas(report)
 
 
 @pytest.mark.parametrize("stream", [False, True])
@@ -368,7 +350,7 @@ def test_add_event_rescues_the_backlog_after_total_loss():
     assert len(report.outcomes) == 3
     assert all(o.device == 1 for o in report.outcomes)
     assert all(o.admit_at >= crash_at for o in report.outcomes)
-    _check_arenas(report)
+    check_arenas(report)
 
 
 def test_transient_admission_failures_charge_the_retry_budget():
@@ -382,7 +364,7 @@ def test_transient_admission_failures_charge_the_retry_budget():
     # Two refusals, linear backoff 0.05: ready at 0.05, then 0.05+0.10.
     assert outcomes["q000"].admit_at == pytest.approx(0.15)
     assert outcomes["q001"].retries == 0
-    _check_arenas(report)
+    check_arenas(report)
 
 
 def test_admission_faults_alone_can_exhaust_the_budget():
@@ -395,7 +377,7 @@ def test_admission_faults_alone_can_exhaust_the_budget():
     assert failure.reason == "retries_exhausted"
     assert failure.attempts == 2 and failure.last_device is None
     assert [o.qid for o in report.outcomes] == ["q001"]
-    _check_arenas(report)
+    check_arenas(report)
 
 
 def test_streaming_crash_conserves_and_recovers():
@@ -406,7 +388,7 @@ def test_streaming_crash_conserves_and_recovers():
         iter(requests), max_queue_depth=32, compact_every=16, faults=plan
     )
     _conserved(report, 80)
-    _check_arenas(report)
+    check_arenas(report)
     assert report.completed > 0
     # Everything that completed after the crash ran on the survivor.
     assert report.failed_rate == len(report.failed) / 80
@@ -446,7 +428,7 @@ def test_stolen_query_survives_destination_crash_without_double_release():
     at, owner, nbytes = reclaimed
     assert at == crash_at and owner == "q2" and nbytes > 0
     assert report.arenas[2].forced == []  # retirement is a clean drain
-    _check_arenas(report)
+    check_arenas(report)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,8 @@ Covers the per-device refactor end to end:
   blocked FIFO head, accounting stays exact (stream:
   ``completed + shed == arrivals``), and stealing never delays any
   admission;
-* **CLI plumbing** — ``--device-caps`` / ``--device-calib`` parsing.
+* **CLI plumbing** — ``--device-caps`` / ``--device-calib`` parsing,
+  and capped fleets skipping the serial-baseline gate.
 """
 
 import json
@@ -26,11 +27,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.regress import check_batch_oracle
 from repro.bench.serve_bench import (
     fingerprint_sharded,
     parse_device_calib,
     parse_device_caps,
+    run_serve,
+    serial_baseline_applies,
     serve_main,
 )
 from repro.data.spec import unique_pair
@@ -42,6 +44,7 @@ from repro.gpusim.calibration import (
 )
 from repro.gpusim.spec import SystemSpec
 from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.oracle import check_batch_oracle
 from repro.pipeline.tasks import Task
 from repro.serve import (
     FleetEvent,
@@ -425,3 +428,22 @@ def test_parse_device_calib():
         parse_device_calib("fast", 2)
     with pytest.raises(ValueError, match="--device-calib.*turbo"):
         parse_device_calib("fast,turbo", 2)
+
+
+def test_capped_fleet_skips_the_serial_baseline(capsys):
+    """The serial baseline prices each query alone on a full-size
+    device, which a fleet of 2 GB devices is allowed to lose to: the
+    bench serves such a fleet without the gate, and the CLI's
+    ``verified:`` line does not claim it."""
+    caps = [2_000_000_000] * 2
+    assert not serial_baseline_applies(device_capacities=caps)
+    report = run_serve(
+        4, devices=2, device_capacities=caps, check_determinism=False
+    )
+    assert report.makespan > report.serial_makespan  # the gate would fail
+    assert serve_main(
+        ["--clients", "4", "--devices", "2", "--device-caps", "2,2"]
+    ) == 0
+    verified = capsys.readouterr().out.splitlines()[-1]
+    assert verified.startswith("verified:")
+    assert "serial" not in verified

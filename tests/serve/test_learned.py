@@ -17,33 +17,42 @@ ladder miss consults the store first.
     budgets), match the batch oracle, and replay exactly when every
     miss is answered by the store;
 (c) **Graceful absence** — a store path with no file yet, or a file
-    holding only its header, is exactly the analytic path.
+    holding only its header, is exactly the analytic path;
+(d) **Warm start from a file** — a store flushed to disk by a cold pass
+    and loaded back into a fresh, empty cache reproduces the golden
+    schedules on one device and the cold pass on two, and answers every
+    estimate, plan and ladder miss.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.bench.regress import check_batch_oracle
 from repro.bench.serve_bench import fingerprint, fingerprint_sharded
 from repro.core import estimate_cache
 from repro.core.sample_store import FORMAT, VERSION, SampleStore
+from repro.pipeline.oracle import check_batch_oracle
 from repro.serve import QueryScheduler, random_workload
 from repro.serve.faults import FaultPlan, check_fault_invariants
-
-GOLDEN_PATH = Path(__file__).parent / "golden_single_device.json"
-GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+from tests.serve.golden import (
+    GOLDEN,
+    GOLDEN_SEEDS,
+    assert_matches_golden,
+    check_arenas,
+)
 
 #: Every recorded golden seed — the identity sweep runs all of them,
 #: same contract as the placement property suite.
-SEEDS = sorted(int(seed) for seed in GOLDEN["seeds"])
+SEEDS = GOLDEN_SEEDS
 
 #: 50 randomized workloads for the two-device invariant property.
 PROPERTY_SEEDS = tuple(range(0, 100, 2))
 
 #: Workloads whose cache entries warm the module's store.
 RECORDING_SEEDS = (0, 60, 120, 180)
+
+#: Workloads of the warm start from a reloaded store file.
+WARM_START_SEEDS = (0, 60)
 
 
 @pytest.fixture(scope="module")
@@ -73,19 +82,13 @@ def installed(store):
     estimate_cache.clear()
 
 
-def _golden_matches(report, entry) -> None:
-    assert [list(item) for item in fingerprint(report)] == entry["fingerprint"]
-    assert report.makespan == entry["makespan"]
-    assert report.peak_reserved_bytes == entry["peak_reserved_bytes"]
-
-
 # ---------------------------------------------------------------------------
 # (a) bit-identity on every golden seed
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 def test_learned_off_bit_identical_to_golden(seed, installed):
     report = QueryScheduler(devices=1).run_online(random_workload(seed))
-    _golden_matches(report, GOLDEN["seeds"][str(seed)])
+    assert_matches_golden(report, GOLDEN["seeds"][str(seed)])
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +105,7 @@ def test_learned_on_satisfies_fault_invariants(seed, installed):
         arrivals=len(requests),
         max_retries=scheduler.max_retries,
     )
-    for arena in report.arenas:
-        assert arena.peak_bytes <= arena.capacity_bytes
-        arena.check_invariants()
-        assert arena.drained
+    check_arenas(report)
 
 
 @pytest.mark.parametrize("seed", (0, 70, 190))
@@ -150,7 +150,7 @@ def test_learned_flag_without_model_is_analytic(tmp_path):
         estimate_cache.detach_store()
         estimate_cache.clear()
     assert fingerprint(flagged) == fingerprint(baseline)
-    _golden_matches(flagged, GOLDEN["seeds"][str(seed)])
+    assert_matches_golden(flagged, GOLDEN["seeds"][str(seed)])
     assert store.pending_records > 0  # the cold run wrote through
 
 
@@ -173,4 +173,46 @@ def test_empty_model_is_analytic(tmp_path):
     finally:
         estimate_cache.detach_store()
         estimate_cache.clear()
-    _golden_matches(report, GOLDEN["seeds"][str(seed)])
+    assert_matches_golden(report, GOLDEN["seeds"][str(seed)])
+
+
+# ---------------------------------------------------------------------------
+# (d) a warm start from a reloaded store file is exact
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("devices", [1, 2])
+def test_warm_start_from_reloaded_store_file_is_exact(devices, tmp_path):
+    """The cold pass writes through to a file-backed store and flushes
+    it; the warm pass starts from an empty LRU and the file alone, so a
+    warm process computes nothing the cold one persisted."""
+    path = str(tmp_path / "store.jsonl")
+    store = SampleStore(path=path)
+    estimate_cache.clear()
+    estimate_cache.attach_store(store)
+    try:
+        cold = {
+            seed: QueryScheduler(devices=devices).run_online(
+                random_workload(seed)
+            )
+            for seed in WARM_START_SEEDS
+        }
+        store.flush()
+        estimate_cache.clear()
+        estimate_cache.attach_store(SampleStore.load(path))
+        for seed in WARM_START_SEEDS:
+            warm = QueryScheduler(devices=devices).run_online(
+                random_workload(seed)
+            )
+            if devices == 1:
+                assert_matches_golden(warm, GOLDEN["seeds"][str(seed)])
+            else:
+                assert fingerprint_sharded(warm) == fingerprint_sharded(
+                    cold[seed]
+                )
+                assert warm.makespan == cold[seed].makespan
+        stats = estimate_cache.stats()
+    finally:
+        estimate_cache.detach_store()
+        estimate_cache.clear()
+    assert stats.store_hits == stats.misses > 0
+    assert stats.plan_store_hits == stats.plan_misses > 0
+    assert stats.ladder_store_hits == stats.ladder_misses > 0

@@ -13,11 +13,11 @@ import re
 
 import pytest
 
-from repro.bench.regress import check_batch_oracle
 from repro.bench.serve_bench import fingerprint as _fingerprint
 from repro.bench.serve_bench import run_serve, verify_report
 from repro.errors import SchedulingError
 from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.oracle import check_batch_oracle
 from repro.pipeline.tasks import ScheduledTask, Task
 from repro.serve import QueryScheduler, mixed_workload
 
@@ -37,6 +37,11 @@ def _assert_schedules_identical(left, right):
 def test_online_matches_batch_for_batched_arrivals(clients):
     online = QueryScheduler().run_online(mixed_workload(clients))
     assert check_batch_oracle(online) == len(online.schedule.tasks) > 0
+    # The same batch sharded over two devices: each device's schedule
+    # passes the oracle, and sharding never lengthens the makespan.
+    sharded = QueryScheduler(devices=2).run_online(mixed_workload(clients))
+    assert check_batch_oracle(sharded) == len(sharded.schedule.tasks)
+    assert sharded.makespan <= online.makespan
 
 
 @pytest.mark.parametrize("spacing", [0.05, 0.25, 1.0])
@@ -93,6 +98,9 @@ def test_run_serve_online_checks_determinism_and_guarantees():
     report = run_serve(4, check_determinism=True)
     assert len(report.outcomes) == 4
     assert report.makespan > 0
+    sharded = run_serve(4, devices=2, check_determinism=True)
+    assert len(sharded.outcomes) == 4
+    assert sharded.devices == 2
 
 
 def test_online_matches_batch_with_widened_lanes():

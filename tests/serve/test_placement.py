@@ -221,7 +221,7 @@ def test_engine_dict_resources_inherit_the_engine_device():
 def test_widened_lanes_work_on_a_sharded_fleet():
     """QueryScheduler(lanes=...) must flow into every device's engine —
     batch re-simulation agrees, like the single-device case."""
-    from repro.bench.regress import check_batch_oracle
+    from repro.pipeline.oracle import check_batch_oracle
 
     online = QueryScheduler(devices=2, lanes={"h2d": 2}).run_online(
         mixed_workload(8)

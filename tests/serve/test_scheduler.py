@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core import estimate_cache
+from repro.core.streaming import StreamingProbeJoin
 from repro.core.strategy import GPU_RESIDENT, STREAMING, strategy_factory
 from repro.data.spec import unique_pair
-from repro.errors import InvalidConfigError, SchedulingError
+from repro.errors import InvalidConfigError, ReproError, SchedulingError
 from repro.bench.serve_bench import fingerprint as _fingerprint
 from repro.serve import QueryRequest, QueryScheduler, mixed_workload
 from repro.serve.workload import M
@@ -74,6 +76,26 @@ def test_impossible_query_raises():
                 )
             ]
         )
+
+
+def test_mid_ladder_failure_surfaces_as_the_library_error(monkeypatch):
+    """Admission sizes every request's offers on the planner ladder; a
+    rung whose footprint raises (a buggy strategy, a bad calibration)
+    must fail the run with that error, not hang it or let it finish on
+    the remaining rungs."""
+    estimate_cache.clear()  # drop memoized ladder walks from other tests
+
+    def explode(cls, spec, system):
+        raise SchedulingError("streaming rung exploded mid-ladder")
+
+    monkeypatch.setattr(
+        StreamingProbeJoin, "device_bytes_needed", classmethod(explode)
+    )
+    try:
+        with pytest.raises(ReproError, match="mid-ladder"):
+            QueryScheduler().run_online(mixed_workload(2))
+    finally:
+        estimate_cache.clear()  # don't leak poisoned ladder entries
 
 
 def test_admission_degrades_strategy_under_pressure():
