@@ -93,16 +93,17 @@ class QueryClass:
                 f"query class {self.name!r} priority must be >= 0, got "
                 f"{self.priority!r}"
             )
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
+        # Negated comparisons, so NaN fails them too.
+        if self.deadline_seconds is not None and not self.deadline_seconds > 0:
             raise InvalidConfigError(
                 f"query class {self.name!r} deadline must be > 0 seconds "
                 f"(or None for no deadline), got {self.deadline_seconds!r}"
             )
-        if self.max_degradation is not None and self.max_degradation < 1.0:
+        bound = self.max_degradation
+        if bound is not None and not bound >= 1.0:
             raise InvalidConfigError(
                 f"query class {self.name!r} max_degradation must be >= 1.0 "
-                f"(or None to inherit the scheduler's), got "
-                f"{self.max_degradation!r}"
+                f"(or None to inherit the scheduler's), got {bound!r}"
             )
 
     @property

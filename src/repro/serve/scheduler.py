@@ -12,12 +12,12 @@ admitted* — and, on a sharded fleet, *where*.  The scheduler:
   :class:`~repro.pipeline.engine.PipelineEngine` (``devices=1``, the
   default, is the classic single-GPU scheduler, bit-identical to the
   pre-sharding implementation);
-* on admission, re-plans the query against every device's current
-  headroom (the planner ladder walked over the footprints in the run's
-  profile of the request, :func:`~repro.core.planner.ladder_rung`) and
-  asks the :class:`~repro.serve.placement.PlacementPolicy` to pick
-  among the devices that can host the query's *unconstrained* solo
-  placement right now.  When no device can, the best degraded
+* on admission, asks the :class:`~repro.serve.placement.PlacementPolicy`
+  to pick among the devices that can host the query's *unconstrained*
+  solo placement right now (its footprint, from the run's profile of
+  the request, fits the device's headroom).  Only when no device can
+  is the planner ladder walked against each device's headroom
+  (:func:`~repro.core.planner.ladder_rung`), and the best degraded
   placement across the fleet (by alone-estimate) competes with
   the fleet-wide estimated wait: a query degrades only when the
   cheaper placement is within ``max_degradation`` of its solo makespan
@@ -283,11 +283,17 @@ class QueryRequest:
     def __post_init__(self) -> None:
         if not self.qid:
             raise InvalidConfigError("query id must be non-empty")
-        if self.submit_at < 0:
-            raise InvalidConfigError(f"{self.qid}: negative submit time")
-        if self.slo_wait_seconds is not None and self.slo_wait_seconds < 0:
+        # Negated comparisons, so NaN fails them too.
+        if not 0 <= self.submit_at < math.inf:
             raise InvalidConfigError(
-                f"{self.qid}: negative slo_wait_seconds"
+                f"{self.qid}: submit_at must be finite and >= 0, got "
+                f"{self.submit_at!r}"
+            )
+        slo = self.slo_wait_seconds
+        if slo is not None and not slo >= 0:
+            raise InvalidConfigError(
+                f"{self.qid}: negative slo_wait_seconds or NaN ({slo!r}); "
+                "it must be >= 0, or inf to never shed"
             )
         if self.query_class is not None and not isinstance(
             self.query_class, QueryClass
@@ -679,10 +685,11 @@ class _Profile:
     """What admission reads about one request under one calibration.
 
     One entry per (spec, materialize, pin, calibration) and run (see
-    :meth:`QueryScheduler._profile`).  ``ladder`` / ``needs`` are the
-    offer keys and their device footprints in rung order — the planner
-    ladder, or just the pin for a pinned request — so choosing a
-    device's offer is :func:`~repro.core.planner.ladder_rung` over
+    :meth:`QueryScheduler._profile`); ``spec`` and ``materialize`` are
+    the workload every price below estimates.  ``ladder`` / ``needs``
+    are the offer keys and their device footprints in rung order — the
+    planner ladder, or just the pin for a pinned request — so choosing
+    a device's offer is :func:`~repro.core.planner.ladder_rung` over
     integers.  ``solo_key`` / ``solo_need`` are the unconstrained
     placement, and ``calibration`` the one every price below is
     estimated under.  The prices are filled on first use: ``solo_seconds``
@@ -692,17 +699,21 @@ class _Profile:
     """
 
     __slots__ = (
-        "ladder", "needs", "solo_key", "solo_need", "calibration",
-        "solo_seconds", "alone", "plans",
+        "spec", "materialize", "ladder", "needs", "solo_key", "solo_need",
+        "calibration", "solo_seconds", "alone", "plans",
     )
 
     def __init__(
         self,
+        spec: JoinSpec,
+        materialize: bool,
         ladder: tuple[str, ...],
         needs: tuple[int, ...],
         solo_key: str,
         calibration: Calibration | None,
     ):
+        self.spec = spec
+        self.materialize = materialize
         self.ladder = ladder
         self.needs = needs
         self.solo_key = solo_key
@@ -995,76 +1006,103 @@ class QueryScheduler:
         device calibration's entry copies the default entry's, since the
         ladder ranks by memory fit alone — and estimates nothing, so a
         pin that never fits is rejected before anything is estimated.
+
+        A planner-chosen solo key must be the ladder walk over the
+        profile's own footprints at ``system.gpu.device_memory``, or
+        :class:`~repro.errors.SchedulingError` is raised: :meth:`_place`
+        tests the solo fit alone on that invariant (see there).
         """
         calib = calibration if calibration is not None else self.calibration
         key = (request.spec, request.materialize, request.strategy, calib)
         profile = self._profiles.get(key)
         if profile is None:
+            spec, materialize = request.spec, request.materialize
             if calib != self.calibration:
                 base = self._profile(request)
                 profile = _Profile(
-                    base.ladder, base.needs, base.solo_key, calib
+                    spec, materialize, base.ladder, base.needs,
+                    base.solo_key, calib,
                 )
             elif request.strategy is not None:
                 pin = (request.strategy,)
                 profile = _Profile(
+                    spec,
+                    materialize,
                     pin,
-                    ladder_footprints(request.spec, self.system, pin),
+                    ladder_footprints(spec, self.system, pin),
                     request.strategy,
                     calib,
                 )
             else:
+                needs = ladder_footprints(spec, self.system)
+                solo_key = choose_strategy_name(spec, self.system)
+                walked = PLANNER_LADDER[
+                    ladder_rung(needs, self.system.gpu.device_memory)
+                ]
+                if solo_key != walked:
+                    raise SchedulingError(
+                        f"query {request.qid!r}: the planner chose "
+                        f"{solo_key!r}, but the ladder walk over its "
+                        f"footprints at {self.system.gpu.device_memory} "
+                        f"bytes picks {walked!r}"
+                    )
                 profile = _Profile(
-                    PLANNER_LADDER,
-                    ladder_footprints(request.spec, self.system),
-                    choose_strategy_name(request.spec, self.system),
-                    calib,
+                    spec, materialize, PLANNER_LADDER, needs, solo_key, calib
                 )
             self._profiles[key] = profile
         return profile
 
-    def _solo_seconds(
-        self,
-        request: QueryRequest,
-        calibration: Calibration | None = None,
-    ) -> float:
-        """Makespan of the unconstrained placement on an idle device,
-        under ``calibration`` (the scheduler default when ``None``) — so
-        heterogeneous placement comparisons see each device's own
-        speed.  Estimated once per profile."""
-        profile = self._profile(request, calibration)
+    def _on_device(
+        self, profile: _Profile, request: QueryRequest, device: DeviceState
+    ) -> _Profile:
+        """``request``'s profile priced under ``device``'s calibration,
+        given ``profile``, its profile under the scheduler default — the
+        same object on a device without a calibration of its own."""
+        if device.calibration is None:
+            return profile
+        return self._profile(request, device.calibration)
+
+    def _queued_profile(
+        self, queued_profiles: dict[str, _Profile], request: QueryRequest
+    ) -> _Profile:
+        """Queued ``request``'s profile under the scheduler default,
+        carried in the run's ``queued_profiles`` (qid to profile) from
+        its first use until the request leaves the wait queue."""
+        profile = queued_profiles.get(request.qid)
+        if profile is None:
+            profile = queued_profiles[request.qid] = self._profile(request)
+        return profile
+
+    def _solo_seconds(self, profile: _Profile) -> float:
+        """Makespan of ``profile``'s unconstrained placement on an idle
+        device, under the profile's calibration — so heterogeneous
+        placement comparisons see each device's own speed.  Estimated
+        once per profile."""
         if profile.solo_seconds is None:
             strategy = self._strategy(profile.solo_key, profile.calibration)
             profile.solo_seconds = strategy.estimate(
-                request.spec, materialize=request.materialize
+                profile.spec, materialize=profile.materialize
             ).seconds
         return profile.solo_seconds
 
-    def _offer_estimate(
-        self,
-        request: QueryRequest,
-        key: str,
-        need: int,
-        calibration: Calibration | None,
-    ) -> float:
-        """Alone-makespan of offer ``key`` (footprint ``need``) on a
-        device with ``calibration`` — the
+    def _offer_estimate(self, profile: _Profile, key: str, need: int) -> float:
+        """Alone-makespan of offer ``key`` (footprint ``need``) under
+        ``profile``'s calibration — the
         :attr:`PlacementCandidate.est_seconds` placement policies rank —
         under the memory grant the admitted strategy would get.
         Estimated once per profile and key.  The non-degraded, no-grant
         offer is the solo makespan itself (the exact same float, which
         is what keeps homogeneous ranking bit-identical to the
         historical load-only order)."""
-        profile = self._profile(request, calibration)
         seconds = profile.alone.get(key)
         if seconds is None:
             grant = self._grant(key, need)
             if key == profile.solo_key and grant is None:
-                seconds = self._solo_seconds(request, calibration)
+                seconds = self._solo_seconds(profile)
             else:
                 strategy = self._strategy(key, profile.calibration, grant)
                 seconds = strategy.estimate(
-                    request.spec, materialize=request.materialize
+                    profile.spec, materialize=profile.materialize
                 ).seconds
             profile.alone[key] = seconds
         return seconds
@@ -1074,10 +1112,11 @@ class QueryScheduler:
         key: str,
         request: QueryRequest,
         need: int,
-        calibration: Calibration | None = None,
+        profile: _Profile,
     ) -> JoinPlan:
-        """The admitted strategy's plan, kept in the profile and
-        memoized process-wide.
+        """The admitted strategy's plan for ``request``, kept in
+        ``profile`` (the request's profile under the placed device's
+        calibration) and memoized process-wide.
 
         Plans are pure in (strategy fingerprint, spec, materialize) —
         the per-device memory grant and the device's calibration both
@@ -1091,7 +1130,6 @@ class QueryScheduler:
         prepared this plan, and admission reuses that object instead of
         preparing it again.
         """
-        profile = self._profile(request, calibration)
         plan = profile.plans.get(key)
         if plan is None:
             strategy = self._strategy(
@@ -1224,8 +1262,10 @@ class QueryScheduler:
         """
         if max_queue_depth is not None and max_queue_depth < 1:
             raise InvalidConfigError("max_queue_depth must be >= 1")
-        if slo_wait_seconds is not None and slo_wait_seconds < 0:
-            raise InvalidConfigError("slo_wait_seconds must be >= 0")
+        if slo_wait_seconds is not None and not slo_wait_seconds >= 0:
+            raise InvalidConfigError(
+                f"slo_wait_seconds must be >= 0, got {slo_wait_seconds!r}"
+            )
         if compact_every is not None and compact_every < 1:
             raise InvalidConfigError("compact_every must be >= 1")
         return self._event_loop(
@@ -1242,6 +1282,7 @@ class QueryScheduler:
     def _place(
         self,
         request: QueryRequest,
+        profile: _Profile,
         fleet: DeviceFleet,
         policy: PlacementPolicy,
         outcomes: dict[str, QueryOutcome],
@@ -1249,28 +1290,64 @@ class QueryScheduler:
         *,
         can_grow: bool = False,
     ) -> tuple[DeviceState, str, int] | None:
-        """Pick (device, strategy, footprint) for the FIFO head query.
+        """Pick (device, strategy, footprint) for the admission policy's
+        chosen head, ``request``, whose profile under the scheduler
+        default is ``profile``.
 
-        Only *accepting* devices (not retiring/retired) are candidates.
-        Every per-device offer is estimated under that device's own
-        calibration.  Returns ``None`` when the query should wait:
-        nothing fits anywhere, or every feasible placement is degraded
-        and loses to the bounded-degradation / wait comparison.  Raises
-        when the query could never be admitted on any device —
-        unless ``can_grow`` (pending ``add`` fleet events), in which
-        case it waits for a bigger device to join.
+        Only *accepting* devices (not retiring/retired) are candidates,
+        and each device's free bytes are read once.  Solo-fit
+        invariant: a device offers the unconstrained placement exactly
+        when ``profile.solo_need`` fits its free bytes.  The solo key is
+        the ladder walk at ``system.gpu.device_memory`` (checked when
+        the profile is built), every rung above it needs more than that,
+        and no device is larger (``_check_simulable``), so at any
+        headroom the walk lands at or below the solo rung.  The
+        placement policy therefore chooses among the devices where the
+        solo footprint fits, and only when there is none is each
+        device's ladder walked for a degraded offer, estimated under
+        that device's own calibration.
+
+        Returns ``None`` when the query should wait: nothing fits
+        anywhere, or the best degraded placement exceeds the
+        ``max_degradation`` bound or loses to queueing for the solo
+        placement's memory (built only within the bound).  Raises when
+        the query could never be admitted on any device — unless
+        ``can_grow`` (pending ``add`` fleet events), in which case it
+        waits for a bigger device to join.
         """
         active = fleet.active()
-        profile = self._profile(request)
+        free = [device.free_bytes for device in active]
+        solo_key, solo_need = profile.solo_key, profile.solo_need
+        candidates = [
+            PlacementCandidate(
+                device=device.index,
+                strategy=solo_key,
+                need_bytes=solo_need,
+                fits=True,
+                degraded=False,
+                est_seconds=self._offer_estimate(
+                    self._on_device(profile, request, device),
+                    solo_key,
+                    solo_need,
+                ),
+            )
+            for device, room in zip(active, free)
+            if solo_need <= room
+        ]
+        if candidates:
+            chosen = policy.select(candidates, fleet)
+            return fleet[chosen.device], chosen.strategy, chosen.need_bytes
+
+        # Each device's degraded offer: the request's ladder walked
+        # against that device's headroom (a pinned request's ladder is
+        # its pin).
         ladder, needs = profile.ladder, profile.needs
-        # Each device's offer: the request's ladder walked against that
-        # device's headroom (a pinned request's ladder is its pin).
-        rungs = [ladder_rung(needs, device.free_bytes) for device in active]
+        rungs = [ladder_rung(needs, room) for room in free]
         if all(
             needs[rung] > device.capacity_bytes
             for device, rung in zip(active, rungs)
         ):
-            # Checked before the solo estimate on purpose: estimating a
+            # Checked before any estimate on purpose: estimating a
             # pinned, never-fitting strategy can itself overflow device
             # memory, and "can never be admitted" is the clearer error.
             if can_grow:
@@ -1281,48 +1358,30 @@ class QueryScheduler:
                 f"({ladder[rung]}) but no fleet device has that much "
                 "memory; it can never be admitted"
             )
-        solo_key = profile.solo_key
-        candidates = []
-        for device, rung in zip(active, rungs):
-            key, need = ladder[rung], needs[rung]
-            fits = need <= device.free_bytes
-            candidates.append(PlacementCandidate(
-                device=device.index,
-                strategy=key,
-                need_bytes=need,
-                fits=fits,
-                degraded=key != solo_key,
-                # Estimated only for fitting offers — placement and the
-                # degrade comparison never look at the rest (and a
-                # never-fitting pinned strategy may not even estimate).
-                est_seconds=(
-                    self._offer_estimate(
-                        request, key, need, device.calibration
-                    )
-                    if fits
-                    else 0.0
-                ),
-            ))
-
-        feasible_solo = [c for c in candidates if c.fits and not c.degraded]
-        if feasible_solo:
-            chosen = policy.select(feasible_solo, fleet)
-            return fleet[chosen.device], chosen.strategy, chosen.need_bytes
-
-        feasible = [c for c in candidates if c.fits]
-        if not feasible:
+        # Best degraded offer across the fleet, by cached alone-estimate
+        # under each offer's own memory grant and its device's
+        # calibration; ties break toward the lowest device index.
+        best: tuple[float, DeviceState, str, int] | None = None
+        for device, room, rung in zip(active, free, rungs):
+            need = needs[rung]
+            if need > room:
+                continue
+            key = ladder[rung]
+            seconds = self._offer_estimate(
+                self._on_device(profile, request, device), key, need
+            )
+            if best is None or seconds < best[0]:
+                best = (seconds, device, key, need)
+        if best is None:
             return None  # wait for a release event
-        # Best degraded placement across the fleet, by cached
-        # alone-estimate under each candidate's own memory grant and
-        # its device's calibration; ties break toward the lowest device
-        # index.
-        best = min(feasible, key=lambda c: (c.est_seconds, c.device))
+        degraded_alone, device, key, need = best
         max_degradation = self._max_degradation_for(request)
         if max_degradation is not None and fleet.any_running():
-            degraded_alone = best.est_seconds
             solo_on_best = self._solo_seconds(
-                request, fleet[best.device].calibration
+                self._on_device(profile, request, device)
             )
+            if degraded_alone > max_degradation * solo_on_best:
+                return None  # too much slower than the solo placement
             # Queueing alternative: for each accepting device, the time
             # until the unconstrained placement's memory frees there
             # plus the solo makespan *under that device's calibration*
@@ -1332,31 +1391,29 @@ class QueryScheduler:
             # min is exactly the historical min-wait plus solo.
             wait_then_solo = min(
                 self._estimated_wait(
-                    profile.solo_need,
+                    solo_need,
                     clock=clock,
-                    free_bytes=device.free_bytes,
+                    free_bytes=room,
                     reserved={
                         qid: outcomes[qid].reserved_bytes
-                        for qid in device.running
+                        for qid in other.running
                     },
-                    predicted_finish=device.predicted_finish,
+                    predicted_finish=other.predicted_finish,
                 )
-                + self._solo_seconds(request, device.calibration)
-                for device in active
+                + self._solo_seconds(self._on_device(profile, request, other))
+                for other, room in zip(active, free)
             )
-            if (
-                degraded_alone > max_degradation * solo_on_best
-                or degraded_alone >= wait_then_solo
-            ):
+            if degraded_alone >= wait_then_solo:
                 # Starting now with the cheaper placement is estimated
                 # to lose to queueing for the memory the unconstrained
                 # placement wants on the first device to free it.
                 return None
-        return fleet[best.device], best.strategy, best.need_bytes
+        return device, key, need
 
     def _admit(
         self,
         request: QueryRequest,
+        profile: _Profile,
         placed: tuple[DeviceState, str, int],
         outcomes: dict[str, QueryOutcome],
         admitted_plans: dict[str, Admission],
@@ -1368,12 +1425,13 @@ class QueryScheduler:
     ) -> DeviceState:
         """Commit a placement decision: reserve the arena grant, add the
         plan's template to the device's wave under the query's alias,
-        and record the outcome skeleton.  The plan and the predicted
-        finish are built under the *placed device's* calibration; the
-        recorded ``solo_seconds`` baseline stays on the scheduler
-        default so serial comparisons are device-independent.  Shared
-        verbatim by head-of-line and stealing admission so their
-        committed state cannot drift.
+        and record the outcome skeleton.  ``profile`` is the request's
+        profile under the scheduler default, the one placement read.
+        The plan and the predicted finish are built under the *placed
+        device's* calibration; the recorded ``solo_seconds`` baseline
+        stays on the scheduler default so serial comparisons are
+        device-independent.  Shared verbatim by head-of-line and
+        stealing admission so their committed state cannot drift.
 
         Re-admissions after a fault (``fault_run`` generation > 0)
         namespace their tasks under the alias ``qid~rN`` instead of the
@@ -1390,10 +1448,9 @@ class QueryScheduler:
                 f"placement chose device {device.index} for "
                 f"{request.qid!r} but the reservation failed"
             )
-        solo_seconds = self._solo_seconds(request)
-        plan = self._prepare_plan(
-            key, request, need, calibration=device.calibration
-        )
+        solo_seconds = self._solo_seconds(profile)
+        on_device = self._on_device(profile, request, device)
+        plan = self._prepare_plan(key, request, need, on_device)
         for name, width in plan.resources.items():
             if width > device.resources.get(name, 1) and device.schedule.tasks:
                 # The engine fixed this device's lane counts at its
@@ -1415,7 +1472,7 @@ class QueryScheduler:
         outcomes[request.qid] = QueryOutcome(
             qid=request.qid,
             strategy=key,
-            solo_strategy=self._profile(request).solo_key,
+            solo_strategy=profile.solo_key,
             reserved_bytes=need,
             submit_at=request.submit_at,
             admit_at=clock,
@@ -1434,13 +1491,14 @@ class QueryScheduler:
         # The wait estimator's predicted finish must reflect *this*
         # device's speed: the offer's alone-estimate under the device's
         # calibration, which priced this placement in `_place`.
-        alone = self._offer_estimate(request, key, need, device.calibration)
+        alone = self._offer_estimate(on_device, key, need)
         device.predicted_finish[request.qid] = clock + alone
         return device
 
     def _steal(
         self,
         queue: "deque[QueryRequest]",
+        queued_profiles: dict[str, _Profile],
         fleet: DeviceFleet,
         outcomes: dict[str, QueryOutcome],
         admitted_plans: dict[str, Admission],
@@ -1459,29 +1517,29 @@ class QueryScheduler:
         device per pass; everything comes from the same caches and
         commits through :meth:`_admit`, so stolen admissions obey every
         arena/engine invariant.  Returns the (device, qid) pairs
-        admitted, for the caller's bookkeeping."""
+        admitted, for the caller's bookkeeping; a stolen query's entry
+        leaves ``queued_profiles`` with it."""
         admitted: list[tuple[DeviceState, str]] = []
         if len(queue) <= 1:
             return admitted
         for device in fleet.active():
             if device.running:
                 continue
+            room = device.free_bytes
             best: tuple[float, int, str, int] | None = None
             for pos in range(1, len(queue)):
                 request = queue[pos]
-                profile = self._profile(request)
-                rung = ladder_rung(profile.needs, device.free_bytes)
-                need = profile.needs[rung]
-                if need > device.free_bytes:
+                base = self._queued_profile(queued_profiles, request)
+                rung = ladder_rung(base.needs, room)
+                need = base.needs[rung]
+                if need > room:
                     continue
-                key = profile.ladder[rung]
-                est = self._offer_estimate(
-                    request, key, need, device.calibration
-                )
+                key = base.ladder[rung]
+                profile = self._on_device(base, request, device)
+                est = self._offer_estimate(profile, key, need)
                 max_degradation = self._max_degradation_for(request)
-                if key != profile.solo_key and max_degradation is not None:
-                    solo_here = self._solo_seconds(request, device.calibration)
-                    if est > max_degradation * solo_here:
+                if key != base.solo_key and max_degradation is not None:
+                    if est > max_degradation * self._solo_seconds(profile):
                         continue
                 if best is None or (est, pos) < best[:2]:
                     best = (est, pos, key, need)
@@ -1492,6 +1550,7 @@ class QueryScheduler:
             del queue[pos]
             placed_device = self._admit(
                 request,
+                queued_profiles.pop(request.qid),
                 (device, key, need),
                 outcomes,
                 admitted_plans,
@@ -1616,6 +1675,7 @@ class QueryScheduler:
         self,
         fleet: DeviceFleet,
         wait_queue: "deque[QueryRequest]",
+        queued_profiles: dict[str, _Profile],
         at: float,
     ) -> float:
         """Fleet-wide estimated admission wait for a query arriving at
@@ -1627,8 +1687,11 @@ class QueryScheduler:
         a latency guarantee.  Only *accepting* devices count — a
         retiring device's remaining work serves nobody in the queue —
         and queued solos use the scheduler-default calibration (which
-        device they will land on is unknowable here).  O(running +
-        queued), every term served from caches."""
+        device they will land on is unknowable here), read from each
+        queued request's carried profile (``queued_profiles``, see
+        :meth:`_queued_profile`).  The running part is summed first,
+        then the queue in order.  O(running + queued), every term
+        served from caches."""
         backlog = 0.0
         active = fleet.active()
         if not active:
@@ -1640,18 +1703,17 @@ class QueryScheduler:
             for finish in device.predicted_finish.values():
                 if finish > at:
                     backlog += finish - at
-        # One table hit per queued request, inlined: a full queue is
-        # re-summed at every shed arrival, so a helper call per entry
-        # shows up in the arrival gaps.
-        profiles, calib = self._profiles, self.calibration
+        # The carried profile read inline: a full queue is re-summed at
+        # every shed arrival, so a helper call per entry shows up in
+        # the arrival gaps.
         for queued in wait_queue:
-            profile = profiles.get(
-                (queued.spec, queued.materialize, queued.strategy, calib)
-            )
-            if profile is None or profile.solo_seconds is None:
-                backlog += self._solo_seconds(queued)
-            else:
-                backlog += profile.solo_seconds
+            profile = queued_profiles.get(queued.qid)
+            if profile is None:
+                profile = queued_profiles[queued.qid] = self._profile(queued)
+            seconds = profile.solo_seconds
+            if seconds is None:
+                seconds = self._solo_seconds(profile)
+            backlog += seconds
         return backlog / len(active)
 
     def _event_loop(
@@ -1687,7 +1749,10 @@ class QueryScheduler:
         admission.reset()
         self._profiles = {}
         admission_ctx = AdmissionContext(
-            clock=0.0, solo_seconds=self._solo_seconds
+            clock=0.0,
+            solo_seconds=lambda request: self._solo_seconds(
+                self._profile(request)
+            ),
         )
         #: Set the first time a deadline-bearing query is ingested by a
         #: shedding run; gates the per-wave expiry sweep so
@@ -1698,6 +1763,11 @@ class QueryScheduler:
         seen: set[str] = set()
         last_submit = 0.0
         wait_queue: deque[QueryRequest] = deque()
+        #: Each queued request's profile under the scheduler default,
+        #: from its first use (see :meth:`_queued_profile`) until it
+        #: leaves the wait queue: admitted, stolen, expired, refused by
+        #: an admission fault or failed.
+        queued_profiles: dict[str, _Profile] = {}
         outcomes: dict[str, QueryOutcome] = {}
         admitted_plans: dict[str, Admission] = {}
         owner: dict[str, DeviceState] = {}
@@ -1754,7 +1824,7 @@ class QueryScheduler:
                     reason="queue_full",
                     queue_depth=depth,
                     estimated_wait_seconds=self._stream_wait_estimate(
-                        fleet, wait_queue, request.submit_at
+                        fleet, wait_queue, queued_profiles, request.submit_at
                     ),
                     class_name=class_name_of(request),
                     tenant=tenant_of(request),
@@ -1767,7 +1837,7 @@ class QueryScheduler:
             )
             if shedding and slo is not None:
                 wait = self._stream_wait_estimate(
-                    fleet, wait_queue, request.submit_at
+                    fleet, wait_queue, queued_profiles, request.submit_at
                 )
                 if wait > slo:
                     shed.append(ShedOutcome(
@@ -1806,10 +1876,10 @@ class QueryScheduler:
                     owner, clock,
                 )
             if (
-                not fleet.any_running()
-                and not wait_queue
+                not wait_queue
                 and next_req is not None
                 and next_req.submit_at > clock
+                and not fleet.any_running()
             ):
                 # Idle jump — but never past a fleet event or a fault
                 # wakeup (crash / retry-ready), which may change what
@@ -1849,10 +1919,13 @@ class QueryScheduler:
                     owner, clock,
                 )
 
+            # Fleet events are applied only above, so whether an 'add'
+            # is pending holds for the rest of the pass.
+            can_grow = any(e.action == "add" for e in events)
             if (
                 fault_run is not None
+                and not can_grow
                 and not fleet.active()
-                and not any(e.action == "add" for e in events)
             ):
                 # Fleet lost: every accepting device crashed (or was
                 # retiring) and none will join.  Nothing waiting or
@@ -1862,6 +1935,7 @@ class QueryScheduler:
                 # must still account for every arrival.  Queries still
                 # draining on a retiring device finish normally.
                 fault_run.fail_stranded(wait_queue)
+                queued_profiles.clear()
                 while next_req is not None:
                     fault_run.fail_now(take(), reason="fleet_lost")
 
@@ -1908,6 +1982,8 @@ class QueryScheduler:
                     for pos in range(len(wait_queue) - 1, -1, -1):
                         if wait_queue[pos].qid in gone:
                             del wait_queue[pos]
+                    for qid in gone:
+                        queued_profiles.pop(qid, None)
 
             # Admit while the admission policy's chosen head can be
             # placed somewhere; head-of-line blocking — on the *chosen*
@@ -1930,26 +2006,29 @@ class QueryScheduler:
                     # charges the same retry budget a crash does, and
                     # the query re-queues after its backoff.
                     del wait_queue[pos]
+                    queued_profiles.pop(request.qid, None)
                     fault_run.record_failure(request, clock)
                     continue
+                profile = self._queued_profile(queued_profiles, request)
                 placed = self._place(
-                    request, fleet, policy, outcomes, clock,
-                    can_grow=any(e.action == "add" for e in events),
+                    request, profile, fleet, policy, outcomes, clock,
+                    can_grow=can_grow,
                 )
                 if placed is None:
                     break
                 del wait_queue[pos]
+                del queued_profiles[request.qid]
                 device = self._admit(
-                    request, placed, outcomes, admitted_plans, owner, clock,
-                    fault_run=fault_run,
+                    request, profile, placed, outcomes, admitted_plans,
+                    owner, clock, fault_run=fault_run,
                 )
                 admission.record_admit(request, admission_ctx)
                 admitted(device, request.qid)
 
             if self.steal and wait_queue:
                 for device, qid in self._steal(
-                    wait_queue, fleet, outcomes, admitted_plans, owner, clock,
-                    fault_run=fault_run,
+                    wait_queue, queued_profiles, fleet, outcomes,
+                    admitted_plans, owner, clock, fault_run=fault_run,
                 ):
                     admitted(device, qid)
 
@@ -1981,9 +2060,11 @@ class QueryScheduler:
             # later admissions join the tail of every FIFO lane on their
             # device, so already-placed tasks never move and a wave
             # costs O(new tasks).
+            extended = False
             for device in fleet:
                 if not device.wave.admissions:
                     continue
+                extended = True
                 if device.engine is None:
                     device.engine = PipelineEngine(
                         device.resources, device=device.index
@@ -2009,9 +2090,12 @@ class QueryScheduler:
                 )
                 heapq.heappush(finish_heap, (finish, qid, generation))
             admitted_wave = []
-            retained = sum(len(device.schedule.tasks) for device in fleet)
-            if retained > peak_retained_tasks:
-                peak_retained_tasks = retained
+            if extended:
+                # Only an extension adds retained tasks, so only a pass
+                # that extended can set a new peak.
+                retained = sum(len(device.schedule.tasks) for device in fleet)
+                if retained > peak_retained_tasks:
+                    peak_retained_tasks = retained
 
             times = []
             if finish_heap:
@@ -2076,6 +2160,11 @@ class QueryScheduler:
                 released_since_compact = 0
 
         fleet.check_drained()
+        if queued_profiles:  # pragma: no cover - a wait-queue exit missed
+            raise SchedulingError(
+                f"profiles of {sorted(queued_profiles)} outlived the wait "
+                "queue"
+            )
         report = ServeReport(
             outcomes=completed,
             arrivals=arrived,

@@ -321,12 +321,17 @@ def stream_workload(
     """
     if n_queries <= 0:
         raise InvalidConfigError("n_queries must be positive")
-    if arrival_rate <= 0:
-        raise InvalidConfigError("arrival_rate must be positive")
+    # Negated comparisons, so NaN fails them too.
+    if not arrival_rate > 0:
+        raise InvalidConfigError(
+            f"arrival_rate must be positive, got {arrival_rate!r}"
+        )
     if classes is not None and not classes:
         raise InvalidConfigError("classes must be non-empty (or None)")
-    if deadline_scale <= 0:
-        raise InvalidConfigError("deadline_scale must be positive")
+    if not deadline_scale > 0:
+        raise InvalidConfigError(
+            f"deadline_scale must be positive, got {deadline_scale!r}"
+        )
     rng = random.Random(seed)
     cache: dict = {}
     clock = 0.0

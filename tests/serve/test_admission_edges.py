@@ -239,6 +239,13 @@ def test_query_class_validation_errors():
         QueryClass(name="x", deadline_seconds=0.0)
     with pytest.raises(InvalidConfigError, match="max_degradation"):
         QueryClass(name="x", max_degradation=0.5)
+    # NaN passes plain comparisons: a NaN deadline would count every
+    # query as deadline-bearing and none as missed, and a NaN bound
+    # would switch the degrade-vs-wait bound off for the class.
+    with pytest.raises(InvalidConfigError, match="deadline"):
+        QueryClass(name="x", deadline_seconds=math.nan)
+    with pytest.raises(InvalidConfigError, match="max_degradation"):
+        QueryClass(name="x", max_degradation=math.nan)
     with pytest.raises(InvalidConfigError, match="query_class"):
         QueryRequest(qid="q", spec=unique_pair(M), query_class="gold")
 

@@ -48,6 +48,7 @@ from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.oracle import check_batch_oracle
 from repro.pipeline.tasks import Task
 from repro.serve import (
+    DEADLINE_CLASSES,
     DeviceCrash,
     FaultPlan,
     FleetEvent,
@@ -392,6 +393,45 @@ def test_streaming_crash_conserves_and_recovers():
     assert report.completed > 0
     # Everything that completed after the crash ran on the survivor.
     assert report.failed_rate == len(report.failed) / 80
+
+
+@pytest.mark.parametrize("lose_fleet", [False, True])
+def test_stream_wait_queue_exits_leave_no_carried_profile(lose_fleet):
+    """The scheduler carries each queued request's admission profile
+    until the request leaves the wait queue, and every run ends by
+    checking that none is left (a leak raises ``SchedulingError``).
+    This stream leaves the queue every way but stealing (which the
+    steal tests cover): admitted, shed at a full queue, expired at its
+    deadline, refused by an admission fault (once, and until its retry
+    budget is spent), lost to a crash and retried, and, when the whole
+    fleet crashes, failed as stranded.  ``s000007`` waits in a full
+    queue, so its profile is carried before its first refusal."""
+    requests = list(
+        stream_workload(
+            300, seed=3, classes=DEADLINE_CLASSES, deadline_scale=0.02
+        )
+    )
+    horizon = requests[-1].submit_at
+    crashes = [DeviceCrash(at=horizon / 2, device=1)]
+    if lose_fleet:
+        crashes.append(DeviceCrash(at=horizon * 0.9, device=0))
+    plan = FaultPlan(
+        crashes=tuple(crashes),
+        admission_failures={"s000000": 1, "s000007": 4},
+    )
+    report = QueryScheduler(devices=2).run_stream(
+        iter(requests), max_queue_depth=8, compact_every=16, faults=plan
+    )
+    _conserved(report, 300)
+    assert {"queue_full", "deadline_expired"} <= {
+        item.reason for item in report.shed
+    }
+    retried = {o.qid for o in report.outcomes if o.retries}
+    assert "s000000" in retried  # refused once at admission
+    assert len(retried) > 1  # crash victims re-admitted
+    failed = {f.qid: f.reason for f in report.failed}
+    assert failed.pop("s000007") == "retries_exhausted"
+    assert set(failed.values()) == ({"fleet_lost"} if lose_fleet else set())
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.data.spec import unique_pair
 from repro.errors import InvalidConfigError, ReproError, SchedulingError
 from repro.bench.serve_bench import fingerprint as _fingerprint
 from repro.serve import QueryRequest, QueryScheduler, mixed_workload
+from repro.serve import scheduler as scheduler_module
 from repro.serve.workload import M
 
 
@@ -126,21 +127,46 @@ def test_admission_degrades_strategy_under_pressure():
     assert second.admit_at == 0.0  # co-resident, not queued
 
 
-def test_bounded_degradation_waits_instead():
-    """With a tight degradation bound the second query queues for the
-    first one's memory instead of taking a much slower placement."""
+@pytest.mark.parametrize("max_degradation", [1.0, 4.0])
+def test_bounded_degradation_waits_instead(max_degradation):
+    """The second query queues for the first one's memory instead of
+    taking a much slower placement.  At 1.0 the degradation bound
+    rejects the streaming offer; at 4.0 the bound passes, and the wait
+    comparison decides: q0's memory frees before streaming alone would
+    finish."""
     spec = unique_pair(96 * M)
-    report = QueryScheduler(max_degradation=1.0).run_online(
+    report = QueryScheduler(max_degradation=max_degradation).run_online(
         [
             QueryRequest(qid="q0", spec=spec),
             QueryRequest(qid="q1", spec=spec),
         ]
     )
     first, second = report.outcomes
+    if max_degradation == 4.0:
+        streaming_alone = StreamingProbeJoin().estimate(spec).seconds
+        assert streaming_alone / first.solo_seconds == pytest.approx(
+            3.14, abs=0.005
+        )
     assert not second.degraded
     assert second.strategy == GPU_RESIDENT
     assert second.admit_at == pytest.approx(first.finish_at)
     assert second.wait_seconds > 0
+
+
+def test_solo_choice_off_the_ladder_walk_is_rejected(monkeypatch):
+    """Placement tests the solo footprint before walking any ladder,
+    which is exact only while the planner's solo choice is the ladder
+    walk over the profile's footprints at device memory; a profile
+    whose choice disagrees is rejected when it is built."""
+    monkeypatch.setattr(
+        scheduler_module,
+        "choose_strategy_name",
+        lambda spec, system: STREAMING,
+    )
+    with pytest.raises(SchedulingError, match="ladder walk"):
+        QueryScheduler().run_online(
+            [QueryRequest(qid="q0", spec=unique_pair(4 * M))]
+        )
 
 
 def test_arena_accounting_never_exceeds_device_memory():

@@ -22,6 +22,8 @@ exceeds it), per-query SLOs override the fleet default, and the
 retained schedule stays bounded by in-flight work.
 """
 
+import math
+
 import pytest
 
 from repro.errors import InvalidConfigError
@@ -213,6 +215,20 @@ def test_stream_validates_input():
         QueryScheduler().run_stream(iter([]), compact_every=0)
     with pytest.raises(InvalidConfigError, match="negative slo"):
         QueryRequest(qid="a", spec=spec, slo_wait_seconds=-0.1)
+    # Non-finite inputs: NaN passes plain comparisons, and a NaN or
+    # infinite arrival would silently end (or break) the run.
+    for submit_at in (math.nan, math.inf):
+        with pytest.raises(InvalidConfigError, match="submit_at"):
+            QueryRequest(qid="a", spec=spec, submit_at=submit_at)
+    with pytest.raises(InvalidConfigError, match="negative slo"):
+        QueryRequest(qid="a", spec=spec, slo_wait_seconds=math.nan)
+    with pytest.raises(InvalidConfigError, match="slo_wait_seconds"):
+        QueryScheduler().run_stream(iter([]), slo_wait_seconds=math.nan)
+    for knob in ("arrival_rate", "deadline_scale"):
+        with pytest.raises(InvalidConfigError, match=knob):
+            next(stream_workload(4, **{knob: math.nan}))
+    # An infinite SLO stays legal: it never sheds.
+    QueryRequest(qid="a", spec=spec, slo_wait_seconds=math.inf)
 
 
 def test_empty_stream():
