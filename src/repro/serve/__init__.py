@@ -21,7 +21,7 @@ One event loop serves two entry points: ``run_online`` (a request
 list, no shedding, full schedules kept) and ``run_stream`` (an
 iterator, with bounded-queue load shedding plus schedule compaction,
 memory O(in-flight) over 10^5+ arrivals); both return a
-:class:`~repro.serve.scheduler.ServeReport`.  ``devices=1`` (the
+:class:`~repro.serve.report.ServeReport`.  ``devices=1`` (the
 default) is the classic single-GPU scheduler, bit-identical to the
 pre-sharding implementation.
 

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 from repro.errors import InvalidConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.serve.scheduler import QueryRequest
+    from repro.serve.report import QueryRequest
 
 #: Registry keys of the built-in policies.
 FIFO = "fifo"

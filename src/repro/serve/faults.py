@@ -54,7 +54,7 @@ from repro.errors import FaultInvariantError, FaultPlanError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.serve.placement import FleetEvent
-    from repro.serve.scheduler import QueryRequest
+    from repro.serve.report import QueryRequest
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,10 @@ class DeviceCrash:
     device: int
 
     def __post_init__(self) -> None:
-        if self.at < 0:
+        # Negated comparison, so NaN fails it too.
+        if not 0 <= self.at < math.inf:
             raise FaultPlanError(
-                f"crash time must be >= 0, got {self.at!r}"
+                f"crash time must be finite and >= 0, got {self.at!r}"
             )
         if self.device < 0:
             raise FaultPlanError(
@@ -187,8 +188,10 @@ class FaultPlan:
         """
         if devices < 1:
             raise FaultPlanError(f"devices must be >= 1, got {devices!r}")
-        if horizon < 0:
-            raise FaultPlanError(f"horizon must be >= 0, got {horizon!r}")
+        if not 0 <= horizon < math.inf:
+            raise FaultPlanError(
+                f"horizon must be finite and >= 0, got {horizon!r}"
+            )
         rng = random.Random(seed)
         limit = devices if max_crashes is None else min(max_crashes, devices)
         if not allow_total_loss:
@@ -215,8 +218,8 @@ class FaultPlan:
 @dataclass(frozen=True)
 class FailedOutcome:
     """One query the run gave up on — the third outcome class next to
-    completed (:class:`~repro.serve.scheduler.QueryOutcome`) and shed
-    (:class:`~repro.serve.scheduler.ShedOutcome`).
+    completed (:class:`~repro.serve.report.QueryOutcome`) and shed
+    (:class:`~repro.serve.report.ShedOutcome`).
 
     ``reason`` is ``"retries_exhausted"`` (lost or refused more than
     ``max_retries`` times) or ``"fleet_lost"`` (no accepting device
@@ -367,15 +370,15 @@ class _FaultRun:
             queue.appendleft(request)
         return len(ready)
 
-    def fail_stranded(self, queue: "deque[Any]") -> int:
+    def fail_stranded(self, stranded: "Iterable[Any]") -> int:
         """No accepting device remains and none will join: everything
-        still waiting — the admission queue *and* the retry backlog —
-        fails with reason ``"fleet_lost"``.  Returns how many failed."""
+        still waiting — ``stranded``, the requests taken out of the
+        admission queue, *and* the retry backlog — fails with reason
+        ``"fleet_lost"``.  Returns how many failed."""
         count = 0
-        for request in queue:
+        for request in stranded:
             self.fail_now(request, reason="fleet_lost")
             count += 1
-        queue.clear()
         while self.retry_heap:
             _, _, request = heapq.heappop(self.retry_heap)
             self.fail_now(request, reason="fleet_lost")
@@ -393,7 +396,7 @@ def check_fault_invariants(
     """Audit a run's report; raise
     :class:`~repro.errors.FaultInvariantError` on any violation.
 
-    Reads a :class:`~repro.serve.scheduler.ServeReport`'s ``outcomes``,
+    Reads a :class:`~repro.serve.report.ServeReport`'s ``outcomes``,
     ``failed``, ``shed``, ``arenas`` and merged ``schedule``.  The
     scheduler calls it at the end of every run, passing ``FaultPlan()``
     for a fault-free one.  Checks:

@@ -31,6 +31,7 @@ scheduler (pinned against recorded golden schedules by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterator
 
@@ -491,9 +492,10 @@ class FleetEvent:
     device: int | None = None
 
     def __post_init__(self) -> None:
-        if self.at < 0:
+        # Negated comparison, so NaN fails it too.
+        if not 0 <= self.at < math.inf:
             raise InvalidConfigError(
-                f"fleet event time must be >= 0, got {self.at!r}"
+                f"fleet event time must be finite and >= 0, got {self.at!r}"
             )
         if self.action == "add":
             if self.capacity_bytes is None or self.capacity_bytes <= 0:

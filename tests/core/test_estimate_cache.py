@@ -173,6 +173,7 @@ def test_serve_prepares_each_plan_key_once(monkeypatch, devices):
         strategy_factory,
     )
     from repro.serve import QueryScheduler, mixed_workload
+    from repro.serve.scheduler import _Run
 
     prepared: dict = {}
     built_in_estimate: list = []
@@ -213,14 +214,14 @@ def test_serve_prepares_each_plan_key_once(monkeypatch, devices):
             depth["estimate"] -= 1
 
     monkeypatch.setattr(PipelinedJoinStrategy, "estimate", estimating)
-    prepare_plan = QueryScheduler._prepare_plan
+    prepare_plan = _Run._prepare_plan
 
     def admitting(self, *args, **kwargs):
         plan = prepare_plan(self, *args, **kwargs)
         admitted.append(plan)
         return plan
 
-    monkeypatch.setattr(QueryScheduler, "_prepare_plan", admitting)
+    monkeypatch.setattr(_Run, "_prepare_plan", admitting)
 
     QueryScheduler(devices=devices).run_online(mixed_workload(8))
 

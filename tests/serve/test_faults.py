@@ -507,6 +507,13 @@ def test_fault_plan_validation_rejects_bad_plans():
         DeviceCrash(at=-1.0, device=0)
     with pytest.raises(FaultPlanError, match=">= 0"):
         DeviceCrash(at=0.0, device=-1)
+    # NaN and inf pass a plain `< 0` test; such a crash would never be
+    # applied.
+    for at in (float("nan"), float("inf")):
+        with pytest.raises(FaultPlanError, match="finite"):
+            DeviceCrash(at=at, device=0)
+        with pytest.raises(FaultPlanError, match="horizon"):
+            FaultPlan.random(0, devices=2, horizon=at)
     with pytest.raises(FaultPlanError, match="sorted"):
         FaultPlan(
             crashes=(

@@ -328,6 +328,13 @@ def test_fleet_event_and_retirement_validation():
         FleetEvent(at=0.0, action="rebalance")
     with pytest.raises(InvalidConfigError, match=">= 0"):
         FleetEvent(at=-1.0, action="retire", device=0)
+    # NaN and inf pass a plain `< 0` test; such an event would never be
+    # applied, or (NaN add) would hang the run.
+    for at in (float("nan"), float("inf")):
+        with pytest.raises(InvalidConfigError, match="finite"):
+            FleetEvent(at=at, action="add", capacity_bytes=DEFAULT_CAP)
+        with pytest.raises(InvalidConfigError, match="finite"):
+            FleetEvent(at=at, action="retire", device=0)
 
     fleet = DeviceFleet([DEFAULT_CAP, DEFAULT_CAP])
     with pytest.raises(InvalidConfigError, match="unknown device"):

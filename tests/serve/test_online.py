@@ -19,7 +19,8 @@ from repro.errors import SchedulingError
 from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.oracle import check_batch_oracle
 from repro.pipeline.tasks import ScheduledTask, Task
-from repro.serve import QueryScheduler, mixed_workload
+from repro.serve import QueryScheduler, mixed_workload, random_workload
+from repro.serve.scheduler import _Run
 
 
 def _assert_schedules_identical(left, right):
@@ -88,6 +89,19 @@ def test_online_mode_is_deterministic():
     _assert_schedules_identical(first, second)
 
 
+def test_online_serves_any_iterable_of_requests():
+    """An iterator or a tuple of requests is served exactly like the
+    list: reading the input once for the report's order used to exhaust
+    an iterator, so nothing arrived and nothing was served."""
+    requests = random_workload(0)
+    expected = _fingerprint(QueryScheduler().run_online(requests))
+    assert len(expected) == len(requests) > 0
+    for given in (iter(requests), tuple(requests)):
+        report = QueryScheduler().run_online(given)
+        assert report.arrivals == len(requests)
+        assert _fingerprint(report) == expected
+
+
 def test_online_report_passes_serving_guarantees():
     report = QueryScheduler().run_online(mixed_workload(8))
     verify_report(report, clients=8, check_serial=True)
@@ -116,14 +130,14 @@ def test_placed_tasks_are_built_only_when_read(monkeypatch):
     field, to the plan task namespaced under the query id, released at
     the admission clock and tagged with the device."""
     plans = {}
-    prepare_plan = QueryScheduler._prepare_plan
+    prepare_plan = _Run._prepare_plan
 
     def admitting(self, key, request, *args, **kwargs):
         plan = prepare_plan(self, key, request, *args, **kwargs)
         plans[request.qid] = plan
         return plan
 
-    monkeypatch.setattr(QueryScheduler, "_prepare_plan", admitting)
+    monkeypatch.setattr(_Run, "_prepare_plan", admitting)
     report = QueryScheduler(devices=2).run_online(mixed_workload(16))
 
     schedules = report.device_schedules

@@ -43,18 +43,27 @@ def test_single_query_matches_solo_estimate():
         ),
         (dict(max_degradation=float("nan")), "max_degradation"),
         (dict(retry_backoff_seconds=float("nan")), "retry_backoff_seconds"),
+        (dict(max_retries=float("nan")), "max_retries"),
+        (dict(max_retries=2.5), "max_retries"),
+        (dict(max_retries=True), "max_retries"),
+        (dict(devices=2.0), "devices"),
+        (dict(devices=True), "devices"),
     ],
     ids=[
         "lanes-zero", "lanes-negative", "lanes-float", "lanes-bool",
         "calibration-name", "calibration-name-second-device",
         "max-degradation-nan", "retry-backoff-nan",
+        "max-retries-nan", "max-retries-float", "max-retries-bool",
+        "devices-float", "devices-bool",
     ],
 )
 def test_constructor_rejects_invalid_inputs(kwargs, match):
     """Every input the constructor accepts must be usable: a zero or
     fractional lane width, a calibration given by name and a NaN bound
     each used to pass construction and then fail (or, for NaN
-    ``max_degradation``, silently drop the degradation bound) mid-run."""
+    ``max_degradation``, silently drop the degradation bound) mid-run.
+    So did a non-int device count, and a NaN retry budget turned the
+    budget off."""
     with pytest.raises(InvalidConfigError, match=match):
         QueryScheduler(**kwargs)
 

@@ -272,7 +272,7 @@ def test_empty_class_group_reports_na_not_zero():
     an impossibly perfect 0.000 s."""
     from types import SimpleNamespace
 
-    from repro.serve.scheduler import _fmt_secs, _group_class_stats
+    from repro.serve.report import _fmt_secs, _group_class_stats
 
     shed = [
         SimpleNamespace(reason="deadline_expired", class_name="batch"),
