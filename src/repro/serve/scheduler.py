@@ -886,6 +886,10 @@ class _Run:
                 and self.released_since_compact >= compact_every
             ):
                 self._compact()
+        # The admission context's estimator refers back to this run:
+        # dropping it lets reference counting free the run's state as
+        # soon as the run returns, with no cycle left for the collector.
+        del self.admission_ctx
         return self._report()
 
     def _apply_due(self) -> None:
