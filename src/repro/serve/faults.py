@@ -370,20 +370,16 @@ class _FaultRun:
             queue.appendleft(request)
         return len(ready)
 
-    def fail_stranded(self, stranded: "Iterable[Any]") -> int:
+    def fail_stranded(self, stranded: "Iterable[Any]") -> None:
         """No accepting device remains and none will join: everything
         still waiting — ``stranded``, the requests taken out of the
         admission queue, *and* the retry backlog — fails with reason
-        ``"fleet_lost"``.  Returns how many failed."""
-        count = 0
+        ``"fleet_lost"``."""
         for request in stranded:
             self.fail_now(request, reason="fleet_lost")
-            count += 1
         while self.retry_heap:
             _, _, request = heapq.heappop(self.retry_heap)
             self.fail_now(request, reason="fleet_lost")
-            count += 1
-        return count
 
 
 def check_fault_invariants(

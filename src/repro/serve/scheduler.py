@@ -714,7 +714,6 @@ class _Run:
         profile = self.profiles.get(key)
         if profile is None:
             spec, materialize = request.spec, request.materialize
-            system = self.system
             if calib != self.calibration:
                 base = self._profile(request)
                 profile = _Profile(
@@ -727,21 +726,21 @@ class _Run:
                     spec,
                     materialize,
                     pin,
-                    ladder_footprints(spec, system, pin),
+                    ladder_footprints(spec, self.system, pin),
                     request.strategy,
                     calib,
                 )
             else:
-                needs = ladder_footprints(spec, system)
-                solo_key = choose_strategy_name(spec, system)
+                needs = ladder_footprints(spec, self.system)
+                solo_key = choose_strategy_name(spec, self.system)
                 walked = PLANNER_LADDER[
-                    ladder_rung(needs, system.gpu.device_memory)
+                    ladder_rung(needs, self.system.gpu.device_memory)
                 ]
                 if solo_key != walked:
                     raise SchedulingError(
                         f"query {request.qid!r}: the planner chose "
                         f"{solo_key!r}, but the ladder walk over its "
-                        f"footprints at {system.gpu.device_memory} "
+                        f"footprints at {self.system.gpu.device_memory} "
                         f"bytes picks {walked!r}"
                     )
                 profile = _Profile(
@@ -855,10 +854,12 @@ class _Run:
     # -- the loop ---------------------------------------------------------
     def serve(self) -> ServeReport:
         """Run the loop to the end and return the audited report.  Each
-        pass calls one method per phase, in the order the loop body
-        lists them; a pass whose chosen head is blocked on an idle fleet
-        ends after stealing, at :meth:`_stop_blocked`."""
+        pass calls the phase methods in the order the loop lists them,
+        each only when a cheap test says it may have work (a hot-stream
+        pass costs a few microseconds); a pass whose chosen head is
+        blocked on an idle fleet ends at :meth:`_stop_blocked`."""
         fleet, queue, fault_run = self.fleet, self.queue, self.fault_run
+        events = self.events
         steal = self.scheduler.steal
         compact_every = self.compact_every
         while (
@@ -867,18 +868,22 @@ class _Run:
             or fleet.any_running()
             or (fault_run is not None and fault_run.has_work())
         ):
-            self._apply_due()
-            self._idle_jump()
+            if events or fault_run is not None:
+                self._apply_due()
+            if not queue:
+                self._idle_jump()
             self._ingest()
             if self.any_deadlines and queue:
                 self._expire_deadlines()
-            self._admit_heads()
+            if queue:
+                self._admit_heads()
             if steal and queue:
                 self._steal()
             if queue and not fleet.any_running():
                 self._stop_blocked()
                 continue
-            self._extend()
+            if self.admitted_wave:
+                self._extend()
             if not self._advance():  # pragma: no cover - loop re-check
                 break
             if (
@@ -886,9 +891,8 @@ class _Run:
                 and self.released_since_compact >= compact_every
             ):
                 self._compact()
-        # The admission context's estimator refers back to this run:
-        # dropping it lets reference counting free the run's state as
-        # soon as the run returns, with no cycle left for the collector.
+        # The admission context's estimator refers back to this run; drop
+        # it, so reference counting frees the run's state on return.
         del self.admission_ctx
         return self._report()
 
@@ -911,15 +915,14 @@ class _Run:
         clock = self.clock
         events = self.events
         if events and events[0].at <= clock:
-            fleet = self.fleet
             while events and events[0].at <= clock:
                 event = events.popleft()
                 if event.action == "add":
-                    fleet.add_device(
+                    self.fleet.add_device(
                         event.capacity_bytes, calibration=event.calibration
                     )
                 else:
-                    fleet.retire_device(event.device)
+                    self.fleet.retire_device(event.device)
             self.can_grow = any(e.action == "add" for e in events)
         fault_run = self.fault_run
         if fault_run is None:
@@ -942,14 +945,12 @@ class _Run:
         fault_run.requeue_ready(self.queue, clock)
 
     def _idle_jump(self) -> None:
-        """With nothing queued or running, jump the clock to the next
-        arrival — or, once the stream is exhausted, to the next fault
-        wakeup, since only a waiting retry can bring more work — but
-        never past a fleet event or a fault wakeup (crash or
+        """With nothing queued (the caller checks) or running, jump the
+        clock to the next arrival — or, once the stream is exhausted, to
+        the next fault wakeup, since only a waiting retry can bring more
+        work — but never past a fleet event or a fault wakeup (crash or
         retry-ready), which may change what the next admission can see;
         then apply what is due there."""
-        if self.queue:
-            return
         next_req = self.next_req
         if next_req is not None:
             horizon = next_req.submit_at
@@ -1494,8 +1495,6 @@ class _Run:
         come from a heap instead of re-reading the schedule — which
         compaction may have trimmed — every wave."""
         wave = self.admitted_wave
-        if not wave:
-            return
         fleet = self.fleet
         for device in fleet:
             if not device.wave.admissions:
