@@ -1465,9 +1465,8 @@ class _Run:
         """The chosen head is blocked and nothing runs: only a fleet
         event, or else a pending crash or retry, can change the picture,
         so the clock jumps to the next one."""
-        events = self.events
-        if events:
-            self.clock = max(self.clock, events[0].at)
+        if self.events:
+            self.clock = max(self.clock, self.events[0].at)
             return
         fault_run = self.fault_run
         if fault_run is not None:
@@ -1532,7 +1531,6 @@ class _Run:
         clock = self.clock
         finish_heap = self.finish_heap
         next_req = self.next_req
-        events = self.events
         fault_run = self.fault_run
         times = []
         if finish_heap:
@@ -1543,11 +1541,11 @@ class _Run:
             and next_req.submit_at > clock
         ):
             times.append(next_req.submit_at)
-        if events:
+        if self.events:
             # Remaining fleet events are strictly in the future (due
             # ones were applied at the top of the pass) and are
             # admission opportunities.
-            times.append(events[0].at)
+            times.append(self.events[0].at)
         if fault_run is not None:
             # Crash and retry-ready times are clock stops: a query must
             # not simulate *through* a crash to a later finish, and a
@@ -1608,7 +1606,9 @@ class _Run:
                 f"profiles of {sorted(self.queued_profiles)} outlived the "
                 "wait queue"
             )
-        fault_run = self.fault_run
+        plan, failed = FaultPlan(), []
+        if self.fault_run is not None:
+            plan, failed = self.fault_run.plan, list(self.fault_run.failed)
         report = ServeReport(
             outcomes=self.completed,
             arrivals=len(self.seen),
@@ -1618,7 +1618,7 @@ class _Run:
             device_capacity_bytes=fleet.device_capacities(),
             arenas=[device.arena for device in fleet],
             shed=self.shed,
-            failed=[] if fault_run is None else list(fault_run.failed),
+            failed=failed,
             peak_retained_tasks=self.peak_retained_tasks,
             peak_inflight_tasks=self.peak_inflight_tasks,
             max_tasks_per_query=self.max_tasks_per_query,
@@ -1628,7 +1628,7 @@ class _Run:
         )
         check_fault_invariants(
             report,
-            FaultPlan() if fault_run is None else fault_run.plan,
+            plan,
             arrivals=report.arrivals,
             max_retries=self.scheduler.max_retries,
         )
