@@ -914,15 +914,14 @@ class _Run:
         recorded as failed when the budget is spent."""
         clock = self.clock
         events = self.events
-        if events and events[0].at <= clock:
-            while events and events[0].at <= clock:
-                event = events.popleft()
-                if event.action == "add":
-                    self.fleet.add_device(
-                        event.capacity_bytes, calibration=event.calibration
-                    )
-                else:
-                    self.fleet.retire_device(event.device)
+        while events and events[0].at <= clock:
+            event = events.popleft()
+            if event.action == "add":
+                self.fleet.add_device(
+                    event.capacity_bytes, calibration=event.calibration
+                )
+            else:
+                self.fleet.retire_device(event.device)
             self.can_grow = any(e.action == "add" for e in events)
         fault_run = self.fault_run
         if fault_run is None:
