@@ -3,16 +3,18 @@
 Sweeps offered concurrency (1–64 clients) over the deterministic mixed
 workload of :mod:`repro.serve.workload` and reports queries/second,
 per-query latency, and the speedup of the concurrent schedule over
-serial back-to-back execution.  Every run is verified: no device's
-arena may ever over-reserve its memory, every arena must drain (all
-reservations returned), and the schedule must be bit-identical across
-repeated runs.  For the canonical workload (default scale, one batch,
-bounded degradation) the concurrent makespan must additionally never
-exceed the serial sum of solo times, strictly beating it whenever
-queries actually overlapped.  Off-scale workloads only *report* the
-speedup: greedy FIFO interleaving is subject to Graham scheduling
-anomalies, so tiny workloads can lose a few percent to serial execution
-and that is a measurement, not a bug.
+serial back-to-back execution.  Every run audits its own report
+(:func:`~repro.serve.audit.check_fault_invariants`: conservation, arena
+bounds and drain, crash safety, retry budgets, deadline bits and, when
+compaction is on, the retention bound), and the bench checks that the
+schedule is bit-identical across repeated runs.  For the canonical
+workload (default scale, one batch, bounded degradation) the
+concurrent makespan must additionally never exceed the serial sum of
+solo times, strictly beating it whenever queries actually overlapped.
+Off-scale workloads only *report* the speedup: greedy FIFO
+interleaving is subject to Graham scheduling anomalies, so tiny
+workloads can lose a few percent to serial execution and that is a
+measurement, not a bug.
 
 Every run goes through
 :meth:`~repro.serve.scheduler.QueryScheduler.run_online` (incremental
@@ -31,10 +33,9 @@ concurrency sweep: ``--arrivals N`` open arrivals (default 100000) from
 :meth:`~repro.serve.scheduler.QueryScheduler.run_stream`, with a
 bounded wait queue (``--max-queue``), an optional admission-wait SLO
 (``--slo``) and periodic schedule compaction (``--compact-every``).
-The run is verified (:func:`verify_stream_report`): arenas drained and
-within capacity, every arrival accounted for (completed + shed ==
-arrivals), and the peak retained schedule bounded by a constant
-multiple of the in-flight work — the compaction guarantee.
+The run's own audit covers it, the compaction guarantee included: the
+peak retained schedule stays within a constant multiple of the
+in-flight work.
 ``--max-wall`` and ``--max-shed-rate`` turn the run into a gate (exit
 1 when exceeded); both are accepted only with ``--stream``.
 
@@ -65,10 +66,9 @@ crashes over the run's horizon, never the whole fleet, plus transient
 admission failures in ``--clients`` mode) and replays the run through
 the scheduler's recovery path under a ``--max-retries`` budget.
 Faulted runs skip the serial-baseline assertion (losing devices is
-allowed to cost makespan), verify conservation
-(``completed + shed + failed == arrivals``) and drained arenas
-instead, and fail the process when ``--max-failed-rate`` is exceeded —
-the CI chaos smoke bound, accepted only with ``--faults``.
+allowed to cost makespan); their audit counts failed queries in the
+conservation check.  The process fails when ``--max-failed-rate`` is
+exceeded — the CI chaos smoke bound, accepted only with ``--faults``.
 
 Every mode prints its results; the only file the command writes is an
 explicit ``--sample-store PATH``.  Wall-clock performance is measured
@@ -98,6 +98,7 @@ from repro.gpusim.calibration import (
     calibration_preset,
 )
 from repro.serve.admission import FIFO, registered_admission_policies
+from repro.serve.audit import check_retention
 from repro.serve.faults import FaultPlan
 from repro.serve.placement import LEAST_LOADED, registered_placement_policies
 from repro.serve.scheduler import QueryScheduler, ServeReport
@@ -163,39 +164,20 @@ def _has_cross_query_overlap(report: ServeReport) -> bool:
     return False
 
 
-def _verify_arenas(report: ServeReport) -> None:
-    """Every device's arena stayed within capacity and drained."""
-    for device, (peak, cap) in enumerate(
-        zip(report.device_peak_bytes, report.device_capacity_bytes)
-    ):
-        if peak > cap:
-            raise SchedulingError(
-                f"arena over-reserved on device {device}: peak {peak} > "
-                f"capacity {cap}"
-            )
-    for arena in report.arenas or ():
-        arena.check_invariants()
-        if not arena.drained:
-            raise SchedulingError(
-                f"device {arena.device} arena did not drain: "
-                f"{sorted(arena.reservations)} still reserved"
-            )
-
-
 def verify_report(
     report: ServeReport, *, clients: int, check_serial: bool = True
 ) -> None:
-    """The serving layer's hard guarantees; raises on violation.
+    """The serial-baseline check; raises on violation.  Every other
+    guarantee was audited by the run that built ``report``.
 
-    ``check_serial=False`` skips the serial-baseline comparison.  The
-    comparison is only asserted for the canonical benchmark workload
-    (default scale, batched arrivals, bounded degradation): eager
-    degradation (``max_degradation=None``) trades the guarantee away
-    for admission throughput, and off-scale workloads can lose a few
-    percent to Graham scheduling anomalies of the greedy FIFO
-    interleaving — reported as a sub-1.0x speedup rather than raised.
+    ``check_serial=False`` skips the comparison.  It is only asserted
+    for the canonical benchmark workload (default scale, batched
+    arrivals, bounded degradation): eager degradation
+    (``max_degradation=None``) trades the guarantee away for admission
+    throughput, and off-scale workloads can lose a few percent to
+    Graham scheduling anomalies of the greedy FIFO interleaving —
+    reported as a sub-1.0x speedup rather than raised.
     """
-    _verify_arenas(report)
     if clients <= 1 or not check_serial:
         return
     # Concurrency may never lose to serial back-to-back execution
@@ -445,40 +427,10 @@ def render_sweep(points: list[ServePoint]) -> str:
 def verify_stream_report(
     report: ServeReport, *, compact_every: int | None
 ) -> None:
-    """The streaming run's hard guarantees; raises on violation.
-
-    Arena invariants match :func:`verify_report`; on top of those,
-    every arrival must be accounted for (completed + shed == arrivals,
-    shedding is never silent) and, when compaction ran, the peak
-    retained schedule must stay within ``peak_inflight_tasks +
-    compact_every * max_tasks_per_query`` — at most ``compact_every - 1``
-    released-but-unretired queries of at most ``max_tasks_per_query``
-    tasks each can sit between sweeps, so a violation means compaction
-    stopped bounding memory.
-    """
-    _verify_arenas(report)
-    if (
-        report.completed + report.shed_count + report.failed_count
-        != report.arrivals
-    ):
-        raise SchedulingError(
-            f"stream lost arrivals: {report.completed} completed + "
-            f"{report.shed_count} shed + {report.failed_count} failed "
-            f"!= {report.arrivals} arrivals"
-        )
-    if compact_every is not None:
-        bound = (
-            report.peak_inflight_tasks
-            + compact_every * report.max_tasks_per_query
-        )
-        if report.peak_retained_tasks > bound:
-            raise SchedulingError(
-                f"retained schedule not bounded by in-flight work: peak "
-                f"{report.peak_retained_tasks} tasks > "
-                f"{report.peak_inflight_tasks} in-flight + "
-                f"{compact_every} x {report.max_tasks_per_query} per query "
-                f"= {bound}"
-            )
+    """The compaction retention bound
+    (:func:`~repro.serve.audit.check_retention`), which the run that
+    built ``report`` has already audited along with everything else."""
+    check_retention(report, compact_every)
 
 
 def run_stream_bench(
@@ -500,13 +452,11 @@ def run_stream_bench(
     deadline_scale: float = 1.0,
     seed: int = 0,
 ) -> tuple[ServeReport, float]:
-    """Run the steady-state streaming benchmark; returns (verified
+    """Run the steady-state streaming benchmark; returns (audited
     report, wall seconds).  The workload generator is lazy and the
     retained schedule is compacted, so memory stays O(in-flight) even
     at 10^5+ arrivals.  ``faults`` injects the plan's device crashes
-    mid-stream; verification then checks the three-way conservation
-    (``completed + shed + failed == arrivals``) instead of the two-way
-    one.  ``admission`` picks the wait-queue ordering policy;
+    mid-stream.  ``admission`` picks the wait-queue ordering policy;
     ``classes`` stamps arrivals with the canonical deadline classes
     (same specs and arrival times — only the service contracts change),
     enabling deadline-expiry shedding and per-class reporting."""
@@ -534,7 +484,6 @@ def run_stream_bench(
         faults=faults,
     )
     wall = time.perf_counter() - start
-    verify_stream_report(report, compact_every=compact_every)
     return report, wall
 
 
@@ -923,19 +872,18 @@ def _serve_dispatch(
             f"wall {wall:.2f} s ({args.arrivals / wall:.0f} arrivals/s "
             "processed)"
         )
-        if fault_plan is not None:
-            print(
-                "verified: every arena within capacity and drained "
-                "(crash reservations reconciled), completed + shed + "
-                "failed == arrivals, retained schedule bounded by "
-                "in-flight work"
-            )
-        else:
-            print(
-                "verified: every arena within capacity and drained, all "
-                "arrivals accounted for, retained schedule bounded by "
-                "in-flight work"
-            )
+        ends = "completed + shed" + (
+            " + failed" if fault_plan is not None else ""
+        )
+        retention = (
+            ", retained schedule bounded by in-flight work"
+            if compact_every is not None
+            else ""
+        )
+        print(
+            "verified: every arena within capacity and drained, "
+            f"{ends} == arrivals with distinct qids{retention}"
+        )
         failed = False
         if args.max_wall is not None and wall > args.max_wall:
             print(

@@ -104,8 +104,9 @@ def sample(
     """Draw ``size`` Zipf(s) ranks in ``[0, n)`` (0-based, rank 0 most popular).
 
     Ranks are returned *unscrambled*; callers that need popular values
-    spread over the key domain apply their own bijection (see
-    :func:`repro.data.generator.zipf_keys`).
+    spread over the key domain apply their own bijection.  The relation
+    generator (:func:`repro.data.generator.generate_relation`) uses
+    rank ``r`` as key ``r``.
     """
     if n <= 0 or size < 0:
         raise InvalidConfigError("sample() requires n >= 1 and size >= 0")

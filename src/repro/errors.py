@@ -88,12 +88,14 @@ class SchedulingError(PipelineError):
 
 
 class FaultInvariantError(SchedulingError):
-    """A fault-injected serving run violated a recovery invariant.
+    """A serving run, faulted or not, failed its run audit.
 
-    Raised by the post-run checker when conservation
-    (``completed + shed + failed == arrivals``) breaks, an arena ledger
-    fails to drain, work lands on a crashed device after its crash
-    time, or a retry budget was exceeded without a recorded failure.
+    Raised by :func:`~repro.serve.audit.check_fault_invariants`, which
+    every run calls on its own report, when conservation breaks, the
+    arenas do not match the devices, a device peaks over its capacity
+    or fails to drain, work lands on a crashed device after its crash
+    time, a retry budget is exceeded, a deadline bit is wrong, or
+    compaction stopped bounding the retained schedule.
     """
 
 

@@ -105,7 +105,7 @@ class DeviceMemoryArena:
     def drained(self) -> bool:
         """No live reservations: every grant was released exactly once.
 
-        The property-based serving suite asserts this (plus a final
+        The serving layer's run audit asserts this (plus a final
         :attr:`timeline` entry of 0 used bytes) after every simulated
         run on every device of the fleet.
         """
@@ -212,7 +212,7 @@ class DeviceMemoryArena:
 
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """The accounting the serving benchmark asserts on every run:
+        """The accounting the run audit asserts on every serving run:
         the running :attr:`used_bytes` counter equals the sum of the
         ledger, which never exceeds capacity, and neither does the
         high-water mark."""

@@ -35,8 +35,11 @@ every run method, and an opt-in cross-device work-stealing pass
 method) schedules deterministic device crashes and transient admission
 failures, lost queries retry through the shared admission path under a
 bounded budget, and exhausted/stranded queries are recorded as
-:class:`~repro.serve.faults.FailedOutcome`.  Every run is audited by
-:func:`~repro.serve.faults.check_fault_invariants`.
+:class:`~repro.serve.faults.FailedOutcome`.  Every run audits its own
+report once, before returning it, with
+:func:`~repro.serve.audit.check_fault_invariants`: conservation, the
+arenas, crash safety, retry budgets, deadline bits and the compaction
+retention bound.
 See ``docs/serving.md`` for the full policy.
 """
 
@@ -51,12 +54,8 @@ from repro.serve.admission import (
     create_admission_policy,
     registered_admission_policies,
 )
-from repro.serve.faults import (
-    DeviceCrash,
-    FailedOutcome,
-    FaultPlan,
-    check_fault_invariants,
-)
+from repro.serve.audit import check_fault_invariants
+from repro.serve.faults import DeviceCrash, FailedOutcome, FaultPlan
 from repro.serve.placement import (
     DeviceFleet,
     FleetEvent,

@@ -27,13 +27,11 @@ replayable as a fault-free one.  Recovery spans the stack:
   left (and none joining) fails everything still waiting with reason
   ``"fleet_lost"``.
 
-After every run — faulted or not — :func:`check_fault_invariants`
-audits the report: conservation
-(``completed + shed + failed == arrivals``), every arena drained,
-nothing admitted to or finishing on a crashed device after its crash
-time, and no retry budget silently exceeded — violations raise
-:class:`~repro.errors.FaultInvariantError` instead of producing a
-plausible-looking report.
+After every run — faulted or not — the run audit
+(:func:`~repro.serve.audit.check_fault_invariants`, re-exported here)
+checks the report, crash-time safety and retry budgets included, and
+raises :class:`~repro.errors.FaultInvariantError` instead of producing
+a plausible-looking report.
 
 An **empty** plan is the contract's anchor: the scheduler treats
 ``FaultPlan()`` (or ``faults=None``) as "no fault machinery at all",
@@ -50,7 +48,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from repro.errors import FaultInvariantError, FaultPlanError
+from repro.errors import FaultPlanError
+from repro.serve.audit import check_fault_invariants  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.serve.placement import FleetEvent
@@ -380,106 +379,3 @@ class _FaultRun:
         while self.retry_heap:
             _, _, request = heapq.heappop(self.retry_heap)
             self.fail_now(request, reason="fleet_lost")
-
-
-def check_fault_invariants(
-    report: Any,
-    plan: FaultPlan,
-    *,
-    arrivals: int,
-    max_retries: int,
-) -> None:
-    """Audit a run's report; raise
-    :class:`~repro.errors.FaultInvariantError` on any violation.
-
-    Reads a :class:`~repro.serve.report.ServeReport`'s ``outcomes``,
-    ``failed``, ``shed``, ``arenas`` and merged ``schedule``.  The
-    scheduler calls it at the end of every run, passing ``FaultPlan()``
-    for a fault-free one.  Checks:
-
-    * **conservation** — every arrival is exactly one of completed,
-      shed, or failed;
-    * **ledgers drain** — every device arena passes its invariants and
-      holds no reservation (crash reconciliation returned every grant);
-    * **crash-time safety** — no completed query was admitted on a
-      crashed device at/after its crash, none finished there after it,
-      and no surviving task on a crashed device finishes past the
-      crash;
-    * **retry budgets** — no outcome records more retries than
-      ``max_retries`` and no failure more attempts than that;
-    * **deadline recording** — no outcome finishes after its hard
-      deadline (``deadline_at``, from its
-      :class:`~repro.serve.admission.QueryClass`) unless it is recorded
-      as a miss (``deadline_missed``), and nothing is recorded as a
-      miss that finished in time.
-    """
-    completed = report.outcomes
-    failed = report.failed
-    shed = report.shed
-    if len(completed) + len(shed) + len(failed) != arrivals:
-        raise FaultInvariantError(
-            f"conservation violated: {len(completed)} completed + "
-            f"{len(shed)} shed + {len(failed)} failed != {arrivals} "
-            "arrivals"
-        )
-    for arena in report.arenas or ():
-        arena.check_invariants()
-        if not arena.drained:
-            raise FaultInvariantError(
-                f"device {arena.device} arena still holds "
-                f"{sorted(arena.reservations)} after the run"
-            )
-    crash_at = {crash.device: crash.at for crash in plan.crashes}
-    for outcome in completed:
-        crashed = crash_at.get(outcome.device)
-        if crashed is not None:
-            if outcome.admit_at >= crashed:
-                raise FaultInvariantError(
-                    f"{outcome.qid!r} was admitted on device "
-                    f"{outcome.device} at t={outcome.admit_at}, at or "
-                    f"after its crash at t={crashed}"
-                )
-            if outcome.finish_at > crashed:
-                raise FaultInvariantError(
-                    f"{outcome.qid!r} completed on crashed device "
-                    f"{outcome.device} at t={outcome.finish_at}, after "
-                    f"the crash at t={crashed}"
-                )
-        retries = getattr(outcome, "retries", 0)
-        if retries > max_retries:
-            raise FaultInvariantError(
-                f"{outcome.qid!r} recorded {retries} retries, over the "
-                f"budget of {max_retries}"
-            )
-        deadline_at = getattr(outcome, "deadline_at", math.inf)
-        missed = bool(getattr(outcome, "deadline_missed", False))
-        if outcome.finish_at > deadline_at and not missed:
-            raise FaultInvariantError(
-                f"{outcome.qid!r} finished at t={outcome.finish_at}, "
-                f"past its hard deadline t={deadline_at}, but was not "
-                "recorded as a deadline miss"
-            )
-        if missed and outcome.finish_at <= deadline_at:
-            raise FaultInvariantError(
-                f"{outcome.qid!r} is recorded as a deadline miss but "
-                f"finished at t={outcome.finish_at}, within its "
-                f"deadline t={deadline_at}"
-            )
-    for failure in failed:
-        if failure.attempts > max_retries:
-            raise FaultInvariantError(
-                f"failed query {failure.qid!r} records "
-                f"{failure.attempts} attempts, over the budget of "
-                f"{max_retries}"
-            )
-    # Only a crash can fail this check, so crash-free audits skip
-    # building the merged view (O(tasks), on every run).
-    if crash_at and report.schedule is not None:
-        for name, item in report.schedule.tasks.items():
-            crashed = crash_at.get(item.task.device)
-            if crashed is not None and item.finish > crashed:
-                raise FaultInvariantError(
-                    f"task {name!r} on crashed device "
-                    f"{item.task.device} finishes at t={item.finish}, "
-                    f"after the crash at t={crashed}"
-                )

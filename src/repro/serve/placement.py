@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterator
 
-from repro.errors import FleetEventError, InvalidConfigError, SchedulingError
+from repro.errors import FleetEventError, InvalidConfigError
 from repro.gpusim.arena import DeviceMemoryArena
 from repro.gpusim.calibration import Calibration
 from repro.pipeline.engine import PipelineEngine, Wave
@@ -446,22 +446,6 @@ class DeviceFleet:
 
     def device_capacities(self) -> tuple[int, ...]:
         return tuple(device.capacity_bytes for device in self.devices)
-
-    def check_drained(self) -> None:
-        """Every arena's invariants plus: all reservations returned.
-
-        Called once per completed run; a reservation that outlives its
-        query is a scheduler bug (a leaked grant would starve later
-        admissions), so it raises rather than warns.
-        """
-        for device in self.devices:
-            device.arena.check_invariants()
-            if not device.arena.drained:
-                raise SchedulingError(
-                    f"device {device.index} still holds reservations for "
-                    f"{sorted(device.arena.reservations)} after the run "
-                    "drained"
-                )
 
 
 @dataclass(frozen=True)

@@ -213,8 +213,9 @@ class QueryOutcome:
     #: Absolute hard deadline in simulated seconds (``inf`` = none).
     deadline_at: float = math.inf
     #: Recorded at release: did the query finish past ``deadline_at``?
-    #: Stored rather than derived so :func:`check_fault_invariants` can
-    #: audit the recording itself.
+    #: Stored rather than derived so the run audit
+    #: (:func:`~repro.serve.audit.check_fault_invariants`) can check the
+    #: recording itself.
     deadline_missed: bool = False
 
     @property
@@ -289,6 +290,9 @@ class ServeReport:
     outcomes: list[QueryOutcome]
     arrivals: int
     makespan: float
+    #: The drained per-device arenas, in device order — their ledgers
+    #: and timelines are what the run audit checks.
+    arenas: list[DeviceMemoryArena] = field(repr=False)
     #: Each device's own schedule, in device order.  Complete for
     #: ``run_online`` (nothing is compacted), so tests can re-simulate
     #: a device from scratch; the merged :attr:`schedule` cannot serve
@@ -298,9 +302,6 @@ class ServeReport:
     device_peak_bytes: tuple[int, ...] = ()
     #: Per-device arena capacities, in **bytes**.
     device_capacity_bytes: tuple[int, ...] = ()
-    #: The drained per-device arenas — their ledgers and timelines are
-    #: what the property-based suites audit after every run.
-    arenas: list[DeviceMemoryArena] | None = field(default=None, repr=False)
     shed: list[ShedOutcome] = field(default_factory=list)
     #: Queries the run gave up on: retry budget exhausted, or the whole
     #: fleet was lost.

@@ -71,7 +71,7 @@ fleet loss are recorded as :class:`~repro.serve.faults.FailedOutcome`
 (the third outcome class next to completed and shed).  An empty plan
 (or ``faults=None``) takes the exact fault-free code path —
 bit-identical to the recorded golden schedules.  Every run, faulted or
-not, is audited by :func:`~repro.serve.faults.check_fault_invariants`.
+not, is audited once by :func:`~repro.serve.audit.check_fault_invariants`.
 
 The simulation is deterministic: identical request lists produce
 identical schedules, admissions, placements and latencies, for any
@@ -114,7 +114,8 @@ from repro.serve.admission import (
     hard_deadline,
     tenant_of,
 )
-from repro.serve.faults import FaultPlan, _FaultRun, check_fault_invariants
+from repro.serve.audit import check_fault_invariants
+from repro.serve.faults import FaultPlan, _FaultRun
 from repro.serve.placement import (
     LEAST_LOADED,
     DeviceFleet,
@@ -1594,12 +1595,11 @@ class _Run:
         self.released_since_compact = 0
 
     def _report(self) -> ServeReport:
-        """The run's report, after checking that every arena drained and
-        no carried profile outlived the wait queue, audited by
-        :func:`~repro.serve.faults.check_fault_invariants` — on every
+        """The run's report, after checking that no carried profile
+        outlived the wait queue, audited once by
+        :func:`~repro.serve.audit.check_fault_invariants` — on every
         run, faulted or not."""
         fleet = self.fleet
-        fleet.check_drained()
         if self.queued_profiles:  # pragma: no cover - a wait-queue exit missed
             raise SchedulingError(
                 f"profiles of {sorted(self.queued_profiles)} outlived the "
@@ -1630,5 +1630,6 @@ class _Run:
             plan,
             arrivals=report.arrivals,
             max_retries=self.scheduler.max_retries,
+            compact_every=self.compact_every,
         )
         return report

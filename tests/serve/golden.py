@@ -1,4 +1,4 @@
-"""Recorded golden schedules and the report checks the serving suites share.
+"""Recorded golden schedules and the golden-match check the suites share.
 
 ``GOLDEN`` is ``golden_single_device.json``, captured by
 ``tools/capture_serve_golden.py``: the per-query outcome fingerprint,
@@ -30,16 +30,3 @@ def assert_matches_golden(report, entry) -> None:
     assert report.makespan == entry["makespan"]
     assert report.peak_reserved_bytes == entry["peak_reserved_bytes"]
 
-
-def check_arenas(report) -> None:
-    """One arena per device, each within its own capacity and drained."""
-    assert report.arenas is not None and len(report.arenas) == report.devices
-    for arena in report.arenas:
-        assert arena.peak_bytes <= arena.capacity_bytes
-        arena.check_invariants()
-        # Ledger sums to zero after drain: no reservation outlived its
-        # query, and the recorded timeline returns to an empty device.
-        assert arena.drained
-        assert arena.used_bytes == 0
-        if arena.timeline:
-            assert arena.timeline[-1][1] == 0

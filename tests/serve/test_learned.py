@@ -34,12 +34,7 @@ from repro.core.sample_store import FORMAT, VERSION, SampleStore
 from repro.pipeline.oracle import check_batch_oracle
 from repro.serve import QueryScheduler, random_workload
 from repro.serve.faults import FaultPlan, check_fault_invariants
-from tests.serve.golden import (
-    GOLDEN,
-    GOLDEN_SEEDS,
-    assert_matches_golden,
-    check_arenas,
-)
+from tests.serve.golden import GOLDEN, GOLDEN_SEEDS, assert_matches_golden
 
 #: Every recorded golden seed — the identity sweep runs all of them,
 #: same contract as the placement property suite.
@@ -105,7 +100,6 @@ def test_learned_on_satisfies_fault_invariants(seed, installed):
         arrivals=len(requests),
         max_retries=scheduler.max_retries,
     )
-    check_arenas(report)
 
 
 @pytest.mark.parametrize("seed", (0, 70, 190))

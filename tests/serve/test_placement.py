@@ -125,13 +125,6 @@ def test_fleet_busy_until_reads_predicted_finishes():
     assert fleet[0].busy_until() == 4.0
 
 
-def test_fleet_check_drained_raises_on_leaked_reservation():
-    fleet = _fleet(2)
-    fleet[1].arena.reserve("leak", GB)
-    with pytest.raises(SchedulingError, match="leak"):
-        fleet.check_drained()
-
-
 def test_merged_schedule_is_identity_for_one_device():
     report = QueryScheduler().run_online(mixed_workload(2))
     assert report.schedule is report.device_schedules[0]

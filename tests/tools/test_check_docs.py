@@ -1,4 +1,5 @@
-"""The CI docs checker: link resolution, anchors, and README doctests."""
+"""The CI docs checker: link resolution, anchors, README doctests and
+``repro.*`` names."""
 
 import importlib.util
 from pathlib import Path
@@ -15,6 +16,7 @@ spec.loader.exec_module(check_docs)
 def test_repo_docs_are_clean():
     assert check_docs.check_links() == []
     assert check_docs.check_doctests() == []
+    assert check_docs.check_references() == []
 
 
 def test_github_anchor_slugs():
@@ -111,3 +113,35 @@ def test_link_to_directory_resolves_without_anchor_check(tmp_path, monkeypatch):
     errors = check_docs.check_links()
     assert len(errors) == 1
     assert "missing/" in errors[0]
+
+
+def test_unresolved_repro_names_detected(tmp_path, monkeypatch):
+    """Backticked names in the docs and role targets in ``src/``
+    docstrings must exist; a dataclass field or a ``__slots__`` name
+    counts, a name inside a code fence is not read, and a role target
+    may wrap across lines."""
+    (tmp_path / "README.md").write_text(
+        "`repro.serve.audit.check_fault_invariants` "
+        "`repro.serve.report.ServeReport.arenas` "
+        "`repro.serve.scheduler._Run.clock`\n"
+        "`repro.data.generator.zipf_keys` `repro.nowhere`\n"
+        "`repro.serve.report.ServeReport.arenas.append`\n"
+        "```\n`repro.fenced.away`\n```\n"
+    )
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        '"""See :func:`~repro.serve.audit.\n    check_retention` and\n'
+        ':meth:`repro.serve.placement.DeviceFleet.drain_all`."""\n'
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    assert len(check_docs.iter_references()) == 8
+    errors = check_docs.check_references()
+    assert errors == [
+        "README.md:2: repro.data.generator.zipf_keys does not resolve",
+        "README.md:2: repro.nowhere does not resolve",
+        "README.md:3: repro.serve.report.ServeReport.arenas.append does "
+        "not resolve",
+        "src/pkg/mod.py:3: repro.serve.placement.DeviceFleet.drain_all "
+        "does not resolve",
+    ]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""CI docs check: relative links and README doctests.
+"""CI docs check: relative links, README doctests and ``repro.*`` names.
 
-Two gates, run on every PR (``python tools/check_docs.py``):
+Three gates, run on every PR (``python tools/check_docs.py``):
 
 1. **Relative links** — every markdown link or image in ``README.md``
    and ``docs/*.md`` that points at a repository path must resolve:
@@ -13,6 +13,14 @@ Two gates, run on every PR (``python tools/check_docs.py``):
    ``README.md`` is executed with :mod:`doctest`
    (``NORMALIZE_WHITESPACE``, so expected output may wrap), keeping
    the quickstart honest as the API evolves.
+3. **Dotted names** — every ``repro.*`` name the docs cite must exist:
+   a backticked name in ``README.md`` and ``docs/*.md``, and the target
+   of every ``:func:``, ``:class:``, ``:meth:``, ``:mod:``, ``:attr:``
+   and ``:data:`` role in a ``src/`` docstring (a target may wrap
+   across lines).  A name resolves when its longest importable prefix
+   imports and the rest is found by attribute lookup, which finds a
+   ``__slots__`` name through its class descriptor; a dataclass field
+   without a class-level default counts as found too.
 
 Exits non-zero listing every failure.  Needs the package importable
 (``pip install -e .`` or ``PYTHONPATH=src``).
@@ -20,9 +28,10 @@ Exits non-zero listing every failure.  Needs the package importable
 
 from __future__ import annotations
 
+import dataclasses
 import doctest
+import importlib
 import re
-import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -32,6 +41,10 @@ _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _FENCE = re.compile(r"^```")
 _PYCON_FENCE = re.compile(r"^```pycon\s*$")
 _HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
+#: A backticked ``repro.*`` name in markdown.
+_DOC_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
+#: A cross-reference role naming a ``repro.*`` target in a docstring.
+_ROLE = re.compile(r":(?:func|class|meth|mod|attr|data):`~?(repro[^`]*)`")
 
 
 def doc_files() -> list[Path]:
@@ -148,15 +161,76 @@ def check_doctests() -> list[str]:
     return errors
 
 
+def iter_references() -> list[tuple[str, int, str]]:
+    """``(file, line, name)`` for every ``repro.*`` name the docs cite:
+    backticked in the markdown docs (outside code fences) and as a role
+    target in ``src/`` docstrings."""
+    refs: list[tuple[str, int, str]] = []
+    for path in doc_files():
+        where = str(path.relative_to(REPO_ROOT))
+        in_fence = False
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            if _FENCE.match(line):
+                in_fence = not in_fence
+            elif not in_fence:
+                refs.extend(
+                    (where, lineno, match.group(1))
+                    for match in _DOC_NAME.finditer(line)
+                )
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for match in _ROLE.finditer(text):
+            lineno = text.count("\n", 0, match.start()) + 1
+            name = re.sub(r"\s+", "", match.group(1))
+            refs.append((str(path.relative_to(REPO_ROOT)), lineno, name))
+    return refs
+
+
+def resolves(name: str) -> bool:
+    """Does the dotted ``name`` exist (see the module docstring)?"""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        break
+    else:
+        return False
+    rest = parts[cut:]
+    for index, attr in enumerate(rest):
+        if not hasattr(owner, attr):
+            return (
+                index == len(rest) - 1
+                and dataclasses.is_dataclass(owner)
+                and attr in {item.name for item in dataclasses.fields(owner)}
+            )
+        owner = getattr(owner, attr)
+    return True
+
+
+def check_references() -> list[str]:
+    return [
+        f"{where}:{lineno}: {name} does not resolve"
+        for where, lineno, name in iter_references()
+        if not resolves(name)
+    ]
+
+
 def main() -> int:
-    errors = check_links() + check_doctests()
+    errors = check_links() + check_doctests() + check_references()
     for error in errors:
         print(error)
     checked = len(doc_files())
     if errors:
         print(f"{len(errors)} docs problem(s) across {checked} file(s)")
         return 1
-    print(f"docs ok: links and README doctests pass in {checked} file(s)")
+    print(
+        f"docs ok: links, README doctests and repro.* names pass in "
+        f"{checked} doc file(s) and src/"
+    )
     return 0
 
 
