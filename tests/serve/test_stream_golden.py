@@ -6,7 +6,7 @@ covers ``slo_wait`` sheds, admission-fault refusals,
 ``retries_exhausted`` and ``fleet_lost`` failures, ``weighted_fair``
 and ``sjf`` streams, or the report's counters.  ``golden_stream.json``
 pins ``stream_workload(300, arrival_rate=200, seed=s)`` for seeds 0–24
-under four configurations, every run with ``compact_every=32``:
+under five configurations, every run with ``compact_every=32``:
 
 * ``fifo-slo``: two devices, a 0.05 s wait SLO and deadline classes,
   so most sheds are ``slo_wait`` verdicts;
@@ -17,7 +17,12 @@ under four configurations, every run with ``compact_every=32``:
   full/half/quarter fleet whose device 0 retires at 0.75 s, so queries
   are stolen, degraded and expire at their deadlines;
 * ``sjf-loss``: sjf under a crash plan that may take down the whole
-  fleet, so some runs fail everything left with ``fleet_lost``.
+  fleet, so some runs fail everything left with ``fleet_lost``;
+* ``fifo-retry-expire``: fifo on two devices with a two-retry budget,
+  a queue cap, deadline classes and a seeded crash plan with admission
+  faults, so queries that re-entered the queue after a failure later
+  expire there (49 of the config's 747 ``deadline_expired`` sheds over
+  the 25 seeds, in 21 of the runs).
 
 Each run is one SHA-256, floats by ``repr``, over its device-aware
 fingerprint (:func:`~repro.bench.serve_bench.fingerprint_sharded`) and
@@ -26,8 +31,10 @@ reason, queue depth and estimated wait; every failure's qid, reason,
 attempts and last device; the makespan and per-device peaks; the task
 and compaction counters; and the sampled queue depths.
 
-The file was recorded before the serve loop became one run object, so
-it checks that the rewrite moved no decision and no counter.  To
+The first four configurations were recorded before the serve loop
+became one run object, and ``fifo-retry-expire`` before the wait queue
+kept a deadline heap, so the file checks that neither rewrite moved a
+decision or a counter.  To
 re-record it deliberately, for a reviewed change of the admission
 rule, delete the file and run::
 
@@ -58,7 +65,9 @@ GOLDEN_PATH = Path(__file__).with_name("golden_stream.json")
 SEEDS = range(25)
 ARRIVALS = 300
 FULL = SystemSpec().gpu.device_memory
-CONFIGS = ("edf-faults", "fifo-slo", "sjf-loss", "wfair-steal")
+CONFIGS = (
+    "edf-faults", "fifo-retry-expire", "fifo-slo", "sjf-loss", "wfair-steal",
+)
 
 
 def serve(config: str, seed: int) -> ServeReport:
@@ -90,6 +99,20 @@ def serve(config: str, seed: int) -> ServeReport:
             "fleet_events": [
                 FleetEvent(at=1.05, action="add", capacity_bytes=FULL)
             ],
+        }
+    elif config == "fifo-retry-expire":
+        scheduler = QueryScheduler(devices=2, max_retries=2)
+        inputs = {
+            "max_queue_depth": 64,
+            "faults": FaultPlan.random(
+                seed,
+                devices=2,
+                horizon=1.5,
+                qids=qids,
+                admission_fault_rate=0.05,
+                max_admission_faults=2,
+                allow_total_loss=False,
+            ),
         }
     elif config == "wfair-steal":
         scheduler = QueryScheduler(
@@ -175,6 +198,7 @@ REACHES = {
         "stolen", "degraded", "deadline_expired", "queue_full", "late",
     ),
     "sjf-loss": ("fleet_lost", "retried"),
+    "fifo-retry-expire": ("retried", "deadline_expired"),
 }
 
 
