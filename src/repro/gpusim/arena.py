@@ -28,6 +28,13 @@ from dataclasses import dataclass, field
 from repro.errors import DeviceMemoryOverflowError
 
 
+def is_capacity(value: object) -> bool:
+    """Is ``value`` a device capacity: a positive int that is not a
+    bool?  NaN fails every ``<=`` test, so a NaN capacity would admit
+    anything and make every peak-within-capacity check vacuous."""
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 @dataclass(frozen=True)
 class Reservation:
     """One query's granted slice of device memory (``nbytes`` bytes,
@@ -82,9 +89,10 @@ class DeviceMemoryArena:
     _used: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
+        if not is_capacity(self.capacity_bytes):
             raise DeviceMemoryOverflowError(
-                f"arena capacity must be positive, got {self.capacity_bytes}"
+                "arena capacity must be a positive int of bytes, got "
+                f"{self.capacity_bytes!r}"
             )
         if self.device < 0:
             raise DeviceMemoryOverflowError(

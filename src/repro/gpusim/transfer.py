@@ -50,7 +50,8 @@ class TransferModel:
 
     def uva_random_seconds(self, accesses: float, access_bytes: float) -> float:
         """Irregular UVA accesses: every access moves a full bus
-        transaction of :attr:`InterconnectSpec.uva_random_granularity`
+        transaction of
+        :attr:`~repro.gpusim.spec.InterconnectSpec.uva_random_granularity`
         bytes no matter how few bytes are needed (§IV: "only a small
         portion of a page is needed during an access")."""
         link = self.system.interconnect

@@ -36,8 +36,8 @@ policy that wants small queries first must *rank* them first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 from repro.errors import InvalidConfigError
@@ -54,6 +54,9 @@ WEIGHTED_FAIR = "weighted_fair"
 #: Class/tenant label carried by requests that declare no QueryClass.
 DEFAULT_CLASS = "default"
 DEFAULT_TENANT = "default"
+
+#: A request's EDF rank, ``(deadline_at, qid)``, read in C.
+_edf_key = attrgetter("edf_key")
 
 
 @dataclass(frozen=True)
@@ -122,14 +125,6 @@ def tenant_of(request: "QueryRequest") -> str:
     """The request's tenant id (``"default"`` when unclassed)."""
     qc = request.query_class
     return qc.tenant if qc is not None else DEFAULT_TENANT
-
-
-def hard_deadline(request: "QueryRequest") -> float:
-    """Absolute hard deadline in simulated seconds (``inf`` = none)."""
-    qc = request.query_class
-    if qc is None or qc.deadline_seconds is None:
-        return math.inf
-    return request.submit_at + qc.deadline_seconds
 
 
 @dataclass
@@ -235,6 +230,11 @@ class EdfAdmission(AdmissionPolicy):
     load is feasible; the bench pins that it strictly reduces the
     deadline-miss rate against FIFO on the deadline-skewed canonical
     workload.
+
+    The rank is each request's ``edf_key``, ``(deadline_at, qid)``,
+    built once when the request is constructed, so a pick makes no
+    Python call per queued entry.  qids are unique, so the first
+    minimal key is the only one.
     """
 
     key = EDF
@@ -242,10 +242,8 @@ class EdfAdmission(AdmissionPolicy):
     def select(
         self, arrived: Sequence["QueryRequest"], ctx: AdmissionContext
     ) -> int:
-        return min(
-            range(len(arrived)),
-            key=lambda i: (hard_deadline(arrived[i]), arrived[i].qid),
-        )
+        keys = list(map(_edf_key, arrived))
+        return keys.index(min(keys))
 
 
 class WeightedFairAdmission(AdmissionPolicy):

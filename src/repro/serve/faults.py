@@ -19,7 +19,9 @@ replayable as a fault-free one.  Recovery spans the stack:
   unfinished schedule tail and seals the engine;
 * :meth:`~repro.gpusim.arena.DeviceMemoryArena.reconcile`
   force-releases the reservations of the queries lost with the device,
-  keeping the ledger exact (the :attr:`forced` audit log records why);
+  keeping the ledger exact (the arena's
+  :attr:`~repro.gpusim.arena.DeviceMemoryArena.forced` audit log
+  records why);
 * the scheduler re-enqueues each lost query at the *front* of the
   admission queue once its backoff expires, up to ``max_retries``
   attempts; an exhausted budget records a :class:`FailedOutcome` with
@@ -244,7 +246,7 @@ class _FaultRun:
     the retry backlog (a heap of ``(ready_at, seq, request)`` — ``seq``
     preserves submission order among same-time retries), the attempt
     counters that drive retry aliases and budgets, and the growing
-    :attr:`failed` list.
+    ``failed`` list.
     """
 
     def __init__(
@@ -356,18 +358,16 @@ class _FaultRun:
             )
         )
 
-    def requeue_ready(self, queue: "deque[Any]", clock: float) -> int:
-        """Move every retry whose ready time has arrived to the *front*
-        of the admission queue (in ready order — the earliest-ready
-        retry ends up at the head), returning how many moved.  Front
-        placement means a recovered query does not also lose its FIFO
-        position to arrivals that came after it."""
-        ready: list[tuple[float, int, Any]] = []
+    def take_ready(self, clock: float) -> "list[Any]":
+        """Take every retry whose ready time has arrived off the
+        backlog, in ready order (same-time retries in the order they
+        failed).  The run puts them at the *front* of its wait queue,
+        the earliest-ready at the head, so a recovered query does not
+        also lose its FIFO position to arrivals that came after it."""
+        ready: list[Any] = []
         while self.retry_heap and self.retry_heap[0][0] <= clock:
-            ready.append(heapq.heappop(self.retry_heap))
-        for _, _, request in reversed(ready):
-            queue.appendleft(request)
-        return len(ready)
+            ready.append(heapq.heappop(self.retry_heap)[2])
+        return ready
 
     def fail_stranded(self, stranded: "Iterable[Any]") -> None:
         """No accepting device remains and none will join: everything

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Iterator
 
 from repro.errors import FleetEventError, InvalidConfigError
-from repro.gpusim.arena import DeviceMemoryArena
+from repro.gpusim.arena import DeviceMemoryArena, is_capacity
 from repro.gpusim.calibration import Calibration
 from repro.pipeline.engine import PipelineEngine, Wave
 from repro.pipeline.tasks import Schedule
@@ -320,7 +320,7 @@ class DeviceFleet:
     :meth:`retire_device` begins a drain — the device finishes its
     in-flight queries, then its engine is sealed
     (:meth:`DeviceState.finalize_retirement`).  Retired devices stay in
-    :attr:`devices` so indices remain stable and reports keep their
+    ``devices`` so indices remain stable and reports keep their
     history; :meth:`active` yields only the devices placements may
     target.
     """
@@ -482,9 +482,9 @@ class FleetEvent:
                 f"fleet event time must be finite and >= 0, got {self.at!r}"
             )
         if self.action == "add":
-            if self.capacity_bytes is None or self.capacity_bytes <= 0:
+            if not is_capacity(self.capacity_bytes):
                 raise InvalidConfigError(
-                    "fleet 'add' event needs a positive capacity_bytes, "
+                    "fleet 'add' event needs a positive int capacity_bytes, "
                     f"got {self.capacity_bytes!r}"
                 )
             if self.device is not None:

@@ -131,9 +131,21 @@ class QueryRequest:
     ``submit_at`` is the arrival time in **simulated seconds** (the
     clock the scheduler and engine share), not wall clock.
     ``slo_wait_seconds`` is this query's own admission-wait ceiling for
-    :meth:`QueryScheduler.run_stream` (simulated seconds; overrides the
-    stream-wide default; ignored by :meth:`QueryScheduler.run` /
-    :meth:`~QueryScheduler.run_online`, which never shed).
+    :meth:`~repro.serve.scheduler.QueryScheduler.run_stream` (simulated
+    seconds; overrides the stream-wide default; ignored by
+    :meth:`~repro.serve.scheduler.QueryScheduler.run_online`, which
+    never sheds).
+
+    Two values are derived once, at construction: ``deadline_at``, the
+    absolute hard deadline in simulated seconds (``submit_at`` plus the
+    class's ``deadline_seconds``; ``inf`` = none), and ``edf_key``,
+    ``(deadline_at, qid)``, the rank
+    :class:`~repro.serve.admission.EdfAdmission` orders the queue by.
+    They are instance attributes, not dataclass fields, as in
+    :mod:`repro.frozen`: ``fields()``, ``repr``, ``==``, ``hash``,
+    ``asdict`` and store digests never see them,
+    :func:`dataclasses.replace` derives them afresh, and pickling keeps
+    them.
     """
 
     qid: str
@@ -168,13 +180,17 @@ class QueryRequest:
                 f"{self.qid}: negative slo_wait_seconds or NaN ({slo!r}); "
                 "it must be >= 0, or inf to never shed"
             )
-        if self.query_class is not None and not isinstance(
-            self.query_class, QueryClass
-        ):
+        qc = self.query_class
+        if qc is not None and not isinstance(qc, QueryClass):
             raise InvalidConfigError(
                 f"{self.qid}: query_class must be a QueryClass, got "
-                f"{type(self.query_class).__name__}"
+                f"{type(qc).__name__}"
             )
+        deadline = math.inf
+        if qc is not None and qc.deadline_seconds is not None:
+            deadline = self.submit_at + qc.deadline_seconds
+        object.__setattr__(self, "deadline_at", deadline)
+        object.__setattr__(self, "edf_key", (deadline, self.qid))
 
 
 @dataclass
@@ -266,8 +282,9 @@ class ShedOutcome:
 
 @dataclass
 class ServeReport:
-    """The outcome of one scheduler run (:meth:`QueryScheduler.run_online`
-    or :meth:`QueryScheduler.run_stream`).
+    """The outcome of one scheduler run
+    (:meth:`~repro.serve.scheduler.QueryScheduler.run_online` or
+    :meth:`~repro.serve.scheduler.QueryScheduler.run_stream`).
 
     Times are **simulated seconds**, memory **bytes**.  Every arrival
     ends in exactly one of :attr:`outcomes` (completed), :attr:`shed`

@@ -102,6 +102,7 @@ from repro.core.strategy import (
 )
 from repro.data.spec import JoinSpec
 from repro.errors import InvalidConfigError, SchedulingError
+from repro.gpusim.arena import is_capacity
 from repro.gpusim.calibration import Calibration
 from repro.gpusim.spec import SystemSpec
 from repro.pipeline.engine import Admission, PipelineEngine, Wave
@@ -111,7 +112,6 @@ from repro.serve.admission import (
     FIFO,
     class_name_of,
     create_admission_policy,
-    hard_deadline,
     tenant_of,
 )
 from repro.serve.audit import check_fault_invariants
@@ -318,10 +318,10 @@ class QueryScheduler:
                     "per device"
                 )
             for index, cap in enumerate(device_capacities):
-                if cap <= 0:
+                if not is_capacity(cap):
                     raise InvalidConfigError(
-                        f"device_capacities[{index}] must be positive "
-                        f"bytes, got {cap!r}"
+                        f"device_capacities[{index}] must be a positive "
+                        f"int of bytes, got {cap!r}"
                     )
                 _check_simulable(
                     cap, self.system, f"device_capacities[{index}]"
@@ -517,14 +517,20 @@ class QueryScheduler:
         work-stealing pass runs here too.  Conservation reads
         ``completed + shed + failed == arrivals``.
         """
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise InvalidConfigError("max_queue_depth must be >= 1")
+        for name, limit in (
+            ("max_queue_depth", max_queue_depth),
+            ("compact_every", compact_every),
+        ):
+            # A NaN limit would never trip, and a bool or float one is
+            # a typo for something else.
+            if limit is not None and (not _is_int(limit) or limit < 1):
+                raise InvalidConfigError(
+                    f"{name} must be an int >= 1 (or None), got {limit!r}"
+                )
         if slo_wait_seconds is not None and not slo_wait_seconds >= 0:
             raise InvalidConfigError(
                 f"slo_wait_seconds must be >= 0, got {slo_wait_seconds!r}"
             )
-        if compact_every is not None and compact_every < 1:
-            raise InvalidConfigError("compact_every must be >= 1")
         return _Run(
             self,
             iter(requests),
@@ -574,10 +580,11 @@ class _Run:
     :meth:`serve`.  It holds everything that lives for one run: the
     fleet with its sorted fleet events and fault state, the placement
     and admission policies, the arrivals still to come, the wait queue
-    with each queued request's carried profile, the profile table, the
-    in-flight books (outcomes, admitted plans, owners and the finish
-    heap), the shed list, the sampled queue depths, the clock, and the
-    task and compaction counters.  Each phase of a loop pass is one
+    with each queued request's carried profile and the queue's
+    deadline heap, the profile table, the in-flight books (outcomes,
+    admitted plans, owners and the finish heap), the shed list, the
+    sampled queue depths, the clock, and the task and compaction
+    counters.  Each phase of a loop pass is one
     method over that state, so each admission decision has one home.
 
     The fault-free path keeps ``fault_run`` at ``None``, and each phase
@@ -589,8 +596,9 @@ class _Run:
         "scheduler", "system", "calibration", "fleet", "events",
         "can_grow", "fault_run", "policy", "admission", "admission_ctx",
         "shedding", "max_queue_depth", "slo_wait_seconds", "compact_every",
-        "arrivals", "next_req", "seen", "last_submit", "any_deadlines",
-        "queue", "queued_profiles", "profiles",
+        "arrivals", "next_req", "seen", "last_submit",
+        "queue", "queued_profiles", "deadline_heap", "deadline_queued",
+        "profiles",
         "outcomes", "admitted_plans", "owner", "finish_heap",
         "admitted_wave", "completed", "shed", "queue_depths", "clock",
         "inflight_tasks", "peak_inflight_tasks", "peak_retained_tasks",
@@ -649,15 +657,20 @@ class _Run:
         #: The qids taken so far, one per arrival.
         self.seen: set[str] = set()
         self.last_submit = 0.0
-        #: Set the first time a deadline-bearing query is ingested by a
-        #: shedding run; gates the per-wave expiry sweep so
-        #: deadline-free streams run the exact historical path.
-        self.any_deadlines = False
         self.queue: deque[QueryRequest] = deque()
         #: Each queued request's profile under the scheduler default,
         #: from its first use (see :meth:`_queued_profile`) until it
         #: leaves the wait queue (:meth:`_leave_queue`).
         self.queued_profiles: dict[str, _Profile] = {}
+        #: A shedding run's deadline index: a min-heap of the
+        #: ``edf_key`` of every deadline-bearing request that entered
+        #: the wait queue (:meth:`_enter_queue`), and the qids of those
+        #: still in it.  Deletion is lazy: an entry whose qid has left
+        #: the queue is dropped when its deadline comes due
+        #: (:meth:`_expire_deadlines`).  Both stay empty on
+        #: deadline-free streams and in ``run_online``.
+        self.deadline_heap: list[tuple[float, str]] = []
+        self.deadline_queued: set[str] = set()
         #: The run's admission profiles (:meth:`_profile`): workloads
         #: repeat spec templates, and everything admission reads about
         #: a request is a pure function of (spec, materialize, pin,
@@ -860,7 +873,7 @@ class _Run:
         pass costs a few microseconds); a pass whose chosen head is
         blocked on an idle fleet ends at :meth:`_stop_blocked`."""
         fleet, queue, fault_run = self.fleet, self.queue, self.fault_run
-        events = self.events
+        events, deadline_heap = self.events, self.deadline_heap
         steal = self.scheduler.steal
         compact_every = self.compact_every
         while (
@@ -874,7 +887,7 @@ class _Run:
             if not queue:
                 self._idle_jump()
             self._ingest()
-            if self.any_deadlines and queue:
+            if deadline_heap and deadline_heap[0][0] <= self.clock:
                 self._expire_deadlines()
             if queue:
                 self._admit_heads()
@@ -942,7 +955,8 @@ class _Run:
                     request, event.at, device=event.device
                 )
             fault_run.crashed_devices[event.device] = event.at
-        fault_run.requeue_ready(self.queue, clock)
+        for request in reversed(fault_run.take_ready(clock)):
+            self._enter_queue(request, front=True)
 
     def _idle_jump(self) -> None:
         """With nothing queued (the caller checks) or running, jump the
@@ -1021,12 +1035,6 @@ class _Run:
         max_queue_depth = self.max_queue_depth
         while self.next_req is not None and self.next_req.submit_at <= clock:
             request = self._take()
-            if (
-                self.shedding
-                and not self.any_deadlines
-                and hard_deadline(request) != math.inf
-            ):
-                self.any_deadlines = True
             depth = len(queue)
             self.queue_depths.append(depth)
             if max_queue_depth is not None and depth >= max_queue_depth:
@@ -1047,7 +1055,7 @@ class _Run:
                 if wait > slo:
                     self._shed(request, "slo_wait", depth, wait)
                     continue
-            queue.append(request)
+            self._enter_queue(request)
 
     def _stream_wait_estimate(self, at: float) -> float:
         """Fleet-wide estimated admission wait for a query arriving at
@@ -1105,14 +1113,31 @@ class _Run:
             tenant=tenant_of(request),
         ))
 
+    def _enter_queue(
+        self, request: QueryRequest, *, front: bool = False
+    ) -> None:
+        """Put ``request`` into the wait queue — at the back on arrival,
+        at the front for a retry coming off its backoff — and, in a
+        shedding run, index its hard deadline when it has one: the one
+        way in, mirroring :meth:`_leave_queue`."""
+        if front:
+            self.queue.appendleft(request)
+        else:
+            self.queue.append(request)
+        if self.shedding and request.deadline_at != math.inf:
+            heapq.heappush(self.deadline_heap, request.edf_key)
+            self.deadline_queued.add(request.qid)
+
     def _leave_queue(self, pos: int) -> QueryRequest:
         """Take the request at wait-queue index ``pos`` out of the
-        queue, dropping its carried profile — the one way out, whether
-        the request is admitted, stolen, expired, refused by an
-        admission fault or failed with the fleet."""
+        queue, dropping its carried profile and its deadline's queued
+        mark — the one way out, whether the request is admitted,
+        stolen, expired, refused by an admission fault or failed with
+        the fleet."""
         request = self.queue[pos]
         del self.queue[pos]
         self.queued_profiles.pop(request.qid, None)
+        self.deadline_queued.discard(request.qid)
         return request
 
     def _expire_deadlines(self) -> None:
@@ -1123,12 +1148,23 @@ class _Run:
         ``"slo_wait"``) so audits can attribute deadline sheds per
         class.  Runs before admission so an expired query is never
         admitted at or past its deadline; a fault-retried query carries
-        its original class and is swept by the same rule."""
+        its original class and is swept by the same rule.
+
+        The loop calls this only when the deadline heap's earliest
+        entry is due, so a pass with nothing due costs one comparison.
+        Every due entry is popped; entries of requests that already
+        left the queue are dropped, and only when one of the due
+        entries is still queued is the queue swept, in queue order."""
         clock = self.clock
-        queue = self.queue
-        expired = [r for r in queue if hard_deadline(r) <= clock]
-        if not expired:
+        heap, queued = self.deadline_heap, self.deadline_queued
+        due = False
+        while heap and heap[0][0] <= clock:
+            if heapq.heappop(heap)[1] in queued:
+                due = True
+        if not due:
             return
+        queue = self.queue
+        expired = [r for r in queue if r.deadline_at <= clock]
         depth = len(queue)
         for request in expired:
             self._shed(
@@ -1401,7 +1437,7 @@ class _Run:
             retries=attempt,
             class_name=class_name_of(request),
             tenant=tenant_of(request),
-            deadline_at=hard_deadline(request),
+            deadline_at=request.deadline_at,
         )
         device.running.add(qid)
         self.owner[qid] = device

@@ -7,9 +7,13 @@ mid-pop, service-class validation, and per-class attribution of
 ``deadline_expired`` sheds.
 """
 
+import dataclasses
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.serve_bench import fingerprint
 from repro.data import unique_pair
@@ -104,6 +108,83 @@ def test_unknown_policy_rejected_eagerly_and_instances_pass_through():
         create_admission_policy("lifo")
     policy = FifoAdmission()
     assert create_admission_policy(policy) is policy
+
+
+# ---------------------------------------------------------------------------
+# EDF's cached rank keys
+# ---------------------------------------------------------------------------
+def _oracle_deadline(request):
+    """The hard deadline as EDF computed it per entry before requests
+    carried ``deadline_at``."""
+    qc = request.query_class
+    if qc is None or qc.deadline_seconds is None:
+        return math.inf
+    return request.submit_at + qc.deadline_seconds
+
+
+#: Few distinct submit times and deadlines, so equal finite deadlines
+#: (0.5 + 1.0 == 1.0 + 0.5) and ``inf`` ties are common, as they are on
+#: the recovery stream, where most picks tie at ``inf``.
+_QUEUE_ENTRY = st.tuples(
+    st.sampled_from([0.0, 0.5, 1.0, 1.25]),
+    st.one_of(
+        st.none(),
+        st.just("unclassed"),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.floats(min_value=0.01, max_value=4.0),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(_QUEUE_ENTRY, min_size=1, max_size=40),
+    order=st.randoms(use_true_random=False),
+)
+def test_edf_select_matches_the_per_entry_key_oracle(entries, order):
+    qids = [f"q{n}" for n in range(len(entries))]
+    order.shuffle(qids)  # "q10" < "q9": qid order is string order
+    arrived = [
+        QueryRequest(qid=qid, spec=unique_pair(8 * M), submit_at=at)
+        if deadline == "unclassed"
+        else _request(qid, deadline=deadline, at=at)
+        for qid, (at, deadline) in zip(qids, entries)
+    ]
+    oracle = min(
+        range(len(arrived)),
+        key=lambda i: (_oracle_deadline(arrived[i]), arrived[i].qid),
+    )
+    assert EdfAdmission().select(arrived, _ctx()) == oracle
+
+
+def test_cached_rank_keys_stay_outside_the_dataclass_contract():
+    request = _request("q7", deadline=2.0, at=1.5)
+    assert request.deadline_at == 3.5
+    assert request.edf_key == (3.5, "q7")
+    names = [item.name for item in dataclasses.fields(QueryRequest)]
+    assert "deadline_at" not in names and "edf_key" not in names
+    values = [getattr(request, name) for name in names]
+    assert repr(request) == "QueryRequest(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)
+    ) + ")"
+    assert hash(request) == hash(tuple(values))
+    assert list(dataclasses.asdict(request)) == names
+    # Equality reads the fields only, even against a forged key.
+    twin = _request("q7", deadline=2.0, at=1.5)
+    object.__setattr__(twin, "edf_key", (0.0, "q0"))
+    assert twin == request and hash(twin) == hash(request)
+
+    moved = dataclasses.replace(request, submit_at=2.0)
+    assert moved.edf_key == (4.0, "q7") and moved.deadline_at == 4.0
+    renamed = dataclasses.replace(request, qid="q8")
+    assert renamed.edf_key == (3.5, "q8")
+    unclassed = dataclasses.replace(request, query_class=None)
+    assert unclassed.edf_key == (math.inf, "q7")
+    assert unclassed.deadline_at == math.inf
+
+    restored = pickle.loads(pickle.dumps(request))
+    assert restored == request
+    assert restored.edf_key == (3.5, "q7") and restored.deadline_at == 3.5
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,14 @@ def test_bad_reservations_rejected():
         DeviceMemoryArena(0)
 
 
+@pytest.mark.parametrize("capacity", [float("nan"), 4e9, True])
+def test_capacity_must_be_a_positive_int(capacity):
+    """NaN passes a `<= 0` test, so a NaN arena admitted anything and
+    its peak-within-capacity check could never fail."""
+    with pytest.raises(DeviceMemoryOverflowError, match="capacity"):
+        DeviceMemoryArena(capacity)
+
+
 def test_timeline_records_transitions():
     arena = DeviceMemoryArena(8 * GB)
     arena.reserve("a", 2 * GB, at=0.0)

@@ -320,6 +320,11 @@ def test_retire_then_add_round_trip_in_stream():
 def test_fleet_event_and_retirement_validation():
     with pytest.raises(InvalidConfigError, match="capacity_bytes"):
         FleetEvent(at=0.0, action="add")
+    # A joining device's capacity is a positive int of bytes: NaN
+    # passed the old `<= 0` test.
+    for capacity in (float("nan"), 4e9, True):
+        with pytest.raises(InvalidConfigError, match="capacity_bytes"):
+            FleetEvent(at=0.0, action="add", capacity_bytes=capacity)
     with pytest.raises(InvalidConfigError, match="next free index"):
         FleetEvent(at=0.0, action="add", capacity_bytes=1, device=0)
     with pytest.raises(InvalidConfigError, match="device index"):

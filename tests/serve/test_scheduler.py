@@ -1,5 +1,7 @@
 """Admission-controlled multi-query scheduling."""
 
+import math
+
 import pytest
 
 from repro.core import estimate_cache
@@ -48,6 +50,12 @@ def test_single_query_matches_solo_estimate():
         (dict(max_retries=True), "max_retries"),
         (dict(devices=2.0), "devices"),
         (dict(devices=True), "devices"),
+        (dict(device_capacities=[math.nan]), r"device_capacities\[0\]"),
+        (dict(device_capacities=[4e9]), r"device_capacities\[0\]"),
+        (
+            dict(devices=2, device_capacities=[4 * 10**9, True]),
+            r"device_capacities\[1\]",
+        ),
     ],
     ids=[
         "lanes-zero", "lanes-negative", "lanes-float", "lanes-bool",
@@ -55,6 +63,7 @@ def test_single_query_matches_solo_estimate():
         "max-degradation-nan", "retry-backoff-nan",
         "max-retries-nan", "max-retries-float", "max-retries-bool",
         "devices-float", "devices-bool",
+        "capacity-nan", "capacity-float", "capacity-bool-second-device",
     ],
 )
 def test_constructor_rejects_invalid_inputs(kwargs, match):
@@ -63,7 +72,9 @@ def test_constructor_rejects_invalid_inputs(kwargs, match):
     each used to pass construction and then fail (or, for NaN
     ``max_degradation``, silently drop the degradation bound) mid-run.
     So did a non-int device count, and a NaN retry budget turned the
-    budget off."""
+    budget off.  A NaN device capacity passed every ``<=`` check, so a
+    run completed with a capacity of NaN and an audit whose
+    peak-within-capacity check could not fail."""
     with pytest.raises(InvalidConfigError, match=match):
         QueryScheduler(**kwargs)
 

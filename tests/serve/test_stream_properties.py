@@ -210,6 +210,13 @@ def test_stream_validates_input():
         QueryScheduler().run_stream(iter([]), slo_wait_seconds=-1.0)
     with pytest.raises(InvalidConfigError, match="compact_every"):
         QueryScheduler().run_stream(iter([]), compact_every=0)
+    # Both limits are counts: a NaN cap never sheds and a NaN cadence
+    # never compacts (and its retention audit passes, as `peak > nan`
+    # is false), while True and 2.5 are typos for something else.
+    for knob in ("max_queue_depth", "compact_every"):
+        for value in (math.nan, True, 2.5):
+            with pytest.raises(InvalidConfigError, match=knob):
+                QueryScheduler().run_stream(iter([]), **{knob: value})
     with pytest.raises(InvalidConfigError, match="negative slo"):
         QueryRequest(qid="a", spec=spec, slo_wait_seconds=-0.1)
     # Non-finite inputs: NaN passes plain comparisons, and a NaN or

@@ -145,3 +145,44 @@ def test_unresolved_repro_names_detected(tmp_path, monkeypatch):
         "src/pkg/mod.py:3: repro.serve.placement.DeviceFleet.drain_all "
         "does not resolve",
     ]
+
+
+def test_unresolved_relative_role_targets_detected(tmp_path, monkeypatch):
+    """A role target that does not start with ``repro`` is looked up in
+    the citing module's namespace, in each class it defines and in
+    builtins, then as an absolute dotted name; a dead method, a name
+    only another module defines and an instance attribute no class
+    declares are reported."""
+    package = tmp_path / "src" / "relpkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        '"""Live: :class:`Thing`, :meth:`Thing.go`, :meth:`go`,\n'
+        ":attr:`Thing.size`, :func:`helper`, :class:`ValueError`,\n"
+        ":func:`dataclasses.replace`, :mod:`repro`.\n"
+        "Dead: :meth:`Thing.run`, :func:`QueryScheduler`,\n"
+        ':attr:`cache`, :func:`dataclasses.nowhere`."""\n'
+        "import dataclasses\n\n\n"
+        "@dataclasses.dataclass\n"
+        "class Thing:\n"
+        "    size: int\n\n"
+        "    def __init__(self):\n"
+        "        self.cache = {}\n\n"
+        "    def go(self):\n"
+        "        pass\n\n\n"
+        "def helper():\n"
+        "    pass\n"
+    )
+    (tmp_path / "README.md").write_text("")
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
+    refs = check_docs.iter_references()
+    assert len(refs) == 12
+    assert {module for _, _, _, module in refs} == {"relpkg.mod", None}
+    errors = check_docs.check_references()
+    assert errors == [
+        "src/relpkg/mod.py:4: Thing.run does not resolve",
+        "src/relpkg/mod.py:4: QueryScheduler does not resolve",
+        "src/relpkg/mod.py:5: cache does not resolve",
+        "src/relpkg/mod.py:5: dataclasses.nowhere does not resolve",
+    ]

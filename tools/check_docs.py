@@ -13,14 +13,19 @@ Three gates, run on every PR (``python tools/check_docs.py``):
    ``README.md`` is executed with :mod:`doctest`
    (``NORMALIZE_WHITESPACE``, so expected output may wrap), keeping
    the quickstart honest as the API evolves.
-3. **Dotted names** — every ``repro.*`` name the docs cite must exist:
-   a backticked name in ``README.md`` and ``docs/*.md``, and the target
-   of every ``:func:``, ``:class:``, ``:meth:``, ``:mod:``, ``:attr:``
-   and ``:data:`` role in a ``src/`` docstring (a target may wrap
-   across lines).  A name resolves when its longest importable prefix
-   imports and the rest is found by attribute lookup, which finds a
-   ``__slots__`` name through its class descriptor; a dataclass field
-   without a class-level default counts as found too.
+3. **Dotted names** — every name the docs cite must exist: a
+   backticked ``repro.*`` name in ``README.md`` and ``docs/*.md``, and
+   the target of every ``:func:``, ``:class:``, ``:meth:``, ``:mod:``,
+   ``:attr:`` and ``:data:`` role in a ``src/`` docstring (a target may
+   wrap across lines).  A ``repro.*`` name resolves when its longest
+   importable prefix imports and the rest is found by attribute
+   lookup, which finds a ``__slots__`` name through its class
+   descriptor; a dataclass field without a class-level default counts
+   as found too.  A relative role target (``QueryScheduler.run_stream``,
+   ``_admit``, ``ValueError``) is looked up the same way in the
+   namespace of the module that cites it, then in each class that
+   module defines, then in :mod:`builtins`; a dotted one found in none
+   of them resolves as an absolute name (``dataclasses.replace``).
 
 Exits non-zero listing every failure.  Needs the package importable
 (``pip install -e .`` or ``PYTHONPATH=src``).
@@ -28,6 +33,7 @@ Exits non-zero listing every failure.  Needs the package importable
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import doctest
 import importlib
@@ -43,8 +49,8 @@ _PYCON_FENCE = re.compile(r"^```pycon\s*$")
 _HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 #: A backticked ``repro.*`` name in markdown.
 _DOC_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
-#: A cross-reference role naming a ``repro.*`` target in a docstring.
-_ROLE = re.compile(r":(?:func|class|meth|mod|attr|data):`~?(repro[^`]*)`")
+#: A cross-reference role in a docstring; group 1 is its target.
+_ROLE = re.compile(r":(?:func|class|meth|mod|attr|data):`~?([^`]*)`")
 
 
 def doc_files() -> list[Path]:
@@ -161,11 +167,13 @@ def check_doctests() -> list[str]:
     return errors
 
 
-def iter_references() -> list[tuple[str, int, str]]:
-    """``(file, line, name)`` for every ``repro.*`` name the docs cite:
-    backticked in the markdown docs (outside code fences) and as a role
-    target in ``src/`` docstrings."""
-    refs: list[tuple[str, int, str]] = []
+def iter_references() -> list[tuple[str, int, str, str | None]]:
+    """``(file, line, name, module)`` for every name the docs cite:
+    ``repro.*`` names backticked in the markdown docs (outside code
+    fences), and every role target in ``src/`` docstrings.  ``module``
+    is the dotted module a relative role target is resolved in, and
+    ``None`` for a ``repro`` name."""
+    refs: list[tuple[str, int, str, str | None]] = []
     for path in doc_files():
         where = str(path.relative_to(REPO_ROOT))
         in_fence = False
@@ -176,30 +184,28 @@ def iter_references() -> list[tuple[str, int, str]]:
                 in_fence = not in_fence
             elif not in_fence:
                 refs.extend(
-                    (where, lineno, match.group(1))
+                    (where, lineno, match.group(1), None)
                     for match in _DOC_NAME.finditer(line)
                 )
-    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+    src = REPO_ROOT / "src"
+    for path in sorted(src.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
         for match in _ROLE.finditer(text):
             lineno = text.count("\n", 0, match.start()) + 1
             name = re.sub(r"\s+", "", match.group(1))
-            refs.append((str(path.relative_to(REPO_ROOT)), lineno, name))
+            refs.append((
+                str(path.relative_to(REPO_ROOT)),
+                lineno,
+                name,
+                None if name.split(".")[0] == "repro" else module,
+            ))
     return refs
 
 
-def resolves(name: str) -> bool:
-    """Does the dotted ``name`` exist (see the module docstring)?"""
-    parts = name.split(".")
-    for cut in range(len(parts), 0, -1):
-        try:
-            owner = importlib.import_module(".".join(parts[:cut]))
-        except ImportError:
-            continue
-        break
-    else:
-        return False
-    rest = parts[cut:]
+def _lookup(owner: object, rest: list[str]) -> bool:
+    """Is the attribute path ``rest`` found from ``owner``?"""
     for index, attr in enumerate(rest):
         if not hasattr(owner, attr):
             return (
@@ -211,11 +217,40 @@ def resolves(name: str) -> bool:
     return True
 
 
+def resolves(name: str, module: str | None = None) -> bool:
+    """Does the dotted ``name`` exist (see the module docstring)?  A
+    relative ``name`` is looked up in ``module`` first; a dotted one
+    that is not found there may still name a module's attribute
+    (``dataclasses.replace``)."""
+    parts = name.split(".")
+    if module is not None:
+        namespace = importlib.import_module(module)
+        classes = [
+            value
+            for value in vars(namespace).values()
+            if isinstance(value, type) and value.__module__ == module
+        ]
+        owners = (namespace, *classes, builtins)
+        if any(_lookup(owner, parts) for owner in owners):
+            return True
+        if len(parts) == 1:
+            return False
+    for cut in range(len(parts), 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        break
+    else:
+        return False
+    return _lookup(owner, parts[cut:])
+
+
 def check_references() -> list[str]:
     return [
         f"{where}:{lineno}: {name} does not resolve"
-        for where, lineno, name in iter_references()
-        if not resolves(name)
+        for where, lineno, name, module in iter_references()
+        if not resolves(name, module)
     ]
 
 
@@ -228,7 +263,7 @@ def main() -> int:
         print(f"{len(errors)} docs problem(s) across {checked} file(s)")
         return 1
     print(
-        f"docs ok: links, README doctests and repro.* names pass in "
+        f"docs ok: links, README doctests and cited names pass in "
         f"{checked} doc file(s) and src/"
     )
     return 0
