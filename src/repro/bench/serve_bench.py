@@ -1,74 +1,81 @@
 """Throughput benchmark for the multi-query serving layer.
 
-Sweeps offered concurrency (1–64 clients) over the deterministic mixed
-workload of :mod:`repro.serve.workload` and reports queries/second,
-per-query latency, and the speedup of the concurrent schedule over
-serial back-to-back execution.  Every run audits its own report
-(:func:`~repro.serve.audit.check_fault_invariants`: conservation, arena
-bounds and drain, crash safety, retry budgets, deadline bits and, when
-compaction is on, the retention bound), and the bench checks that the
-schedule is bit-identical across repeated runs.  For the canonical
-workload (default scale, one batch, bounded degradation) the
-concurrent makespan must additionally never exceed the serial sum of
-solo times, strictly beating it whenever queries actually overlapped.
-Off-scale workloads only *report* the speedup: greedy FIFO
-interleaving is subject to Graham scheduling anomalies, so tiny
-workloads can lose a few percent to serial execution and that is a
-measurement, not a bug.
+``python -m repro.bench serve`` builds one
+:class:`~repro.serve.scheduler.QueryScheduler` from its fleet flags and
+serves every run of the invocation on it, in one of three modes:
 
-Every run goes through
+* ``--clients N`` serves ``N`` queries of the deterministic mixed
+  workload of :mod:`repro.serve.workload` through :func:`run_serve` and
+  prints the per-query schedule;
+* ``--sweep L,L,...`` (or neither mode flag: 1–64 clients) serves one
+  :func:`run_serve` report per concurrency level, one table row each
+  (:func:`render_sweep`): queries/second, per-query latency and the
+  speedup over serial back-to-back execution;
+* ``--stream`` times one
+  :meth:`~repro.serve.scheduler.QueryScheduler.run_stream` over
+  ``--arrivals N`` open arrivals (default 100000) of
+  :func:`~repro.serve.workload.stream_workload`: a bounded wait queue
+  (``--max-queue``), an optional admission-wait SLO (``--slo``),
+  periodic schedule compaction (``--compact-every``) and the workload
+  ``--seed``.  ``--max-wall`` and ``--max-shed-rate`` turn the run into
+  a gate (exit 1 when exceeded).
+
+:func:`run_serve` serves a request list through
 :meth:`~repro.serve.scheduler.QueryScheduler.run_online` (incremental
 schedule extension; the tier-1 suites under ``tests/serve`` hold its
-schedules to the batch re-simulation oracle).  ``--arrival-rate R``
-spaces submissions ``1/R`` simulated seconds apart to model an open
-arrival process.
-``--devices K`` shards the fleet — per-device arenas and engines with
-a placement policy (``--placement``, default least-loaded) choosing
-the device per admission; ``--devices 1`` is bit-identical to the
-historical single-device scheduler.
+schedules to the batch re-simulation oracle), asserts the serial
+baseline when asked (:func:`verify_report`), and serves the same list
+again on the same scheduler to check that the schedule is
+bit-identical; runs on one scheduler share only its immutable strategy
+table, and each run resets the policies, so the re-run differs from
+the run in nothing but its turn.  Every run audits its own report
+(:func:`~repro.serve.audit.check_fault_invariants`: conservation, arena
+bounds and drain, crash safety, retry budgets, deadline bits and, when
+compaction is on, the retention bound).
 
-``--stream`` runs the steady-state streaming harness instead of the
-concurrency sweep: ``--arrivals N`` open arrivals (default 100000) from
-:func:`~repro.serve.workload.stream_workload` through
-:meth:`~repro.serve.scheduler.QueryScheduler.run_stream`, with a
-bounded wait queue (``--max-queue``), an optional admission-wait SLO
-(``--slo``) and periodic schedule compaction (``--compact-every``).
-The run's own audit covers it, the compaction guarantee included: the
-peak retained schedule stays within a constant multiple of the
-in-flight work.
-``--max-wall`` and ``--max-shed-rate`` turn the run into a gate (exit
-1 when exceeded); both are accepted only with ``--stream``.
+Flags every mode reads shape the fleet and the workload:
 
-Heterogeneous fleets: ``--device-caps GB,GB,...`` and
-``--device-calib NAME,NAME,...`` give each device its own memory
-capacity and calibration preset
-(:data:`~repro.gpusim.calibration.CALIBRATION_PRESETS`); entry counts
-must match ``--devices``.  ``--steal`` enables the cross-device
-work-stealing pass.  Heterogeneous and stealing runs skip the
-serial-baseline assertion (the baseline prices each query alone on a
-full-size device under the default calibration; see
-:func:`serial_baseline_applies`).
+* ``--devices K`` shards the fleet (per-device arenas and engines, a
+  ``--placement`` policy choosing the device per admission, default
+  least-loaded); ``--devices 1`` is bit-identical to the historical
+  single-device scheduler;
+* ``--device-caps GB,GB,...`` and ``--device-calib NAME,NAME,...`` give
+  each device its own memory capacity and calibration preset
+  (:data:`~repro.gpusim.calibration.CALIBRATION_PRESETS`), one entry per
+  device; ``--steal`` enables cross-device work stealing;
+* ``--admission`` picks the wait-queue ordering policy
+  (:mod:`repro.serve.admission`; default ``fifo``, bit-identical to the
+  historical scheduler); ``--classes`` stamps the workload with the
+  canonical deadline-bearing service classes
+  (:data:`~repro.serve.workload.DEADLINE_CLASSES` cycled across three
+  tenants), and ``--deadline-scale`` stretches or squeezes their
+  deadlines;
+* ``--faults`` (with ``--clients`` or ``--stream``, on two or more
+  devices) derives a deterministic :class:`~repro.serve.faults.FaultPlan`
+  from ``--fault-seed``: device crashes over the run's horizon, never
+  the whole fleet, plus transient admission failures with
+  ``--clients``; lost queries retry under a ``--max-retries`` budget,
+  and ``--max-failed-rate`` fails the process above its bound;
+* ``--arrival-rate R`` offers ``R`` queries per simulated second
+  (spacing ``1/R`` for ``--clients`` and ``--sweep``, which also take
+  ``--scale`` and ``--spacing``);
+* ``--sample-store PATH`` warm-starts the caches from ``PATH`` and
+  appends what the run computes.
 
-Admission policies: ``--admission`` picks the wait-queue ordering
-policy (:mod:`repro.serve.admission`; default ``fifo``, bit-identical
-to the historical scheduler), ``--classes`` stamps the workload with
-the canonical deadline-bearing service classes
-(:data:`~repro.serve.workload.DEADLINE_CLASSES` cycled across three
-tenants) and ``--deadline-scale`` stretches or squeezes their
-deadlines.  Classed runs report per-class/per-tenant latency and
-deadline-miss rates; the serial-baseline assertion only applies to
-unclassed FIFO runs
-(reordering trades makespan for latency/deadline goals by design).
+A flag outside its mode would be read by nothing, so it fails argument
+parsing, naming the flag (:func:`parse_serve_args`).
 
-Fault injection: ``--faults`` derives a deterministic
-:class:`~repro.serve.faults.FaultPlan` from ``--fault-seed`` (device
-crashes over the run's horizon, never the whole fleet, plus transient
-admission failures in ``--clients`` mode) and replays the run through
-the scheduler's recovery path under a ``--max-retries`` budget.
-Faulted runs skip the serial-baseline assertion (losing devices is
-allowed to cost makespan); their audit counts failed queries in the
-conservation check.  The process fails when ``--max-failed-rate`` is
-exceeded — the CI chaos smoke bound, accepted only with ``--faults``.
+The serial baseline prices each query alone, back to back, on one
+full-size device under the default calibration, so only the canonical
+workload is held to it (:func:`serial_baseline_applies`): default
+scale, one batch, bounded degradation, ``fifo`` without classes, and a
+homogeneous full-size fleet without stealing or a fault.  There the
+concurrent makespan may never exceed it, and must beat it strictly
+whenever queries overlapped.  Every other run only *reports* the
+speedup: greedy FIFO interleaving is subject to Graham scheduling
+anomalies, so tiny workloads can lose a few percent to serial
+execution, and a capped, slower, reordering or faulted fleet trades
+makespan for other goals on purpose.
 
 Every mode prints its results; the only file the command writes is an
 explicit ``--sample-store PATH``.  Wall-clock performance is measured
@@ -79,15 +86,14 @@ Run via the CLI (``python -m repro.bench serve --clients 16``,
 ``... serve --clients 64 --devices 2 --device-calib fast,slow``,
 ``... serve --stream --arrivals 100000 --devices 2``, or
 ``... serve --stream --arrivals 20000 --devices 2 --faults``) or call
-:func:`run_serve` / :func:`sweep` / :func:`run_stream_bench` from
-tests.
+:func:`run_serve` from tests.
 """
 
 from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core import estimate_cache
 from repro.core.sample_store import SampleStore
@@ -101,7 +107,7 @@ from repro.serve.admission import FIFO, registered_admission_policies
 from repro.serve.audit import check_retention
 from repro.serve.faults import FaultPlan
 from repro.serve.placement import LEAST_LOADED, registered_placement_policies
-from repro.serve.scheduler import QueryScheduler, ServeReport
+from repro.serve.scheduler import QueryRequest, QueryScheduler, ServeReport
 from repro.serve.workload import (
     DEADLINE_CLASSES,
     classed_workload,
@@ -118,27 +124,32 @@ DEFAULT_STREAM_RATE = 200.0
 DEFAULT_STREAM_QUEUE = 128
 DEFAULT_STREAM_COMPACT = 256
 
+#: Flags only one mode reads, by ``argparse`` dest, with that mode's
+#: flag; outside the mode each would be read by nothing.
+_MODE_FLAGS = (
+    ("arrivals", "stream"),
+    ("max_queue", "stream"),
+    ("slo", "stream"),
+    ("compact_every", "stream"),
+    ("seed", "stream"),
+    ("max_wall", "stream"),
+    ("max_shed_rate", "stream"),
+    ("deadline_scale", "classes"),
+    ("fault_seed", "faults"),
+    ("max_failed_rate", "faults"),
+)
 
-@dataclass
-class ServePoint:
-    """One concurrency level's aggregated results."""
-
-    clients: int
-    makespan: float
-    serial_makespan: float
-    queries_per_second: float
-    mean_latency: float
-    p95_latency: float
-    degraded: int
-    peak_gb: float
-    devices: int = 1
-    p50_latency: float = 0.0
-    p99_latency: float = 0.0
-    stolen: int = 0
-
-    @property
-    def speedup(self) -> float:
-        return self.serial_makespan / self.makespan if self.makespan > 0 else 0.0
+#: Each mode flag's default, resolved once the mode checks passed.
+_FLAG_DEFAULTS = {
+    "arrivals": DEFAULT_STREAM_ARRIVALS,
+    "max_queue": DEFAULT_STREAM_QUEUE,
+    "compact_every": DEFAULT_STREAM_COMPACT,
+    "seed": 0,
+    "scale": 1.0,
+    "spacing": 0.0,
+    "deadline_scale": 1.0,
+    "fault_seed": 0,
+}
 
 
 def _has_cross_query_overlap(report: ServeReport) -> bool:
@@ -217,122 +228,61 @@ def fingerprint_sharded(report: ServeReport) -> list[tuple]:
 
 
 def serial_baseline_applies(
+    scheduler: QueryScheduler,
     *,
-    scale: float = 1.0,
-    spacing_seconds: float = 0.0,
-    bounded_degradation: bool = True,
-    device_capacities: list[int] | None = None,
-    device_calibrations: "list[Calibration | None] | None" = None,
-    steal: bool = False,
-    faulted: bool = False,
-    admission: str = FIFO,
-    classes: bool = False,
+    scale: float,
+    spacing_seconds: float,
+    faults: FaultPlan | None,
+    classes: bool,
 ) -> bool:
-    """Is a serve run held to the serial back-to-back baseline?
+    """Is a serve run on ``scheduler`` held to the serial back-to-back
+    baseline?
 
     The baseline prices each query alone on one full-size device under
-    the default calibration, so only the canonical run (the defaults)
-    is held to it.  A capped or slower fleet may lose to it, and so may
-    a faulted run or a reordering policy, which trade makespan for
-    other goals on purpose.  :func:`run_serve` asserts the baseline
-    exactly when this holds; the CLI's ``verified:`` line claims it on
-    the same condition.
+    the default calibration, so only the canonical run is held to it:
+    the default workload (``scale`` 1, no ``spacing_seconds``, no
+    ``classes``) on a fleet of full-size default devices with bounded
+    degradation, ``fifo`` admission, no stealing and no fault.  A capped
+    or slower fleet may lose to it, and so may a faulted run or a
+    reordering policy, which trade makespan for other goals on purpose.
+    An empty fault plan faults nothing, so it does not count as one.
     """
     return (
         scale == 1.0
         and spacing_seconds == 0.0
-        and bounded_degradation
-        and device_capacities is None
-        and device_calibrations is None
-        and not steal
-        and not faulted
-        and admission == FIFO
+        and scheduler.max_degradation is not None
+        and scheduler.device_capacities is None
+        and scheduler.device_calibrations is None
+        and not scheduler.steal
+        and (faults is None or faults.is_empty)
+        and scheduler.admission == FIFO
         and not classes
     )
 
 
 def run_serve(
-    clients: int,
+    scheduler: QueryScheduler,
+    requests: Sequence[QueryRequest],
     *,
-    scale: float = 1.0,
-    spacing_seconds: float = 0.0,
-    devices: int = 1,
-    placement: str = LEAST_LOADED,
-    device_capacities: list[int] | None = None,
-    device_calibrations: "list[Calibration | None] | None" = None,
-    steal: bool = False,
     faults: FaultPlan | None = None,
-    max_retries: int = 3,
-    admission: str = FIFO,
-    classes: bool = False,
-    deadline_scale: float = 1.0,
-    scheduler: QueryScheduler | None = None,
+    check_serial: bool = False,
     check_determinism: bool = True,
 ) -> ServeReport:
-    """Serve ``clients`` mixed queries through
-    :meth:`~repro.serve.scheduler.QueryScheduler.run_online` and verify
-    the guarantees, re-running once on a fresh scheduler when
-    ``check_determinism``.  ``devices``/``placement`` and the
-    heterogeneity knobs (``device_capacities`` / ``device_calibrations``
-    / ``steal``) shard and diversify the fleet (ignored when an
-    explicit ``scheduler`` is passed).  ``faults`` replays the run
-    through the fault-injection path; faulted runs are still
-    deterministic, so the re-run check holds for them too.
-    ``admission`` picks the wait-queue ordering policy and ``classes``
-    swaps in the deadline-classed canonical workload
-    (:func:`~repro.serve.workload.classed_workload`, deadlines scaled
-    by ``deadline_scale``).  The serial-baseline assertion applies only
-    when :func:`serial_baseline_applies` holds for the run.
+    """Serve ``requests`` on ``scheduler`` through
+    :meth:`~repro.serve.scheduler.QueryScheduler.run_online`, replaying
+    the ``faults`` plan, and check the run.
+
+    ``check_serial`` asserts the serial baseline (:func:`verify_report`);
+    pass :func:`serial_baseline_applies` for the run.
+    ``check_determinism`` serves the same requests again on the same
+    scheduler and raises unless the device-aware fingerprint and the
+    failed queries match; faulted runs are deterministic too.
     """
-
-    def workload():
-        if classes:
-            return classed_workload(
-                clients,
-                scale=scale,
-                spacing_seconds=spacing_seconds,
-                deadline_scale=deadline_scale,
-            )
-        return mixed_workload(
-            clients, scale=scale, spacing_seconds=spacing_seconds
-        )
-
-    requests = workload()
-    scheduler = scheduler or QueryScheduler(
-        devices=devices,
-        placement=placement,
-        device_capacities=device_capacities,
-        device_calibrations=device_calibrations,
-        steal=steal,
-        max_retries=max_retries,
-        admission=admission,
-    )
     report = scheduler.run_online(requests, faults=faults)
-    canonical = serial_baseline_applies(
-        scale=scale,
-        spacing_seconds=spacing_seconds,
-        bounded_degradation=scheduler.max_degradation is not None,
-        device_capacities=scheduler.device_capacities,
-        device_calibrations=scheduler.device_calibrations,
-        steal=scheduler.steal,
-        faulted=faults is not None and not faults.is_empty,
-        admission=scheduler.admission,
-        classes=classes,
-    )
-    verify_report(report, clients=clients, check_serial=canonical)
+    clients = len(requests)
+    verify_report(report, clients=clients, check_serial=check_serial)
     if check_determinism:
-        fresh = QueryScheduler(
-            scheduler.system, scheduler.calibration, scheduler.config,
-            lanes=scheduler.lanes, max_degradation=scheduler.max_degradation,
-            devices=scheduler.devices, placement=scheduler.placement,
-            device_capacities=scheduler.device_capacities,
-            device_calibrations=scheduler.device_calibrations,
-            steal=scheduler.steal,
-            max_retries=scheduler.max_retries,
-            retry_backoff_seconds=scheduler.retry_backoff_seconds,
-            admission=scheduler.admission,
-        )
-        rerun = fresh.run_online(workload(), faults=faults)
+        rerun = scheduler.run_online(requests, faults=faults)
         if fingerprint_sharded(rerun) != fingerprint_sharded(report):
             raise SchedulingError(
                 f"serve schedule is non-deterministic at {clients} clients "
@@ -346,60 +296,10 @@ def run_serve(
     return report
 
 
-def sweep(
-    levels: tuple[int, ...] = DEFAULT_CLIENTS,
-    *,
-    scale: float = 1.0,
-    spacing_seconds: float = 0.0,
-    devices: int = 1,
-    placement: str = LEAST_LOADED,
-    device_capacities: list[int] | None = None,
-    device_calibrations: "list[Calibration | None] | None" = None,
-    steal: bool = False,
-    admission: str = FIFO,
-    classes: bool = False,
-    deadline_scale: float = 1.0,
-    check_determinism: bool = True,
-) -> list[ServePoint]:
-    """Throughput/latency versus offered concurrency."""
-    points: list[ServePoint] = []
-    for clients in levels:
-        report = run_serve(
-            clients,
-            scale=scale,
-            spacing_seconds=spacing_seconds,
-            devices=devices,
-            placement=placement,
-            device_capacities=device_capacities,
-            device_calibrations=device_calibrations,
-            steal=steal,
-            admission=admission,
-            classes=classes,
-            deadline_scale=deadline_scale,
-            check_determinism=check_determinism,
-        )
-        points.append(
-            ServePoint(
-                clients=clients,
-                makespan=report.makespan,
-                serial_makespan=report.serial_makespan,
-                queries_per_second=report.queries_per_second,
-                mean_latency=report.mean_latency,
-                p95_latency=report.p95_latency,
-                degraded=report.degraded_count,
-                peak_gb=report.peak_reserved_bytes / 1e9,
-                devices=report.devices,
-                p50_latency=report.p50_latency,
-                p99_latency=report.p99_latency,
-                stolen=report.stolen_count,
-            )
-        )
-    return points
-
-
-def render_sweep(points: list[ServePoint]) -> str:
-    sharded = any(p.devices > 1 for p in points)
-    stealing = any(p.stolen > 0 for p in points)
+def render_sweep(reports: list[ServeReport]) -> str:
+    """One table row per :func:`run_serve` report of a sweep."""
+    sharded = any(r.devices > 1 for r in reports)
+    stealing = any(r.stolen_count > 0 for r in reports)
     device_header = f" {'devs':>4s}" if sharded else ""
     stolen_header = f" {'stolen':>6s}" if stealing else ""
     lines = [
@@ -408,22 +308,20 @@ def render_sweep(points: list[ServePoint]) -> str:
         f"{'p95 lat':>8s} {'p99 lat':>8s} {'degraded':>8s}{stolen_header} "
         f"{'peak GB':>8s}"
     ]
-    for p in points:
-        device_cell = f" {p.devices:4d}" if sharded else ""
-        stolen_cell = f" {p.stolen:6d}" if stealing else ""
+    for r in reports:
+        device_cell = f" {r.devices:4d}" if sharded else ""
+        stolen_cell = f" {r.stolen_count:6d}" if stealing else ""
         lines.append(
-            f"{p.clients:7d}{device_cell} {p.queries_per_second:7.2f} "
-            f"{p.makespan:8.3f}s "
-            f"{p.serial_makespan:7.3f}s {p.speedup:7.2f}x {p.mean_latency:8.3f}s "
-            f"{p.p50_latency:7.3f}s {p.p95_latency:7.3f}s {p.p99_latency:7.3f}s "
-            f"{p.degraded:8d}{stolen_cell} {p.peak_gb:8.2f}"
+            f"{r.arrivals:7d}{device_cell} {r.queries_per_second:7.2f} "
+            f"{r.makespan:8.3f}s "
+            f"{r.serial_makespan:7.3f}s {r.speedup:7.2f}x {r.mean_latency:8.3f}s "
+            f"{r.p50_latency:7.3f}s {r.p95_latency:7.3f}s {r.p99_latency:7.3f}s "
+            f"{r.degraded_count:8d}{stolen_cell} "
+            f"{r.peak_reserved_bytes / 1e9:8.2f}"
         )
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# Streaming harness
-# ---------------------------------------------------------------------------
 def verify_stream_report(
     report: ServeReport, *, compact_every: int | None
 ) -> None:
@@ -431,60 +329,6 @@ def verify_stream_report(
     (:func:`~repro.serve.audit.check_retention`), which the run that
     built ``report`` has already audited along with everything else."""
     check_retention(report, compact_every)
-
-
-def run_stream_bench(
-    arrivals: int = DEFAULT_STREAM_ARRIVALS,
-    *,
-    arrival_rate: float = DEFAULT_STREAM_RATE,
-    devices: int = 1,
-    placement: str = LEAST_LOADED,
-    max_queue_depth: int | None = DEFAULT_STREAM_QUEUE,
-    slo_wait_seconds: float | None = None,
-    compact_every: int | None = DEFAULT_STREAM_COMPACT,
-    device_capacities: list[int] | None = None,
-    device_calibrations: "list[Calibration | None] | None" = None,
-    steal: bool = False,
-    faults: FaultPlan | None = None,
-    max_retries: int = 3,
-    admission: str = FIFO,
-    classes: bool = False,
-    deadline_scale: float = 1.0,
-    seed: int = 0,
-) -> tuple[ServeReport, float]:
-    """Run the steady-state streaming benchmark; returns (audited
-    report, wall seconds).  The workload generator is lazy and the
-    retained schedule is compacted, so memory stays O(in-flight) even
-    at 10^5+ arrivals.  ``faults`` injects the plan's device crashes
-    mid-stream.  ``admission`` picks the wait-queue ordering policy;
-    ``classes`` stamps arrivals with the canonical deadline classes
-    (same specs and arrival times — only the service contracts change),
-    enabling deadline-expiry shedding and per-class reporting."""
-    scheduler = QueryScheduler(
-        devices=devices,
-        placement=placement,
-        device_capacities=device_capacities,
-        device_calibrations=device_calibrations,
-        steal=steal,
-        max_retries=max_retries,
-        admission=admission,
-    )
-    start = time.perf_counter()
-    report = scheduler.run_stream(
-        stream_workload(
-            arrivals,
-            arrival_rate=arrival_rate,
-            seed=seed,
-            classes=DEADLINE_CLASSES if classes else None,
-            deadline_scale=deadline_scale,
-        ),
-        max_queue_depth=max_queue_depth,
-        slo_wait_seconds=slo_wait_seconds,
-        compact_every=compact_every,
-        faults=faults,
-    )
-    wall = time.perf_counter() - start
-    return report, wall
 
 
 def parse_device_caps(text: str | None, devices: int) -> list[int] | None:
@@ -538,7 +382,20 @@ def parse_device_calib(
         raise ValueError(f"--device-calib: {exc}") from None
 
 
-def serve_main(argv: list[str] | None = None) -> int:
+def parse_serve_args(
+    argv: list[str] | None = None,
+) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
+    """Parse and check ``serve``'s arguments without running anything.
+
+    Exits 2 through :meth:`argparse.ArgumentParser.error`, naming the
+    flag, on a malformed value, conflicting modes, or a flag outside
+    its mode.  Returns the parser (for later errors) and the arguments
+    with every default resolved: ``spacing`` is the submission gap the
+    ``--clients``/``--sweep`` workloads use (from ``--arrival-rate`` when
+    given), ``arrival_rate`` the rate a ``--stream`` runs at,
+    ``device_capacities``/``device_calibrations`` the parsed fleet, and
+    ``levels`` the sweep's concurrency levels (``None`` outside a sweep).
+    """
     parser = argparse.ArgumentParser(
         prog="repro-bench serve",
         description="Multi-query GPU serving benchmark: queries/sec and "
@@ -557,14 +414,16 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scale",
         type=float,
-        default=1.0,
-        help="shrink workload cardinalities by this factor (default 1.0)",
+        default=None,
+        help="shrink workload cardinalities by this factor (default 1.0; "
+        "not read by --stream)",
     )
     parser.add_argument(
         "--spacing",
         type=float,
-        default=0.0,
-        help="seconds between query submissions (default 0: one batch)",
+        default=None,
+        help="seconds between query submissions (default 0: one batch; "
+        "not read by --stream)",
     )
     parser.add_argument(
         "--arrival-rate",
@@ -630,10 +489,10 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--deadline-scale",
         type=float,
-        default=1.0,
+        default=None,
         metavar="FACTOR",
         help="multiply every class deadline by this factor "
-        "(default 1.0; smaller = tighter SLOs)",
+        "(needs --classes; default 1.0; smaller = tighter SLOs)",
     )
     parser.add_argument(
         "--stream",
@@ -645,13 +504,13 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--arrivals",
         type=int,
-        default=DEFAULT_STREAM_ARRIVALS,
+        default=None,
         help=f"stream length for --stream (default {DEFAULT_STREAM_ARRIVALS})",
     )
     parser.add_argument(
         "--max-queue",
         type=int,
-        default=DEFAULT_STREAM_QUEUE,
+        default=None,
         metavar="N",
         help="wait-queue depth cap for --stream; arrivals beyond it are "
         f"shed (default {DEFAULT_STREAM_QUEUE}; 0 = unbounded)",
@@ -668,16 +527,17 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--compact-every",
         type=int,
-        default=DEFAULT_STREAM_COMPACT,
+        default=None,
         metavar="N",
-        help="compact every device schedule after N releases "
-        f"(default {DEFAULT_STREAM_COMPACT}; 0 disables compaction)",
+        help="compact every device schedule after N releases, for "
+        f"--stream (default {DEFAULT_STREAM_COMPACT}; 0 disables "
+        "compaction)",
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=0,
-        help="stream workload seed (default 0)",
+        default=None,
+        help="stream workload seed for --stream (default 0)",
     )
     parser.add_argument(
         "--faults",
@@ -690,9 +550,9 @@ def serve_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--fault-seed",
         type=int,
-        default=0,
+        default=None,
         metavar="SEED",
-        help="seed the fault plan is derived from (default 0; same "
+        help="seed the --faults plan is derived from (default 0; same "
         "seed, same crashes)",
     )
     parser.add_argument(
@@ -743,19 +603,24 @@ def serve_main(argv: list[str] | None = None) -> int:
         parser.error("--devices must be positive")
     if args.stream and (args.clients is not None or args.sweep):
         parser.error("--stream and --clients/--sweep are mutually exclusive")
-    if args.arrivals <= 0:
-        parser.error("--arrivals must be positive")
     if args.max_retries < 0:
         parser.error("--max-retries must be >= 0")
     if args.faults and not args.stream and args.clients is None:
         parser.error("--faults needs --clients or --stream")
-    # A bound outside its mode would be read by nothing and pass.
-    if args.max_wall is not None and not args.stream:
-        parser.error("--max-wall needs --stream")
-    if args.max_shed_rate is not None and not args.stream:
-        parser.error("--max-shed-rate needs --stream")
-    if args.max_failed_rate is not None and not args.faults:
-        parser.error("--max-failed-rate needs --faults")
+    # A flag outside its mode would be read by nothing and pass.
+    for dest, mode in _MODE_FLAGS:
+        if getattr(args, dest) is not None and not getattr(args, mode):
+            parser.error(f"--{dest.replace('_', '-')} needs --{mode}")
+    for dest in ("scale", "spacing"):
+        if args.stream and getattr(args, dest) is not None:
+            parser.error(f"--{dest} is not read by --stream")
+    if args.arrival_rate is not None and args.spacing is not None:
+        parser.error("--arrival-rate and --spacing are mutually exclusive")
+    for dest, default in _FLAG_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+    if args.arrivals <= 0:
+        parser.error("--arrivals must be positive")
     if args.max_queue < 0:
         parser.error("--max-queue must be >= 0 (0 = unbounded)")
     if args.compact_every < 0:
@@ -770,19 +635,33 @@ def serve_main(argv: list[str] | None = None) -> int:
     if args.arrival_rate is not None:
         if args.arrival_rate <= 0:
             parser.error("--arrival-rate must be positive")
-        if args.spacing != 0.0:
-            parser.error("--arrival-rate and --spacing are mutually exclusive")
-        spacing = 1.0 / args.arrival_rate
+        args.spacing = 1.0 / args.arrival_rate
     else:
-        spacing = args.spacing
+        args.arrival_rate = DEFAULT_STREAM_RATE
     try:
-        device_capacities = parse_device_caps(args.device_caps, args.devices)
-        device_calibrations = parse_device_calib(
+        args.device_capacities = parse_device_caps(
+            args.device_caps, args.devices
+        )
+        args.device_calibrations = parse_device_calib(
             args.device_calib, args.devices
         )
     except ValueError as exc:
         parser.error(str(exc))
+    args.levels = None
+    if args.sweep:
+        try:
+            args.levels = tuple(int(item) for item in args.sweep.split(","))
+        except ValueError:
+            parser.error(f"--sweep must be comma-separated integers: {args.sweep!r}")
+        if any(level <= 0 for level in args.levels):
+            parser.error("--sweep levels must be positive")
+    elif not args.stream and args.clients is None:
+        args.levels = DEFAULT_CLIENTS
+    return parser, args
 
+
+def serve_main(argv: list[str] | None = None) -> int:
+    parser, args = parse_serve_args(argv)
     store = None
     if args.sample_store:
         try:
@@ -795,9 +674,18 @@ def serve_main(argv: list[str] | None = None) -> int:
             # persisted, and persist every entry this run computes.
             estimate_cache.attach_store(store)
             print(f"sample store: {store.summary()}")
-        return _serve_dispatch(
-            parser, args, spacing, device_capacities, device_calibrations
+        scheduler = QueryScheduler(
+            devices=args.devices,
+            placement=args.placement,
+            device_capacities=args.device_capacities,
+            device_calibrations=args.device_calibrations,
+            steal=args.steal,
+            max_retries=args.max_retries,
+            admission=args.admission,
         )
+        if args.stream:
+            return _serve_stream(scheduler, args)
+        return _serve_online(scheduler, args)
     finally:
         if store is not None:
             estimate_cache.detach_store()
@@ -808,119 +696,108 @@ def serve_main(argv: list[str] | None = None) -> int:
             )
 
 
-def _serve_dispatch(
-    parser: argparse.ArgumentParser,
-    args: argparse.Namespace,
-    spacing: float,
-    device_capacities: list[int] | None,
-    device_calibrations: "list[Calibration | None] | None",
-) -> int:
-    if args.stream:
-        rate = args.arrival_rate if args.arrival_rate else DEFAULT_STREAM_RATE
-        max_queue = args.max_queue if args.max_queue > 0 else None
-        compact_every = args.compact_every if args.compact_every > 0 else None
-        fault_plan = None
-        if args.faults:
-            # Crashes land anywhere inside the arrival window; the plan
-            # always spares at least one device so the stream keeps
-            # completing after the losses.
-            fault_plan = FaultPlan.random(
-                args.fault_seed,
-                devices=args.devices,
-                horizon=args.arrivals / rate,
-                allow_total_loss=False,
-            )
-        report, wall = run_stream_bench(
+def _serve_stream(scheduler: QueryScheduler, args: argparse.Namespace) -> int:
+    rate = args.arrival_rate
+    fault_plan = None
+    if args.faults:
+        # Crashes land anywhere inside the arrival window; the plan
+        # always spares at least one device so the stream keeps
+        # completing after the losses.
+        fault_plan = FaultPlan.random(
+            args.fault_seed,
+            devices=args.devices,
+            horizon=args.arrivals / rate,
+            allow_total_loss=False,
+        )
+    compact_every = args.compact_every or None
+    start = time.perf_counter()
+    report = scheduler.run_stream(
+        stream_workload(
             args.arrivals,
             arrival_rate=rate,
-            devices=args.devices,
-            placement=args.placement,
-            max_queue_depth=max_queue,
-            slo_wait_seconds=args.slo,
-            compact_every=compact_every,
-            device_capacities=device_capacities,
-            device_calibrations=device_calibrations,
-            steal=args.steal,
-            faults=fault_plan,
-            max_retries=args.max_retries,
-            admission=args.admission,
-            classes=args.classes,
-            deadline_scale=args.deadline_scale,
             seed=args.seed,
-        )
-        classed_note = (
-            f", {args.admission} admission over classed arrivals"
-            if args.classes or args.admission != FIFO
-            else ""
-        )
-        print(
-            f"streaming admission: {args.arrivals} arrivals at {rate:g}/s "
-            f"on {args.devices} device(s) ({args.placement} placement"
-            f"{classed_note})"
-        )
-        if fault_plan is not None:
-            crashes = ", ".join(
-                f"device {c.device} at t={c.at:.3f}s"
-                for c in fault_plan.crashes
-            ) or "no crashes drawn"
-            print(
-                f"fault injection: seed {args.fault_seed}, {crashes}; "
-                f"retry budget {args.max_retries}"
-            )
-        print(report.render())
-        print(
-            f"wall {wall:.2f} s ({args.arrivals / wall:.0f} arrivals/s "
-            "processed)"
-        )
-        ends = "completed + shed" + (
-            " + failed" if fault_plan is not None else ""
-        )
-        retention = (
-            ", retained schedule bounded by in-flight work"
-            if compact_every is not None
-            else ""
-        )
-        print(
-            "verified: every arena within capacity and drained, "
-            f"{ends} == arrivals with distinct qids{retention}"
-        )
-        failed = False
-        if args.max_wall is not None and wall > args.max_wall:
-            print(
-                f"FAIL: stream wall {wall:.2f} s exceeds ceiling "
-                f"{args.max_wall:.2f} s"
-            )
-            failed = True
-        if (
-            args.max_shed_rate is not None
-            and report.shed_rate > args.max_shed_rate
-        ):
-            print(
-                f"FAIL: shed rate {report.shed_rate:.3f} exceeds bound "
-                f"{args.max_shed_rate:.3f}"
-            )
-            failed = True
-        if (
-            args.max_failed_rate is not None
-            and report.failed_rate > args.max_failed_rate
-        ):
-            print(
-                f"FAIL: failed rate {report.failed_rate:.3f} exceeds "
-                f"bound {args.max_failed_rate:.3f}"
-            )
-            failed = True
-        return 1 if failed else 0
-
-    canonical = serial_baseline_applies(
-        scale=args.scale,
-        spacing_seconds=spacing,
-        device_capacities=device_capacities,
-        device_calibrations=device_calibrations,
-        steal=args.steal,
-        faulted=args.faults,
-        admission=args.admission,
-        classes=args.classes,
+            classes=DEADLINE_CLASSES if args.classes else None,
+            deadline_scale=args.deadline_scale,
+        ),
+        max_queue_depth=args.max_queue or None,
+        slo_wait_seconds=args.slo,
+        compact_every=compact_every,
+        faults=fault_plan,
     )
+    wall = time.perf_counter() - start
+    classed_note = (
+        f", {args.admission} admission over classed arrivals"
+        if args.classes or args.admission != FIFO
+        else ""
+    )
+    print(
+        f"streaming admission: {args.arrivals} arrivals at {rate:g}/s "
+        f"on {args.devices} device(s) ({args.placement} placement"
+        f"{classed_note})"
+    )
+    if fault_plan is not None:
+        crashes = ", ".join(
+            f"device {c.device} at t={c.at:.3f}s"
+            for c in fault_plan.crashes
+        ) or "no crashes drawn"
+        print(
+            f"fault injection: seed {args.fault_seed}, {crashes}; "
+            f"retry budget {args.max_retries}"
+        )
+    print(report.render())
+    print(
+        f"wall {wall:.2f} s ({args.arrivals / wall:.0f} arrivals/s "
+        "processed)"
+    )
+    ends = "completed + shed" + (" + failed" if fault_plan is not None else "")
+    retention = (
+        ", retained schedule bounded by in-flight work"
+        if compact_every is not None
+        else ""
+    )
+    print(
+        "verified: every arena within capacity and drained, "
+        f"{ends} == arrivals with distinct qids{retention}"
+    )
+    failed = False
+    if args.max_wall is not None and wall > args.max_wall:
+        print(
+            f"FAIL: stream wall {wall:.2f} s exceeds ceiling "
+            f"{args.max_wall:.2f} s"
+        )
+        failed = True
+    if args.max_shed_rate is not None and report.shed_rate > args.max_shed_rate:
+        print(
+            f"FAIL: shed rate {report.shed_rate:.3f} exceeds bound "
+            f"{args.max_shed_rate:.3f}"
+        )
+        failed = True
+    if (
+        args.max_failed_rate is not None
+        and report.failed_rate > args.max_failed_rate
+    ):
+        print(
+            f"FAIL: failed rate {report.failed_rate:.3f} exceeds "
+            f"bound {args.max_failed_rate:.3f}"
+        )
+        failed = True
+    return 1 if failed else 0
+
+
+def _workload(args: argparse.Namespace, clients: int) -> list[QueryRequest]:
+    if args.classes:
+        return classed_workload(
+            clients,
+            scale=args.scale,
+            spacing_seconds=args.spacing,
+            deadline_scale=args.deadline_scale,
+        )
+    return mixed_workload(
+        clients, scale=args.scale, spacing_seconds=args.spacing
+    )
+
+
+def _serve_online(scheduler: QueryScheduler, args: argparse.Namespace) -> int:
     mode = "online (incremental extension)"
     if args.devices > 1:
         mode += f", {args.devices} devices ({args.placement} placement)"
@@ -939,49 +816,38 @@ def _serve_dispatch(
     if args.faults:
         mode += f", fault injection (seed {args.fault_seed})"
 
-    if args.clients is not None:
-        fault_plan = None
-        if args.faults:
-            # Size the crash window from a fault-free baseline so the
-            # drawn crash times actually land mid-run.
-            baseline = run_serve(
-                args.clients,
-                scale=args.scale,
-                spacing_seconds=spacing,
-                devices=args.devices,
-                placement=args.placement,
-                device_capacities=device_capacities,
-                device_calibrations=device_calibrations,
-                steal=args.steal,
-                admission=args.admission,
-                classes=args.classes,
-                deadline_scale=args.deadline_scale,
-                check_determinism=False,
-            )
-            fault_plan = FaultPlan.random(
-                args.fault_seed,
-                devices=args.devices,
-                horizon=baseline.makespan,
-                qids=[f"q{i:03d}" for i in range(args.clients)],
-                admission_fault_rate=0.1,
-                allow_total_loss=False,
-            )
-        report = run_serve(
-            args.clients,
-            scale=args.scale,
-            spacing_seconds=spacing,
+    workloads = [
+        _workload(args, clients) for clients in args.levels or (args.clients,)
+    ]
+    fault_plan = None
+    if args.faults:
+        # --faults comes with --clients, so there is one workload.  Size
+        # the crash window from a fault-free run so the drawn crash
+        # times actually land mid-run.
+        fault_plan = FaultPlan.random(
+            args.fault_seed,
             devices=args.devices,
-            placement=args.placement,
-            device_capacities=device_capacities,
-            device_calibrations=device_calibrations,
-            steal=args.steal,
-            faults=fault_plan,
-            max_retries=args.max_retries,
-            admission=args.admission,
-            classes=args.classes,
-            deadline_scale=args.deadline_scale,
+            horizon=scheduler.run_online(workloads[0]).makespan,
+            qids=[request.qid for request in workloads[0]],
+            admission_fault_rate=0.1,
+            allow_total_loss=False,
         )
-        print(f"admission mode: {mode}")
+    serial = serial_baseline_applies(
+        scheduler,
+        scale=args.scale,
+        spacing_seconds=args.spacing,
+        faults=fault_plan,
+        classes=args.classes,
+    )
+    reports = [
+        run_serve(scheduler, requests, faults=fault_plan, check_serial=serial)
+        for requests in workloads
+    ]
+    print(f"admission mode: {mode}")
+    if args.levels is not None:
+        print(render_sweep(reports))
+    else:
+        report = reports[0]
         if fault_plan is not None:
             crashes = ", ".join(
                 f"device {c.device} at t={c.at:.3f}s"
@@ -994,58 +860,21 @@ def _serve_dispatch(
                 f"{args.max_retries}"
             )
         print(report.render(per_query=True))
-        if (
-            args.max_failed_rate is not None
-            and report.failed_count / args.clients > args.max_failed_rate
-        ):
+        failed_rate = report.failed_count / args.clients
+        if args.max_failed_rate is not None and failed_rate > args.max_failed_rate:
             print(
-                f"FAIL: failed rate "
-                f"{report.failed_count / args.clients:.3f} exceeds bound "
+                f"FAIL: failed rate {failed_rate:.3f} exceeds bound "
                 f"{args.max_failed_rate:.3f}"
             )
             return 1
-        if args.clients > 1 and canonical:
-            print(
-                "verified: deterministic, every arena within capacity and "
-                "drained, concurrent no worse than serial (strictly "
-                "better wherever queries overlapped)"
-            )
-        else:
-            print("verified: deterministic, every arena within capacity and drained")
-        return 0
-
-    if args.sweep:
-        try:
-            levels = tuple(int(item) for item in args.sweep.split(","))
-        except ValueError:
-            parser.error(f"--sweep must be comma-separated integers: {args.sweep!r}")
-        if any(level <= 0 for level in levels):
-            parser.error("--sweep levels must be positive")
-    else:
-        levels = DEFAULT_CLIENTS
-    points = sweep(
-        levels,
-        scale=args.scale,
-        spacing_seconds=spacing,
-        devices=args.devices,
-        placement=args.placement,
-        device_capacities=device_capacities,
-        device_calibrations=device_calibrations,
-        steal=args.steal,
-        admission=args.admission,
-        classes=args.classes,
-        deadline_scale=args.deadline_scale,
-    )
-    print(f"admission mode: {mode}")
-    print(render_sweep(points))
-    if canonical:
-        print(
-            "verified: deterministic, every arena within capacity and "
-            "drained, concurrent no worse than serial at every level "
-            "(strictly better wherever queries overlapped)"
+    verified = "verified: deterministic, every arena within capacity and drained"
+    if serial and (args.levels is not None or args.clients > 1):
+        verified += (
+            ", concurrent no worse than serial"
+            + (" at every level" if args.levels is not None else "")
+            + " (strictly better wherever queries overlapped)"
         )
-    else:
-        print("verified: deterministic, every arena within capacity and drained")
+    print(verified)
     return 0
 
 

@@ -2,15 +2,20 @@
 
 import pytest
 
-from repro.bench.serve_bench import run_stream_bench, serve_main
+from repro.bench.serve_bench import serve_main
+from repro.serve import QueryScheduler
+from repro.serve.workload import stream_workload
 
 
 def test_run_stream_bench_verifies_and_reports():
-    report, wall = run_stream_bench(
-        600, arrival_rate=250.0, devices=2, max_queue_depth=32,
-        slo_wait_seconds=2.0, compact_every=32,
+    """The stream the ``--stream`` mode times: bounded queue, wait SLO
+    and compaction on two devices, audited by the run itself."""
+    report = QueryScheduler(devices=2).run_stream(
+        stream_workload(600, arrival_rate=250.0),
+        max_queue_depth=32,
+        slo_wait_seconds=2.0,
+        compact_every=32,
     )
-    assert wall > 0
     assert report.arrivals == 600
     assert report.completed + report.shed_count == 600
     assert report.compactions > 0
@@ -93,6 +98,16 @@ def test_serve_main_stream_excludes_sweep_flags(capsys):
         (["--stream", "--arrivals", "50", "--max-queue", "-3"], "--max-queue"),
         (["--stream", "--arrivals", "50", "--compact-every", "-1"],
          "--compact-every"),
+        (["--clients", "2", "--arrivals", "50"], "--arrivals"),
+        (["--clients", "2", "--max-queue", "8"], "--max-queue"),
+        (["--sweep", "2,4", "--compact-every", "0"], "--compact-every"),
+        (["--clients", "2", "--slo", "1.0"], "--slo"),
+        (["--clients", "2", "--seed", "4"], "--seed"),
+        (["--stream", "--arrivals", "50", "--scale", "0.5"], "--scale"),
+        (["--stream", "--arrivals", "50", "--spacing", "0.1"], "--spacing"),
+        (["--clients", "2", "--deadline-scale", "0.5"], "--deadline-scale"),
+        (["--stream", "--arrivals", "50", "--fault-seed", "3"],
+         "--fault-seed"),
     ],
     ids=[
         "max-wall-with-clients",
@@ -102,10 +117,19 @@ def test_serve_main_stream_excludes_sweep_flags(capsys):
         "max-failed-rate-stream-without-faults",
         "negative-max-queue",
         "negative-compact-every",
+        "arrivals-with-clients",
+        "max-queue-with-clients",
+        "compact-every-with-sweep",
+        "slo-with-clients",
+        "seed-with-clients",
+        "scale-with-stream",
+        "spacing-with-stream",
+        "deadline-scale-without-classes",
+        "fault-seed-without-faults",
     ],
 )
 def test_serve_cli_rejects_bounds_it_would_ignore(argv, flag, capsys):
-    """A bound outside its mode, or a negative cap, used to be read by
+    """A flag outside its mode, or a negative cap, used to be read by
     nothing and exit 0; it must fail argument parsing, naming the flag."""
     with pytest.raises(SystemExit) as excinfo:
         serve_main(argv)

@@ -221,21 +221,23 @@ def test_faulted_run_is_deterministic():
 
 
 def test_serve_bench_rerun_keeps_the_retry_backoff():
-    """``run_serve``'s determinism re-run builds a fresh scheduler; it
-    must copy every knob, including a non-default retry backoff, or a
-    run that retries anything is flagged non-deterministic."""
-    baseline = run_serve(16, devices=2, check_determinism=False)
+    """``run_serve``'s determinism re-run serves on the scheduler it was
+    given, so it keeps every knob, a non-default retry backoff included;
+    a re-run that dropped one flagged a run that retries anything as
+    non-deterministic."""
+    requests = mixed_workload(16)
+    baseline = QueryScheduler(devices=2).run_online(requests)
     plan = FaultPlan.random(
         0,
         devices=2,
         horizon=baseline.makespan,
-        qids=[f"q{i:03d}" for i in range(16)],
+        qids=[request.qid for request in requests],
         admission_fault_rate=0.1,
         allow_total_loss=False,
     )
     report = run_serve(
-        16,
-        scheduler=QueryScheduler(devices=2, retry_backoff_seconds=1.0),
+        QueryScheduler(devices=2, retry_backoff_seconds=1.0),
+        requests,
         faults=plan,
     )
     assert any(o.retries for o in report.outcomes) or report.failed

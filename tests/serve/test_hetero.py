@@ -447,11 +447,11 @@ def test_capped_fleet_skips_the_serial_baseline(capsys):
     device, which a fleet of 2 GB devices is allowed to lose to: the
     bench serves such a fleet without the gate, and the CLI's
     ``verified:`` line does not claim it."""
-    caps = [2_000_000_000] * 2
-    assert not serial_baseline_applies(device_capacities=caps)
-    report = run_serve(
-        4, devices=2, device_capacities=caps, check_determinism=False
+    scheduler = QueryScheduler(devices=2, device_capacities=[2_000_000_000] * 2)
+    assert not serial_baseline_applies(
+        scheduler, scale=1.0, spacing_seconds=0.0, faults=None, classes=False
     )
+    report = run_serve(scheduler, mixed_workload(4), check_determinism=False)
     assert report.makespan > report.serial_makespan  # the gate would fail
     assert serve_main(
         ["--clients", "4", "--devices", "2", "--device-caps", "2,2"]

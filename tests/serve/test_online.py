@@ -109,10 +109,12 @@ def test_online_report_passes_serving_guarantees():
 
 
 def test_run_serve_online_checks_determinism_and_guarantees():
-    report = run_serve(4, check_determinism=True)
+    report = run_serve(QueryScheduler(), mixed_workload(4), check_serial=True)
     assert len(report.outcomes) == 4
     assert report.makespan > 0
-    sharded = run_serve(4, devices=2, check_determinism=True)
+    sharded = run_serve(
+        QueryScheduler(devices=2), mixed_workload(4), check_serial=True
+    )
     assert len(sharded.outcomes) == 4
     assert sharded.devices == 2
 
