@@ -1,5 +1,5 @@
-"""The CI docs checker: link resolution, anchors, README doctests and
-``repro.*`` names."""
+"""The CI docs checker: link resolution, anchors, README doctests,
+``repro.*`` names and quoted ``serve`` commands."""
 
 import importlib.util
 from pathlib import Path
@@ -17,6 +17,7 @@ def test_repo_docs_are_clean():
     assert check_docs.check_links() == []
     assert check_docs.check_doctests() == []
     assert check_docs.check_references() == []
+    assert check_docs.check_serve_commands() == []
 
 
 def test_github_anchor_slugs():
@@ -185,4 +186,37 @@ def test_unresolved_relative_role_targets_detected(tmp_path, monkeypatch):
         "src/relpkg/mod.py:4: QueryScheduler does not resolve",
         "src/relpkg/mod.py:5: cache does not resolve",
         "src/relpkg/mod.py:5: dataclasses.nowhere does not resolve",
+    ]
+
+
+def test_serve_commands_the_cli_rejects_detected(tmp_path, monkeypatch):
+    """Every quoted ``serve`` command must pass the CLI's argument
+    parsing and mode checks: code-fence lines (``#`` comments stripped)
+    and inline spans, which may wrap across lines; ``serve`` alone names
+    the subcommand and is not read as a command."""
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "guide.md").write_text("Chaos: `serve --faults`.\n")
+    (tmp_path / "README.md").write_text(
+        "The `serve` bench: `serve --clients 4 --slo 1.0` or\n"
+        "`python -m repro.bench serve --stream\n--arrivals 50`.\n"
+        "```bash\n"
+        "python -m repro.bench serve --clients 4  # one level\n"
+        "python -m repro.bench serve --stream --scale 0.5\n"
+        "```\n"
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    assert check_docs.iter_serve_commands() == [
+        ("README.md", 1, ["--clients", "4", "--slo", "1.0"]),
+        ("README.md", 2, ["--stream", "--arrivals", "50"]),
+        ("README.md", 5, ["--clients", "4"]),
+        ("README.md", 6, ["--stream", "--scale", "0.5"]),
+        ("docs/guide.md", 1, ["--faults"]),
+    ]
+    assert check_docs.check_serve_commands() == [
+        "README.md:1: serve --clients 4 --slo 1.0: --slo needs --stream",
+        "README.md:6: serve --stream --scale 0.5: --scale is not read by "
+        "--stream",
+        "docs/guide.md:1: serve --faults: --faults needs --clients or "
+        "--stream",
     ]

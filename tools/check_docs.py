@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""CI docs check: relative links, README doctests and ``repro.*`` names.
+"""CI docs check: relative links, README doctests, ``repro.*`` names and
+quoted ``serve`` commands.
 
-Three gates, run on every PR (``python tools/check_docs.py``):
+Four gates, run on every PR (``python tools/check_docs.py``):
 
 1. **Relative links** — every markdown link or image in ``README.md``
    and ``docs/*.md`` that points at a repository path must resolve:
@@ -26,6 +27,13 @@ Three gates, run on every PR (``python tools/check_docs.py``):
    namespace of the module that cites it, then in each class that
    module defines, then in :mod:`builtins`; a dotted one found in none
    of them resolves as an absolute name (``dataclasses.replace``).
+4. **Serve commands** — every ``serve`` command the docs quote must
+   pass the CLI's argument parsing and mode checks
+   (:func:`repro.bench.serve_bench.parse_serve_args`), without running:
+   a code-fence line running ``python -m repro.bench serve`` (its ``#``
+   comment stripped), and an inline code span outside the fences that
+   holds such a command or starts ``serve --`` (a span may wrap across
+   lines).
 
 Exits non-zero listing every failure.  Needs the package importable
 (``pip install -e .`` or ``PYTHONPATH=src``).
@@ -34,9 +42,11 @@ Exits non-zero listing every failure.  Needs the package importable
 from __future__ import annotations
 
 import builtins
+import contextlib
 import dataclasses
 import doctest
 import importlib
+import io
 import re
 from pathlib import Path
 
@@ -51,6 +61,10 @@ _HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 _DOC_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
 #: A cross-reference role in a docstring; group 1 is its target.
 _ROLE = re.compile(r":(?:func|class|meth|mod|attr|data):`~?([^`]*)`")
+#: A markdown inline code span; group 1 is its text.
+_SPAN = re.compile(r"`([^`]+)`")
+#: A ``serve`` command, whitespace normalized; group 1 is its arguments.
+_SERVE = re.compile(r"(?:python -m repro\.bench serve(?!\S)|serve(?= --))(.*)")
 
 
 def doc_files() -> list[Path]:
@@ -254,8 +268,63 @@ def check_references() -> list[str]:
     ]
 
 
+def iter_serve_commands() -> list[tuple[str, int, list[str]]]:
+    """``(file, line, argv)`` for every ``serve`` command the docs quote
+    (see the module docstring), in file and line order; a wrapped span
+    is reported at the line it starts on."""
+    commands: list[tuple[str, int, list[str]]] = []
+    for path in doc_files():
+        where = str(path.relative_to(REPO_ROOT))
+        found: list[tuple[int, str]] = []
+        prose: list[str] = []  # fenced lines blanked, so numbers hold
+        in_fence = False
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            if _FENCE.match(line):
+                in_fence = not in_fence
+                line = ""
+            elif in_fence:
+                found.append((lineno, line.split("#", 1)[0]))
+                line = ""
+            prose.append(line)
+        text = "\n".join(prose)
+        found.extend(
+            (text.count("\n", 0, span.start()) + 1, span.group(1))
+            for span in _SPAN.finditer(text)
+        )
+        for lineno, quoted in sorted(found):
+            match = _SERVE.fullmatch(" ".join(quoted.split()))
+            if match:
+                commands.append((where, lineno, match.group(1).split()))
+    return commands
+
+
+def check_serve_commands() -> list[str]:
+    from repro.bench.serve_bench import parse_serve_args
+
+    errors: list[str] = []
+    for where, lineno, argv in iter_serve_commands():
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(stderr):
+                parse_serve_args(argv)
+        except SystemExit as exc:
+            reason = stderr.getvalue().strip().rpartition("error: ")[2]
+            errors.append(
+                f"{where}:{lineno}: serve {' '.join(argv)}: "
+                f"{reason or f'exit {exc.code}'}"
+            )
+    return errors
+
+
 def main() -> int:
-    errors = check_links() + check_doctests() + check_references()
+    errors = (
+        check_links()
+        + check_doctests()
+        + check_references()
+        + check_serve_commands()
+    )
     for error in errors:
         print(error)
     checked = len(doc_files())
@@ -263,8 +332,8 @@ def main() -> int:
         print(f"{len(errors)} docs problem(s) across {checked} file(s)")
         return 1
     print(
-        f"docs ok: links, README doctests and cited names pass in "
-        f"{checked} doc file(s) and src/"
+        f"docs ok: links, README doctests, cited names and quoted serve "
+        f"commands pass in {checked} doc file(s) and src/"
     )
     return 0
 
