@@ -10,7 +10,7 @@ share of its time re-deriving hashes of objects that can never change.
 :func:`cached_hash` swaps in one shared ``__hash__`` that computes the
 generated hash — ``hash`` of the tuple of hashed field values, so dict
 and set iteration orders are exactly as before — once per instance and
-keeps it in the instance ``__dict__``.  The cached value is not a
+keeps it in an instance attribute.  The cached value is not a
 dataclass field, so ``fields()``, ``repr``, ``==``, ``asdict`` and the
 sample store's ``repr``-based digests never see it.  It is dropped on
 pickling and copying: string hashes are salted per process, so a hash
@@ -21,16 +21,19 @@ from __future__ import annotations
 
 from dataclasses import fields
 
-#: Instance-``__dict__`` slot holding the cached hash.
+#: Name of the instance attribute holding the cached hash.
 _SLOT = "_cached_hash"
 
 
 def _hash(self) -> int:
+    # An attribute read and ``object.__setattr__`` keep the instance's
+    # attributes in CPython's inline values; touching ``self.__dict__``
+    # would build the dict and slow every later attribute read.
     try:
-        return self.__dict__[_SLOT]
-    except KeyError:
+        return self._cached_hash
+    except AttributeError:
         value = hash(tuple(getattr(self, name) for name in self._hash_fields))
-        self.__dict__[_SLOT] = value
+        object.__setattr__(self, _SLOT, value)
         return value
 
 
