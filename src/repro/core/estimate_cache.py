@@ -278,10 +278,6 @@ def detach_store() -> None:
     _store = None
 
 
-def attached_store() -> Any:
-    return _store
-
-
 def make_key(
     fingerprint: Hashable, spec: Hashable, materialize: bool, kwargs: dict[str, Any]
 ) -> Hashable | None:

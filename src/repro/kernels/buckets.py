@@ -62,10 +62,6 @@ class PartitionedRelation:
         lo, hi = int(self.offsets[p]), int(self.offsets[p + 1])
         return self.keys[lo:hi], self.payloads[lo:hi]
 
-    def partition_of(self, row: int) -> int:
-        """Partition id of a row in the reordered layout."""
-        return int(np.searchsorted(self.offsets, row, side="right") - 1)
-
     # ------------------------------------------------------------------
     # Bucket accounting (drives costs and §IV-D packing footprints)
     # ------------------------------------------------------------------

@@ -218,9 +218,6 @@ class Schedule:
         self.retired_tasks += len(retired)
         return len(retired)
 
-    def finish_of(self, name: str) -> float:
-        return self.tasks[name].finish
-
     def busy_time(self, resource: str) -> float:
         """Total occupancy of one resource."""
         return sum(

@@ -272,8 +272,6 @@ class _FaultRun:
         self._seq = 0
         self.max_retries = max_retries
         self.backoff = backoff
-        #: Crash times actually applied, by device index.
-        self.crashed_devices: dict[int, float] = {}
 
     # -- queries ---------------------------------------------------------
     def has_work(self) -> bool:

@@ -71,10 +71,9 @@ class DeviceState:
     wave: Wave = field(default_factory=Wave)
     engine: PipelineEngine | None = None
     schedule: Schedule = field(default_factory=Schedule)
-    #: Query ids currently holding a reservation on this device.
-    running: set[str] = field(default_factory=set)
     #: Expected finish per running query — engine-accurate once the
-    #: query has been through a pass, alone-estimate before that.
+    #: query has been through a pass, alone-estimate before that.  Its
+    #: keys are the queries holding a reservation on this device.
     predicted_finish: dict[str, float] = field(default_factory=dict)
     #: The device was asked to leave the fleet: it finishes in-flight
     #: work but receives no further placements (including steals).
@@ -117,7 +116,12 @@ class DeviceState:
         via :meth:`~repro.pipeline.engine.PipelineEngine.retire`, so a
         later placement bug raises instead of resurrecting the device.
         """
-        if self.crashed or not self.retiring or self.retired or self.running:
+        if (
+            self.crashed
+            or not self.retiring
+            or self.retired
+            or self.predicted_finish
+        ):
             # A crash supersedes a pending retirement: the engine was
             # already sealed (harder) and there is nothing left to drain.
             return False
@@ -136,11 +140,10 @@ class DeviceState:
         is **not** touched here — the scheduler reconciles it with the
         lost-query list so the release bookkeeping stays in one place.
         """
-        lost = sorted(self.running)
+        lost = sorted(self.predicted_finish)
         if self.engine is not None:
             self.engine.crash(self.schedule, at)
         self.wave = Wave()
-        self.running.clear()
         self.predicted_finish.clear()
         self.crashed = True
         self.crashed_at = at
@@ -439,7 +442,7 @@ class DeviceFleet:
 
     # -- aggregate views ------------------------------------------------
     def any_running(self) -> bool:
-        return any(device.running for device in self.devices)
+        return any(device.predicted_finish for device in self.devices)
 
     def device_peaks(self) -> tuple[int, ...]:
         return tuple(device.arena.peak_bytes for device in self.devices)

@@ -954,7 +954,6 @@ class _Run:
                 fault_run.record_failure(
                     request, event.at, device=event.device
                 )
-            fault_run.crashed_devices[event.device] = event.at
         for request in reversed(fault_run.take_ready(clock)):
             self._enter_queue(request, front=True)
 
@@ -1439,7 +1438,6 @@ class _Run:
             tenant=tenant_of(request),
             deadline_at=request.deadline_at,
         )
-        device.running.add(qid)
         self.owner[qid] = device
         # The wait estimator's predicted finish must reflect *this*
         # device's speed: the offer's alone-estimate under the device's
@@ -1470,7 +1468,7 @@ class _Run:
             return
         max_degradation_for = self.scheduler._max_degradation_for
         for device in self.fleet.active():
-            if device.running:
+            if device.predicted_finish:
                 continue
             room = device.free_bytes
             best: tuple[float, int, str, int, _Profile] | None = None
@@ -1611,7 +1609,6 @@ class _Run:
             completed.append(outcomes.pop(qid))
             device = owner.pop(qid)
             device.arena.release(qid, at=clock)
-            device.running.remove(qid)
             del device.predicted_finish[qid]
             self.inflight_tasks -= len(admitted_plans.pop(qid))
             released += 1

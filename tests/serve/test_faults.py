@@ -731,7 +731,7 @@ def test_fleet_crash_device_validation():
 
 def test_crash_supersedes_a_pending_retirement():
     fleet = DeviceFleet([DEFAULT_CAP, DEFAULT_CAP])
-    fleet[1].running.add("q9")  # mid-drain: retirement cannot finalize
+    fleet[1].predicted_finish["q9"] = 2.0  # mid-drain: cannot finalize
     fleet.retire_device(1)
     assert fleet[1].retiring and not fleet[1].retired
     assert fleet.crash_device(1, 1.0) == ["q9"]
