@@ -63,7 +63,8 @@ Flags every mode reads shape the fleet and the workload:
   appends what the run computes.
 
 A flag outside its mode would be read by nothing, so it fails argument
-parsing, naming the flag (:func:`parse_serve_args`).
+parsing, naming the flag (:func:`parse_serve_args`); so does a NaN, which
+passes every range check, or a value out of a flag's range.
 
 The serial baseline prices each query alone, back to back, on one
 full-size device under the default calibration, so only the canonical
@@ -92,6 +93,7 @@ Run via the CLI (``python -m repro.bench serve --clients 16``,
 from __future__ import annotations
 
 import argparse
+import math
 import time
 from typing import Sequence
 
@@ -266,33 +268,31 @@ def run_serve(
     *,
     faults: FaultPlan | None = None,
     check_serial: bool = False,
-    check_determinism: bool = True,
 ) -> ServeReport:
     """Serve ``requests`` on ``scheduler`` through
     :meth:`~repro.serve.scheduler.QueryScheduler.run_online`, replaying
     the ``faults`` plan, and check the run.
 
     ``check_serial`` asserts the serial baseline (:func:`verify_report`);
-    pass :func:`serial_baseline_applies` for the run.
-    ``check_determinism`` serves the same requests again on the same
-    scheduler and raises unless the device-aware fingerprint and the
-    failed queries match; faulted runs are deterministic too.
+    pass :func:`serial_baseline_applies` for the run.  The same requests
+    are then served again on the same scheduler, which raises unless the
+    device-aware fingerprint and the failed queries match; faulted runs
+    are deterministic too.
     """
     report = scheduler.run_online(requests, faults=faults)
     clients = len(requests)
     verify_report(report, clients=clients, check_serial=check_serial)
-    if check_determinism:
-        rerun = scheduler.run_online(requests, faults=faults)
-        if fingerprint_sharded(rerun) != fingerprint_sharded(report):
-            raise SchedulingError(
-                f"serve schedule is non-deterministic at {clients} clients "
-                f"on {scheduler.devices} device(s)"
-            )
-        if rerun.failed != report.failed:
-            raise SchedulingError(
-                f"faulted serve failures are non-deterministic at "
-                f"{clients} clients on {scheduler.devices} device(s)"
-            )
+    rerun = scheduler.run_online(requests, faults=faults)
+    if fingerprint_sharded(rerun) != fingerprint_sharded(report):
+        raise SchedulingError(
+            f"serve schedule is non-deterministic at {clients} clients "
+            f"on {scheduler.devices} device(s)"
+        )
+    if rerun.failed != report.failed:
+        raise SchedulingError(
+            f"faulted serve failures are non-deterministic at "
+            f"{clients} clients on {scheduler.devices} device(s)"
+        )
     return report
 
 
@@ -329,6 +329,21 @@ def verify_stream_report(
     (:func:`~repro.serve.audit.check_retention`), which the run that
     built ``report`` has already audited along with everything else."""
     check_retention(report, compact_every)
+
+
+def _number(text: str) -> float:
+    """A float flag's value.  NaN fails every comparison, so it would
+    pass each range check of :func:`parse_serve_args` and then crash the
+    run or switch a bound off; it is refused here, naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    return value
 
 
 def parse_device_caps(text: str | None, devices: int) -> list[int] | None:
@@ -413,21 +428,21 @@ def parse_serve_args(
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_number,
         default=None,
         help="shrink workload cardinalities by this factor (default 1.0; "
         "not read by --stream)",
     )
     parser.add_argument(
         "--spacing",
-        type=float,
+        type=_number,
         default=None,
         help="seconds between query submissions (default 0: one batch; "
         "not read by --stream)",
     )
     parser.add_argument(
         "--arrival-rate",
-        type=float,
+        type=_number,
         default=None,
         metavar="R",
         help="offered arrival rate in queries per simulated second "
@@ -488,7 +503,7 @@ def parse_serve_args(
     )
     parser.add_argument(
         "--deadline-scale",
-        type=float,
+        type=_number,
         default=None,
         metavar="FACTOR",
         help="multiply every class deadline by this factor "
@@ -517,7 +532,7 @@ def parse_serve_args(
     )
     parser.add_argument(
         "--slo",
-        type=float,
+        type=_number,
         default=None,
         metavar="SECONDS",
         help="fleet-wide admission-wait SLO for --stream (simulated "
@@ -564,7 +579,7 @@ def parse_serve_args(
     )
     parser.add_argument(
         "--max-failed-rate",
-        type=float,
+        type=_number,
         default=None,
         metavar="FRACTION",
         help="fail when the fraction of arrivals that ended failed "
@@ -572,14 +587,14 @@ def parse_serve_args(
     )
     parser.add_argument(
         "--max-wall",
-        type=float,
+        type=_number,
         default=None,
         metavar="SECONDS",
         help="fail when the --stream run exceeds this wall-clock time",
     )
     parser.add_argument(
         "--max-shed-rate",
-        type=float,
+        type=_number,
         default=None,
         metavar="FRACTION",
         help="fail when the --stream shed rate exceeds this fraction",
@@ -630,6 +645,12 @@ def parse_serve_args(
             "--faults needs --devices >= 2: at least one device must "
             "survive the crash plan"
         )
+    if not 0 < args.scale < math.inf:
+        parser.error("--scale must be positive and finite")
+    if not 0 <= args.spacing < math.inf:
+        parser.error("--spacing must be >= 0 and finite")
+    if args.slo is not None and args.slo < 0:
+        parser.error("--slo must be >= 0")
     if args.deadline_scale <= 0:
         parser.error("--deadline-scale must be positive")
     if args.arrival_rate is not None:
@@ -823,11 +844,24 @@ def _serve_online(scheduler: QueryScheduler, args: argparse.Namespace) -> int:
     if args.faults:
         # --faults comes with --clients, so there is one workload.  Size
         # the crash window from a fault-free run so the drawn crash
-        # times actually land mid-run.
+        # times actually land mid-run; that run is held to the serial
+        # baseline wherever a fault-free run would be.
+        fault_free = scheduler.run_online(workloads[0])
+        verify_report(
+            fault_free,
+            clients=args.clients,
+            check_serial=serial_baseline_applies(
+                scheduler,
+                scale=args.scale,
+                spacing_seconds=args.spacing,
+                faults=None,
+                classes=args.classes,
+            ),
+        )
         fault_plan = FaultPlan.random(
             args.fault_seed,
             devices=args.devices,
-            horizon=scheduler.run_online(workloads[0]).makespan,
+            horizon=fault_free.makespan,
             qids=[request.qid for request in workloads[0]],
             admission_fault_rate=0.1,
             allow_total_loss=False,

@@ -108,6 +108,17 @@ def test_serve_main_stream_excludes_sweep_flags(capsys):
         (["--clients", "2", "--deadline-scale", "0.5"], "--deadline-scale"),
         (["--stream", "--arrivals", "50", "--fault-seed", "3"],
          "--fault-seed"),
+        (["--clients", "4", "--scale", "nan"], "--scale"),
+        (["--clients", "4", "--scale", "0"], "--scale"),
+        (["--clients", "4", "--scale", "inf"], "--scale"),
+        (["--clients", "4", "--spacing", "-0.1"], "--spacing"),
+        (["--clients", "4", "--arrival-rate", "nan"], "--arrival-rate"),
+        (["--clients", "4", "--classes", "--deadline-scale", "nan"],
+         "--deadline-scale"),
+        (["--stream", "--arrivals", "50", "--slo", "nan"], "--slo"),
+        (["--stream", "--arrivals", "50", "--slo", "-1"], "--slo"),
+        (["--stream", "--arrivals", "50", "--max-wall", "nan"],
+         "--max-wall"),
     ],
     ids=[
         "max-wall-with-clients",
@@ -126,11 +137,22 @@ def test_serve_main_stream_excludes_sweep_flags(capsys):
         "spacing-with-stream",
         "deadline-scale-without-classes",
         "fault-seed-without-faults",
+        "nan-scale",
+        "zero-scale",
+        "infinite-scale",
+        "negative-spacing",
+        "nan-arrival-rate",
+        "nan-deadline-scale",
+        "nan-slo",
+        "negative-slo",
+        "nan-max-wall",
     ],
 )
 def test_serve_cli_rejects_bounds_it_would_ignore(argv, flag, capsys):
     """A flag outside its mode, or a negative cap, used to be read by
-    nothing and exit 0; it must fail argument parsing, naming the flag."""
+    nothing and exit 0, and a NaN or out-of-range value either crashed
+    the run with a traceback or switched a bound off; each must fail
+    argument parsing, naming the flag."""
     with pytest.raises(SystemExit) as excinfo:
         serve_main(argv)
     assert excinfo.value.code == 2

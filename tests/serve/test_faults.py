@@ -35,6 +35,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.bench import serve_bench
 from repro.bench.serve_bench import fingerprint_sharded, run_serve
 from repro.data.spec import unique_pair
 from repro.errors import (
@@ -241,6 +242,22 @@ def test_serve_bench_rerun_keeps_the_retry_backoff():
         faults=plan,
     )
     assert any(o.retries for o in report.outcomes) or report.failed
+
+
+def test_serve_faults_holds_its_sizing_run_to_the_serial_baseline(monkeypatch):
+    """``serve --clients N --faults`` sizes its crash window from a
+    fault-free run of the canonical workload, which is held to the
+    serial baseline; the faulted run, which drew a crash, is not."""
+    checked = []
+
+    def record(report, *, clients, check_serial=True):
+        checked.append(check_serial)
+
+    monkeypatch.setattr(serve_bench, "verify_report", record)
+    assert serve_bench.serve_main(
+        ["--clients", "8", "--devices", "2", "--faults"]
+    ) == 0
+    assert checked == [True, False]
 # ----------------------------------------------------------------------
 
 def test_crash_retries_lost_queries_on_surviving_device():

@@ -31,7 +31,6 @@ from repro.bench.serve_bench import (
     fingerprint_sharded,
     parse_device_calib,
     parse_device_caps,
-    run_serve,
     serial_baseline_applies,
     serve_main,
 )
@@ -451,7 +450,7 @@ def test_capped_fleet_skips_the_serial_baseline(capsys):
     assert not serial_baseline_applies(
         scheduler, scale=1.0, spacing_seconds=0.0, faults=None, classes=False
     )
-    report = run_serve(scheduler, mixed_workload(4), check_determinism=False)
+    report = scheduler.run_online(mixed_workload(4))
     assert report.makespan > report.serial_makespan  # the gate would fail
     assert serve_main(
         ["--clients", "4", "--devices", "2", "--device-caps", "2,2"]
