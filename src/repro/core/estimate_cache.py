@@ -102,9 +102,6 @@ if TYPE_CHECKING:
 #: a bound, not a tuning knob.  Override via :func:`configure`.
 DEFAULT_MAX_ENTRIES = 65536
 
-#: Backwards-compatible alias for the historical module constant.
-MAX_ENTRIES = DEFAULT_MAX_ENTRIES
-
 _cache: "OrderedDict[Hashable, JoinMetrics]" = OrderedDict()
 _ladder_cache: "OrderedDict[Hashable, str]" = OrderedDict()
 _plan_cache: "OrderedDict[Hashable, JoinPlan]" = OrderedDict()
@@ -189,14 +186,6 @@ def configure(*, enabled: bool, max_entries: int | None = None) -> None:
                 globals()[counter] += 1
     if not enabled:
         clear()
-
-
-def enabled() -> bool:
-    return _enabled
-
-
-def max_entries() -> int:
-    return _max_entries
 
 
 def clear() -> None:

@@ -21,6 +21,12 @@ start, so a task's start is final once everything before it in that
 order is placed, and one linear pass places the whole graph.  The
 all-queue-heads scanner this pass is checked against lives in
 :mod:`repro.pipeline.oracle`.
+
+A schedule grows by waves: :meth:`PipelineEngine.extend` places a
+:class:`Wave` of :class:`Admission` objects — self-contained templates,
+each under an alias, at a release time, on a device — on top of the
+schedule's carried-over lane heaps, in place.  The serving layer places
+every admission wave this way.
 """
 
 from __future__ import annotations
@@ -28,10 +34,16 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import repeat
-from typing import Container, Sequence
+from typing import Sequence
 
 from repro.errors import SchedulingError
-from repro.pipeline.tasks import ResourcePool, Schedule, ScheduledTask, Task
+from repro.pipeline.tasks import (
+    ResourcePool,
+    Schedule,
+    ScheduledTask,
+    Task,
+    is_int,
+)
 
 
 def _check_seconds(value: float, what: str, owner: str) -> None:
@@ -54,11 +66,6 @@ class PlanTemplate:
     submission order, so placing a template reproduces the schedule of
     its tasks submitted one by one.
 
-    ``external`` names tasks outside the graph that dependencies may
-    also reference — the already-placed tasks of an engine extension.
-    They stay names (:attr:`external`, per task), and placement folds
-    their finishes into the dependents' release times.
-
     Templates are immutable; :attr:`repro.core.strategy.JoinPlan.
     template` lowers each plan once and every admission of the plan
     reuses it.
@@ -66,12 +73,10 @@ class PlanTemplate:
 
     __slots__ = (
         "tasks", "names", "resources", "durations", "deps", "releases",
-        "external", "pools",
+        "pools",
     )
 
-    def __init__(
-        self, tasks: Sequence[Task], external: Container[str] = ()
-    ) -> None:
+    def __init__(self, tasks: Sequence[Task]) -> None:
         position: dict[str, int] = {}
         for index, task in enumerate(tasks):
             if task.name in position:
@@ -83,7 +88,6 @@ class PlanTemplate:
             )
         count = len(tasks)
         inner: list[list[int]] = []
-        outer: list[tuple[str, ...]] = []
         # Kahn's algorithm over dependency and FIFO-predecessor edges,
         # the lowest submission index first among ready tasks.
         waiting = [0] * count
@@ -91,25 +95,20 @@ class PlanTemplate:
         tail: dict[str, int] = {}
         for index, task in enumerate(tasks):
             deps: list[int] = []
-            names: list[str] = []
             for dep in dict.fromkeys(task.deps):
                 at = position.get(dep)
-                if at is not None:
-                    deps.append(at)
-                    unblocks[at].append(index)
-                elif dep in external:
-                    names.append(dep)
-                else:
+                if at is None:
                     raise SchedulingError(
                         f"task {task.name!r} depends on unknown task {dep!r}"
                     )
+                deps.append(at)
+                unblocks[at].append(index)
             before = tail.get(task.resource)
             if before is not None:
                 unblocks[before].append(index)
             tail[task.resource] = index
             waiting[index] = len(deps) + (before is not None)
             inner.append(deps)
-            outer.append(tuple(names))
         ready = [index for index in range(count) if not waiting[index]]
         order: list[int] = []
         while ready:
@@ -142,11 +141,6 @@ class PlanTemplate:
         #: Per task, the dispatch-order indices of its dependencies.
         self.deps = tuple(
             tuple(rank[dep] for dep in inner[index]) for index in order
-        )
-        #: Per task, its dependencies outside the graph (``None`` when
-        #: the graph is self-contained, as every plan is).
-        self.external = (
-            tuple(outer[index] for index in order) if any(outer) else None
         )
         #: Resources in order of first submission.
         self.pools = tuple(tail)
@@ -210,8 +204,7 @@ class Admission:
 class Wave:
     """The admissions one :meth:`PipelineEngine.extend` call places.
 
-    ``len()`` is the number of tasks the wave places, as for a task
-    list passed to ``extend``.
+    ``len()`` is the number of tasks the wave places.
     """
 
     __slots__ = ("admissions", "_size")
@@ -228,13 +221,6 @@ class Wave:
 
     def __len__(self) -> int:
         return self._size
-
-
-def _releases(admission: Admission) -> "Sequence[float] | repeat[float]":
-    """Per-task release times of an admission, in dispatch order."""
-    if admission.available_at is None:
-        return admission.template.releases
-    return repeat(admission.available_at)
 
 
 class PipelineEngine:
@@ -262,8 +248,10 @@ class PipelineEngine:
         *,
         device: int = 0,
     ) -> None:
-        if device < 0:
-            raise SchedulingError(f"engine device must be >= 0, got {device}")
+        if not is_int(device) or device < 0:
+            raise SchedulingError(
+                f"engine device must be an int >= 0, got {device!r}"
+            )
         #: Which GPU of a sharded fleet this engine simulates.  Every
         #: submitted task must carry the same tag — a task routed to the
         #: wrong device's engine is a placement bug, not a schedulable
@@ -401,63 +389,44 @@ class PipelineEngine:
         return schedule
 
     # ------------------------------------------------------------------
-    def extend(
-        self,
-        schedule: Schedule,
-        new_tasks: "Sequence[Task] | Wave",
-        *,
-        in_place: bool = False,
-    ) -> Schedule:
-        """Incrementally place ``new_tasks`` on top of ``schedule``.
+    def extend(self, schedule: Schedule, new_tasks: Wave) -> Schedule:
+        """Place the wave ``new_tasks`` on top of ``schedule``, in place,
+        and return ``schedule``.
 
         ``schedule`` must be the result of :meth:`run` (or a previous
         :meth:`extend`) over *every* task currently in the engine; the
-        new tasks are appended to their resources' FIFO queues and the
-        combined schedule is returned, **without re-simulating the
-        already-placed graph**.  This is what makes per-arrival
-        re-scheduling in the serving layer cheap: one admission wave
-        costs O(new tasks), not O(all tasks admitted so far).
-
-        ``new_tasks`` is a list of :class:`Task` or a :class:`Wave` of
-        template admissions — the serving layer's form, which places
-        each admitted plan's template under the query's alias without
-        building a task object per placed task.
+        wave's admissions are appended to their resources' FIFO queues
+        **without re-simulating the already-placed graph**.  This is
+        what makes per-arrival re-scheduling in the serving layer
+        cheap: one admission wave costs O(new tasks), not O(all tasks
+        admitted so far).  Each :class:`Admission` places its
+        template's tasks — under its alias, at its release time, or as
+        submitted — without building a task object per placed task.
 
         Equivalence (pinned by ``tests/pipeline/test_engine_extend.py``
-        against :meth:`run` and the reference scanner): since tasks
-        already in the engine occupy earlier positions of every FIFO
-        queue and never depend on later submissions, their start
-        times, finishes and lane assignments are unaffected by the new
-        tasks — so carrying over the end-of-run per-pool lane heaps
-        (:attr:`~repro.pipeline.tasks.Schedule.lane_state`) and the
-        recorded finish times reproduces, bit-for-bit, the schedule a
-        full :meth:`run` over old + new tasks would compute.
-
-        New tasks may depend on already-scheduled tasks or on each
-        other, carry ``available_at`` release times (simulated seconds,
-        e.g. the admission clock of a newly admitted query), and may
-        introduce new resources (defaulting to one lane).  The engine's
-        task list is extended, so a subsequent full :meth:`run` — or
-        another :meth:`extend` — covers old and new tasks alike.
-
-        By default the input ``schedule`` is left untouched and a
-        combined copy is returned — copying the accumulated task dict
-        costs O(all tasks so far) per wave.  Callers that retire the
-        input schedule anyway (the serve scheduler's event loop) pass
-        ``in_place=True`` to mutate and return ``schedule`` itself,
-        making a wave genuinely O(new tasks).
+        against :meth:`admit` plus :meth:`run` and the reference
+        scanner): tasks already in the engine occupy earlier positions
+        of every FIFO queue and never depend on later submissions, so
+        their starts, finishes and lanes cannot move; templates are
+        self-contained, so the new tasks need nothing of the placed
+        graph but its end-of-run per-pool lane heaps
+        (:attr:`~repro.pipeline.tasks.Schedule.lane_state`).  Carrying
+        those over reproduces, bit-for-bit, the schedule a full
+        :meth:`run` over old + new tasks would compute.  New admissions
+        may introduce new resources (defaulting to one lane).  The
+        engine records the wave, so a later :meth:`run` — or another
+        :meth:`extend` — covers old and new tasks alike.
 
         Raises :class:`SchedulingError` when ``schedule`` is a merged
         multi-device reporting view
         (:attr:`~repro.pipeline.tasks.Schedule.is_merged_view`), when
-        ``schedule`` does not cover the engine's current tasks, when a
-        new task duplicates a name / has a negative or non-finite
-        duration or release time / depends on an unknown task, when an
-        admission targets another device, when lane counts changed
-        since ``schedule`` was computed, or when the new tasks
-        deadlock.  A rejected batch rolls back: the engine and, with
-        ``in_place=True``, the schedule are left exactly as they were,
-        still extendable.
+        ``schedule`` does not cover the engine's current tasks or holds
+        tasks but no lane state (stale), when the device is retired or
+        crashed, when an admission targets another device or has a
+        negative or non-finite release time, when lane counts changed
+        since ``schedule`` was computed, or when two placed tasks would
+        share a name.  A rejected wave rolls back: the engine and the
+        schedule are left exactly as they were, still extendable.
         """
         if schedule.is_merged_view:
             raise SchedulingError(
@@ -472,6 +441,12 @@ class PipelineEngine:
                 f"the engine holds {self._count}; extend() needs the "
                 "schedule of exactly the tasks already submitted"
             )
+        if schedule.tasks and not schedule.lane_state:
+            raise SchedulingError(
+                f"stale schedule: holds {len(schedule.tasks)} tasks but "
+                "records no lane state; extend() needs the schedule that "
+                "run() or extend() returned"
+            )
         if len(new_tasks) and self._device_retired:
             raise SchedulingError(
                 f"device {self.device} is retired: "
@@ -485,72 +460,18 @@ class PipelineEngine:
                     f"{self.lanes_of(resource)} lanes since the schedule "
                     "was computed; lane counts must be declared up front"
                 )
-        old = schedule.tasks
-        if isinstance(new_tasks, Wave):
-            admissions = new_tasks.admissions
-            for admission in admissions:
-                self._check_admission(admission)
-            releases = None
-        else:
-            # Validate everything up front so a bad batch leaves the
-            # engine (and the caller's schedule) untouched; the template
-            # checks names within the batch, durations, release times
-            # and deadlocks.
-            new_names = {task.name for task in new_tasks}
-            for task in new_tasks:
-                if task.name in old:
-                    raise SchedulingError(f"duplicate task name: {task.name!r}")
-                self._check_device(task)
-                for dep in task.deps:
-                    if dep not in old and dep not in new_names:
-                        hint = (
-                            " (or one retired by compact()?)"
-                            if self._retired
-                            else ""
-                        )
-                        raise SchedulingError(
-                            f"task {task.name!r} depends on unknown task "
-                            f"{dep!r}{hint}"
-                        )
-            template = PlanTemplate(new_tasks, external=old)
-            admissions = [Admission(template, device=self.device)]
-            releases = None
-            if template.external is not None:
-                # A dependency on an already-placed task is a release
-                # time: its finish is final.
-                releases = [[
-                    max([release, *(old[dep].finish for dep in deps)])
-                    for release, deps in zip(
-                        template.releases, template.external
-                    )
-                ]]
-        if in_place:
-            combined = schedule
-        else:
-            combined = Schedule(
-                tasks=dict(schedule.tasks),
-                lanes=dict(schedule.lanes),
-                lane_state=dict(schedule.lane_state),
-            )
-        self._place(combined, admissions, releases)
+        admissions = new_tasks.admissions
+        for admission in admissions:
+            self._check_admission(admission)
+        self._place(schedule, admissions)
         if self._graph is not None:
-            if isinstance(new_tasks, Wave):
-                self._graph.extend(admissions)
-            else:
-                self._graph.extend(new_tasks)
-                self._names.update(task.name for task in new_tasks)
+            self._graph.extend(admissions)
         self._count += len(new_tasks)
-        return combined
+        return schedule
 
-    def _place(
-        self,
-        schedule: Schedule,
-        admissions: list[Admission],
-        releases: list | None = None,
-    ) -> None:
+    def _place(self, schedule: Schedule, admissions: list[Admission]) -> None:
         """The linear dispatch pass: place every admission's template,
         in order, on top of ``schedule``'s carried-over lane heaps.
-        ``releases`` overrides the admissions' per-task release times.
 
         Each task pops its pool's lane heap (the lane that frees first,
         lowest index on ties) and starts at ``max(lane free, dependency
@@ -566,13 +487,16 @@ class PipelineEngine:
             for resource in admission.template.pools:
                 if resource not in lane_free:
                     lane_free[resource] = self._lane_heap(schedule, resource)
-        if releases is None:
-            releases = map(_releases, admissions)
         placed = schedule.tasks
         claim = placed.setdefault
-        for done, (admission, release_of) in enumerate(zip(admissions, releases)):
+        for done, admission in enumerate(admissions):
             template = admission.template
             prefix = admission.prefix
+            release_of = (
+                template.releases
+                if admission.available_at is None
+                else repeat(admission.available_at)
+            )
             finishes: list[float] = []
             record = finishes.append
             for index, (name, resource, duration, deps, release) in enumerate(
@@ -618,26 +542,12 @@ class PipelineEngine:
         """A copy of one pool's carried-over lane heap: the recorded
         :attr:`~repro.pipeline.tasks.Schedule.lane_state` (a sorted list
         is a valid heap, so pop order matches an uninterrupted
-        simulation); fresh lanes for a pool the schedule never used; or,
-        for a schedule that recorded no lane state at all (e.g. one
-        deserialized or hand-built by a test), per-lane free times
-        rebuilt from its tasks."""
+        simulation), or fresh lanes for a pool the schedule never
+        used."""
         state = schedule.lane_state.get(resource)
         if state is not None:
             return list(state)
-        free = [0.0] * self.lanes_of(resource)
-        if not schedule.lane_state:
-            for item in schedule.tasks.values():
-                if item.task.resource == resource and item.finish > free[item.lane]:
-                    free[item.lane] = item.finish
-        return sorted((free_at, lane) for lane, free_at in enumerate(free))
-
-    def _check_device(self, task: Task) -> None:
-        if task.device != self.device:
-            raise SchedulingError(
-                f"task {task.name!r} is placed on device {task.device} but "
-                f"this engine simulates device {self.device}"
-            )
+        return [(0.0, lane) for lane in range(self.lanes_of(resource))]
 
     def _check_admission(self, admission: Admission) -> None:
         if admission.device != self.device:
@@ -656,7 +566,11 @@ class PipelineEngine:
     def _check_task(self, task: Task) -> None:
         _check_seconds(task.duration, "duration", f"task {task.name!r}")
         _check_seconds(task.available_at, "available_at", f"task {task.name!r}")
-        self._check_device(task)
+        if task.device != self.device:
+            raise SchedulingError(
+                f"task {task.name!r} is placed on device {task.device} but "
+                f"this engine simulates device {self.device}"
+            )
 
     def compact(self, schedule: Schedule, horizon: float) -> int:
         """Retire tasks finished at or before ``horizon`` from both
@@ -676,13 +590,11 @@ class PipelineEngine:
         tasks are untouched, so extensions after a compaction are
         **bit-identical** to the uncompacted run — pinned by
         ``tests/pipeline/test_compaction.py`` on randomized arrival
-        waves.  The contract is the caller's horizon choice: new tasks
-        must never depend on a retired task (the serving layer only
-        retires queries whose dependents all finished; a violation
-        raises ``unknown task`` at the next ``extend``).  A compacted
-        engine drops its record of the submitted graph and refuses
-        :meth:`run` and :meth:`add` — the full graph no longer exists
-        to re-simulate.
+        waves.  Any horizon is safe for extension: a wave's templates
+        are self-contained, so no new task can depend on a retired
+        one.  A compacted engine drops its record of the submitted
+        graph and refuses :meth:`run` and :meth:`add` — the full graph
+        no longer exists to re-simulate.
         """
         if schedule.is_merged_view:
             raise SchedulingError(

@@ -19,6 +19,11 @@ GPU = "gpu"
 CPU = "cpu"
 
 
+def is_int(value: object) -> bool:
+    """An int that is not a bool (``True`` is an int to Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ResourcePool:
     """A named execution resource with a fixed number of parallel lanes.
@@ -39,10 +44,16 @@ class ResourcePool:
     device: int = 0
 
     def __post_init__(self) -> None:
-        if self.lanes < 1:
-            raise ValueError(f"resource {self.name!r} needs >= 1 lane")
-        if self.device < 0:
-            raise ValueError(f"resource {self.name!r} needs a device >= 0")
+        if not is_int(self.lanes) or self.lanes < 1:
+            raise ValueError(
+                f"resource {self.name!r} needs an int lane count >= 1, got "
+                f"{self.lanes!r}"
+            )
+        if not is_int(self.device) or self.device < 0:
+            raise ValueError(
+                f"resource {self.name!r} needs an int device >= 0, got "
+                f"{self.device!r}"
+            )
 
 
 @dataclass
@@ -194,11 +205,8 @@ class Schedule:
         * :attr:`lane_state` and :attr:`lanes` — untouched, which is
           what keeps subsequent
           :meth:`repro.pipeline.engine.PipelineEngine.extend` calls
-          bit-identical to an uncompacted run (extension reads only
-          the lane heaps and the finishes of tasks new work depends
-          on — callers must not retire tasks future work will name as
-          dependencies; pick ``horizon`` at or before the live
-          dependency frontier).
+          bit-identical to an uncompacted run (extension places
+          self-contained templates, so it reads only the lane heaps).
 
         Occupancy reports (:meth:`busy_time`, :meth:`utilization`,
         :meth:`phase_times`) cover only retained tasks afterwards —

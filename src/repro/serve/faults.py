@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.errors import FaultPlanError
+from repro.pipeline.tasks import is_int
 from repro.serve.audit import check_fault_invariants  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -72,9 +73,9 @@ class DeviceCrash:
             raise FaultPlanError(
                 f"crash time must be finite and >= 0, got {self.at!r}"
             )
-        if self.device < 0:
+        if not is_int(self.device) or self.device < 0:
             raise FaultPlanError(
-                f"crash device index must be >= 0, got {self.device!r}"
+                f"crash device index must be an int >= 0, got {self.device!r}"
             )
 
 
@@ -158,7 +159,7 @@ class FaultPlan:
                 raise FaultPlanError(
                     "admission_failures keys must be non-empty query ids"
                 )
-            if not isinstance(count, int) or count < 1:
+            if not is_int(count) or count < 1:
                 raise FaultPlanError(
                     f"admission_failures[{qid!r}] must be a positive "
                     f"int, got {count!r}"
@@ -187,8 +188,10 @@ class FaultPlan:
         independently suffers 1..``max_admission_faults`` transient
         admission failures with probability ``admission_fault_rate``.
         """
-        if devices < 1:
-            raise FaultPlanError(f"devices must be >= 1, got {devices!r}")
+        if not is_int(devices) or devices < 1:
+            raise FaultPlanError(
+                f"devices must be an int >= 1, got {devices!r}"
+            )
         if not 0 <= horizon < math.inf:
             raise FaultPlanError(
                 f"horizon must be finite and >= 0, got {horizon!r}"

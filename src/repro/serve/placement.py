@@ -39,7 +39,7 @@ from repro.errors import FleetEventError, InvalidConfigError
 from repro.gpusim.arena import DeviceMemoryArena, is_capacity
 from repro.gpusim.calibration import Calibration
 from repro.pipeline.engine import PipelineEngine, Wave
-from repro.pipeline.tasks import Schedule
+from repro.pipeline.tasks import Schedule, is_int
 
 #: Registry keys of the built-in policies.
 LEAST_LOADED = "least_loaded"
@@ -155,22 +155,18 @@ class PlacementCandidate:
     """One device's admission offer for the query under consideration.
 
     ``strategy`` is the registry key the planner ladder picks under the
-    device's *current* headroom, ``need_bytes`` that strategy's whole
-    device footprint, ``fits`` whether the footprint fits the headroom
-    right now, and ``degraded`` whether the offer is cheaper than the
-    query's unconstrained solo placement.  ``est_seconds`` is the
-    estimated makespan of running the offer alone **on this device** —
-    computed with the device's own calibration and memory grant, so on
-    a heterogeneous fleet the same query carries different estimates
-    per device and policies can compare actual speed instead of
-    assuming uniform devices.
+    device's *current* headroom and ``need_bytes`` that strategy's
+    whole device footprint.  ``est_seconds`` is the estimated makespan
+    of running the offer alone **on this device** — computed with the
+    device's own calibration and memory grant, so on a heterogeneous
+    fleet the same query carries different estimates per device and
+    policies can compare actual speed instead of assuming uniform
+    devices.
     """
 
     device: int
     strategy: str
     need_bytes: int
-    fits: bool
-    degraded: bool
     #: Alone-makespan of this offer under the device's calibration, in
     #: **simulated seconds** (0.0 when the scheduler did not estimate).
     est_seconds: float = 0.0
@@ -179,8 +175,9 @@ class PlacementCandidate:
 class PlacementPolicy:
     """Picks the device for one admission from feasible candidates.
 
-    :meth:`select` receives only candidates with ``fits=True`` and
-    ``degraded=False``, in device order, and must return one of them.
+    :meth:`select` receives only candidates whose footprint fits the
+    device's headroom right now at the query's solo (non-degraded)
+    strategy, in device order, and must return one of them.
     Implementations must be deterministic; any per-run state (the
     round-robin cursor) lives on the instance, and the scheduler
     creates a fresh instance per run.
@@ -496,7 +493,7 @@ class FleetEvent:
                     "device takes the next free index"
                 )
         elif self.action == "retire":
-            if self.device is None or self.device < 0:
+            if not is_int(self.device) or self.device < 0:
                 raise InvalidConfigError(
                     "fleet 'retire' event needs a device index, got "
                     f"{self.device!r}"

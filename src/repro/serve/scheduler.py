@@ -106,6 +106,7 @@ from repro.gpusim.arena import is_capacity
 from repro.gpusim.calibration import Calibration
 from repro.gpusim.spec import SystemSpec
 from repro.pipeline.engine import Admission, PipelineEngine, Wave
+from repro.pipeline.tasks import is_int
 from repro.serve.admission import (
     AdmissionContext,
     AdmissionPolicy,
@@ -149,11 +150,6 @@ def _check_simulable(capacity: int, system: SystemSpec, what: str) -> None:
             f"{limit} bytes of device memory; the cost model cannot "
             "simulate a larger device"
         )
-
-
-def _is_int(value: object) -> bool:
-    """An int that is not a bool (``True`` is an int to Python)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class _Profile:
@@ -291,21 +287,21 @@ class QueryScheduler:
             raise InvalidConfigError(
                 f"max_degradation must be >= 1.0, got {max_degradation!r}"
             )
-        if not _is_int(devices) or devices < 1:
+        if not is_int(devices) or devices < 1:
             raise InvalidConfigError(
                 f"devices must be an int >= 1, got {devices!r}"
             )
-        if not _is_int(max_retries) or max_retries < 0:
+        if not is_int(max_retries) or max_retries < 0:
             raise InvalidConfigError(
                 f"max_retries must be an int >= 0, got {max_retries!r}"
             )
-        if not retry_backoff_seconds >= 0:
+        if not 0 <= retry_backoff_seconds < math.inf:
             raise InvalidConfigError(
-                "retry_backoff_seconds must be >= 0, got "
+                "retry_backoff_seconds must be finite and >= 0, got "
                 f"{retry_backoff_seconds!r}"
             )
         for name, width in (lanes or {}).items():
-            if not _is_int(width) or width < 1:
+            if not is_int(width) or width < 1:
                 raise InvalidConfigError(
                     f"lanes[{name!r}] must be a positive int, got {width!r}"
                 )
@@ -523,7 +519,7 @@ class QueryScheduler:
         ):
             # A NaN limit would never trip, and a bool or float one is
             # a typo for something else.
-            if limit is not None and (not _is_int(limit) or limit < 1):
+            if limit is not None and (not is_int(limit) or limit < 1):
                 raise InvalidConfigError(
                     f"{name} must be an int >= 1 (or None), got {limit!r}"
                 )
@@ -1192,7 +1188,7 @@ class _Run:
         ctx.clock = self.clock
         arrived = list(self.queue)
         pos = policy.select(arrived, ctx)
-        if not _is_int(pos) or not 0 <= pos < len(arrived):
+        if not is_int(pos) or not 0 <= pos < len(arrived):
             raise SchedulingError(
                 f"admission policy {policy.key!r} selected {pos!r}; "
                 f"expected an index in [0, {len(arrived)})"
@@ -1284,8 +1280,6 @@ class _Run:
                 device=device.index,
                 strategy=solo_key,
                 need_bytes=solo_need,
-                fits=True,
-                degraded=False,
                 est_seconds=self._offer_estimate(
                     self._on_device(profile, request, device),
                     solo_key,
@@ -1537,7 +1531,7 @@ class _Run:
                     device.resources, device=device.index
                 )
             device.schedule = device.engine.extend(
-                device.schedule, device.wave, in_place=True
+                device.schedule, device.wave
             )
             device.wave = Wave()
         outcomes, admitted_plans = self.outcomes, self.admitted_plans

@@ -3,12 +3,13 @@ must never change what the engine schedules next.
 
 ``PipelineEngine.compact(schedule, horizon)`` drops tasks whose
 finishes precede the live frontier from both the schedule and the
-engine's books.  Because extension reads only the carried-over lane
-heaps (``lane_state``) and the finishes of tasks new work depends on,
-every ``extend`` after a compaction must be **bit-identical** (exact
-``==``) to the same extension on an uncompacted twin engine — replayed
-here over randomized multi-wave arrival sequences, with the uncompacted
-twin as the oracle.
+engine's books.  Because extension places self-contained templates and
+reads only the carried-over lane heaps (``lane_state``), every
+``extend`` after a compaction must be **bit-identical** (exact ``==``)
+to the same extension on an uncompacted twin engine — replayed here
+over randomized multi-wave arrival sequences, with the uncompacted twin
+as the oracle and the twin pinned to a full ``run()`` and the reference
+scanner.
 """
 
 import random
@@ -16,46 +17,36 @@ import random
 import pytest
 
 from repro.errors import SchedulingError
-from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.engine import Admission, PipelineEngine, PlanTemplate, Wave
 from repro.pipeline.oracle import run_reference
 from repro.pipeline.tasks import Schedule, Task
 
 
 def chain_wave(
-    wave: int, rng: random.Random, pools: list[str], clock: float
-) -> list[Task]:
-    """One admission wave of independent per-query chains — tasks only
-    depend on tasks of the same wave, mirroring the serving layer's
-    per-query namespacing (the contract that makes any finished task
-    safe to retire)."""
-    tasks: list[Task] = []
+    wave: int, rng: random.Random, pools: list[str]
+) -> list[tuple[PlanTemplate, str]]:
+    """One admission wave of per-query chain templates, each with the
+    alias the serving layer would namespace it under."""
+    queries: list[tuple[PlanTemplate, str]] = []
     for q in range(rng.randint(1, 3)):
-        prev: str | None = None
+        tasks: list[Task] = []
         for i in range(rng.randint(1, 5)):
-            name = f"w{wave}q{q}t{i}"
             tasks.append(
                 Task(
-                    name=name,
+                    name=f"t{i}",
                     resource=rng.choice(pools),
                     duration=rng.random() * rng.choice([0.5, 2.0]),
-                    deps=(prev,) if prev else (),
-                    available_at=clock,
+                    deps=(tasks[-1].name,) if tasks else (),
                 )
             )
-            prev = name
-    return tasks
+        queries.append((PlanTemplate(tasks), f"w{wave}q{q}"))
+    return queries
 
 
-def clone(task: Task) -> Task:
-    return Task(
-        name=task.name,
-        resource=task.resource,
-        duration=task.duration,
-        deps=task.deps,
-        phase=task.phase,
-        available_at=task.available_at,
-        device=task.device,
-    )
+def admissions(
+    queries: list[tuple[PlanTemplate, str]], clock: float
+) -> list[Admission]:
+    return [Admission(template, alias, clock) for template, alias in queries]
 
 
 def simple_engine() -> tuple[PipelineEngine, Schedule]:
@@ -129,17 +120,9 @@ def test_compact_refuses_stale_schedule():
     with pytest.raises(SchedulingError, match="stale"):
         engine.compact(schedule, 4.0)
     with pytest.raises(SchedulingError, match="stale"):
-        engine.extend(schedule, [Task("d", "gpu", 1.0)])
-
-
-def test_dep_on_retired_task_mentions_compaction():
-    engine, schedule = simple_engine()
-    engine.compact(schedule, 3.0)
-    with pytest.raises(SchedulingError, match="retired by compact"):
-        engine.extend(schedule, [Task("d", "gpu", 1.0, ("a",))])
-    # The rejected batch rolled back: a clean extension still works.
-    extended = engine.extend(schedule, [Task("d", "gpu", 1.0, ("c",))])
-    assert extended.tasks["d"].start == 6.0
+        engine.extend(
+            schedule, Wave([Admission(PlanTemplate([Task("d", "gpu", 1.0)]))])
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -155,17 +138,16 @@ def test_compacted_extension_bit_identical(seed):
     oracle_engine = PipelineEngine(dict(resources))
     compacted = Schedule(lanes=dict(resources))
     oracle = Schedule(lanes=dict(resources))
+    batch_engine = PipelineEngine(dict(resources))
     clock = 0.0
     total_retired = 0
     for wave in range(rng.randint(3, 6)):
         clock += rng.random() * 2
-        tasks = chain_wave(wave, rng, pools, clock)
-        compacted = compacted_engine.extend(
-            compacted, tasks, in_place=True
-        )
-        oracle = oracle_engine.extend(
-            oracle, [clone(task) for task in tasks], in_place=True
-        )
+        queries = chain_wave(wave, rng, pools)
+        compacted_engine.extend(compacted, Wave(admissions(queries, clock)))
+        oracle_engine.extend(oracle, Wave(admissions(queries, clock)))
+        for admission in admissions(queries, clock):
+            batch_engine.admit(admission)
         # Every retained task agrees exactly with the oracle.
         for name, item in compacted.tasks.items():
             twin = oracle.tasks[name]
@@ -175,10 +157,20 @@ def test_compacted_extension_bit_identical(seed):
         assert compacted.lane_state == oracle.lane_state
         assert compacted.makespan == oracle.makespan
         # Retire everything finished by a random horizon <= the clock
-        # frontier; per-wave chains mean nothing future depends on it.
+        # frontier; templates are self-contained, so nothing future
+        # depends on it.
         total_retired += compacted_engine.compact(
             compacted, rng.random() * clock
         )
     assert compacted.makespan == oracle.makespan
     assert compacted.retired_tasks == total_retired
     assert len(compacted.tasks) == len(oracle.tasks) - total_retired
+    # The uncompacted twin is the schedule of admitting every wave up
+    # front and placing it in one batch.
+    for batch in (batch_engine.run(), run_reference(batch_engine)):
+        assert set(batch.tasks) == set(oracle.tasks)
+        for name, item in batch.tasks.items():
+            twin = oracle.tasks[name]
+            assert (item.start, item.finish, item.lane) == (
+                twin.start, twin.finish, twin.lane
+            ), name

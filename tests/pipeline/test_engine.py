@@ -7,8 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
-from repro.pipeline.engine import PipelineEngine, double_buffered_stream
+from repro.pipeline.engine import (
+    Admission,
+    PipelineEngine,
+    PlanTemplate,
+    Wave,
+    double_buffered_stream,
+)
 from repro.pipeline.tasks import Task
+
+
+def wave_of(tasks: list[Task]) -> Wave:
+    """One admission placing ``tasks`` as submitted."""
+    return Wave([Admission(PlanTemplate(tasks))])
 
 
 def test_single_resource_runs_fifo():
@@ -71,7 +82,7 @@ def test_nan_duration_rejected():
         engine.add_task("a", "gpu", math.nan)
     schedule = engine.run()
     with pytest.raises(SchedulingError, match="non-finite duration"):
-        engine.extend(schedule, [Task("a", "gpu", math.nan)])
+        engine.extend(schedule, wave_of([Task("a", "gpu", math.nan)]))
     assert engine.tasks == [] and engine.run().makespan == 0.0
 
 
@@ -82,7 +93,9 @@ def test_nan_release_time_rejected():
         engine.add(Task("a", "gpu", 1.0, available_at=math.nan))
     schedule = engine.run()
     with pytest.raises(SchedulingError, match="non-finite available_at"):
-        engine.extend(schedule, [Task("a", "gpu", 1.0, available_at=math.nan)])
+        engine.extend(
+            schedule, wave_of([Task("a", "gpu", 1.0, available_at=math.nan)])
+        )
     assert engine.tasks == []
 
 
@@ -93,7 +106,7 @@ def test_infinite_duration_rejected():
         engine.add_task("a", "gpu", math.inf)
     schedule = engine.run()
     with pytest.raises(SchedulingError, match="non-finite duration"):
-        engine.extend(schedule, [Task("a", "gpu", math.inf)])
+        engine.extend(schedule, wave_of([Task("a", "gpu", math.inf)]))
     assert engine.tasks == []
 
 

@@ -1,13 +1,12 @@
 """Incremental schedule extension is pinned to full re-simulation.
 
-``PipelineEngine.extend(schedule, new_tasks)`` places newly submitted
-tasks on top of a previous run's carried-over lane heaps and finish
-calendar.  Because already-submitted tasks occupy earlier positions of
-every FIFO queue and never depend on later submissions, the combined
-schedule must be **bit-identical** (exact ``==``, not approx) to a full
-``run()`` over the same tasks — the full simulation is retained as the
-equivalence oracle, and these tests replay randomized arrival sequences
-against it.
+``PipelineEngine.extend(schedule, new_tasks)`` places a :class:`Wave`
+of plan-template admissions on top of a previous run's carried-over
+lane heaps, in place.  Because already-submitted tasks occupy earlier
+positions of every FIFO queue and templates are self-contained, the
+extended schedule must be **bit-identical** (exact ``==``, not approx)
+to a full ``run()`` over the same admissions and to the reference
+scanner — these tests replay randomized arrival sequences against both.
 """
 
 import random
@@ -15,55 +14,64 @@ import random
 import pytest
 
 from repro.errors import SchedulingError
-from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.engine import Admission, PipelineEngine, PlanTemplate, Wave
 from repro.pipeline.oracle import run_reference
 from repro.pipeline.tasks import Schedule, Task
 
+#: One arrival: a template and the alias and release time it is
+#: admitted under (both ``None`` to place its tasks as submitted).
+Arrival = tuple[PlanTemplate, "str | None", "float | None"]
+
 
 def random_arrival_waves(
-    seed: int,
-) -> tuple[dict[str, int], list[list[Task]]]:
+    seed: int, aliased: bool
+) -> tuple[dict[str, int], list[list[Arrival]]]:
     """Randomized multi-wave arrival sequence over random lane pools.
 
-    Later waves may depend on any earlier task (cross-wave joins), carry
-    monotonically increasing release times (the admission clock), and
-    include zero-duration tasks.
+    Each wave admits one to three random self-contained templates
+    (dependencies on earlier tasks of the same template only) with
+    zero-duration tasks and per-task release times.  ``aliased`` admits
+    each under its own alias, released at the wave's clock (which only
+    grows), as the serving layer places queries; otherwise its tasks
+    are placed as submitted, each at its own release time.
     """
     rng = random.Random(seed)
     resources = {f"r{i}": rng.randint(1, 3) for i in range(rng.randint(1, 4))}
     pool_names = list(resources)
-    waves: list[list[Task]] = []
-    earlier: list[str] = []
+    waves: list[list[Arrival]] = []
     clock = 0.0
     for wave_index in range(rng.randint(1, 6)):
         clock += rng.random() * 3
-        wave: list[Task] = []
-        for i in range(rng.randint(1, 15)):
-            candidates = earlier + [task.name for task in wave]
-            deps = rng.sample(candidates, min(len(candidates), rng.randint(0, 3)))
-            wave.append(
-                Task(
-                    name=f"w{wave_index}t{i}",
-                    resource=rng.choice(pool_names),
-                    duration=rng.random() * rng.choice([0.0, 1.0, 10.0]),
-                    deps=tuple(deps),
-                    available_at=rng.choice([0.0, clock]),
+        wave: list[Arrival] = []
+        for query in range(rng.randint(1, 3)):
+            tasks: list[Task] = []
+            for i in range(rng.randint(1, 10)):
+                candidates = [task.name for task in tasks]
+                deps = rng.sample(
+                    candidates, min(len(candidates), rng.randint(0, 3))
                 )
-            )
-        earlier.extend(task.name for task in wave)
+                tasks.append(
+                    Task(
+                        name=f"w{wave_index}q{query}t{i}",
+                        resource=rng.choice(pool_names),
+                        duration=rng.random() * rng.choice([0.0, 1.0, 10.0]),
+                        deps=tuple(deps),
+                        available_at=rng.choice([0.0, clock]),
+                    )
+                )
+            alias = f"w{wave_index}q{query}" if aliased else None
+            wave.append((PlanTemplate(tasks), alias, clock if aliased else None))
         waves.append(wave)
     return resources, waves
 
 
-def clone(task: Task) -> Task:
-    return Task(
-        name=task.name,
-        resource=task.resource,
-        duration=task.duration,
-        deps=task.deps,
-        phase=task.phase,
-        available_at=task.available_at,
-    )
+def admissions(wave: list[Arrival]) -> list[Admission]:
+    return [Admission(template, alias, at) for template, alias, at in wave]
+
+
+def wave_of(tasks: list[Task]) -> Wave:
+    """One admission placing ``tasks`` as submitted."""
+    return Wave([Admission(PlanTemplate(tasks))])
 
 
 def assert_identical(actual: Schedule, expected: Schedule) -> None:
@@ -78,46 +86,50 @@ def assert_identical(actual: Schedule, expected: Schedule) -> None:
     assert actual.makespan == expected.makespan
 
 
-@pytest.mark.parametrize("in_place", [False, True])
+@pytest.mark.parametrize("aliased", [False, True])
 @pytest.mark.parametrize("seed", range(120))
-def test_randomized_arrival_sequences_match_full_run(seed, in_place):
-    resources, waves = random_arrival_waves(seed)
+def test_randomized_arrival_sequences_match_full_run(seed, aliased):
+    resources, waves = random_arrival_waves(seed, aliased)
 
     incremental = PipelineEngine(dict(resources))
     schedule = Schedule()
     for wave in waves:
-        schedule = incremental.extend(
-            schedule, [clone(t) for t in wave], in_place=in_place
-        )
+        assert incremental.extend(schedule, Wave(admissions(wave))) is schedule
 
     oracle = PipelineEngine(dict(resources))
     for wave in waves:
-        for task in wave:
-            oracle.add(clone(task))
+        for admission in admissions(wave):
+            oracle.admit(admission)
     full = oracle.run()
 
     assert_identical(schedule, full)
-    # The extending engine retained every task, so a full re-run of it
-    # (the oracle on its own task list) reproduces the same schedule.
+    assert_identical(schedule, run_reference(oracle))
+    assert schedule.lane_state == full.lane_state
+    # The extending engine retained every admission, so a full re-run
+    # of it reproduces the same schedule.
     assert_identical(incremental.run(), full)
 
 
 @pytest.mark.parametrize("seed", range(0, 120, 10))
 def test_extend_after_run_matches(seed):
-    """run() the first wave, then extend() the rest on its schedule."""
-    resources, waves = random_arrival_waves(seed)
+    """run() the first wave, submitted task by task, then extend() the
+    rest on its schedule."""
+    resources, waves = random_arrival_waves(seed, aliased=True)
     engine = PipelineEngine(dict(resources))
-    for task in waves[0]:
-        engine.add(clone(task))
+    for admission in admissions(waves[0]):
+        for index in range(len(admission)):
+            engine.add(admission.task(index))
     schedule = engine.run()
     for wave in waves[1:]:
-        schedule = engine.extend(schedule, [clone(t) for t in wave])
+        engine.extend(schedule, Wave(admissions(wave)))
 
     oracle = PipelineEngine(dict(resources))
     for wave in waves:
-        for task in wave:
-            oracle.add(clone(task))
+        for admission in admissions(wave):
+            oracle.admit(admission)
     assert_identical(schedule, oracle.run())
+    # Tasks and admissions in one graph re-simulate to the same schedule.
+    assert_identical(engine.run(), schedule)
 
 
 def test_extend_empty_schedule_equals_run():
@@ -127,19 +139,17 @@ def test_extend_empty_schedule_equals_run():
         Task("c", "gpu", 3.0, deps=("a", "b")),
     ]
     engine = PipelineEngine()
-    schedule = engine.extend(Schedule(), [clone(t) for t in tasks])
+    schedule = engine.extend(Schedule(), wave_of(tasks))
     oracle = PipelineEngine()
     for task in tasks:
-        oracle.add(clone(task))
+        oracle.add(task)
     assert_identical(schedule, oracle.run())
 
 
 def test_extension_tasks_respect_available_at():
     engine = PipelineEngine()
     schedule = engine.run()
-    schedule = engine.extend(
-        schedule, [Task("late", "gpu", 1.0, available_at=5.0)]
-    )
+    engine.extend(schedule, wave_of([Task("late", "gpu", 1.0, available_at=5.0)]))
     assert schedule.tasks["late"].start == 5.0
     assert schedule.makespan == 6.0
 
@@ -148,9 +158,10 @@ def test_extension_may_introduce_new_resources():
     engine = PipelineEngine({"gpu": 1})
     engine.add(Task("a", "gpu", 1.0))
     schedule = engine.run()
-    schedule = engine.extend(schedule, [Task("b", "cpu", 2.0, deps=("a",))])
+    engine.extend(schedule, wave_of([Task("b", "cpu", 2.0, available_at=1.0)]))
     assert schedule.tasks["b"].start == 1.0
     assert schedule.lanes["cpu"] == 1
+    assert schedule.lane_state["cpu"] == [(3.0, 0)]
 
 
 def test_extension_reuses_freed_lanes_like_a_full_run():
@@ -160,21 +171,25 @@ def test_extension_reuses_freed_lanes_like_a_full_run():
     engine.add(Task("a", "pool", 3.0))
     engine.add(Task("b", "pool", 1.0))
     schedule = engine.run()
-    schedule = engine.extend(schedule, [Task("c", "pool", 1.0)])
+    engine.extend(schedule, wave_of([Task("c", "pool", 1.0)]))
     # lane 1 (task b) freed at 1.0, before lane 0 (task a) at 3.0.
     assert schedule.tasks["c"].lane == 1
     assert schedule.tasks["c"].start == 1.0
 
 
-def test_extend_without_recorded_lane_state_reconstructs_it():
+def test_extend_without_recorded_lane_state_is_refused():
+    """Placing on fresh lanes would start new work before the placed
+    tasks free them, so a schedule that holds tasks but records no lane
+    state (e.g. one rebuilt by hand) is stale."""
     engine = PipelineEngine({"pool": 2})
     engine.add(Task("a", "pool", 3.0))
     engine.add(Task("b", "pool", 1.0))
     schedule = engine.run()
-    schedule.lane_state = {}  # e.g. a deserialized schedule
-    extended = engine.extend(schedule, [Task("c", "pool", 1.0)])
-    assert extended.tasks["c"].lane == 1
-    assert extended.tasks["c"].start == 1.0
+    schedule.lane_state = {}
+    with pytest.raises(SchedulingError, match="stale schedule.*no lane state"):
+        engine.extend(schedule, wave_of([Task("c", "pool", 1.0)]))
+    assert set(schedule.tasks) == {"a", "b"}
+    assert [task.name for task in engine.tasks] == ["a", "b"]
 
 
 def test_extend_after_run_reference():
@@ -184,7 +199,7 @@ def test_extend_after_run_reference():
     engine.add(Task("b", "pool", 1.0))
     schedule = run_reference(engine)
     assert schedule.lane_state["pool"] == [(1.0, 1), (3.0, 0)]
-    extended = engine.extend(schedule, [Task("c", "pool", 1.0)])
+    extended = engine.extend(schedule, wave_of([Task("c", "pool", 1.0)]))
     assert extended.tasks["c"].lane == 1
 
 
@@ -192,7 +207,7 @@ def test_stale_schedule_rejected():
     engine = PipelineEngine()
     engine.add(Task("a", "gpu", 1.0))
     with pytest.raises(SchedulingError, match="stale"):
-        engine.extend(Schedule(), [Task("b", "gpu", 1.0)])
+        engine.extend(Schedule(), wave_of([Task("b", "gpu", 1.0)]))
 
 
 def test_bad_batches_leave_engine_untouched():
@@ -207,10 +222,12 @@ def test_bad_batches_leave_engine_untouched():
         ([Task("w", "gpu", 1.0, deps=("ghost",))], "unknown"),
     ]:
         with pytest.raises(SchedulingError, match=message):
-            engine.extend(schedule, batch)
+            engine.extend(schedule, wave_of(batch))
         assert [task.name for task in engine.tasks] == ["a"]
+        assert set(schedule.tasks) == {"a"}
+        assert schedule.lane_state == {"gpu": [(1.0, 0)]}
     # The engine is still extendable after every rejected batch.
-    extended = engine.extend(schedule, [Task("ok", "gpu", 1.0)])
+    extended = engine.extend(schedule, wave_of([Task("ok", "gpu", 1.0)]))
     assert extended.tasks["ok"].start == 1.0
 
 
@@ -225,13 +242,13 @@ def test_deadlock_among_new_tasks_detected_and_rolled_back():
         Task("d", "r2", 1.0),
     ]
     with pytest.raises(SchedulingError, match="deadlock"):
-        engine.extend(schedule, deadlocked, in_place=True)
-    # Rolled back: engine and in-place schedule exactly as before,
-    # still extendable.
+        engine.extend(schedule, wave_of(deadlocked))
+    # Rolled back: engine and schedule exactly as before, still
+    # extendable.
     assert [task.name for task in engine.tasks] == ["seed"]
     assert set(schedule.tasks) == {"seed"}
     assert set(schedule.lanes) == {"r1"}
-    extended = engine.extend(schedule, [Task("ok", "r1", 1.0)])
+    extended = engine.extend(schedule, wave_of([Task("ok", "r1", 1.0)]))
     assert extended.tasks["ok"].start == 1.0
 
 
@@ -239,16 +256,14 @@ def test_in_place_extension_mutates_and_returns_the_schedule():
     engine = PipelineEngine({"gpu": 1})
     engine.add(Task("a", "gpu", 1.0))
     schedule = engine.run()
-    extended = engine.extend(
-        schedule, [Task("b", "gpu", 2.0, deps=("a",))], in_place=True
-    )
+    extended = engine.extend(schedule, wave_of([Task("b", "gpu", 2.0)]))
     assert extended is schedule
     assert schedule.tasks["b"].start == 1.0
     assert schedule.lane_state["gpu"] == [(3.0, 0)]
 
     oracle = PipelineEngine({"gpu": 1})
     oracle.add(Task("a", "gpu", 1.0))
-    oracle.add(Task("b", "gpu", 2.0, deps=("a",)))
+    oracle.add(Task("b", "gpu", 2.0))
     assert_identical(schedule, oracle.run())
 
 
@@ -259,7 +274,7 @@ def test_lane_count_change_rejected():
     wide = PipelineEngine({"pool": 2})
     wide.add(Task("a", "pool", 1.0))
     with pytest.raises(SchedulingError, match="lane"):
-        wide.extend(schedule, [Task("b", "pool", 1.0)])
+        wide.extend(schedule, wave_of([Task("b", "pool", 1.0)]))
 
 
 def test_run_records_lane_state():

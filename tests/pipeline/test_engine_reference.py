@@ -86,14 +86,17 @@ def test_randomized_dag_schedules_identical(seed):
 
 @pytest.mark.parametrize("seed", range(100))
 def test_non_topological_submission_matches_reference(seed):
-    """``run()``, ``extend()`` of the task list and a template admitted
-    under an alias all place an interleaved submission exactly like the
-    scanner does."""
+    """``run()``, ``extend()`` of the template as submitted and the
+    template admitted under an alias all place an interleaved
+    submission exactly like the scanner does."""
     lanes, tasks = random_graph(seed, interleaved=True)
     reference = run_reference(random_engine(seed, interleaved=True))
     assert_same_schedule(random_engine(seed, interleaved=True).run(), reference)
     assert_same_schedule(
-        PipelineEngine(lanes).extend(Schedule(), tasks), reference
+        PipelineEngine(lanes).extend(
+            Schedule(), Wave([Admission(PlanTemplate(tasks))])
+        ),
+        reference,
     )
 
     admitted = PipelineEngine(lanes)

@@ -62,6 +62,13 @@ def test_utilization_accounts_for_lanes():
 def test_invalid_lane_count_rejected():
     with pytest.raises(ValueError):
         ResourcePool(GPU, lanes=0)
+    # A fractional or NaN lane count passed the `< 1` test and failed
+    # at the first placement; True became one lane.
+    for lanes in (2.5, float("nan"), True):
+        with pytest.raises(ValueError, match="lane count"):
+            ResourcePool(GPU, lanes=lanes)
+        with pytest.raises(ValueError, match="lane count"):
+            PipelineEngine({GPU: lanes})
 
 
 def test_phase_defaults_to_resource():

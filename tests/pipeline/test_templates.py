@@ -75,7 +75,8 @@ def test_deadlocked_template_rejected_when_built():
     # Nothing reached the engine or the schedule; both still extend.
     assert [task.name for task in engine.tasks] == ["seed"]
     assert set(schedule.tasks) == {"seed"}
-    assert engine.extend(schedule, [Task("ok", "r1", 1.0)]).tasks["ok"].start == 1.0
+    ok = Wave([Admission(PlanTemplate([Task("ok", "r1", 1.0)]))])
+    assert engine.extend(schedule, ok).tasks["ok"].start == 1.0
 
 
 @pytest.mark.parametrize(
@@ -107,9 +108,8 @@ def test_admissions_match_namespaced_tasks(lanes):
     schedule = engine.extend(
         Schedule(),
         Wave([Admission(template, "q0", 0.0, 1), Admission(template, "q1", 0.5, 1)]),
-        in_place=True,
     )
-    engine.extend(schedule, Wave([Admission(template, "q2", 3.0, 1)]), in_place=True)
+    engine.extend(schedule, Wave([Admission(template, "q2", 3.0, 1)]))
 
     oracle = PipelineEngine(dict(lanes), device=1)
     for alias, at in (("q0", 0.0), ("q1", 0.5), ("q2", 3.0)):
@@ -144,7 +144,7 @@ def test_bad_admission_clock_rejected(at):
     schedule = engine.run()
     wave = Wave([Admission(PlanTemplate(PLAN), "q", at)])
     with pytest.raises(SchedulingError, match="available_at for admission 'q'"):
-        engine.extend(schedule, wave, in_place=True)
+        engine.extend(schedule, wave)
     with pytest.raises(SchedulingError, match="available_at for admission 'q'"):
         engine.admit(Admission(PlanTemplate(PLAN), "q", at))
     assert schedule.tasks == {} and engine.tasks == []
@@ -160,18 +160,14 @@ def test_admission_for_another_device_rejected():
 def test_name_collision_rolls_the_wave_back():
     template = PlanTemplate(PLAN)
     engine = PipelineEngine()
-    schedule = engine.extend(
-        Schedule(), Wave([Admission(template, "q0", 0.0)]), in_place=True
-    )
+    schedule = engine.extend(Schedule(), Wave([Admission(template, "q0", 0.0)]))
     before = dict(schedule.tasks)
     lane_state = dict(schedule.lane_state)
     wave = Wave([Admission(template, "q1", 1.0), Admission(template, "q0", 1.0)])
     with pytest.raises(SchedulingError, match="duplicate task name: 'q0:h2d\\[0\\]'"):
-        engine.extend(schedule, wave, in_place=True)
+        engine.extend(schedule, wave)
     assert schedule.tasks == before and schedule.lane_state == lane_state
-    extended = engine.extend(
-        schedule, Wave([Admission(template, "q1", 1.0)]), in_place=True
-    )
+    extended = engine.extend(schedule, Wave([Admission(template, "q1", 1.0)]))
     assert len(extended.tasks) == 2 * len(PLAN)
 
 

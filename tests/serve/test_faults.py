@@ -47,7 +47,7 @@ from repro.errors import (
     SchedulingError,
 )
 from repro.gpusim.arena import DeviceMemoryArena
-from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.engine import Admission, PipelineEngine, PlanTemplate, Wave
 from repro.pipeline.oracle import check_batch_oracle
 from repro.pipeline.tasks import Task
 from repro.serve import (
@@ -517,6 +517,15 @@ def test_fault_plan_validation_rejects_bad_plans():
         DeviceCrash(at=-1.0, device=0)
     with pytest.raises(FaultPlanError, match=">= 0"):
         DeviceCrash(at=0.0, device=-1)
+    # A fractional index passed every up-front check and then crashed
+    # the run with a raw TypeError; True crashed device 1.
+    for device in (1.5, True):
+        with pytest.raises(FaultPlanError, match="device index"):
+            DeviceCrash(at=0.5, device=device)
+    # A fractional device count raised a raw ValueError from randrange.
+    for devices in (2.5, True):
+        with pytest.raises(FaultPlanError, match="devices must be an int"):
+            FaultPlan.random(0, devices=devices, horizon=1.0)
     # NaN and inf pass a plain `< 0` test; such a crash would never be
     # applied.
     for at in (float("nan"), float("inf")):
@@ -540,8 +549,9 @@ def test_fault_plan_validation_rejects_bad_plans():
         ).validate(1)
     with pytest.raises(FaultPlanError, match="only 1 device"):
         FaultPlan(crashes=(DeviceCrash(at=1.0, device=1),)).validate(1)
-    with pytest.raises(FaultPlanError, match="positive"):
-        FaultPlan(admission_failures={"q0": 0}).validate(1)
+    for count in (0, True):
+        with pytest.raises(FaultPlanError, match="positive"):
+            FaultPlan(admission_failures={"q0": count}).validate(1)
     with pytest.raises(FaultPlanError, match="non-empty"):
         FaultPlan(admission_failures={"": 1}).validate(1)
     assert issubclass(FaultPlanError, InvalidConfigError)
@@ -714,7 +724,9 @@ def test_engine_crash_invalidates_the_unfinished_tail():
     with pytest.raises(SchedulingError, match="crash"):
         engine.run()
     with pytest.raises(SchedulingError, match="retired"):
-        engine.extend(schedule, [Task("d", "gpu", 1.0)])
+        engine.extend(
+            schedule, Wave([Admission(PlanTemplate([Task("d", "gpu", 1.0)]))])
+        )
     # Compaction still sweeps the surviving history.
     assert engine.compact(schedule, 6.0) == 2
     assert schedule.tasks == {}

@@ -328,6 +328,11 @@ def test_fleet_event_and_retirement_validation():
         FleetEvent(at=0.0, action="add", capacity_bytes=1, device=0)
     with pytest.raises(InvalidConfigError, match="device index"):
         FleetEvent(at=0.0, action="retire")
+    # A fractional index passed every up-front check and then crashed
+    # the run with a raw TypeError; True retired device 1.
+    for device in (1.5, True):
+        with pytest.raises(InvalidConfigError, match="device index"):
+            FleetEvent(at=0.5, action="retire", device=device)
     with pytest.raises(InvalidConfigError, match="unknown"):
         FleetEvent(at=0.0, action="rebalance")
     with pytest.raises(InvalidConfigError, match=">= 0"):

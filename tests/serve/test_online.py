@@ -171,9 +171,9 @@ def test_extension_lengths_count_the_placed_tasks(monkeypatch):
     lengths = []
     extend = PipelineEngine.extend
 
-    def counted(self, schedule, new_tasks, **kwargs):
+    def counted(self, schedule, new_tasks):
         lengths.append(len(new_tasks))
-        return extend(self, schedule, new_tasks, **kwargs)
+        return extend(self, schedule, new_tasks)
 
     monkeypatch.setattr(PipelineEngine, "extend", counted)
     report = QueryScheduler(devices=2).run_online(mixed_workload(16))

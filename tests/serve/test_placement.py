@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidConfigError, SchedulingError
-from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.engine import Admission, PipelineEngine, PlanTemplate, Wave
 from repro.pipeline.tasks import ResourcePool, Schedule, ScheduledTask, Task
 from repro.serve import (
     DeviceFleet,
@@ -26,8 +26,7 @@ GB = 10**9
 def _candidates(*devices: int) -> list[PlacementCandidate]:
     return [
         PlacementCandidate(
-            device=device, strategy="gpu_resident", need_bytes=GB,
-            fits=True, degraded=False,
+            device=device, strategy="gpu_resident", need_bytes=GB
         )
         for device in devices
     ]
@@ -160,7 +159,7 @@ def test_extending_a_merged_view_is_refused():
     with pytest.raises(SchedulingError, match="merged reporting view"):
         engine.extend(
             report.schedule,
-            [Task(name="late", resource="gpu", duration=1.0)],
+            Wave([Admission(PlanTemplate([Task("late", "gpu", 1.0)]))]),
         )
     # Per-device schedules (devices=1 reports) remain extendable views.
     single = QueryScheduler().run_online(mixed_workload(2))
@@ -181,16 +180,14 @@ def test_engine_extend_rejects_misrouted_tasks_without_side_effects():
     engine = PipelineEngine(device=1)
     engine.add(Task(name="t0", resource="gpu", duration=1.0, device=1))
     schedule = engine.run()
+    template = PlanTemplate([Task(name="t1", resource="gpu", duration=1.0)])
     with pytest.raises(SchedulingError, match="device"):
-        engine.extend(
-            schedule,
-            [Task(name="t1", resource="gpu", duration=1.0, device=0)],
-        )
-    # The rejected batch rolled back: the engine is still extendable.
-    extended = engine.extend(
-        schedule, [Task(name="t1", resource="gpu", duration=1.0, device=1)]
-    )
+        engine.extend(schedule, Wave([Admission(template, device=0)]))
+    # The rejected wave rolled back: the engine is still extendable.
+    assert set(schedule.tasks) == {"t0"}
+    extended = engine.extend(schedule, Wave([Admission(template, device=1)]))
     assert extended.tasks["t1"].start == 1.0
+    assert extended.tasks["t1"].task.device == 1
 
 
 def test_engine_rejects_pools_of_another_device():
@@ -200,6 +197,12 @@ def test_engine_rejects_pools_of_another_device():
         PipelineEngine(device=-1)
     with pytest.raises(ValueError):
         ResourcePool("gpu", 1, device=-1)
+    # A device id indexes the fleet: a fraction or a bool is no id.
+    for device in (0.5, True):
+        with pytest.raises(SchedulingError, match="an int >= 0"):
+            PipelineEngine(device=device)
+        with pytest.raises(ValueError, match="an int device >= 0"):
+            ResourcePool("gpu", 1, device=device)
 
 
 def test_engine_dict_resources_inherit_the_engine_device():

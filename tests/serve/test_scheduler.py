@@ -45,6 +45,7 @@ def test_single_query_matches_solo_estimate():
         ),
         (dict(max_degradation=float("nan")), "max_degradation"),
         (dict(retry_backoff_seconds=float("nan")), "retry_backoff_seconds"),
+        (dict(retry_backoff_seconds=float("inf")), "retry_backoff_seconds"),
         (dict(max_retries=float("nan")), "max_retries"),
         (dict(max_retries=2.5), "max_retries"),
         (dict(max_retries=True), "max_retries"),
@@ -60,7 +61,7 @@ def test_single_query_matches_solo_estimate():
     ids=[
         "lanes-zero", "lanes-negative", "lanes-float", "lanes-bool",
         "calibration-name", "calibration-name-second-device",
-        "max-degradation-nan", "retry-backoff-nan",
+        "max-degradation-nan", "retry-backoff-nan", "retry-backoff-inf",
         "max-retries-nan", "max-retries-float", "max-retries-bool",
         "devices-float", "devices-bool",
         "capacity-nan", "capacity-float", "capacity-bool-second-device",
@@ -72,7 +73,8 @@ def test_constructor_rejects_invalid_inputs(kwargs, match):
     each used to pass construction and then fail (or, for NaN
     ``max_degradation``, silently drop the degradation bound) mid-run.
     So did a non-int device count, and a NaN retry budget turned the
-    budget off.  A NaN device capacity passed every ``<=`` check, so a
+    budget off; an infinite retry backoff failed the run at its first
+    retry.  A NaN device capacity passed every ``<=`` check, so a
     run completed with a capacity of NaN and an audit whose
     peak-within-capacity check could not fail."""
     with pytest.raises(InvalidConfigError, match=match):
