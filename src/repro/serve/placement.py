@@ -492,6 +492,13 @@ class FleetEvent:
                     "fleet 'add' event must not name a device: the new "
                     "device takes the next free index"
                 )
+            if self.calibration is not None and not isinstance(
+                self.calibration, Calibration
+            ):
+                raise InvalidConfigError(
+                    "fleet 'add' event calibration must be a Calibration "
+                    f"or None, got {self.calibration!r}"
+                )
         elif self.action == "retire":
             if not is_int(self.device) or self.device < 0:
                 raise InvalidConfigError(

@@ -326,6 +326,12 @@ def test_fleet_event_and_retirement_validation():
             FleetEvent(at=0.0, action="add", capacity_bytes=capacity)
     with pytest.raises(InvalidConfigError, match="next free index"):
         FleetEvent(at=0.0, action="add", capacity_bytes=1, device=0)
+    # A calibration given by name passed every up-front check and then
+    # crashed the first estimate on the joining device.
+    with pytest.raises(InvalidConfigError, match="calibration"):
+        FleetEvent(
+            at=0.0, action="add", capacity_bytes=DEFAULT_CAP, calibration="fast"
+        )
     with pytest.raises(InvalidConfigError, match="device index"):
         FleetEvent(at=0.0, action="retire")
     # A fractional index passed every up-front check and then crashed
