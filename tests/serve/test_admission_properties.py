@@ -10,13 +10,18 @@ plus the deadline win ``edf`` exists for:
     :func:`~repro.pipeline.oracle.check_batch_oracle`) under *every*
     registered policy on classed workloads;
 (c) conservation — ``completed + shed + failed == arrivals`` — holds
-    under every policy crossed with seeded fault plans, and the fault
-    invariant audit (which now also checks deadline recording) passes;
+    under every policy crossed with seeded fault plans, the fault
+    invariant audit (which now also checks deadline recording) passes,
+    and each of those runs matches its recorded digest in
+    ``golden_admission.json``;
 (d) ``sjf`` never worsens mean latency against ``fifo`` on the
     canonical 64-client workload;
 (e) ``edf`` strictly lowers the deadline-miss rate against ``fifo`` on
     the deadline-classed 64-client workload.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +39,9 @@ from repro.serve import (
 )
 from repro.serve.admission import FIFO, registered_admission_policies
 from tests.serve.golden import GOLDEN, GOLDEN_SEEDS, assert_matches_golden
+from tests.serve.test_stream_golden import digest_of
+
+GOLDEN_ADMISSION_PATH = Path(__file__).with_name("golden_admission.json")
 
 SEEDS = GOLDEN_SEEDS[:100]
 FLEETS = (1, 2, 3)
@@ -67,11 +75,11 @@ def test_online_equals_batch_under_every_policy(seed):
             assert check_batch_oracle(online) > 0, (policy, devices)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_conservation_under_policy_cross_faults(seed):
-    """(c) No policy loses a query under crashes and admission faults;
-    retried queries re-enter under their original class, audited by the
-    fault invariants (deadline recording included)."""
+def serve_under_faults(seed):
+    """Seed ``seed``'s classed workload served under every policy on
+    ``FLEETS[seed % 3]`` devices with one seeded fault plan (crashes
+    and admission faults, so retries re-enter the queue at its front):
+    the requests, the plan, and per policy its scheduler and report."""
     devices = FLEETS[seed % len(FLEETS)]
     requests = with_classes(random_workload(seed))
     plan = FaultPlan.random(
@@ -81,9 +89,33 @@ def test_conservation_under_policy_cross_faults(seed):
         qids=[request.qid for request in requests],
         admission_fault_rate=0.15,
     )
+    runs = {}
     for policy in POLICIES:
         scheduler = QueryScheduler(devices=devices, admission=policy)
-        report = scheduler.run_online(requests, faults=plan)
+        runs[policy] = scheduler, scheduler.run_online(requests, faults=plan)
+    return requests, plan, runs
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_conservation_under_policy_cross_faults(seed):
+    """(c) No policy loses a query under crashes and admission faults;
+    retried queries re-enter under their original class, audited by the
+    fault invariants (deadline recording included).
+
+    Each run must also match its digest
+    (:func:`tests.serve.test_stream_golden.digest_of`: every outcome,
+    shed and failure, the counters and the queue depths) in
+    ``golden_admission.json``, the one golden that pins ``run_online``
+    under the reordering policies.  The file was recorded at commit
+    330e32c, before the wait queue was keyed by qid and ``select``
+    returned a qid.  To re-record it deliberately, for a reviewed
+    change of the admission rule, delete the file and run::
+
+        PYTHONPATH=src python -m tests.serve.test_admission_properties
+    """
+    requests, plan, runs = serve_under_faults(seed)
+    labels = {r.qid: r.query_class.name for r in requests}
+    for policy, (scheduler, report) in runs.items():
         assert len(report.outcomes) + len(report.failed) == len(requests)
         check_fault_invariants(
             report,
@@ -92,9 +124,15 @@ def test_conservation_under_policy_cross_faults(seed):
             max_retries=scheduler.max_retries,
         )
         # Survivors keep the class they were submitted under.
-        labels = {r.qid: r.query_class.name for r in requests}
         for outcome in report.outcomes:
             assert outcome.class_name == labels[outcome.qid]
+    golden = json.loads(GOLDEN_ADMISSION_PATH.read_text(encoding="utf-8"))
+    assert run_digests(runs) == golden[str(seed)]
+
+
+def run_digests(runs):
+    """Each policy's run digest, from :func:`serve_under_faults`'s runs."""
+    return {policy: digest_of(report) for policy, (_, report) in runs.items()}
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -134,3 +172,21 @@ def test_edf_misses_fewer_deadlines_than_fifo():
     edf = QueryScheduler(admission="edf").run_online(classed_workload(64))
     assert fifo.deadline_miss_rate > 0.0
     assert edf.deadline_miss_rate < fifo.deadline_miss_rate
+
+
+if __name__ == "__main__":
+    with GOLDEN_ADMISSION_PATH.open("x", encoding="utf-8") as handle:
+        json.dump(
+            {
+                str(seed): run_digests(serve_under_faults(seed)[2])
+                for seed in SEEDS
+            },
+            handle,
+            indent=1,
+            sort_keys=True,
+        )
+        handle.write("\n")
+    print(
+        f"wrote {len(SEEDS) * len(POLICIES)} run digests to "
+        f"{GOLDEN_ADMISSION_PATH}"
+    )
