@@ -12,14 +12,17 @@ candidate.  This module owns that axis:
   weight, an optional hard deadline (relative to submission), a tenant
   id for fairness accounting, and an optional override of the
   scheduler's degrade-vs-wait threshold;
-* :class:`AdmissionPolicy` and its registry — given the *arrived*
-  prefix of the wait queue, pick which query the scheduler should try
-  to place next.  ``fifo`` (the default) always picks the queue head
-  and is pinned bit-identical to the pre-registry scheduler by the
-  recorded golden schedules; ``sjf``, ``edf`` and ``weighted_fair``
-  reorder admissions without touching placement, stealing, fleet
-  elasticity, or fault recovery (a retried query re-enters the queue
-  carrying its original :class:`QueryClass`).
+* :class:`AdmissionPolicy` and its registry — given a read-only view
+  of the wait queue (qid to request, in queue order), pick the qid of
+  the query the scheduler should try to place next.  ``fifo`` (the
+  default) always picks the queue head and is pinned bit-identical to
+  the pre-registry scheduler by the recorded golden schedules;
+  ``sjf``, ``edf`` and ``weighted_fair`` reorder admissions without
+  touching placement, stealing, fleet elasticity, or fault recovery (a
+  retried query re-enters the queue carrying its original
+  :class:`QueryClass`).  ``edf`` keeps its own heap of the queued
+  requests' ranks, fed by :meth:`AdmissionPolicy.record_enqueue`, so a
+  pick does not scan the queue.
 
 Everything here is deterministic.  Policies see candidates in queue
 order, tie-break on stable keys (qid for equal deadlines / equal
@@ -36,9 +39,9 @@ policy that wants small queries first must *rank* them first.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Mapping
 
 from repro.errors import InvalidConfigError
 
@@ -54,9 +57,6 @@ WEIGHTED_FAIR = "weighted_fair"
 #: Class/tenant label carried by requests that declare no QueryClass.
 DEFAULT_CLASS = "default"
 DEFAULT_TENANT = "default"
-
-#: A request's EDF rank, ``(deadline_at, qid)``, read in C.
-_edf_key = attrgetter("edf_key")
 
 
 @dataclass(frozen=True)
@@ -144,35 +144,44 @@ class AdmissionContext:
 
 
 class AdmissionPolicy:
-    """Picks which *arrived* queued query to try to place next.
+    """Picks which queued query to try to place next.
 
-    :meth:`select` receives the arrived prefix of the wait queue (every
-    entry's ``submit_at <= ctx.clock``), never empty, in queue order,
-    and returns the index of the candidate to attempt.  The scheduler
-    validates the index and raises on a bad one, so a buggy policy
+    :meth:`select` receives the wait queue, never empty: a read-only
+    live view (qid to request, in queue order) of queries that have all
+    arrived (every ``submit_at <= ctx.clock``).  It returns the qid of
+    the candidate to attempt.  The scheduler raises
+    :class:`~repro.errors.SchedulingError` unless the answer is the qid
+    of a queued request, and the view refuses writes, so a buggy policy
     cannot corrupt the run's books — the queue and arenas are only
     mutated after a successful placement.
 
     Implementations must be deterministic.  Per-run state (the fairness
-    ledger) lives on the instance; the scheduler calls :meth:`reset` at
-    the start of every run and :meth:`record_admit` after every
-    successful admission, so ``run_online`` and unshed ``run_stream``
-    replays of the same request list see identical policy decisions.
+    ledger, the EDF heap) lives on the instance; the scheduler calls
+    :meth:`reset` at the start of every run, :meth:`record_enqueue`
+    whenever a request enters the wait queue and :meth:`record_admit`
+    after every successful admission, so ``run_online`` and unshed
+    ``run_stream`` replays of the same request list see identical policy
+    decisions.  A request leaves the queue without a call: a policy that
+    indexes queued requests checks a qid against the view.
     """
 
     #: Registry key; subclasses must override.
     key: ClassVar[str] = ""
-    #: ``False`` only for FIFO: lets the scheduler skip building the
-    #: arrived-prefix view entirely, keeping the default path's cost
+    #: ``False`` only for FIFO: the scheduler then takes the queue head
+    #: without calling :meth:`select`, keeping the default path's cost
     #: (and behavior) bit-identical to the pre-registry scheduler.
     reorders: ClassVar[bool] = True
 
     def reset(self) -> None:
-        """Forget per-run state (fairness ledgers, cursors)."""
+        """Forget per-run state (fairness ledgers, heaps)."""
+
+    def record_enqueue(self, request: "QueryRequest") -> None:
+        """Hook called when ``request`` enters the wait queue: on
+        arrival, and again for a fault retry coming off its backoff."""
 
     def select(
-        self, arrived: Sequence["QueryRequest"], ctx: AdmissionContext
-    ) -> int:
+        self, queue: Mapping[str, "QueryRequest"], ctx: AdmissionContext
+    ) -> str:
         raise NotImplementedError
 
     def record_admit(
@@ -194,15 +203,15 @@ class FifoAdmission(AdmissionPolicy):
     reorders = False
 
     def select(
-        self, arrived: Sequence["QueryRequest"], ctx: AdmissionContext
-    ) -> int:
-        return 0
+        self, queue: Mapping[str, "QueryRequest"], ctx: AdmissionContext
+    ) -> str:
+        return next(iter(queue))
 
 
 class SjfAdmission(AdmissionPolicy):
     """Shortest-estimated-job-first, via the cached solo estimates.
 
-    Ranks arrived queries by their unconstrained solo makespan (the
+    Ranks queued queries by their unconstrained solo makespan (the
     same cached estimate the degrade-vs-wait rule already uses), ties
     broken by qid.  Classic SJF: minimizes mean wait when estimates are
     honest; the property suite asserts it never worsens mean latency
@@ -212,18 +221,18 @@ class SjfAdmission(AdmissionPolicy):
     key = SJF
 
     def select(
-        self, arrived: Sequence["QueryRequest"], ctx: AdmissionContext
-    ) -> int:
+        self, queue: Mapping[str, "QueryRequest"], ctx: AdmissionContext
+    ) -> str:
         return min(
-            range(len(arrived)),
-            key=lambda i: (ctx.solo_seconds(arrived[i]), arrived[i].qid),
-        )
+            queue.values(),
+            key=lambda request: (ctx.solo_seconds(request), request.qid),
+        ).qid
 
 
 class EdfAdmission(AdmissionPolicy):
     """Earliest-deadline-first over the hard deadlines.
 
-    Ranks arrived queries by absolute hard deadline
+    Ranks queued queries by absolute hard deadline
     (``submit_at + deadline_seconds``; no deadline sorts last as
     ``inf``), with **equal deadlines tie-breaking deterministically by
     qid**.  Optimal for meeting deadlines on a single resource when the
@@ -232,18 +241,33 @@ class EdfAdmission(AdmissionPolicy):
     workload.
 
     The rank is each request's ``edf_key``, ``(deadline_at, qid)``,
-    built once when the request is constructed, so a pick makes no
-    Python call per queued entry.  qids are unique, so the first
-    minimal key is the only one.
+    built once when the request is constructed.  The policy keeps a
+    min-heap of the keys of the requests that entered the queue
+    (:meth:`record_enqueue`), with lazy deletion: :meth:`select` pops
+    top entries whose qid is no longer queued and answers the qid on
+    top, amortized O(log n) per pick.  A key never changes while its
+    request waits, a retry re-enters with the same key, and qids are
+    unique, so the top is the minimal key of the queue.
     """
 
     key = EDF
 
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, str]] = []
+
+    def reset(self) -> None:
+        self._heap.clear()
+
+    def record_enqueue(self, request: "QueryRequest") -> None:
+        heapq.heappush(self._heap, request.edf_key)
+
     def select(
-        self, arrived: Sequence["QueryRequest"], ctx: AdmissionContext
-    ) -> int:
-        keys = list(map(_edf_key, arrived))
-        return keys.index(min(keys))
+        self, queue: Mapping[str, "QueryRequest"], ctx: AdmissionContext
+    ) -> str:
+        heap = self._heap
+        while heap[0][1] not in queue:
+            heapq.heappop(heap)
+        return heap[0][1]
 
 
 class WeightedFairAdmission(AdmissionPolicy):
@@ -252,7 +276,7 @@ class WeightedFairAdmission(AdmissionPolicy):
     Keeps a per-run ledger of *charged* service per tenant: every
     admission charges the query's cached solo estimate divided by its
     class weight (:attr:`QueryClass.weight`) to the query's tenant.
-    :meth:`select` serves the least-charged tenant's oldest arrived
+    :meth:`select` serves the least-charged tenant's oldest queued
     query — FIFO within a tenant, fair across tenants.  Ties break by
     first-seen order, then tenant name, so replays are deterministic.
 
@@ -284,15 +308,15 @@ class WeightedFairAdmission(AdmissionPolicy):
         )
 
     def select(
-        self, arrived: Sequence["QueryRequest"], ctx: AdmissionContext
-    ) -> int:
-        heads: dict[str, int] = {}
-        for pos, request in enumerate(arrived):
+        self, queue: Mapping[str, "QueryRequest"], ctx: AdmissionContext
+    ) -> str:
+        heads: dict[str, str] = {}
+        for request in queue.values():
             tenant = tenant_of(request)
             if tenant not in self._seen:
                 self._seen[tenant] = len(self._seen)
             if tenant not in heads:
-                heads[tenant] = pos
+                heads[tenant] = request.qid
         return heads[min(heads, key=self._rank)]
 
     def record_admit(

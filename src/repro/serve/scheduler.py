@@ -84,6 +84,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from itertools import islice
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 from repro.core.config import GpuJoinConfig
@@ -593,7 +595,7 @@ class _Run:
         "can_grow", "fault_run", "policy", "admission", "admission_ctx",
         "shedding", "max_queue_depth", "slo_wait_seconds", "compact_every",
         "arrivals", "next_req", "seen", "last_submit",
-        "queue", "queued_profiles", "deadline_heap", "deadline_queued",
+        "queue", "queue_view", "queued_profiles", "deadline_heap",
         "profiles",
         "outcomes", "admitted_plans", "owner", "finish_heap",
         "admitted_wave", "completed", "shed", "queue_depths", "clock",
@@ -653,20 +655,23 @@ class _Run:
         #: The qids taken so far, one per arrival.
         self.seen: set[str] = set()
         self.last_submit = 0.0
-        self.queue: deque[QueryRequest] = deque()
+        #: The wait queue, qid to request, in queue order (insertion
+        #: order; see :meth:`_enter_queue`), and the read-only live view
+        #: of it that the admission policy picks from.
+        self.queue: dict[str, QueryRequest] = {}
+        self.queue_view = MappingProxyType(self.queue)
         #: Each queued request's profile under the scheduler default,
         #: from its first use (see :meth:`_queued_profile`) until it
         #: leaves the wait queue (:meth:`_leave_queue`).
         self.queued_profiles: dict[str, _Profile] = {}
         #: A shedding run's deadline index: a min-heap of the
         #: ``edf_key`` of every deadline-bearing request that entered
-        #: the wait queue (:meth:`_enter_queue`), and the qids of those
-        #: still in it.  Deletion is lazy: an entry whose qid has left
-        #: the queue is dropped when its deadline comes due
-        #: (:meth:`_expire_deadlines`).  Both stay empty on
+        #: the wait queue (:meth:`_enter_queue`).  An entry is live
+        #: while its qid is queued; deletion is lazy: an entry whose
+        #: qid has left the queue is dropped when its deadline comes
+        #: due (:meth:`_expire_deadlines`).  It stays empty on
         #: deadline-free streams and in ``run_online``.
         self.deadline_heap: list[tuple[float, str]] = []
-        self.deadline_queued: set[str] = set()
         #: The run's admission profiles (:meth:`_profile`): workloads
         #: repeat spec templates, and everything admission reads about
         #: a request is a pure function of (spec, materialize, pin,
@@ -1022,7 +1027,7 @@ class _Run:
             and not self.fleet.active()
         ):
             fault_run.fail_stranded(
-                [self._leave_queue(0) for _ in range(len(queue))]
+                [self._leave_queue(qid) for qid in list(queue)]
             )
             while self.next_req is not None:
                 fault_run.fail_now(self._take(), reason="fleet_lost")
@@ -1082,7 +1087,7 @@ class _Run:
         # every shed arrival, so a helper call per entry shows up in
         # the arrival gaps.
         queued_profiles = self.queued_profiles
-        for queued in self.queue:
+        for queued in self.queue.values():
             profile = queued_profiles.get(queued.qid)
             if profile is None:
                 profile = queued_profiles[queued.qid] = self._profile(queued)
@@ -1112,28 +1117,33 @@ class _Run:
         self, request: QueryRequest, *, front: bool = False
     ) -> None:
         """Put ``request`` into the wait queue — at the back on arrival,
-        at the front for a retry coming off its backoff — and, in a
-        shedding run, index its hard deadline when it has one: the one
-        way in, mirroring :meth:`_leave_queue`."""
+        at the front for a retry coming off its backoff — tell the
+        admission policy (:meth:`AdmissionPolicy.record_enqueue`) and,
+        in a shedding run, index its hard deadline when it has one: the
+        one way in, mirroring :meth:`_leave_queue`.
+
+        An arrival is one insert.  A retry is rare, and rebuilds the
+        queue with itself first, in place, since the admission policy
+        holds a view of it."""
+        queue = self.queue
         if front:
-            self.queue.appendleft(request)
+            behind = list(queue.items())
+            queue.clear()
+            queue[request.qid] = request
+            queue.update(behind)
         else:
-            self.queue.append(request)
+            queue[request.qid] = request
+        self.admission.record_enqueue(request)
         if self.shedding and request.deadline_at != math.inf:
             heapq.heappush(self.deadline_heap, request.edf_key)
-            self.deadline_queued.add(request.qid)
 
-    def _leave_queue(self, pos: int) -> QueryRequest:
-        """Take the request at wait-queue index ``pos`` out of the
-        queue, dropping its carried profile and its deadline's queued
-        mark — the one way out, whether the request is admitted,
-        stolen, expired, refused by an admission fault or failed with
-        the fleet."""
-        request = self.queue[pos]
-        del self.queue[pos]
-        self.queued_profiles.pop(request.qid, None)
-        self.deadline_queued.discard(request.qid)
-        return request
+    def _leave_queue(self, qid: str) -> QueryRequest:
+        """Take the request ``qid`` out of the wait queue, dropping its
+        carried profile — the one way out, whether the request is
+        admitted, stolen, expired, refused by an admission fault or
+        failed with the fleet."""
+        self.queued_profiles.pop(qid, None)
+        return self.queue.pop(qid)
 
     def _expire_deadlines(self) -> None:
         """Shed queued queries whose hard deadline has already passed —
@@ -1151,75 +1161,73 @@ class _Run:
         left the queue are dropped, and only when one of the due
         entries is still queued is the queue swept, in queue order."""
         clock = self.clock
-        heap, queued = self.deadline_heap, self.deadline_queued
+        heap, queue = self.deadline_heap, self.queue
         due = False
         while heap and heap[0][0] <= clock:
-            if heapq.heappop(heap)[1] in queued:
+            if heapq.heappop(heap)[1] in queue:
                 due = True
         if not due:
             return
-        queue = self.queue
-        expired = [r for r in queue if r.deadline_at <= clock]
+        expired = [r for r in queue.values() if r.deadline_at <= clock]
         depth = len(queue)
         for request in expired:
             self._shed(
                 request, "deadline_expired", depth, clock - request.submit_at
             )
-        gone = {r.qid for r in expired}
-        for pos in range(len(queue) - 1, -1, -1):
-            if queue[pos].qid in gone:
-                self._leave_queue(pos)
+            self._leave_queue(request.qid)
 
-    def _admission_pos(self) -> int:
-        """Queue index of the admission policy's chosen candidate.
+    def _admission_pick(self) -> str:
+        """qid of the admission policy's chosen candidate.
 
         The wait queue only ever holds arrived queries (fault retries
         re-enter at the front with their original, past ``submit_at``),
-        so the whole queue is the policy's candidate view.  The answer
-        is validated so a buggy policy raises *before* any queue or
-        arena mutation: an exception mid-pop leaves the run's books
-        exactly as they were.  FIFO never reaches here
-        (``reorders=False`` short-circuits to index 0 at the call site),
-        keeping the default path bit-identical to the pre-registry
-        scheduler.
+        so the whole queue is the policy's candidate view, passed as the
+        run's read-only view of it.  The answer is validated so a buggy
+        policy raises *before* any queue or arena mutation: an exception
+        mid-pop leaves the run's books exactly as they were.  FIFO never
+        reaches here (``reorders=False`` short-circuits to the queue
+        head at the call site), keeping the default path bit-identical
+        to the pre-registry scheduler.
         """
         policy = self.admission
         ctx = self.admission_ctx
         ctx.clock = self.clock
-        arrived = list(self.queue)
-        pos = policy.select(arrived, ctx)
-        if not is_int(pos) or not 0 <= pos < len(arrived):
+        qid = policy.select(self.queue_view, ctx)
+        if not isinstance(qid, str) or qid not in self.queue:
             raise SchedulingError(
-                f"admission policy {policy.key!r} selected {pos!r}; "
-                f"expected an index in [0, {len(arrived)})"
+                f"admission policy {policy.key!r} selected {qid!r}; "
+                "expected the qid of a queued request"
             )
-        return pos
+        return qid
 
     def _admit_heads(self) -> None:
         """Admit while the admission policy's chosen head can be placed
         somewhere; head-of-line blocking — on the *chosen* head — keeps
         admission starvation-free.  FIFO (the default) always chooses
-        index 0."""
+        the queue head."""
         queue = self.queue
         admission = self.admission
         fault_run = self.fault_run
         while queue:
-            pos = self._admission_pos() if admission.reorders else 0
-            request = queue[pos]
+            qid = (
+                self._admission_pick() if admission.reorders
+                else next(iter(queue))
+            )
+            request = queue[qid]
             if (
                 fault_run is not None
-                and fault_run.take_admission_fault(request.qid)
+                and fault_run.take_admission_fault(qid)
             ):
                 # Planned transient admission failure: the refusal
                 # charges the same retry budget a crash does, and the
                 # query re-queues after its backoff.
-                fault_run.record_failure(self._leave_queue(pos), self.clock)
+                fault_run.record_failure(self._leave_queue(qid), self.clock)
                 continue
             profile = self._queued_profile(request)
             placed = self._place(request, profile)
             if placed is None:
                 break
-            self._leave_queue(pos)
+            self._leave_queue(qid)
             self._admit(request, profile, placed)
             admission.record_admit(request, self.admission_ctx)
 
@@ -1465,9 +1473,9 @@ class _Run:
             if device.predicted_finish:
                 continue
             room = device.free_bytes
-            best: tuple[float, int, str, int, _Profile] | None = None
-            for pos in range(1, len(queue)):
-                request = queue[pos]
+            best: tuple[float, int, str, str, int, _Profile] | None = None
+            behind_head = islice(queue.values(), 1, None)
+            for pos, request in enumerate(behind_head, 1):
                 base = self._queued_profile(request)
                 rung = ladder_rung(base.needs, room)
                 need = base.needs[rung]
@@ -1481,12 +1489,12 @@ class _Run:
                     if est > max_degradation * self._solo_seconds(profile):
                         continue
                 if best is None or (est, pos) < best[:2]:
-                    best = (est, pos, key, need, base)
+                    best = (est, pos, request.qid, key, need, base)
             if best is None:
                 continue
-            _, pos, key, need, base = best
+            _, _, qid, key, need, base = best
             self._admit(
-                self._leave_queue(pos), base, (device, key, need), stolen=True
+                self._leave_queue(qid), base, (device, key, need), stolen=True
             )
 
     def _stop_blocked(self) -> None:
@@ -1506,9 +1514,9 @@ class _Run:
         # an empty arena every accepting device offers the
         # unconstrained placement — but a future gate that drops the
         # `running` condition must fail loudly, not hang.
-        head = self.queue[0]  # pragma: no cover - _place bug
+        head = next(iter(self.queue))  # pragma: no cover - _place bug
         raise SchedulingError(  # pragma: no cover
-            f"query {head.qid!r} cannot be admitted on an idle fleet"
+            f"query {head!r} cannot be admitted on an idle fleet"
         )
 
     def _extend(self) -> None:

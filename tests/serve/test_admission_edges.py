@@ -1,15 +1,17 @@
 """Adversarial unit tests for the admission-policy registry.
 
 Edge cases the property suite's random sweeps cannot pin precisely:
-deterministic tie-breaks on equal deadlines, the weighted-fair
-starvation bound, empty/singleton queues, a policy raising (or lying)
-mid-pop, service-class validation, and per-class attribution of
-``deadline_expired`` sheds.
+deterministic tie-breaks on equal deadlines, EDF's heap against a
+per-entry oracle over random queue entries and exits, the weighted-fair
+starvation bound, empty/singleton queues, a policy raising, lying or
+writing through its view of the queue mid-pop, service-class
+validation, and per-class attribution of ``deadline_expired`` sheds.
 """
 
 import dataclasses
 import math
 import pickle
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -64,34 +66,46 @@ def _ctx(clock=0.0):
     return AdmissionContext(clock=clock, solo_seconds=lambda r: 1.0)
 
 
+def _select(policy, requests):
+    """``policy``'s pick from a fresh wait queue of ``requests``, each
+    entering it in order, as the scheduler feeds it: one
+    ``record_enqueue`` per entry, then ``select`` on a read-only view."""
+    policy.reset()
+    queue = {}
+    for request in requests:
+        queue[request.qid] = request
+        policy.record_enqueue(request)
+    return policy.select(MappingProxyType(queue), _ctx())
+
+
 # ---------------------------------------------------------------------------
 # Tie-breaks and singletons
 # ---------------------------------------------------------------------------
 def test_equal_deadlines_tie_break_deterministically_by_qid():
     # Same class, same submit time -> identical hard deadlines; the
     # winner must be the smallest qid regardless of queue position.
-    arrived = [
+    queue = [
         _request("q2", deadline=5.0),
         _request("q0", deadline=5.0),
         _request("q1", deadline=5.0),
     ]
-    assert EdfAdmission().select(arrived, _ctx()) == 1
+    assert _select(EdfAdmission(), queue) == "q0"
     # Equal solo estimates tie-break the same way under SJF.
-    assert SjfAdmission().select(arrived, _ctx()) == 1
+    assert _select(SjfAdmission(), queue) == "q0"
 
 
 def test_no_deadline_sorts_last_under_edf():
-    arrived = [
+    queue = [
         _request("q0", deadline=None),
         _request("q1", deadline=9.0),
     ]
-    assert EdfAdmission().select(arrived, _ctx()) == 1
+    assert _select(EdfAdmission(), queue) == "q1"
 
 
 def test_every_policy_picks_the_singleton():
-    arrived = [_request("q0", deadline=1.0)]
+    queue = [_request("q0", deadline=1.0)]
     for key in registered_admission_policies():
-        assert create_admission_policy(key).select(arrived, _ctx()) == 0
+        assert _select(create_admission_policy(key), queue) == "q0"
 
 
 def test_empty_workload_is_fine_under_every_policy():
@@ -136,25 +150,60 @@ _QUEUE_ENTRY = st.tuples(
 )
 
 
+#: One step on a wait queue: enter at the back or the front (a request
+#: not queued now, fresh or one that left), leave (any queued request),
+#: or pick; the number chooses the request.
+_QUEUE_STEP = st.tuples(
+    st.sampled_from(["back", "front", "leave", "select"]),
+    st.integers(min_value=0, max_value=1 << 16),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     entries=st.lists(_QUEUE_ENTRY, min_size=1, max_size=40),
+    steps=st.lists(_QUEUE_STEP, max_size=120),
     order=st.randoms(use_true_random=False),
 )
-def test_edf_select_matches_the_per_entry_key_oracle(entries, order):
+def test_edf_select_matches_the_per_entry_key_oracle(entries, steps, order):
+    """One ``EdfAdmission`` fed a random sequence of queue entries and
+    exits, as the scheduler feeds it, picks the queued request with the
+    minimal ``(deadline, qid)`` at every step."""
     qids = [f"q{n}" for n in range(len(entries))]
     order.shuffle(qids)  # "q10" < "q9": qid order is string order
-    arrived = [
+    pool = [
         QueryRequest(qid=qid, spec=unique_pair(8 * M), submit_at=at)
         if deadline == "unclassed"
         else _request(qid, deadline=deadline, at=at)
         for qid, (at, deadline) in zip(qids, entries)
     ]
-    oracle = min(
-        range(len(arrived)),
-        key=lambda i: (_oracle_deadline(arrived[i]), arrived[i].qid),
-    )
-    assert EdfAdmission().select(arrived, _ctx()) == oracle
+    policy = EdfAdmission()
+    policy.reset()
+    queue = {}
+    view = MappingProxyType(queue)
+    for action, pick in steps + [("select", 0)]:
+        if action in ("back", "front"):
+            waiting = [r for r in pool if r.qid not in queue]
+            if not waiting:
+                continue
+            request = waiting[pick % len(waiting)]
+            if action == "front":
+                behind = list(queue.values())
+                queue.clear()
+                queue[request.qid] = request
+                queue.update((r.qid, r) for r in behind)
+            else:
+                queue[request.qid] = request
+            policy.record_enqueue(request)
+        elif action == "leave":
+            if queue:
+                del queue[list(queue)[pick % len(queue)]]
+        elif queue:
+            oracle = min(
+                queue.values(),
+                key=lambda r: (_oracle_deadline(r), r.qid),
+            )
+            assert policy.select(view, _ctx()) == oracle.qid
 
 
 def test_cached_rank_keys_stay_outside_the_dataclass_contract():
@@ -261,11 +310,11 @@ class _BoomPolicy(AdmissionPolicy):
         self.after = after
         self.calls = 0
 
-    def select(self, arrived, ctx):
+    def select(self, queue, ctx):
         self.calls += 1
         if self.calls > self.after:
             raise RuntimeError("boom")
-        return 0
+        return next(iter(queue))
 
 
 class _LyingPolicy(AdmissionPolicy):
@@ -274,8 +323,19 @@ class _LyingPolicy(AdmissionPolicy):
     def __init__(self, verdict):
         self.verdict = verdict
 
-    def select(self, arrived, ctx):
+    def select(self, queue, ctx):
         return self.verdict
+
+
+class _WritingPolicy(AdmissionPolicy):
+    key = "writer"
+
+    def __init__(self, write):
+        self.write = write
+
+    def select(self, queue, ctx):
+        self.write(queue)
+        return next(iter(queue))
 
 
 def test_policy_exception_mid_pop_propagates_and_books_stay_consistent():
@@ -292,11 +352,32 @@ def test_policy_exception_mid_pop_propagates_and_books_stay_consistent():
     assert recovered.makespan == pristine.makespan
 
 
-@pytest.mark.parametrize("verdict", [-1, 99, True, "0", None, 1.0])
+# 0 is the head's index under a select contract that answered
+# positions; "q000" is admitted at the first pick, so the second pick
+# names a qid that already left; "q999" never arrives.
+@pytest.mark.parametrize(
+    "verdict", [-1, 99, True, "0", None, 1.0, 0, "q000", "q999"]
+)
 def test_out_of_range_or_mistyped_selection_raises_naming_the_policy(verdict):
     scheduler = QueryScheduler(admission=_LyingPolicy(verdict))
     with pytest.raises(SchedulingError, match="liar"):
         scheduler.run_online(mixed_workload(4))
+
+
+def _assign(queue):
+    queue["q999"] = None
+
+
+def _delete(queue):
+    del queue[next(iter(queue))]
+
+
+@pytest.mark.parametrize("write", [_assign, _delete])
+def test_a_policy_cannot_write_through_its_view_of_the_queue(write):
+    with pytest.raises(TypeError):
+        QueryScheduler(admission=_WritingPolicy(write)).run_online(
+            mixed_workload(4)
+        )
 
 
 def test_streaming_policy_exception_propagates_too():
