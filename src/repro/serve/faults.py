@@ -114,18 +114,20 @@ class FaultPlan:
     ) -> None:
         """Reject an inconsistent plan before the run starts.
 
-        Checks that crashes are sorted by ``(at, device)``, that no
-        device crashes twice, that every crashed device exists by its
-        crash time (counting devices joined by ``add`` fleet events at
-        or before it), and that transient-failure counts are positive.
-        Raises :class:`~repro.errors.FaultPlanError` — the same
+        Checks that ``initial_devices`` is an int >= 1, that crashes
+        are sorted by ``(at, device)``, that no device crashes twice,
+        that every crashed device exists by its crash time (counting
+        devices joined by ``add`` fleet events at or before it), and
+        that transient-failure counts are positive.  Raises
+        :class:`~repro.errors.FaultPlanError` — the same
         fail-before-mutating contract
         :func:`~repro.serve.placement.validate_fleet_events` gives
         elasticity schedules.
         """
-        if initial_devices < 1:
+        if not is_int(initial_devices) or initial_devices < 1:
             raise FaultPlanError(
-                f"initial_devices must be >= 1, got {initial_devices!r}"
+                f"initial_devices must be an int >= 1, got "
+                f"{initial_devices!r}"
             )
         order = [(crash.at, crash.device) for crash in self.crashes]
         if order != sorted(order):
@@ -187,14 +189,33 @@ class FaultPlan:
         (benches that want completions set it).  Each qid in ``qids``
         independently suffers 1..``max_admission_faults`` transient
         admission failures with probability ``admission_fault_rate``.
+        Every argument is checked before anything is drawn.
         """
         if not is_int(devices) or devices < 1:
             raise FaultPlanError(
                 f"devices must be an int >= 1, got {devices!r}"
             )
+        # Negated comparisons, so NaN fails them too.
         if not 0 <= horizon < math.inf:
             raise FaultPlanError(
                 f"horizon must be finite and >= 0, got {horizon!r}"
+            )
+        if max_crashes is not None and (
+            not is_int(max_crashes) or max_crashes < 0
+        ):
+            raise FaultPlanError(
+                f"max_crashes must be None or an int >= 0, got "
+                f"{max_crashes!r}"
+            )
+        if not 0 <= admission_fault_rate <= 1:
+            raise FaultPlanError(
+                f"admission_fault_rate must lie in [0, 1], got "
+                f"{admission_fault_rate!r}"
+            )
+        if not is_int(max_admission_faults) or max_admission_faults < 1:
+            raise FaultPlanError(
+                f"max_admission_faults must be an int >= 1, got "
+                f"{max_admission_faults!r}"
             )
         rng = random.Random(seed)
         limit = devices if max_crashes is None else min(max_crashes, devices)

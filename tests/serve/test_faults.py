@@ -552,6 +552,37 @@ def test_fault_plan_validation_rejects_bad_plans():
     for count in (0, True):
         with pytest.raises(FaultPlanError, match="positive"):
             FaultPlan(admission_failures={"q0": count}).validate(1)
+    # Each of these passed and then raised a raw ValueError from
+    # randrange, or was silently read as something else: True crashed
+    # one device, -1 none, a NaN or negative rate drew no failure and
+    # 1.5 failed every qid.
+    for max_crashes in (1.5, True, -1):
+        with pytest.raises(FaultPlanError, match="max_crashes"):
+            FaultPlan.random(
+                0, devices=2, horizon=1.0, max_crashes=max_crashes
+            )
+    for count in (0, 2.5, True):
+        with pytest.raises(FaultPlanError, match="max_admission_faults"):
+            FaultPlan.random(
+                0,
+                devices=2,
+                horizon=1.0,
+                qids=["q0", "q1"],
+                admission_fault_rate=1.0,
+                max_admission_faults=count,
+            )
+    for rate in (float("nan"), -0.5, 1.5):
+        with pytest.raises(FaultPlanError, match="admission_fault_rate"):
+            FaultPlan.random(
+                0,
+                devices=2,
+                horizon=1.0,
+                qids=["q0", "q1"],
+                admission_fault_rate=rate,
+            )
+    for initial in (1.5, True, float("nan")):
+        with pytest.raises(FaultPlanError, match="initial_devices"):
+            FaultPlan().validate(initial_devices=initial)
     with pytest.raises(FaultPlanError, match="non-empty"):
         FaultPlan(admission_failures={"": 1}).validate(1)
     assert issubclass(FaultPlanError, InvalidConfigError)
