@@ -1181,9 +1181,9 @@ class _Run:
 
         The wait queue only ever holds arrived queries (fault retries
         re-enter at the front with their original, past ``submit_at``),
-        so the whole queue is the policy's candidate view, passed as the
-        run's read-only view of it.  The answer is validated so a buggy
-        policy raises *before* any queue or arena mutation: an exception
+        so the policy picks from the whole queue, through the run's
+        read-only view of it.  The answer is validated so a buggy policy
+        raises *before* any queue or arena mutation: an exception
         mid-pop leaves the run's books exactly as they were.  FIFO never
         reaches here (``reorders=False`` short-circuits to the queue
         head at the call site), keeping the default path bit-identical

@@ -356,7 +356,9 @@ def test_policy_exception_mid_pop_propagates_and_books_stay_consistent():
 # positions; "q000" is admitted at the first pick, so the second pick
 # names a qid that already left; "q999" never arrives.
 @pytest.mark.parametrize(
-    "verdict", [-1, 99, True, "0", None, 1.0, 0, "q000", "q999"]
+    "verdict",
+    [-1, 99, True, "0", None, 1.0, pytest.param(0, id="int0"), "q000",
+     "q999"],
 )
 def test_out_of_range_or_mistyped_selection_raises_naming_the_policy(verdict):
     scheduler = QueryScheduler(admission=_LyingPolicy(verdict))
@@ -374,7 +376,7 @@ def _delete(queue):
 
 @pytest.mark.parametrize("write", [_assign, _delete])
 def test_a_policy_cannot_write_through_its_view_of_the_queue(write):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="mappingproxy"):
         QueryScheduler(admission=_WritingPolicy(write)).run_online(
             mixed_workload(4)
         )
