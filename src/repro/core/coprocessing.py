@@ -39,7 +39,7 @@ from repro.data.relation import Relation
 from repro.data.spec import JoinSpec
 from repro.errors import InvalidConfigError
 from repro.gpusim.calibration import Calibration
-from repro.gpusim.cost import GpuCostModel
+from repro.gpusim.cost import GpuCostModel, tiled_sum
 from repro.gpusim.spec import SystemSpec
 from repro.gpusim.transfer import TransferModel
 from repro.kernels.aggregate import aggregate_pairs
@@ -390,8 +390,12 @@ class CoProcessingJoin(PipelinedJoinStrategy):
         gpu_bits = derive_bits_per_pass(total_bits, max_bits_per_pass=cfg.max_bits_per_pass)
         final_bits = self.cpu_bits + total_bits
 
-        build_final = stats_mod.expected_partition_sizes(spec.build, final_bits)
-        probe_final = stats_mod.expected_partition_sizes(spec.probe, final_bits)
+        # A uniform-family join's final histograms are one host-fanout
+        # row tiled ``repeat`` times, and the columns a working set
+        # selects from that row are the period of its full columns.
+        build_final, probe_final, repeat = stats_mod.expected_copartition_periods(
+            spec, final_bits, 1 << self.cpu_bits
+        )
         matches = stats_mod.expected_join_cardinality(spec)
         key_bits = key_bit_width(max(spec.build.distinct, spec.probe.distinct) - 1)
 
@@ -453,8 +457,9 @@ class CoProcessingJoin(PipelinedJoinStrategy):
                     key_bits=key_bits,
                     materialize=materialize,
                     charge_build=False,
+                    repeat=repeat,
                 )
-                cached = (evaluator, float(s.sum()))
+                cached = (evaluator, tiled_sum(s, repeat))
                 evaluators[ws_keys[w]] = cached
             return cached
 

@@ -132,12 +132,15 @@ class GpuPartitionedJoin(PipelinedJoinStrategy):
         key_bits: int,
         materialize: bool,
         charge_build: bool = True,
+        repeat: int = 1,
     ):
         """Scaled twin of :meth:`_join_cost` for the out-of-GPU chunk
         loops: the build side is fixed, the probe side is ``probe_sizes``
         times a scalar chunk fraction.  Returns an evaluator whose
         ``seconds(scale)`` agrees with :meth:`_join_cost` on the
-        correspondingly scaled stats within 1e-9 (memoized per scale)."""
+        correspondingly scaled stats within 1e-9 (memoized per scale).
+        With ``repeat > 1`` the sizes are one period of histograms that
+        repeat it (:func:`repro.data.stats.expected_copartition_periods`)."""
         cfg = self.config
         if cfg.probe_kernel == NLJ_PROBE:
             # The NLJ kernel always charges the build copy (as does
@@ -151,6 +154,7 @@ class GpuPartitionedJoin(PipelinedJoinStrategy):
                 threads_per_block=cfg.threads_per_block_join,
                 materialize=materialize,
                 out_tuple_bytes=OUT_TUPLE_BYTES,
+                repeat=repeat,
             )
         return self.cost_model.hash_join_evaluator(
             build_sizes,
@@ -164,6 +168,7 @@ class GpuPartitionedJoin(PipelinedJoinStrategy):
             materialize=materialize,
             out_tuple_bytes=OUT_TUPLE_BYTES,
             charge_build=charge_build,
+            repeat=repeat,
         )
 
     def _gather_cost(self, spec: JoinSpec, matches: float) -> KernelCost:

@@ -169,7 +169,6 @@ class StreamingProbeJoin(PipelinedJoinStrategy):
             + self.cost_model.build_tables_seconds(spec.build.n, spec.build.tuple_bytes)
         )
 
-        build_sizes = stats_mod.expected_partition_sizes(spec.build, total_bits)
         matches = stats_mod.expected_join_cardinality(spec)
         key_bits = key_bit_width(max(spec.build.distinct, spec.probe.distinct) - 1)
 
@@ -177,8 +176,12 @@ class StreamingProbeJoin(PipelinedJoinStrategy):
         # so the join formula's build-side invariants are computed once
         # and each chunk only scales the probe side by its fraction —
         # at most two distinct values (full chunks + a trailing partial
-        # one), memoized per chunk size.
-        probe_sizes_base = stats_mod.expected_partition_sizes(spec.probe, total_bits)
+        # one), memoized per chunk size.  A uniform-family join's
+        # histograms are constant, so the evaluator gets one co-partition
+        # and the fanout as its repeat.
+        build_sizes, probe_sizes_base, repeat = stats_mod.expected_copartition_periods(
+            spec, total_bits, 1
+        )
         evaluator = self._resident._join_cost_evaluator(
             build_sizes,
             probe_sizes_base,
@@ -188,6 +191,7 @@ class StreamingProbeJoin(PipelinedJoinStrategy):
             key_bits=key_bits,
             materialize=materialize,
             charge_build=False,
+            repeat=repeat,
         )
         join_memo: dict[int, float] = {}
 

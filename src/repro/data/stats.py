@@ -51,6 +51,11 @@ def empirical_partition_sizes(keys: np.ndarray, total_bits: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _uniform_family(spec: RelationSpec) -> bool:
+    """Whether ``spec`` spreads evenly over any radix fanout."""
+    return spec.distribution is not Distribution.ZIPF or spec.zipf_s == 0.0
+
+
 def expected_partition_sizes(spec: RelationSpec, total_bits: int) -> np.ndarray:
     """Expected partition sizes for a relation spec.
 
@@ -60,7 +65,7 @@ def expected_partition_sizes(spec: RelationSpec, total_bits: int) -> np.ndarray:
     are accumulated exactly, the near-uniform tail is spread evenly.
     """
     fanout = 1 << total_bits
-    if spec.distribution is not Distribution.ZIPF or spec.zipf_s == 0.0:
+    if _uniform_family(spec):
         return np.full(fanout, spec.n / fanout, dtype=np.float64)
     head = min(zipf_mod.HEAD_RANKS, spec.distinct)
     pmf = zipf_mod.pmf_head(spec.distinct, spec.zipf_s, head)
@@ -69,6 +74,37 @@ def expected_partition_sizes(spec: RelationSpec, total_bits: int) -> np.ndarray:
     tail_mass = max(0.0, 1.0 - float(pmf.sum()))
     mass += tail_mass / fanout
     return mass * spec.n
+
+
+def expected_copartition_periods(
+    spec: JoinSpec, total_bits: int, period: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """A join's expected co-partition histograms as ``(build period,
+    probe period, repeat)``.
+
+    When both sides are uniform-family, each side's
+    :func:`expected_partition_sizes` is ``np.tile`` of its first
+    ``period`` entries, repeated ``2**total_bits // period`` times, so
+    only that period is built.  Otherwise both full histograms come back
+    with a repeat of 1.  ``period`` must divide the fanout.
+    """
+    fanout = 1 << total_bits
+    if not 1 <= period <= fanout or fanout % period:
+        raise InvalidConfigError(
+            f"period {period} does not divide the fanout {fanout}"
+        )
+    build, probe = spec.build, spec.probe
+    if _uniform_family(build) and _uniform_family(probe):
+        return (
+            np.full(period, build.n / fanout, dtype=np.float64),
+            np.full(period, probe.n / fanout, dtype=np.float64),
+            fanout // period,
+        )
+    return (
+        expected_partition_sizes(build, total_bits),
+        expected_partition_sizes(probe, total_bits),
+        1,
+    )
 
 
 def expected_max_partition_size(spec: RelationSpec, total_bits: int) -> float:

@@ -24,6 +24,19 @@ from repro.gpusim.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.gpusim.spec import GpuSpec, SystemSpec
 
 
+def tiled_sum(values: np.ndarray, repeat: int) -> float:
+    """Sum of ``values`` tiled ``repeat`` times.
+
+    numpy sums a contiguous array pairwise, so the rounding of a total
+    depends on the whole array: ``repeat * values.sum()`` differs from
+    the sum of the full-length histogram in about half of all cases.
+    The tile is that very array, so its sum is bit-identical to it.
+    """
+    if repeat == 1:
+        return float(values.sum())
+    return float(np.tile(values, repeat).sum())
+
+
 @dataclass
 class KernelCost:
     """Simulated cost of one kernel (or phase), with a breakdown.
@@ -83,17 +96,23 @@ class CoPartitionStats:
 
     @staticmethod
     def split_matches(
-        build_sizes: np.ndarray, probe_sizes: np.ndarray, total_matches: float
+        build_sizes: np.ndarray,
+        probe_sizes: np.ndarray,
+        total_matches: float,
+        repeat: int = 1,
     ) -> np.ndarray:
         """Attribute a total match count to partitions ∝ ``b_p * s_p``.
 
         Matches can only occur within a co-partition, and within one the
         expected count is proportional to the product of the two sides.
+        With ``repeat > 1`` the sizes are one period of histograms that
+        repeat it ``repeat`` times (see :func:`tiled_sum`), and so is
+        the result.
         """
         weights = np.asarray(build_sizes, dtype=np.float64) * np.asarray(
             probe_sizes, dtype=np.float64
         )
-        total_weight = weights.sum()
+        total_weight = tiled_sum(weights, repeat)
         if total_weight <= 0:
             return np.zeros_like(weights)
         return weights * (total_matches / total_weight)
@@ -422,10 +441,13 @@ class GpuCostModel:
         materialize: bool = False,
         out_tuple_bytes: float = 8.0,
         charge_build: bool = True,
+        repeat: int = 1,
     ) -> "ScaledHashJoinCost":
         """Precompute the per-working-set invariants of
         :meth:`join_copartitions_hash` for probe sides that are a fixed
-        base scaled by a scalar (the out-of-GPU chunk loops)."""
+        base scaled by a scalar (the out-of-GPU chunk loops).  The
+        histograms may be one period of ``repeat`` (see
+        :class:`_ScaledJoinCostBase`)."""
         return ScaledHashJoinCost(
             self,
             build_sizes,
@@ -439,6 +461,7 @@ class GpuCostModel:
             materialize=materialize,
             out_tuple_bytes=out_tuple_bytes,
             charge_build=charge_build,
+            repeat=repeat,
         )
 
     def nlj_join_evaluator(
@@ -452,6 +475,7 @@ class GpuCostModel:
         threads_per_block: int,
         materialize: bool = False,
         out_tuple_bytes: float = 8.0,
+        repeat: int = 1,
     ) -> "ScaledNljJoinCost":
         """NLJ twin of :meth:`hash_join_evaluator`."""
         return ScaledNljJoinCost(
@@ -464,6 +488,7 @@ class GpuCostModel:
             threads_per_block=threads_per_block,
             materialize=materialize,
             out_tuple_bytes=out_tuple_bytes,
+            repeat=repeat,
         )
 
     # ------------------------------------------------------------------
@@ -511,6 +536,16 @@ class _ScaledJoinCostBase:
     evaluation to a handful of vector ops; results are memoized per
     scale, so the per-chunk inner loop collapses to a dict lookup.
 
+    The histograms may be given as one period plus a ``repeat`` count:
+    the evaluator then prices ``np.tile(build_sizes, repeat)`` against
+    ``np.tile(probe_sizes, repeat)`` (a uniform-family join's
+    2^19 final co-partitions hold at most 16 distinct working-set
+    sizes, see :func:`repro.data.stats.expected_copartition_periods`).
+    Every elementwise invariant is computed on the period, and every sum
+    (match-split weight, total matches, traffic, each scale's lane ops)
+    goes through :func:`tiled_sum`, so the seconds and the breakdown are
+    bit-identical to an evaluator built on the tiled histograms.
+
     Subclasses fill in the kernel-specific invariants and must agree
     with their one-shot counterpart (``join_copartitions_hash`` /
     ``join_copartitions_nlj``) to within 1e-9 — asserted by
@@ -528,17 +563,19 @@ class _ScaledJoinCostBase:
         threads_per_block: int,
         materialize: bool,
         out_tuple_bytes: float,
+        repeat: int,
     ) -> None:
         self.model = model
+        self.repeat = repeat
         self.build_sizes = np.asarray(build_sizes, dtype=np.float64)
         self.probe_base = np.asarray(probe_sizes, dtype=np.float64)
         self.matches_base = CoPartitionStats.split_matches(
-            self.build_sizes, self.probe_base, float(total_matches)
+            self.build_sizes, self.probe_base, float(total_matches), repeat
         )
         self.tuple_bytes = float(tuple_bytes)
         self.materialize = materialize
         self.out_tuple_bytes = float(out_tuple_bytes)
-        self.total_matches_base = float(self.matches_base.sum())
+        self.total_matches_base = tiled_sum(self.matches_base, repeat)
         self._util_base = self.probe_base / float(threads_per_block)
         self._cache: dict[float, KernelCost] = {}
 
@@ -570,8 +607,8 @@ class _ScaledJoinCostBase:
         util = np.minimum(
             np.maximum(self._util_base * scale, calib.min_block_utilization), 1.0
         )
-        lane_ops = float(
-            ((self._fixed_ops + self._scaled_ops * scale) / util).sum()
+        lane_ops = tiled_sum(
+            (self._fixed_ops + self._scaled_ops * scale) / util, self.repeat
         )
         traffic = (
             self._fixed_traffic + self._scaled_traffic * scale
@@ -596,11 +633,12 @@ class _ScaledJoinCostBase:
 class ScaledHashJoinCost(_ScaledJoinCostBase):
     """Scaled evaluator of :meth:`GpuCostModel.join_copartitions_hash`.
 
-    Precomputed once per working set: per-partition fallback passes
-    (``ceil(build / elements_per_block)``), per-pass block sizes and
-    chain steps, build inserts, and the probe/match lane-op coefficient
-    arrays.  Each ``cost(scale)`` is then two vector multiplies, one
-    divide and a sum.
+    Precomputed once per working set, on the histograms' period:
+    per-partition fallback passes (``ceil(build / elements_per_block)``),
+    per-pass block sizes and chain steps, build inserts, and the
+    probe/match lane-op coefficient arrays.  Each ``cost(scale)`` is
+    then two vector multiplies and one divide over the period, and one
+    sum over its tile.
     """
 
     def __init__(
@@ -618,6 +656,7 @@ class ScaledHashJoinCost(_ScaledJoinCostBase):
         materialize: bool,
         out_tuple_bytes: float,
         charge_build: bool,
+        repeat: int = 1,
     ) -> None:
         super().__init__(
             model,
@@ -628,6 +667,7 @@ class ScaledHashJoinCost(_ScaledJoinCostBase):
             threads_per_block=threads_per_block,
             materialize=materialize,
             out_tuple_bytes=out_tuple_bytes,
+            repeat=repeat,
         )
         calib = model.calib
         passes = np.maximum(
@@ -645,9 +685,9 @@ class ScaledHashJoinCost(_ScaledJoinCostBase):
             calib.lane_ops_scan_per_tuple + steps * step_cost
         ) + self.matches_base * (step_cost + calib.lane_ops_flush_per_match)
         self._fixed_traffic = (
-            float(self.build_sizes.sum()) if charge_build else 0.0
+            tiled_sum(self.build_sizes, repeat) if charge_build else 0.0
         )
-        self._scaled_traffic = float((self.probe_base * passes).sum())
+        self._scaled_traffic = tiled_sum(self.probe_base * passes, repeat)
 
 
 class ScaledNljJoinCost(_ScaledJoinCostBase):
@@ -665,6 +705,7 @@ class ScaledNljJoinCost(_ScaledJoinCostBase):
         threads_per_block: int,
         materialize: bool,
         out_tuple_bytes: float,
+        repeat: int = 1,
     ) -> None:
         super().__init__(
             model,
@@ -675,6 +716,7 @@ class ScaledNljJoinCost(_ScaledJoinCostBase):
             threads_per_block=threads_per_block,
             materialize=materialize,
             out_tuple_bytes=out_tuple_bytes,
+            repeat=repeat,
         )
         calib = model.calib
         warp = float(model.gpu.warp_size)
@@ -685,5 +727,5 @@ class ScaledNljJoinCost(_ScaledJoinCostBase):
             self.probe_base * rounds * per_round / warp
             + self.matches_base * calib.lane_ops_flush_per_match
         )
-        self._fixed_traffic = float(self.build_sizes.sum())
-        self._scaled_traffic = float(self.probe_base.sum())
+        self._fixed_traffic = tiled_sum(self.build_sizes, repeat)
+        self._scaled_traffic = tiled_sum(self.probe_base, repeat)

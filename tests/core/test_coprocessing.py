@@ -145,6 +145,12 @@ def _gathered(sizes, weights):
     return (sizes * factor)[factor > 0]
 
 
+def _final_bits(coproc, spec):
+    """Radix bits of the final co-partitions ``prepare`` prices."""
+    gpu_bits = coproc.config.radix_bits_for(spec.build.n // (1 << coproc.cpu_bits))
+    return coproc.cpu_bits + max(gpu_bits, 1)
+
+
 def _working_set_inputs(coproc, spec):
     """(match share, build columns, probe columns) of every working set
     ``prepare`` plans for ``spec``, with the columns as bytes of the
@@ -155,8 +161,7 @@ def _working_set_inputs(coproc, spec):
         spec.build.tuple_bytes,
         spec.probe.n,
     )
-    gpu_bits = coproc.config.radix_bits_for(spec.build.n // (1 << cpu_bits))
-    final_bits = cpu_bits + max(gpu_bits, 1)
+    final_bits = _final_bits(coproc, spec)
     build, probe = (
         expected_partition_sizes(side, final_bits) for side in (spec.build, spec.probe)
     )
@@ -189,6 +194,26 @@ def _recorded_columns(monkeypatch, coproc, spec):
     return calls
 
 
+def _assert_full_gathers(coproc, spec, calls):
+    """Each recorded selection stands for the full-length gather of its
+    side's final histogram.  A uniform join is priced on one host-fanout
+    row of that histogram, so its selection tiled ``2**(final_bits -
+    cpu_bits)`` times is the gather; a skewed join selects from the full
+    histogram itself.  ``prepare`` selects build, then probe columns."""
+    final_bits = _final_bits(coproc, spec)
+    sides = (spec.build, spec.probe)
+    skewed = any(side.distribution is Distribution.ZIPF for side in sides)
+    repeat = 1 if skewed else 1 << (final_bits - coproc.cpu_bits)
+    for index, (sizes, weights, selected) in enumerate(calls):
+        full = expected_partition_sizes(sides[index % 2], final_bits)
+        if skewed:
+            assert sizes.tobytes() == full.tobytes()
+        else:
+            assert sizes.shape == (1 << coproc.cpu_bits,)
+        gathered = _gathered(full, weights)
+        assert np.tile(selected, repeat).tobytes() == gathered.tobytes()
+
+
 @pytest.mark.parametrize("grant", GRANTS, ids=("whole", "1.25GiB", "split"))
 @pytest.mark.parametrize("cpu_bits", (1, 4, 6))
 @pytest.mark.parametrize(
@@ -211,8 +236,7 @@ def test_working_set_columns_equal_the_full_gather(monkeypatch, spec, cpu_bits, 
         device_budget=grant,
     )
     calls = _recorded_columns(monkeypatch, coproc, spec)
-    for sizes, weights, selected in calls:
-        assert selected.tobytes() == _gathered(sizes, weights).tobytes()
+    _assert_full_gathers(coproc, spec, calls)
     if grant == GIB:
         # The floor grant really splits a host partition across sets.
         assert any(((w > 0) & (w < 1)).any() for _, w, _ in calls)
@@ -220,13 +244,16 @@ def test_working_set_columns_equal_the_full_gather(monkeypatch, spec, cpu_bits, 
 
 def test_working_set_columns_at_paper_scale(monkeypatch):
     """The same identity on the default config's 2^19 final
-    co-partitions, one host partition per working set."""
+    co-partitions, one host partition per working set: each selection
+    is one value, and tiled 2^15 times it is the 2^15-element gather."""
     coproc = CoProcessingJoin(device_budget=GRANTS[1])
-    calls = _recorded_columns(monkeypatch, coproc, unique_pair(512_000_000))
-    assert calls[0][0].shape == (1 << 19,)
+    spec = unique_pair(512_000_000)
+    calls = _recorded_columns(monkeypatch, coproc, spec)
+    assert _final_bits(coproc, spec) == 19
     for sizes, weights, selected in calls:
         assert np.count_nonzero(weights) == 1
-        assert selected.tobytes() == _gathered(sizes, weights).tobytes()
+        assert selected.shape == (1,)
+    _assert_full_gathers(coproc, spec, calls)
 
 
 def test_both_selection_paths_are_exercised(monkeypatch):

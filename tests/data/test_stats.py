@@ -32,6 +32,47 @@ def test_expected_partition_sizes_uniform():
     assert np.allclose(sizes, 256.0)
 
 
+UNIFORM_FAMILY = {
+    "unique": RelationSpec(n=512_000_000),
+    "uniform": RelationSpec(
+        n=64_000_000, distinct=512_000_000, distribution=Distribution.UNIFORM
+    ),
+    "zipf0": RelationSpec(
+        n=3_000_001, distinct=1000, distribution=Distribution.ZIPF, zipf_s=0.0
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", UNIFORM_FAMILY, ids=str)
+@pytest.mark.parametrize("build", UNIFORM_FAMILY, ids=str)
+@pytest.mark.parametrize("total_bits, period", [(19, 16), (15, 1), (5, 32), (6, 2)])
+def test_copartition_periods_tile_to_the_full_histograms(build, probe, total_bits, period):
+    spec = JoinSpec(build=UNIFORM_FAMILY[build], probe=UNIFORM_FAMILY[probe])
+    build_period, probe_period, repeat = stats_mod.expected_copartition_periods(
+        spec, total_bits, period
+    )
+    assert repeat == (1 << total_bits) // period
+    for side, part in ((spec.build, build_period), (spec.probe, probe_period)):
+        assert part.shape == (period,)
+        full = stats_mod.expected_partition_sizes(side, total_bits)
+        assert np.tile(part, repeat).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("skew_side", ["build", "probe", "both"])
+def test_skewed_joins_get_their_full_histograms(skew_side):
+    spec = zipf_pair(64_000_000, 0.5, skew_side=skew_side)
+    build, probe, repeat = stats_mod.expected_copartition_periods(spec, 10, 16)
+    assert repeat == 1
+    assert build.tobytes() == stats_mod.expected_partition_sizes(spec.build, 10).tobytes()
+    assert probe.tobytes() == stats_mod.expected_partition_sizes(spec.probe, 10).tobytes()
+
+
+@pytest.mark.parametrize("period", [0, 3, 1 << 11])
+def test_copartition_period_must_divide_the_fanout(period):
+    with pytest.raises(InvalidConfigError, match="period"):
+        stats_mod.expected_copartition_periods(zipf_pair(1000, 0.0), 10, period)
+
+
 def test_expected_partition_sizes_zipf_match_empirical():
     spec = RelationSpec(
         n=200_000, distinct=50_000, distribution=Distribution.ZIPF, zipf_s=0.9

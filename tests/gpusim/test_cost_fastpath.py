@@ -115,6 +115,67 @@ def test_nlj_evaluator_matches_one_shot(
         )
 
 
+def _periods(length, seed):
+    """Build and probe periods of ``length`` working-set sizes: random
+    bases under host-partition weights of 1 and 1/k, some weights 0.
+    Build bases reach past ``elements_per_block`` (the fallback)."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / rng.integers(1, 9, size=length)
+    weights[rng.random(length) < 0.25] = 0.0
+    build = rng.uniform(100.0, 10_000.0, size=length) * weights
+    probe = rng.uniform(100.0, 10_000.0, size=length) * weights
+    return build, probe, rng.uniform(0.0, 1e9)
+
+
+def _assert_period_is_the_tile(make, length, repeat, **kwargs):
+    """An evaluator built on (period, repeat) prices exactly what the
+    same evaluator built on the tiled histograms prices."""
+    build, probe, matches = _periods(length, seed=length * repeat)
+    period = make(build, probe, matches, 8.0, repeat=repeat, **kwargs)
+    tiled = make(np.tile(build, repeat), np.tile(probe, repeat), matches, 8.0, **kwargs)
+    for scale in SCALES:
+        got, want = period.cost(scale), tiled.cost(scale)
+        assert got.seconds == want.seconds
+        assert got.breakdown == want.breakdown
+
+
+PERIOD_LENGTHS = (1, 5, 11, 16)
+REPEATS = (3, 2048, 1 << 15)
+
+
+@pytest.mark.parametrize("repeat", REPEATS)
+@pytest.mark.parametrize("length", PERIOD_LENGTHS)
+@pytest.mark.parametrize("materialize", [True, False])
+@pytest.mark.parametrize("charge_build", [True, False])
+def test_hash_evaluator_on_a_period_is_bitwise_the_tiled_one(
+    charge_build, materialize, length, repeat
+):
+    _assert_period_is_the_tile(
+        GpuCostModel().hash_join_evaluator,
+        length,
+        repeat,
+        ht_slots=2048,
+        elements_per_block=4096,
+        threads_per_block=512,
+        materialize=materialize,
+        charge_build=charge_build,
+    )
+
+
+@pytest.mark.parametrize("repeat", REPEATS)
+@pytest.mark.parametrize("length", PERIOD_LENGTHS)
+@pytest.mark.parametrize("materialize", [True, False])
+def test_nlj_evaluator_on_a_period_is_bitwise_the_tiled_one(materialize, length, repeat):
+    _assert_period_is_the_tile(
+        GpuCostModel().nlj_join_evaluator,
+        length,
+        repeat,
+        differing_bits=7,
+        threads_per_block=512,
+        materialize=materialize,
+    )
+
+
 def test_evaluator_memoizes_per_scale():
     model = GpuCostModel()
     build = np.full(1 << 10, 900.0)
