@@ -18,6 +18,7 @@ from repro.gpusim.shared_memory import join_block_reservation
 from repro.gpusim.spec import GpuSpec
 from repro.kernels.common import is_power_of_two
 from repro.kernels.radix_partition import derive_bits_per_pass
+from repro.pipeline.tasks import is_int
 
 HASH_PROBE = "hash"
 NLJ_PROBE = "nlj"
@@ -50,12 +51,16 @@ class GpuJoinConfig:
     def __post_init__(self) -> None:
         if self.probe_kernel not in (HASH_PROBE, NLJ_PROBE):
             raise InvalidConfigError(f"unknown probe kernel: {self.probe_kernel!r}")
+        for name in _SIZE_FIELDS:
+            value = getattr(self, name)
+            if name == "total_radix_bits" and value is None:
+                continue
+            if not is_int(value) or value < 1:
+                raise InvalidConfigError(
+                    f"{name} must be an int of at least 1, got {value!r}"
+                )
         if not is_power_of_two(self.ht_slots):
             raise InvalidConfigError("ht_slots must be a power of two")
-        if self.elements_per_block <= 0 or self.bucket_capacity <= 0:
-            raise InvalidConfigError("block sizes must be positive")
-        if self.total_radix_bits is not None and self.total_radix_bits <= 0:
-            raise InvalidConfigError("total_radix_bits must be positive")
 
     # ------------------------------------------------------------------
     def radix_bits_for(self, build_n: int) -> int:
@@ -90,6 +95,20 @@ class GpuJoinConfig:
     def with_(self, **kwargs) -> "GpuJoinConfig":
         """Functional update (thin wrapper over ``dataclasses.replace``)."""
         return replace(self, **kwargs)
+
+
+#: Every size knob: a non-bool int of at least 1 (``total_radix_bits``
+#: may also be ``None``).
+_SIZE_FIELDS = (
+    "total_radix_bits",
+    "max_bits_per_pass",
+    "elements_per_block",
+    "ht_slots",
+    "threads_per_block_partition",
+    "threads_per_block_join",
+    "bucket_capacity",
+    "output_buffer_bytes",
+)
 
 
 def default_config() -> GpuJoinConfig:

@@ -48,6 +48,30 @@ def test_invalid_values_rejected():
         GpuJoinConfig(elements_per_block=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("threads_per_block_join", 0),
+        ("threads_per_block_join", -512),
+        ("threads_per_block_join", True),
+        ("ht_slots", True),
+        ("total_radix_bits", 1.5),
+        ("total_radix_bits", True),
+        ("elements_per_block", 1.5),
+        ("bucket_capacity", 0.5),
+        ("output_buffer_bytes", 0),
+        ("threads_per_block_partition", 0),
+        ("max_bits_per_pass", 0),
+    ],
+)
+def test_size_fields_must_be_ints_of_at_least_one(field, value):
+    """Each of these used to pass construction, then crash an estimate
+    (a ``TypeError``, a divide by zero) or bend it (``True`` taken as
+    one, a float block size, a negative thread count)."""
+    with pytest.raises(InvalidConfigError, match=field):
+        GpuJoinConfig(**{field: value})
+
+
 def test_with_updates_functionally():
     cfg = default_config()
     nlj = cfg.with_(probe_kernel="nlj")
