@@ -45,7 +45,7 @@ from repro.gpusim.transfer import TransferModel
 from repro.kernels.aggregate import aggregate_pairs
 from repro.kernels.common import key_bit_width
 from repro.kernels.radix_partition import derive_bits_per_pass, estimate_partition_cost
-from repro.pipeline.tasks import CPU, D2H, GPU, H2D
+from repro.pipeline.tasks import CPU, D2H, GPU, H2D, is_int
 
 #: Default host-side fanout: a single 16-way pass (§V-C).
 DEFAULT_CPU_BITS = 4
@@ -125,10 +125,17 @@ class CoProcessingJoin(PipelinedJoinStrategy):
         staging: bool = True,
         device_budget: int | None = None,
     ):
-        if cpu_bits <= 0:
-            raise InvalidConfigError("cpu_bits must be positive")
-        if device_budget is not None and device_budget <= 0:
-            raise InvalidConfigError("device_budget must be positive")
+        if not is_int(cpu_bits) or cpu_bits < 1:
+            raise InvalidConfigError(
+                f"cpu_bits must be an int of at least 1, got {cpu_bits!r}"
+            )
+        if device_budget is not None and (
+            not is_int(device_budget) or device_budget < 1
+        ):
+            raise InvalidConfigError(
+                "device_budget must be None or an int of at least 1, "
+                f"got {device_budget!r}"
+            )
         self.system = system or SystemSpec()
         #: Device memory granted to this query (the serving layer passes
         #: its arena reservation); ``None`` means the whole device.
@@ -194,6 +201,11 @@ class CoProcessingJoin(PipelinedJoinStrategy):
         total = float(sizes.sum()) or 1.0
         if chunk_tuples is None:
             chunk_tuples = max(1, min(probe_n, DEFAULT_CHUNK_BYTES // tuple_bytes))
+        elif not is_int(chunk_tuples) or chunk_tuples < 1:
+            raise InvalidConfigError(
+                "chunk_tuples must be None or an int of at least 1, "
+                f"got {chunk_tuples!r}"
+            )
 
         def padded(values: np.ndarray) -> np.ndarray:
             buckets = np.maximum(1, np.ceil(values / bucket_capacity))

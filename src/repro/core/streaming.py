@@ -32,7 +32,7 @@ from repro.core.strategy import (
 from repro.data import stats as stats_mod
 from repro.data.relation import Relation
 from repro.data.spec import JoinSpec
-from repro.errors import DeviceMemoryOverflowError
+from repro.errors import DeviceMemoryOverflowError, InvalidConfigError
 from repro.gpusim.calibration import Calibration
 from repro.gpusim.cost import GpuCostModel
 from repro.gpusim.device_memory import DeviceMemory
@@ -43,7 +43,7 @@ from repro.kernels.build_hash import build_copartition_tables
 from repro.kernels.common import key_bit_width
 from repro.kernels.probe_hash import probe_copartitions
 from repro.kernels.radix_partition import estimate_partition_cost, gpu_radix_partition
-from repro.pipeline.tasks import D2H, GPU, H2D
+from repro.pipeline.tasks import D2H, GPU, H2D, is_int
 
 
 @register_strategy
@@ -76,6 +76,17 @@ class StreamingProbeJoin(PipelinedJoinStrategy):
     def default_chunk_tuples(self, build_n: int) -> int:
         """Chunks half the size of the build table (Fig 11's setup)."""
         return max(1, build_n // 2)
+
+    def _chunk_tuples(self, chunk_tuples: int | None, build_n: int) -> int:
+        """``chunk_tuples``, or the default chunk when it is ``None``."""
+        if chunk_tuples is None:
+            return self.default_chunk_tuples(build_n)
+        if not is_int(chunk_tuples) or chunk_tuples < 1:
+            raise InvalidConfigError(
+                "chunk_tuples must be None or an int of at least 1, "
+                f"got {chunk_tuples!r}"
+            )
+        return chunk_tuples
 
     def _check_device_memory(self, spec: JoinSpec, chunk_tuples: int) -> None:
         """Partitioned build + two input chunk buffers + two output
@@ -154,7 +165,7 @@ class StreamingProbeJoin(PipelinedJoinStrategy):
         chunk_tuples: int | None = None,
         materialize: bool = False,
     ) -> JoinPlan:
-        chunk_tuples = chunk_tuples or self.default_chunk_tuples(spec.build.n)
+        chunk_tuples = self._chunk_tuples(chunk_tuples, spec.build.n)
         self._check_device_memory(spec, chunk_tuples)
         cfg = self.config
         bits_per_pass = cfg.bits_per_pass_for(spec.build.n)
@@ -230,7 +241,7 @@ class StreamingProbeJoin(PipelinedJoinStrategy):
         against the resident partitioned build (the union of chunk joins
         equals the full join — §IV-A's correctness argument)."""
         cfg = self.config
-        chunk_tuples = chunk_tuples or self.default_chunk_tuples(build.num_tuples)
+        chunk_tuples = self._chunk_tuples(chunk_tuples, build.num_tuples)
         bits_per_pass = cfg.bits_per_pass_for(build.num_tuples)
 
         part_build, build_partition_cost = gpu_radix_partition(

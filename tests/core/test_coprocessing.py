@@ -15,6 +15,7 @@ from repro.data import (
     zipf_pair,
 )
 from repro.data.stats import expected_partition_sizes
+from repro.errors import InvalidConfigError
 
 CFG = GpuJoinConfig(total_radix_bits=4)
 
@@ -119,6 +120,33 @@ def test_single_sided_skew_hidden_by_pcie():
     uniform = coproc.estimate(zipf_pair(512_000_000, 0.0, skew_side="probe"))
     skewed = coproc.estimate(zipf_pair(512_000_000, 1.0, skew_side="probe"))
     assert skewed.throughput > 0.9 * uniform.throughput
+
+
+@pytest.mark.parametrize(
+    "argument, value",
+    [
+        ("cpu_bits", 1.5),
+        ("cpu_bits", True),
+        ("device_budget", 1.5e9),
+        ("device_budget", float("nan")),
+        ("device_budget", float("inf")),
+        ("device_budget", True),
+        ("chunk_tuples", 0),
+        ("chunk_tuples", -5),
+        ("chunk_tuples", 1.5e7),
+    ],
+)
+def test_bad_arguments_are_refused(argument, value):
+    """Each of these used to crash an estimate (a raw ``TypeError``, a
+    ``ZeroDivisionError``) or change its meaning (``True`` taken as 1,
+    a NaN or infinite grant as the whole device, a negative chunk as
+    no probe chunks at all)."""
+    spec = unique_pair(512_000_000)
+    with pytest.raises(InvalidConfigError, match=argument):
+        if argument == "chunk_tuples":
+            CoProcessingJoin().estimate(spec, chunk_tuples=value)
+        else:
+            CoProcessingJoin(**{argument: value}).estimate(spec)
 
 
 def test_plan_covers_all_partitions():

@@ -12,7 +12,7 @@ from repro.data import (
     naive_join_pairs,
     unique_pair,
 )
-from repro.errors import DeviceMemoryOverflowError
+from repro.errors import DeviceMemoryOverflowError, InvalidConfigError
 
 CFG = GpuJoinConfig(total_radix_bits=5)
 
@@ -45,6 +45,17 @@ def test_result_invariant_to_chunking(chunk_tuples):
 
 def test_default_chunk_is_half_the_build():
     assert StreamingProbeJoin().default_chunk_tuples(64_000_000) == 32_000_000
+
+
+@pytest.mark.parametrize("chunk_tuples", [0, -5, 1.5e7, True])
+def test_bad_chunk_sizes_are_refused(chunk_tuples):
+    """``0`` used to mean the default chunk, ``-5`` ended in a negative
+    device allocation, a float was accepted, and ``True`` planned
+    one-tuple chunks."""
+    with pytest.raises(InvalidConfigError, match="chunk_tuples"):
+        StreamingProbeJoin().estimate(
+            unique_pair(64_000_000, 1_024_000_000), chunk_tuples=chunk_tuples
+        )
 
 
 def test_makespan_at_least_total_transfer_time():
