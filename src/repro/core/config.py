@@ -23,6 +23,19 @@ from repro.pipeline.tasks import is_int
 HASH_PROBE = "hash"
 NLJ_PROBE = "nlj"
 
+#: Every size knob: a non-bool int of at least 1 (``total_radix_bits``
+#: may also be ``None``).
+_SIZE_FIELDS = (
+    "total_radix_bits",
+    "max_bits_per_pass",
+    "elements_per_block",
+    "ht_slots",
+    "threads_per_block_partition",
+    "threads_per_block_join",
+    "bucket_capacity",
+    "output_buffer_bytes",
+)
+
 
 @cached_hash
 @dataclass(frozen=True)
@@ -95,20 +108,6 @@ class GpuJoinConfig:
     def with_(self, **kwargs) -> "GpuJoinConfig":
         """Functional update (thin wrapper over ``dataclasses.replace``)."""
         return replace(self, **kwargs)
-
-
-#: Every size knob: a non-bool int of at least 1 (``total_radix_bits``
-#: may also be ``None``).
-_SIZE_FIELDS = (
-    "total_radix_bits",
-    "max_bits_per_pass",
-    "elements_per_block",
-    "ht_slots",
-    "threads_per_block_partition",
-    "threads_per_block_join",
-    "bucket_capacity",
-    "output_buffer_bytes",
-)
 
 
 def default_config() -> GpuJoinConfig:

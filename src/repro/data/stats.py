@@ -89,7 +89,7 @@ def expected_copartition_periods(
     with a repeat of 1.  ``period`` must divide the fanout.
     """
     fanout = 1 << total_bits
-    if not 1 <= period <= fanout or fanout % period:
+    if period < 1 or fanout % period:
         raise InvalidConfigError(
             f"period {period} does not divide the fanout {fanout}"
         )

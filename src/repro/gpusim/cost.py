@@ -536,12 +536,13 @@ class _ScaledJoinCostBase:
     evaluation to a handful of vector ops; results are memoized per
     scale, so the per-chunk inner loop collapses to a dict lookup.
 
-    The histograms may be given as one period plus a ``repeat`` count:
-    the evaluator then prices ``np.tile(build_sizes, repeat)`` against
-    ``np.tile(probe_sizes, repeat)`` (a uniform-family join's
-    2^19 final co-partitions hold at most 16 distinct working-set
-    sizes, see :func:`repro.data.stats.expected_copartition_periods`).
-    Every elementwise invariant is computed on the period, and every sum
+    The histograms may be given as one period plus a ``repeat`` count,
+    standing for ``np.tile(build_sizes, repeat)`` and
+    ``np.tile(probe_sizes, repeat)``: a co-processing working set of a
+    uniform-family join holds one size per live host partition, at most
+    16 values over up to 2^19 co-partitions (see
+    :func:`repro.data.stats.expected_copartition_periods`).  Every
+    elementwise invariant is computed on the period, and every sum
     (match-split weight, total matches, traffic, each scale's lane ops)
     goes through :func:`tiled_sum`, so the seconds and the breakdown are
     bit-identical to an evaluator built on the tiled histograms.
