@@ -657,7 +657,7 @@ class ScaledHashJoinCost(_ScaledJoinCostBase):
         materialize: bool,
         out_tuple_bytes: float,
         charge_build: bool,
-        repeat: int = 1,
+        repeat: int,
     ) -> None:
         super().__init__(
             model,
@@ -706,7 +706,7 @@ class ScaledNljJoinCost(_ScaledJoinCostBase):
         threads_per_block: int,
         materialize: bool,
         out_tuple_bytes: float,
-        repeat: int = 1,
+        repeat: int,
     ) -> None:
         super().__init__(
             model,
