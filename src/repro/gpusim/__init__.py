@@ -18,7 +18,6 @@ from repro.gpusim.occupancy import (
     occupancy_for,
     partition_kernel_occupancy,
 )
-from repro.gpusim.streams import Event, Stream, StreamContext
 from repro.gpusim.spec import (
     CpuSpec,
     GpuSpec,
@@ -37,7 +36,6 @@ __all__ = [
     "DeviceMemory",
     "DeviceMemoryArena",
     "Reservation",
-    "Event",
     "GpuCostModel",
     "GpuSpec",
     "HashTable",
@@ -46,8 +44,6 @@ __all__ = [
     "NIL",
     "Occupancy",
     "SharedMemoryArena",
-    "Stream",
-    "StreamContext",
     "SystemSpec",
     "TransferModel",
     "chain_insert",

@@ -1,6 +1,6 @@
 """Discrete-event pipeline simulation (CUDA streams/events semantics)."""
 
-from repro.pipeline.engine import PipelineEngine, double_buffered_stream
+from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.tasks import (
     CPU,
     D2H,
@@ -22,5 +22,4 @@ __all__ = [
     "Schedule",
     "ScheduledTask",
     "Task",
-    "double_buffered_stream",
 ]

@@ -702,59 +702,3 @@ class PipelineEngine:
                 "task(s) were retired, so the full graph no longer exists "
                 "to re-simulate; keep using extend()"
             )
-
-
-def double_buffered_stream(
-    engine: PipelineEngine,
-    *,
-    prefix: str,
-    chunks: int,
-    transfer_seconds,
-    compute_seconds,
-    buffers: int = 2,
-    transfer_resource: str = "h2d",
-    compute_resource: str = "gpu",
-    output_seconds=None,
-    output_resource: str = "d2h",
-    first_transfer_dep: str | None = None,
-) -> tuple[str, str]:
-    """Emit the paper's §IV-A double-buffered pipeline into ``engine``.
-
-    For each chunk ``i``: a transfer task, a compute task depending on it,
-    and (optionally) an output copy-back task.  Buffer recycling adds a
-    dependency of transfer ``i`` on compute ``i - buffers`` and, when
-    output is enabled, of compute ``i`` on output ``i - buffers``
-    (the §IV-C result double-buffering).
-
-    ``transfer_seconds``/``compute_seconds``/``output_seconds`` are either
-    scalars or callables of the chunk index.  Returns the names of the
-    last transfer and last compute task.
-    """
-
-    def _dur(value, index: int) -> float:
-        return float(value(index)) if callable(value) else float(value)
-
-    last_transfer = ""
-    last_compute = ""
-    for index in range(chunks):
-        transfer = f"{prefix}.h2d[{index}]"
-        compute = f"{prefix}.join[{index}]"
-        deps: list[str] = []
-        if first_transfer_dep and index == 0:
-            deps.append(first_transfer_dep)
-        if index >= buffers:
-            deps.append(f"{prefix}.join[{index - buffers}]")
-        engine.add_task(transfer, transfer_resource, _dur(transfer_seconds, index), deps)
-        compute_deps = [transfer]
-        if output_seconds is not None and index >= buffers:
-            compute_deps.append(f"{prefix}.d2h[{index - buffers}]")
-        engine.add_task(compute, compute_resource, _dur(compute_seconds, index), compute_deps)
-        if output_seconds is not None:
-            engine.add_task(
-                f"{prefix}.d2h[{index}]",
-                output_resource,
-                _dur(output_seconds, index),
-                [compute],
-            )
-        last_transfer, last_compute = transfer, compute
-    return last_transfer, last_compute

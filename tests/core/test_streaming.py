@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import GpuJoinConfig, StreamingProbeJoin
 from repro.data import (
@@ -13,8 +15,10 @@ from repro.data import (
     unique_pair,
 )
 from repro.errors import DeviceMemoryOverflowError, InvalidConfigError
+from repro.pipeline.tasks import D2H, GPU, H2D
 
 CFG = GpuJoinConfig(total_radix_bits=5)
+M = 1_000_000
 
 
 def _spec(build_n: int, probe_n: int) -> JoinSpec:
@@ -101,3 +105,78 @@ def test_pcie_bytes_accounted():
     metrics = StreamingProbeJoin().estimate(spec)
     assert metrics.pcie_h2d_bytes == spec.total_bytes
     assert metrics.notes["chunks"] == 8
+
+
+# ---------------------------------------------------------------------------
+# §IV-A double buffering, on the plan the strategy builds
+# ---------------------------------------------------------------------------
+def _double_buffered(join_seconds, *, materialize=False, chunks=10):
+    """The strategy's own pipeline for a 64 M-tuple build and ``chunks``
+    64 M-tuple probe chunks, with a free build preparation and chunk
+    ``i`` joining in ``join_seconds(i)``; returns the plan and its
+    simulated makespan."""
+    streaming = StreamingProbeJoin()
+    spec = _spec(64 * M, chunks * 64 * M)
+    plan = streaming._pipeline_plan(
+        spec,
+        chunk_tuples=64 * M,
+        chunk_join_seconds=join_seconds,
+        build_prep_seconds=0.0,
+        matches=float(spec.probe.n),
+        materialize=materialize,
+    )
+    return plan, streaming.simulate(plan).seconds
+
+
+def _durations(plan, resource: str) -> list[float]:
+    return [task.duration for task in plan.tasks if task.resource == resource]
+
+
+def test_transfer_bound_stream_hides_every_join_but_the_last():
+    """"The total execution time is the transfer time for the data plus
+    the GPU execution time for the last chunk" (§IV-A)."""
+    plan, makespan = _double_buffered(lambda i: 0.01)
+    joins = _durations(plan, GPU)
+    assert makespan == sum([*_durations(plan, H2D), joins[-1]])
+
+
+def test_compute_bound_stream_hides_every_transfer_but_the_first():
+    """Joins slower than transfers: once the build and the first chunk
+    are on the device, the GPU never waits for the bus."""
+    plan, makespan = _double_buffered(lambda i: 1.0)
+    build_h2d, first_probe_h2d = _durations(plan, H2D)[:2]
+    probe_joins = _durations(plan, GPU)[1:]  # after the build's preparation
+    assert makespan == sum([build_h2d, first_probe_h2d, *probe_joins])
+
+
+def test_materialized_stream_adds_only_the_last_copy_back():
+    """Results double-buffer on the D2H engine (§IV-C), so only the last
+    chunk's copy-back runs past the transfer-bound makespan."""
+    _, aggregated = _double_buffered(lambda i: 0.01)
+    plan, makespan = _double_buffered(lambda i: 0.01, materialize=True)
+    assert makespan == aggregated + _durations(plan, D2H)[-1]
+
+
+def test_stream_takes_each_chunks_join_time_from_a_callable():
+    plan, makespan = _double_buffered(lambda i: 0.001 * (i + 1))
+    joins = _durations(plan, GPU)
+    assert joins[1:] == [0.001 * (i + 1) for i in range(10)]
+    assert makespan == sum([*_durations(plan, H2D), joins[-1]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    join_seconds=st.lists(
+        st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=12
+    ),
+    materialize=st.booleans(),
+)
+def test_stream_makespan_never_beats_its_transfers(join_seconds, materialize):
+    """The H2D engine is serial: no schedule ends before every transfer
+    has."""
+    plan, makespan = _double_buffered(
+        join_seconds.__getitem__,
+        materialize=materialize,
+        chunks=len(join_seconds),
+    )
+    assert makespan >= sum(_durations(plan, H2D))

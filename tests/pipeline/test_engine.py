@@ -3,8 +3,6 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
 from repro.pipeline.engine import (
@@ -12,7 +10,6 @@ from repro.pipeline.engine import (
     PipelineEngine,
     PlanTemplate,
     Wave,
-    double_buffered_stream,
 )
 from repro.pipeline.tasks import Task
 
@@ -141,66 +138,3 @@ def test_empty_schedule():
     assert schedule.makespan == 0.0
     assert schedule.critical_resource() is None
 
-
-def test_double_buffered_stream_hides_compute():
-    """Transfer-bound pipeline: makespan ~= all transfers + last compute
-    (§IV-A's headline property)."""
-    engine = PipelineEngine()
-    chunks, transfer, compute = 10, 1.0, 0.2
-    double_buffered_stream(
-        engine, prefix="s", chunks=chunks,
-        transfer_seconds=transfer, compute_seconds=compute,
-    )
-    makespan = engine.run().makespan
-    assert makespan == pytest.approx(chunks * transfer + compute)
-
-
-def test_double_buffered_stream_compute_bound():
-    """Compute-bound pipeline: makespan ~= first transfer + all computes."""
-    engine = PipelineEngine()
-    chunks, transfer, compute = 10, 0.2, 1.0
-    double_buffered_stream(
-        engine, prefix="s", chunks=chunks,
-        transfer_seconds=transfer, compute_seconds=compute,
-    )
-    makespan = engine.run().makespan
-    assert makespan == pytest.approx(transfer + chunks * compute)
-
-
-def test_double_buffered_stream_with_output():
-    engine = PipelineEngine()
-    double_buffered_stream(
-        engine, prefix="s", chunks=6,
-        transfer_seconds=1.0, compute_seconds=0.3, output_seconds=0.4,
-    )
-    schedule = engine.run()
-    # Output copies overlap input transfers on the second DMA engine:
-    # only the last chunk's compute+copy extend past the transfers.
-    assert schedule.makespan == pytest.approx(6 * 1.0 + 0.3 + 0.4)
-
-
-def test_double_buffered_stream_callable_durations():
-    engine = PipelineEngine()
-    double_buffered_stream(
-        engine, prefix="s", chunks=3,
-        transfer_seconds=lambda i: 1.0 + i, compute_seconds=0.1,
-    )
-    assert engine.run().makespan == pytest.approx(1.0 + 2.0 + 3.0 + 0.1)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    durations=st.lists(
-        st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=20
-    ),
-    buffers=st.integers(min_value=1, max_value=4),
-)
-def test_stream_makespan_lower_bound(durations, buffers):
-    """Makespan can never beat the total transfer time (bus is serial)."""
-    engine = PipelineEngine()
-    double_buffered_stream(
-        engine, prefix="s", chunks=len(durations),
-        transfer_seconds=lambda i: durations[i], compute_seconds=0.05,
-        buffers=buffers,
-    )
-    assert engine.run().makespan >= sum(durations) - 1e-9
