@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from repro.core.coprocessing import CoProcessingJoin
+from repro.core.coprocessing import CoProcessingJoin, CoProcessingPlan
 from repro.core.strategy import COPROCESSING_ADAPTIVE, JoinPlan, register_strategy
 from repro.cpu.numa import NumaModel
 from repro.cpu.radix_partition import CpuPartitionModel
@@ -103,26 +103,10 @@ class AdaptiveCoProcessingJoin(CoProcessingJoin):
         materialize: bool = False,
         staging_threads: int | None = None,
     ) -> JoinPlan:
-        if threads is None or staging_threads is None:
-            from repro.data import stats as stats_mod
-
-            cpu_sizes = stats_mod.expected_partition_sizes(spec.build, self.cpu_bits)
-            plan = self.plan(
-                cpu_sizes,
-                spec.build.tuple_bytes,
-                spec.probe.n,
-                chunk_tuples=chunk_tuples,
+        if staging_threads is None:
+            staging_threads = recommend_staging_threads(
+                self.system, calibration=self.cost_model.calib
             )
-            if threads is None:
-                threads = recommend_partition_threads(
-                    self.system,
-                    max(plan.first_ws_fraction, 1e-9),
-                    calibration=self.cost_model.calib,
-                )
-            if staging_threads is None:
-                staging_threads = recommend_staging_threads(
-                    self.system, calibration=self.cost_model.calib
-                )
         graph = super().prepare(
             spec,
             threads=threads,
@@ -132,3 +116,16 @@ class AdaptiveCoProcessingJoin(CoProcessingJoin):
         )
         graph.notes["staging_threads"] = float(staging_threads)
         return graph
+
+    def _partition_threads(
+        self, plan: CoProcessingPlan, threads: int | None
+    ) -> int:
+        """``threads``, or when it is ``None`` the §IV-B rule for the
+        plan's first working set."""
+        if threads is None:
+            threads = recommend_partition_threads(
+                self.system,
+                max(plan.first_ws_fraction, 1e-9),
+                calibration=self.cost_model.calib,
+            )
+        return threads

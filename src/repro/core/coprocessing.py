@@ -397,6 +397,7 @@ class CoProcessingJoin(PipelinedJoinStrategy):
             spec.probe.n,
             chunk_tuples=chunk_tuples,
         )
+        threads = self._partition_threads(plan, threads)
 
         total_bits = max(cfg.radix_bits_for(spec.build.n // (1 << self.cpu_bits)), 1)
         gpu_bits = derive_bits_per_pass(total_bits, max_bits_per_pass=cfg.max_bits_per_pass)
@@ -502,6 +503,11 @@ class CoProcessingJoin(PipelinedJoinStrategy):
             materialize=materialize,
             staging_threads=staging_threads,
         )
+
+    def _partition_threads(self, plan: CoProcessingPlan, threads: int) -> int:
+        """The partitioning threads for the packed ``plan``: ``threads``
+        here; the adaptive subclass resolves ``None`` from the plan."""
+        return threads
 
     # ------------------------------------------------------------------
     # Functional path

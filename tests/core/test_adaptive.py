@@ -73,6 +73,21 @@ def test_explicit_threads_still_respected():
     assert pinned.seconds == pytest.approx(fixed.seconds, rel=1e-9)
 
 
+def test_adaptive_prepare_packs_its_working_sets_once(monkeypatch):
+    """The partitioning thread count is read off the plan ``prepare``
+    packs anyway; it used to pack the same plan a second time first."""
+    calls = []
+    plan = CoProcessingJoin.plan
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return plan(self, *args, **kwargs)
+
+    monkeypatch.setattr(CoProcessingJoin, "plan", counted)
+    AdaptiveCoProcessingJoin().prepare(unique_pair(512 * M))
+    assert len(calls) == 1
+
+
 def test_adaptive_reports_its_name():
     spec = unique_pair(512 * M)
     metrics = AdaptiveCoProcessingJoin().estimate(spec)
