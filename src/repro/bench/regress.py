@@ -107,7 +107,7 @@ def run_regression(keys: tuple[str, ...] | None = None) -> list[RegressRow]:
         plan = strategy.prepare(spec)
         pipeline = strategy.simulate(plan).seconds
 
-        engine = PipelineEngine(plan.resources)
+        engine = PipelineEngine()
         for task in plan.tasks:
             engine.add(task)
         scanner = strategy.metrics_from_schedule(

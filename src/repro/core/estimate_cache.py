@@ -36,9 +36,8 @@ This module provides one shared cache:
   which keys the plan exactly as the estimate is keyed, so an estimate
   miss leaves behind the plan its admission then reuses.
   Cached plans are **shared, read-only** objects: callers must not
-  mutate ``plan.tasks`` / ``plan.resources`` (the serving scheduler
-  only reads them, admitting each plan's template under the query's
-  alias).  A plan's lowered template (:attr:`~repro.core.strategy.
+  mutate ``plan.tasks`` (the serving scheduler only reads plans,
+  admitting each plan's template under the query's alias).  A plan's lowered template (:attr:`~repro.core.strategy.
   JoinPlan.template`) lives on the plan, so :func:`clear` drops it
   with the plan;
 * :func:`clear` / :func:`stats` / :func:`configure` — test and

@@ -27,6 +27,11 @@ missing, unparsable, or from an unknown format version.  ``"sample"``
 lines (kernel-cost samples that older builds recorded) are dropped
 without being counted.
 
+Plan records load one way only, so the version stays 1: this build
+ignores the always-empty ``"resources"`` map older builds wrote, but an
+older build skips this build's plan records as malformed and recomputes
+those plans (no decision changes: a store hit equals recomputation).
+
 Keys and digests: the estimate/plan/ladder cache keys are tuples of
 frozen dataclasses (specs, system, calibration, config) whose ``repr``
 is deterministic across processes, so ``sha256(repr(key))`` is a stable
@@ -168,7 +173,6 @@ def plan_to_dict(plan: "JoinPlan") -> dict[str, Any]:
             }
             for task in plan.tasks
         ],
-        "resources": dict(plan.resources),
         "phases": list(plan.phases),
         "matches": plan.matches,
         "materialize": plan.materialize,
@@ -196,7 +200,6 @@ def plan_from_dict(data: dict[str, Any]) -> "JoinPlan":
             )
             for t in data["tasks"]
         ],
-        resources={str(k): int(v) for k, v in data["resources"].items()},
         phases=tuple(str(p) for p in data["phases"]),
         matches=float(data["matches"]),
         materialize=bool(data["materialize"]),

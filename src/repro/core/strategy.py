@@ -56,8 +56,7 @@ COPROCESSING_ADAPTIVE = "coprocessing_adaptive"
 class JoinPlan:
     """A strategy's declared execution: tasks plus reporting metadata.
 
-    ``resources`` maps resource names to lane counts (stream counts) for
-    the engine; unnamed resources default to one serial lane.
+    Every resource a task names runs as one serial FIFO lane.
     ``phases`` pre-seeds the metric phases (so a phase with no tasks —
     e.g. D2H in aggregation mode — still reports 0.0).  :attr:`template`
     is the task graph lowered for the engine, built on first use.
@@ -66,7 +65,6 @@ class JoinPlan:
     strategy: str
     spec: JoinSpec
     tasks: list[Task] = field(default_factory=list)
-    resources: dict[str, int] = field(default_factory=dict)
     phases: tuple[str, ...] = ()
     matches: float = 0.0
     materialize: bool = False
@@ -204,7 +202,7 @@ class PipelinedJoinStrategy:
         self, plan: JoinPlan, engine: PipelineEngine | None = None
     ) -> Schedule:
         """Simulate the plan's task graph on the pipeline engine."""
-        engine = engine if engine is not None else PipelineEngine(plan.resources)
+        engine = engine if engine is not None else PipelineEngine()
         engine.admit(Admission(plan.template, device=engine.device))
         return engine.run()
 

@@ -52,24 +52,22 @@ class DeviceState:
     """One GPU's serving state inside a scheduler run.
 
     Memory quantities are **bytes**, every time is **simulated
-    seconds**.  The engine is created lazily with the lane widths
-    declared up to the first wave; ``schedule`` always covers exactly
-    the tasks lowered onto this device so far (minus compacted ones).
+    seconds**.  The engine is created when the device joins the fleet;
+    ``schedule`` always covers exactly the tasks lowered onto this
+    device so far (minus compacted ones).
     """
 
     index: int
     arena: DeviceMemoryArena
+    engine: PipelineEngine
     #: This device's own cost-model calibration (``None`` means the
     #: scheduler's fleet-wide default).  Every estimate, plan and
     #: placement decision for a query lands on *this* calibration — a
     #: heterogeneous fleet mixes fast and slow devices, so a global
     #: calibration would mis-cost every placement comparison.
     calibration: Calibration | None = None
-    #: Lane widths declared for this device's resource pools so far.
-    resources: dict[str, int] = field(default_factory=dict)
     #: Plan admissions since the last engine pass.
     wave: Wave = field(default_factory=Wave)
-    engine: PipelineEngine | None = None
     schedule: Schedule = field(default_factory=Schedule)
     #: Expected finish per running query — engine-accurate once the
     #: query has been through a pass, alone-estimate before that.  Its
@@ -112,9 +110,9 @@ class DeviceState:
         """Complete a requested retirement once the device drained.
 
         Returns ``True`` the moment the transition happens: the engine
-        (if one exists — a device that never got work has none) is sealed
-        via :meth:`~repro.pipeline.engine.PipelineEngine.retire`, so a
-        later placement bug raises instead of resurrecting the device.
+        is sealed via :meth:`~repro.pipeline.engine.PipelineEngine.retire`,
+        so a later placement bug raises instead of resurrecting the
+        device.
         """
         if (
             self.crashed
@@ -125,8 +123,7 @@ class DeviceState:
             # A crash supersedes a pending retirement: the engine was
             # already sealed (harder) and there is nothing left to drain.
             return False
-        if self.engine is not None:
-            self.engine.retire()
+        self.engine.retire()
         self.retired = True
         return True
 
@@ -134,15 +131,13 @@ class DeviceState:
         """Ungraceful failure at simulated time ``at``: every running
         query is lost and returned (sorted), their unfinished tasks are
         invalidated from the schedule and the engine's books in
-        lockstep (:meth:`~repro.pipeline.engine.PipelineEngine.crash`;
-        a device without an engine never got work, so its schedule is
-        empty), and the device stops accepting forever.  The arena
+        lockstep (:meth:`~repro.pipeline.engine.PipelineEngine.crash`),
+        and the device stops accepting forever.  The arena
         is **not** touched here — the scheduler reconciles it with the
         lost-query list so the release bookkeeping stays in one place.
         """
         lost = sorted(self.predicted_finish)
-        if self.engine is not None:
-            self.engine.crash(self.schedule, at)
+        self.engine.crash(self.schedule, at)
         self.wave = Wave()
         self.predicted_finish.clear()
         self.crashed = True
@@ -311,9 +306,8 @@ class DeviceFleet:
     ``calibrations`` optionally pairs each device with its own
     cost-model :class:`~repro.gpusim.calibration.Calibration` (``None``
     entries — or ``calibrations=None`` — mean the scheduler's fleet-wide
-    default; a heterogeneous fleet mixes values).  ``lanes`` seeds every
-    device's resource pools with the same lane widths — each device
-    still gets its *own* pools; the shared dict only sets their widths.
+    default; a heterogeneous fleet mixes values).  Each device gets its
+    own engine when it joins.
 
     The fleet is **elastic**: :meth:`add_device` joins a new device
     mid-run (it starts receiving placements at the next admission) and
@@ -329,7 +323,6 @@ class DeviceFleet:
         self,
         capacities: list[int],
         *,
-        lanes: dict[str, int] | None = None,
         calibrations: "list[Calibration | None] | None" = None,
     ) -> None:
         if not capacities:
@@ -339,7 +332,6 @@ class DeviceFleet:
                 f"fleet got {len(capacities)} capacities but "
                 f"{len(calibrations)} calibrations; one per device"
             )
-        self._lanes = dict(lanes or {})
         self.devices: list[DeviceState] = []
         for index, capacity in enumerate(capacities):
             self.add_device(
@@ -367,11 +359,12 @@ class DeviceFleet:
         its state.  Legal between admissions of a live run: the device
         simply shows up in the next placement round's candidate list.
         """
+        index = len(self.devices)
         device = DeviceState(
-            index=len(self.devices),
-            arena=DeviceMemoryArena(capacity_bytes, device=len(self.devices)),
+            index=index,
+            arena=DeviceMemoryArena(capacity_bytes, device=index),
+            engine=PipelineEngine(device=index),
             calibration=calibration,
-            resources=dict(self._lanes),
         )
         self.devices.append(device)
         return device
@@ -381,15 +374,10 @@ class DeviceFleet:
         placements immediately and finishes in-flight work.  The last
         accepting device cannot retire (an empty fleet could never
         admit again), and double retirement is an error — both raise
-        :class:`~repro.errors.InvalidConfigError`.
+        :class:`~repro.errors.InvalidConfigError`, as does an index
+        that names no device.
         """
-        try:
-            device = self.devices[index]
-        except IndexError:
-            raise InvalidConfigError(
-                f"cannot retire unknown device {index} of a "
-                f"{len(self.devices)}-device fleet"
-            ) from None
+        device = self._known(index, "retire")
         if not device.accepting:
             raise InvalidConfigError(
                 f"device {index} is already retiring or retired"
@@ -414,18 +402,23 @@ class DeviceFleet:
         retired device (killing whatever was still draining), but not a
         device that already crashed, and — unlike retirement — it *may*
         take down the last accepting device: real failures do not wait
-        for spare capacity.
+        for spare capacity.  An index that names no device raises
+        :class:`~repro.errors.InvalidConfigError`.
         """
-        try:
-            device = self.devices[index]
-        except IndexError:
-            raise InvalidConfigError(
-                f"cannot crash unknown device {index} of a "
-                f"{len(self.devices)}-device fleet"
-            ) from None
+        device = self._known(index, "crash")
         if device.crashed:
             raise InvalidConfigError(f"device {index} already crashed")
         return device.crash(at)
+
+    def _known(self, index: int, action: str) -> DeviceState:
+        """Device ``index``, which must be a non-bool int naming one: a
+        negative index would count from the end of the list."""
+        if not is_int(index) or not 0 <= index < len(self.devices):
+            raise InvalidConfigError(
+                f"cannot {action} unknown device {index!r} of a "
+                f"{len(self.devices)}-device fleet"
+            )
+        return self.devices[index]
 
     def active(self) -> list[DeviceState]:
         """The devices placements may target, in index order."""

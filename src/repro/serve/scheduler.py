@@ -107,7 +107,7 @@ from repro.errors import InvalidConfigError, SchedulingError
 from repro.gpusim.arena import is_capacity
 from repro.gpusim.calibration import Calibration
 from repro.gpusim.spec import SystemSpec
-from repro.pipeline.engine import Admission, PipelineEngine, Wave
+from repro.pipeline.engine import Admission, Wave
 from repro.pipeline.tasks import is_int
 from repro.serve.admission import (
     AdmissionContext,
@@ -214,10 +214,10 @@ class QueryScheduler:
     recomputed values are interchangeable.
     Memory quantities are **bytes**, times **simulated seconds**.
 
-    ``devices`` shards the fleet: each device gets its own arena,
-    engine and resource lanes, and ``placement`` (a registry key from
-    :mod:`repro.serve.placement`, or a policy instance) picks the
-    device per admission.  ``devices=1`` — the default — reduces every
+    ``devices`` shards the fleet: each device gets its own arena and
+    engine (one FIFO lane per resource), and ``placement`` (a registry
+    key from :mod:`repro.serve.placement`, or a policy instance) picks
+    the device per admission.  ``devices=1`` — the default — reduces every
     policy to "device 0" and is pinned bit-identical to the historical
     single-device scheduler.
 
@@ -249,13 +249,6 @@ class QueryScheduler:
     — the golden-schedule bit-identity contract only covers
     ``steal=False``.
 
-    ``lanes`` optionally widens resource pools on every device
-    (e.g. ``{"h2d": 2}`` to model both DMA engines copying inputs);
-    per-plan resource declarations are merged in at their maximum, but
-    only before the first engine run on that device — widening a pool
-    mid-run would silently re-place already-recorded finishes, so it
-    raises instead.
-
     ``max_degradation`` bounds how much slower an admission-time
     placement may be (estimated solo-vs-solo) than the unconstrained
     one before the query prefers waiting for memory; a degraded
@@ -273,7 +266,6 @@ class QueryScheduler:
         calibration: Calibration | None = None,
         config: GpuJoinConfig | None = None,
         *,
-        lanes: dict[str, int] | None = None,
         max_degradation: float | None = 2.0,
         devices: int = 1,
         placement: str | PlacementPolicy = LEAST_LOADED,
@@ -302,11 +294,6 @@ class QueryScheduler:
                 "retry_backoff_seconds must be finite and >= 0, got "
                 f"{retry_backoff_seconds!r}"
             )
-        for name, width in (lanes or {}).items():
-            if not is_int(width) or width < 1:
-                raise InvalidConfigError(
-                    f"lanes[{name!r}] must be a positive int, got {width!r}"
-                )
         self.system = system or SystemSpec()
         if device_capacities is not None:
             if len(device_capacities) != devices:
@@ -339,7 +326,6 @@ class QueryScheduler:
                     )
         self.calibration = calibration
         self.config = config
-        self.lanes = dict(lanes or {})
         self.max_degradation = max_degradation
         self.devices = devices
         self.placement = placement
@@ -376,15 +362,7 @@ class QueryScheduler:
         capacities = self.device_capacities or (
             [self.system.gpu.device_memory] * self.devices
         )
-        return DeviceFleet(
-            list(capacities),
-            lanes=self.lanes,
-            calibrations=(
-                list(self.device_calibrations)
-                if self.device_calibrations is not None
-                else None
-            ),
-        )
+        return DeviceFleet(capacities, calibrations=self.device_calibrations)
 
     # ------------------------------------------------------------------
     def _strategy(
@@ -1269,7 +1247,9 @@ class _Run:
         placement policy therefore chooses among the devices where the
         solo footprint fits, and only when there is none is each
         device's ladder walked for a degraded offer, estimated under
-        that device's own calibration.
+        that device's own calibration.  A policy answer that is not one
+        of its candidates raises before any queue or arena change, as
+        in :meth:`_admission_pick`.
 
         Returns ``None`` when the query should wait: nothing fits
         anywhere, or the best degraded placement exceeds the
@@ -1299,6 +1279,11 @@ class _Run:
         ]
         if candidates:
             chosen = self.policy.select(candidates, fleet)
+            if chosen not in candidates:
+                raise SchedulingError(
+                    f"placement policy {self.policy.key!r} selected "
+                    f"{chosen!r}; expected one of its candidates"
+                )
             return fleet[chosen.device], chosen.strategy, chosen.need_bytes
 
         # Each device's degraded offer: the request's ladder walked
@@ -1407,21 +1392,6 @@ class _Run:
         solo_seconds = self._solo_seconds(profile)
         on_device = self._on_device(profile, request, device)
         plan = self._prepare_plan(key, request, need, on_device)
-        for name, width in plan.resources.items():
-            if width > device.resources.get(name, 1) and device.schedule.tasks:
-                # The engine fixed this device's lane counts at its
-                # first extension; widening a pool now would leave
-                # recorded finishes on fewer lanes than later ones.
-                raise SchedulingError(
-                    f"query {qid!r} widens resource "
-                    f"{name!r} to {width} lanes after scheduling "
-                    f"started on device {device.index}; declare "
-                    "lane counts up front via "
-                    "QueryScheduler(lanes=...)"
-                )
-            device.resources[name] = max(
-                device.resources.get(name, 1), width
-            )
         admission = Admission(plan.template, alias, clock, device.index)
         device.wave.add(admission)
         self.admitted_plans[qid] = admission
@@ -1534,10 +1504,6 @@ class _Run:
         for device in fleet:
             if not device.wave.admissions:
                 continue
-            if device.engine is None:
-                device.engine = PipelineEngine(
-                    device.resources, device=device.index
-                )
             device.schedule = device.engine.extend(
                 device.schedule, device.wave
             )
@@ -1622,10 +1588,9 @@ class _Run:
         """Retire, on every device, the tasks that finished at or before
         the clock."""
         for device in self.fleet:
-            if device.engine is not None:
-                self.retired_tasks += device.engine.compact(
-                    device.schedule, self.clock
-                )
+            self.retired_tasks += device.engine.compact(
+                device.schedule, self.clock
+            )
         self.compactions += 1
         self.released_since_compact = 0
 

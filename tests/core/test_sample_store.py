@@ -291,6 +291,20 @@ def test_sample_lines_of_older_builds_load_without_skips(tmp_path):
     assert estimate_cache.stats().store_hits == 1
 
 
+def test_plan_records_of_older_builds_load_without_skips(tmp_path):
+    """Older builds also wrote each plan's lane-width map, always empty;
+    this build writes none, and reads such a record as the plan
+    ``prepare`` builds."""
+    plan = create_strategy("coprocessing").prepare(unique_pair(512_000_000))
+    assert "resources" not in plan_to_dict(plan)
+    legacy = dict(plan_to_dict(plan), resources={})
+    key = ("plan", "k")
+    record = {"kind": "plan", "key": stable_digest(key), "plan": legacy}
+    store = SampleStore.load(_write_store(tmp_path, json.dumps(record)))
+    assert store.skipped_records == 0
+    assert store.plan_for_key(key) == plan
+
+
 def test_missing_file_raises_sample_store_error(tmp_path):
     with pytest.raises(SampleStoreError):
         SampleStore.load(str(tmp_path / "absent.jsonl"))

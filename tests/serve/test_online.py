@@ -119,13 +119,6 @@ def test_run_serve_online_checks_determinism_and_guarantees():
     assert sharded.devices == 2
 
 
-def test_online_matches_batch_with_widened_lanes():
-    """Up-front lane declarations flow into the incremental engine."""
-    online = QueryScheduler(lanes={"h2d": 2}).run_online(mixed_workload(4))
-    assert online.schedule.lanes["h2d"] == 2
-    check_batch_oracle(online)
-
-
 def test_placed_tasks_are_built_only_when_read(monkeypatch):
     """Admission places each plan's template without building a Task
     per placed task; reading ``.task`` builds one equal, field for

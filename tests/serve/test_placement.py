@@ -1,5 +1,7 @@
 """Unit tests for the device fleet and placement policies."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import InvalidConfigError, SchedulingError
@@ -18,6 +20,7 @@ from repro.serve.placement import (
     LEAST_LOADED,
     ROUND_ROBIN,
     PlacementCandidate,
+    PlacementPolicy,
 )
 
 GB = 10**9
@@ -106,14 +109,29 @@ def test_fleet_needs_at_least_one_device():
         DeviceFleet([])
 
 
-def test_fleet_devices_have_private_arenas_and_ids():
+def test_fleet_devices_have_private_arenas_engines_and_ids():
     fleet = DeviceFleet([4 * GB, 8 * GB])
     assert len(fleet) == 2
     assert [d.arena.device for d in fleet] == [0, 1]
+    assert [d.engine.device for d in fleet] == [0, 1]
+    assert fleet.add_device(GB).engine.device == 2
     assert fleet[1].capacity_bytes == 8 * GB
     fleet[0].arena.reserve("q", GB)
     assert fleet[0].free_bytes == 3 * GB
     assert fleet[1].free_bytes == 8 * GB  # untouched
+
+
+@pytest.mark.parametrize("index", [-1, -2, True, 1.0])
+def test_fleet_refuses_indices_that_name_no_device(index):
+    """On three devices Python resolved -1 and -2 from the end of the
+    list (devices 2 and 1) and ``True`` as device 1; ``1.0`` raised a
+    bare TypeError."""
+    fleet = _fleet(3)
+    with pytest.raises(InvalidConfigError, match="unknown device"):
+        fleet.crash_device(index, 1.0)
+    with pytest.raises(InvalidConfigError, match="unknown device"):
+        fleet.retire_device(index)
+    assert all(device.accepting for device in fleet)
 
 
 def test_fleet_busy_until_reads_predicted_finishes():
@@ -214,22 +232,40 @@ def test_engine_dict_resources_inherit_the_engine_device():
     assert engine.run().tasks["t"].finish == 1.0
 
 
-def test_widened_lanes_work_on_a_sharded_fleet():
-    """QueryScheduler(lanes=...) must flow into every device's engine —
-    batch re-simulation agrees, like the single-device case."""
-    from repro.pipeline.oracle import check_batch_oracle
-
-    online = QueryScheduler(devices=2, lanes={"h2d": 2}).run_online(
-        mixed_workload(8)
-    )
-    check_batch_oracle(online)
-    assert all(s.lanes["h2d"] == 2 for s in online.device_schedules)
-    assert {o.device for o in online.outcomes} == {0, 1}
-
-
 # ---------------------------------------------------------------------------
 # Scheduler integration
 # ---------------------------------------------------------------------------
+class _Answers(PlacementPolicy):
+    """Answers every placement with ``answer(first candidate)``."""
+
+    key = "answers"
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def select(self, candidates, fleet):
+        return self.answer(candidates[0])
+
+
+@pytest.mark.parametrize(
+    "answer",
+    [
+        lambda c: replace(c, device=-1),
+        lambda c: replace(c, need_bytes=1),
+        lambda c: replace(c, strategy="coprocessing"),
+        lambda c: None,
+    ],
+    ids=["negative-device", "one-byte", "other-strategy", "none"],
+)
+def test_placement_answer_must_be_one_of_its_candidates(answer):
+    """A device of -1 placed queries on device 1 until its reservation
+    failed; a one-byte footprint served every query on one reserved
+    byte and passed the run audit."""
+    scheduler = QueryScheduler(devices=2, placement=_Answers(answer))
+    with pytest.raises(SchedulingError, match="placement policy 'answers'"):
+        scheduler.run_online(mixed_workload(8))
+
+
 def test_scheduler_rejects_bad_device_count():
     with pytest.raises(InvalidConfigError):
         QueryScheduler(devices=0)
