@@ -109,7 +109,8 @@ def test_fleet_needs_at_least_one_device():
         DeviceFleet([])
 
 
-def test_fleet_devices_have_private_arenas_engines_and_ids():
+def test_fleet_devices_have_private_arenas_and_ids():
+    """Each device also gets its own engine the moment it joins."""
     fleet = DeviceFleet([4 * GB, 8 * GB])
     assert len(fleet) == 2
     assert [d.arena.device for d in fleet] == [0, 1]
@@ -260,7 +261,8 @@ class _Answers(PlacementPolicy):
 def test_placement_answer_must_be_one_of_its_candidates(answer):
     """A device of -1 placed queries on device 1 until its reservation
     failed; a one-byte footprint served every query on one reserved
-    byte and passed the run audit."""
+    byte and passed the run audit; another strategy ran every query as
+    co-processing under the solo footprint."""
     scheduler = QueryScheduler(devices=2, placement=_Answers(answer))
     with pytest.raises(SchedulingError, match="placement policy 'answers'"):
         scheduler.run_online(mixed_workload(8))
