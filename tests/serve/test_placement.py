@@ -122,17 +122,40 @@ def test_fleet_devices_have_private_arenas_and_ids():
     assert fleet[1].free_bytes == 8 * GB  # untouched
 
 
-@pytest.mark.parametrize("index", [-1, -2, True, 1.0])
+@pytest.mark.parametrize("index", [-1, -2, True, 1.0, "1", 3])
 def test_fleet_refuses_indices_that_name_no_device(index):
     """On three devices Python resolved -1 and -2 from the end of the
-    list (devices 2 and 1) and ``True`` as device 1; ``1.0`` raised a
-    bare TypeError."""
+    list (devices 2 and 1) and ``True`` as device 1; ``1.0`` and ``"1"``
+    raised a bare TypeError.  ``3``, one past the end, is caught by the
+    same range check."""
     fleet = _fleet(3)
     with pytest.raises(InvalidConfigError, match="unknown device"):
         fleet.crash_device(index, 1.0)
     with pytest.raises(InvalidConfigError, match="unknown device"):
         fleet.retire_device(index)
     assert all(device.accepting for device in fleet)
+
+
+def test_crashing_an_idle_device_seals_its_engine():
+    """A device that never got work has an engine too, so a crash seals
+    it against new work like any other."""
+    fleet = _fleet(2)
+    assert fleet.crash_device(1, 1.0) == []
+    assert fleet[1].engine.is_crashed and fleet[1].schedule.tasks == {}
+    with pytest.raises(SchedulingError, match="left the fleet"):
+        fleet[1].engine.add(Task("late", "gpu", 1.0, device=1))
+    assert not fleet[0].engine.is_crashed
+
+
+def test_retiring_an_idle_device_seals_its_engine_at_once():
+    """Nothing to drain: the retirement completes when requested, and
+    the device's engine refuses new work."""
+    fleet = _fleet(2)
+    assert fleet.retire_device(1).retired
+    assert fleet[1].engine.is_retired and not fleet[1].engine.is_crashed
+    with pytest.raises(SchedulingError, match="left the fleet"):
+        fleet[1].engine.add(Task("late", "gpu", 1.0, device=1))
+    assert not fleet[0].engine.is_retired
 
 
 def test_fleet_busy_until_reads_predicted_finishes():
@@ -252,20 +275,37 @@ class _Answers(PlacementPolicy):
     "answer",
     [
         lambda c: replace(c, device=-1),
+        lambda c: replace(c, device=2),
         lambda c: replace(c, need_bytes=1),
         lambda c: replace(c, strategy="coprocessing"),
         lambda c: None,
     ],
-    ids=["negative-device", "one-byte", "other-strategy", "none"],
+    ids=["negative-device", "unknown-device", "one-byte", "other-strategy",
+         "none"],
 )
 def test_placement_answer_must_be_one_of_its_candidates(answer):
     """A device of -1 placed queries on device 1 until its reservation
-    failed; a one-byte footprint served every query on one reserved
-    byte and passed the run audit; another strategy ran every query as
+    failed; device 2 of a 2-device fleet raised a bare IndexError; a
+    one-byte footprint served every query on one reserved byte and
+    passed the run audit; another strategy ran every query as
     co-processing under the solo footprint."""
     scheduler = QueryScheduler(devices=2, placement=_Answers(answer))
     with pytest.raises(SchedulingError, match="placement policy 'answers'"):
         scheduler.run_online(mixed_workload(8))
+
+
+def test_placement_answer_equal_to_a_candidate_is_accepted():
+    """Candidates are compared by value: a policy may rebuild the one it
+    picks.  Rebuilding the first candidate serves exactly as first-fit,
+    which picks the lowest device index among them."""
+    rebuilt = QueryScheduler(
+        devices=2, placement=_Answers(lambda c: replace(c))
+    ).run_online(mixed_workload(8))
+    first_fit = QueryScheduler(devices=2, placement=FIRST_FIT).run_online(
+        mixed_workload(8)
+    )
+    assert rebuilt.outcomes == first_fit.outcomes
+    assert {o.device for o in rebuilt.outcomes} == {0, 1}
 
 
 def test_scheduler_rejects_bad_device_count():
