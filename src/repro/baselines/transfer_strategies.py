@@ -13,8 +13,9 @@ pipeline instead of relying on driver-managed mechanisms:
   device memory (§IV: "parts of the relation to be transferred over
   multiple times").
 
-Each mechanism is declared in the same task-graph vocabulary as the join
-strategies — H2D bus traversals and GPU kernels fed to the discrete-event
+Each mechanism is declared the way the join strategies declare theirs —
+a :class:`~repro.core.strategy.JoinPlan` of H2D bus traversals and GPU
+kernels, simulated by the discrete-event
 :class:`~repro.pipeline.engine.PipelineEngine` — so overlap (e.g. the
 first partitioning pass consuming a UVA stream while it arrives) falls
 out of the simulation rather than being hand-computed.  The reference
@@ -25,14 +26,18 @@ from __future__ import annotations
 
 from repro.core.config import GpuJoinConfig
 from repro.core.results import JoinMetrics
-from repro.core.strategy import COPROCESSING, GPU_RESIDENT, create_strategy
+from repro.core.strategy import (
+    COPROCESSING,
+    GPU_RESIDENT,
+    JoinPlan,
+    create_strategy,
+)
 from repro.data import stats as stats_mod
 from repro.data.spec import JoinSpec
 from repro.errors import InvalidConfigError
 from repro.gpusim.calibration import Calibration
 from repro.gpusim.spec import SystemSpec
 from repro.gpusim.transfer import TransferModel
-from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.tasks import GPU, H2D
 
 GPU_DATA_LOAD = "GPU data load"
@@ -67,11 +72,11 @@ class TransferStrategyComparison:
         )
 
     # ------------------------------------------------------------------
-    def _simulated(self, name: str, spec: JoinSpec, engine: PipelineEngine) -> JoinMetrics:
-        schedule = engine.run()
+    def _simulated(self, plan: JoinPlan) -> JoinMetrics:
+        spec = plan.spec
         return JoinMetrics(
-            strategy=name,
-            seconds=schedule.makespan,
+            strategy=plan.strategy,
+            seconds=self.join.schedule(plan).makespan,
             total_tuples=spec.total_tuples,
             output_tuples=stats_mod.expected_join_cardinality(spec),
             notes={"tuple_bytes": float(spec.build.tuple_bytes)},
@@ -85,47 +90,47 @@ class TransferStrategyComparison:
         compute_only = join_seconds - partition_seconds
         nbytes = spec.total_bytes
 
-        engine = PipelineEngine()
+        plan = JoinPlan(strategy=mode, spec=spec)
         if mode == GPU_DATA_LOAD:
             # Data already GPU resident, "as in our in-GPU experiments"
             # (§V-F) — the load is not part of the measured query.
-            engine.add_task("join", GPU, join_seconds)
+            plan.add("join", GPU, join_seconds)
         elif mode == UVA_PARTITION:
             # The first partitioning pass reads its input over the bus
             # while it streams in; everything after runs on
             # device-resident buckets.
-            engine.add_task(
+            plan.add(
                 "uva.stream", H2D, self.transfer.uva_sequential_seconds(nbytes)
             )
-            engine.add_task("partition.first", GPU, partition_seconds / 2.0)
-            engine.add_task(
+            plan.add("partition.first", GPU, partition_seconds / 2.0)
+            plan.add(
                 "partition.rest", GPU, partition_seconds / 2.0, ["uva.stream"]
             )
-            engine.add_task("join", GPU, compute_only, ["partition.rest"])
+            plan.add("join", GPU, compute_only, ["partition.rest"])
         elif mode == UVA_JOIN:
             # Both partitioning passes and the probe scan pull from host
             # memory: three sequential traversals over the bus.
-            engine.add_task(
+            plan.add(
                 "uva.traversals",
                 H2D,
                 3.0 * self.transfer.uva_sequential_seconds(nbytes),
             )
-            engine.add_task("join.compute", GPU, compute_only, ["uva.traversals"])
+            plan.add("join.compute", GPU, compute_only, ["uva.traversals"])
         elif mode == UVA_LOAD:
             # UVA used only to stage the input into device memory.
-            engine.add_task(
+            plan.add(
                 "uva.load", H2D, self.transfer.uva_sequential_seconds(nbytes)
             )
-            engine.add_task("join", GPU, join_seconds, ["uva.load"])
+            plan.add("join", GPU, join_seconds, ["uva.load"])
         elif mode == UM_LOAD:
             # Unified Memory migrates pages on first touch.
-            engine.add_task(
+            plan.add(
                 "um.migrate", H2D, self.transfer.um_migration_seconds(nbytes)
             )
-            engine.add_task("join", GPU, join_seconds, ["um.migrate"])
+            plan.add("join", GPU, join_seconds, ["um.migrate"])
         else:
             raise InvalidConfigError(f"unknown Fig 21 mode: {mode!r}")
-        return self._simulated(mode, spec, engine)
+        return self._simulated(plan)
 
     # ------------------------------------------------------------------
     def out_of_gpu(self, spec: JoinSpec, mode: str) -> JoinMetrics:
@@ -133,12 +138,12 @@ class TransferStrategyComparison:
         nbytes = spec.total_bytes
         if mode == OOG_COPROCESSING:
             return self.coprocessing.estimate(spec)
-        engine = PipelineEngine()
+        plan = JoinPlan(strategy=mode, spec=spec)
         if mode == OOG_UVA:
             # Every partitioning pass reads and writes host memory over
             # the bus (two passes), and the probe pass reads once more:
             # ~5 traversals of the combined input.
-            engine.add_task(
+            plan.add(
                 "uva.traversals",
                 H2D,
                 5.0 * self.transfer.uva_sequential_seconds(nbytes),
@@ -151,7 +156,7 @@ class TransferStrategyComparison:
             # the inputs plus their partitioned copies.
             from repro.core.gpu_partitioned import gpu_resident_bytes_needed
 
-            engine.add_task(
+            plan.add(
                 "um.thrash",
                 H2D,
                 self.transfer.um_migration_seconds(
@@ -162,4 +167,4 @@ class TransferStrategyComparison:
             )
         else:
             raise InvalidConfigError(f"unknown Fig 22 mode: {mode!r}")
-        return self._simulated(mode, spec, engine)
+        return self._simulated(plan)

@@ -122,9 +122,7 @@ class JoinStrategy(Protocol):
         self, spec: JoinSpec, *, materialize: bool = False, **kwargs: Any
     ) -> JoinPlan: ...
 
-    def schedule(
-        self, plan: JoinPlan, engine: PipelineEngine | None = None
-    ) -> Schedule: ...
+    def schedule(self, plan: JoinPlan) -> Schedule: ...
 
     def estimate(
         self, spec: JoinSpec, *, materialize: bool = False, **kwargs: Any
@@ -198,12 +196,10 @@ class PipelinedJoinStrategy:
     ) -> JoinRunResult:
         raise NotImplementedError
 
-    def schedule(
-        self, plan: JoinPlan, engine: PipelineEngine | None = None
-    ) -> Schedule:
-        """Simulate the plan's task graph on the pipeline engine."""
-        engine = engine if engine is not None else PipelineEngine()
-        engine.admit(Admission(plan.template, device=engine.device))
+    def schedule(self, plan: JoinPlan) -> Schedule:
+        """Simulate the plan's task graph on a fresh pipeline engine."""
+        engine = PipelineEngine()
+        engine.admit(Admission(plan.template))
         return engine.run()
 
     def simulate(self, plan: JoinPlan) -> JoinMetrics:

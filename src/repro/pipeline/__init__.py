@@ -6,7 +6,6 @@ from repro.pipeline.tasks import (
     D2H,
     GPU,
     H2D,
-    ResourcePool,
     Schedule,
     ScheduledTask,
     Task,
@@ -18,7 +17,6 @@ __all__ = [
     "GPU",
     "H2D",
     "PipelineEngine",
-    "ResourcePool",
     "Schedule",
     "ScheduledTask",
     "Task",

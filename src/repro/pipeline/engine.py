@@ -25,8 +25,8 @@ all-queue-heads scanner this pass is checked against lives in
 A schedule grows by waves: :meth:`PipelineEngine.extend` places a
 :class:`Wave` of :class:`Admission` objects — self-contained templates,
 each under an alias, at a release time, on a device — on top of the
-schedule's carried-over lane heaps, in place.  The serving layer places
-every admission wave this way.
+schedule's carried-over per-resource free times, in place.  The serving
+layer places every admission wave this way.
 """
 
 from __future__ import annotations
@@ -37,13 +37,7 @@ from itertools import repeat
 from typing import Sequence
 
 from repro.errors import SchedulingError
-from repro.pipeline.tasks import (
-    ResourcePool,
-    Schedule,
-    ScheduledTask,
-    Task,
-    is_int,
-)
+from repro.pipeline.tasks import Schedule, ScheduledTask, Task, is_int
 
 
 def _check_seconds(value: float, what: str, owner: str) -> None:
@@ -73,7 +67,6 @@ class PlanTemplate:
 
     __slots__ = (
         "tasks", "names", "resources", "durations", "deps", "releases",
-        "pools",
     )
 
     def __init__(self, tasks: Sequence[Task]) -> None:
@@ -142,8 +135,6 @@ class PlanTemplate:
         self.deps = tuple(
             tuple(rank[dep] for dep in inner[index]) for index in order
         )
-        #: Resources in order of first submission.
-        self.pools = tuple(tail)
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -226,28 +217,19 @@ class Wave:
 class PipelineEngine:
     """Builds and simulates a task graph.
 
-    ``resources`` optionally maps resource names to lane counts (or is a
-    collection of :class:`ResourcePool`); unnamed resources default to a
-    single lane, i.e. one serially-executing queue.
-
-    All task durations, release times and schedule timestamps are
-    **simulated seconds** on the modelled device, never wall clock.
-    Simulation is deterministic: the same submission order, durations,
-    dependencies and lane counts always yield the same schedule —
-    ties are broken by submission order and lowest lane index, and no
-    unordered-container iteration or randomness is involved.  Both
-    entry points (:meth:`run`, :meth:`extend`) place tasks with the one
-    linear pass over a :class:`PlanTemplate`, and the pipeline test
-    suite pins them to the reference scanner of
-    :mod:`repro.pipeline.oracle`.
+    Every resource is one serially-executing FIFO queue (a CUDA stream
+    or copy engine).  All task durations, release times and schedule
+    timestamps are **simulated seconds** on the modelled device, never
+    wall clock.  Simulation is deterministic: the same submission
+    order, durations and dependencies always yield the same schedule —
+    ties are broken by submission order, and no unordered-container
+    iteration or randomness is involved.  Both entry points
+    (:meth:`run`, :meth:`extend`) place tasks with the one linear pass
+    over a :class:`PlanTemplate`, and the pipeline test suite pins them
+    to the reference scanner of :mod:`repro.pipeline.oracle`.
     """
 
-    def __init__(
-        self,
-        resources: dict[str, int] | list[ResourcePool] | None = None,
-        *,
-        device: int = 0,
-    ) -> None:
+    def __init__(self, *, device: int = 0) -> None:
         if not is_int(device) or device < 0:
             raise SchedulingError(
                 f"engine device must be an int >= 0, got {device!r}"
@@ -267,41 +249,17 @@ class PipelineEngine:
         self._names: set[str] = set()
         #: Tasks currently in the engine's books.
         self._count = 0
-        self._lanes: dict[str, int] = {}
         #: Tasks dropped by :meth:`compact` — once nonzero the engine
         #: only supports :meth:`extend`, never a full re-simulation.
         self._retired = 0
         #: Set by :meth:`retire`: the device left the fleet, so no new
-        #: tasks may be submitted (the schedule and lane state survive
+        #: tasks may be submitted (the schedule and free times survive
         #: for reporting and compaction of in-flight work).
         self._device_retired = False
         #: Set by :meth:`crash`: the device failed ungracefully.  Like
         #: retirement this seals the engine against new tasks, but the
         #: unfinished tail of the schedule was invalidated too.
         self._crashed = False
-        if resources:
-            pools = (
-                # A bare name->lanes dict describes THIS engine's pools,
-                # so they inherit its device tag; explicit ResourcePool
-                # lists must already carry the right device.
-                [
-                    ResourcePool(name, lanes, device=device)
-                    for name, lanes in resources.items()
-                ]
-                if isinstance(resources, dict)
-                else list(resources)
-            )
-            for pool in pools:
-                if pool.device != device:
-                    raise SchedulingError(
-                        f"resource pool {pool.name!r} belongs to device "
-                        f"{pool.device} but the engine simulates device "
-                        f"{device}"
-                    )
-                self._lanes[pool.name] = pool.lanes
-
-    def lanes_of(self, resource: str) -> int:
-        return self._lanes.get(resource, 1)
 
     # ------------------------------------------------------------------
     def add(self, task: Task) -> Task:
@@ -319,25 +277,6 @@ class PipelineEngine:
         self._names.add(task.name)
         self._count += 1
         return task
-
-    def add_task(
-        self,
-        name: str,
-        resource: str,
-        duration: float,
-        deps: tuple[str, ...] | list[str] = (),
-        phase: str | None = None,
-    ) -> Task:
-        """Convenience wrapper around :meth:`add`."""
-        return self.add(
-            Task(
-                name=name,
-                resource=resource,
-                duration=duration,
-                deps=tuple(deps),
-                phase=phase,
-            )
-        )
 
     def admit(self, admission: Admission) -> Admission:
         """Append an admission — a template placed as a unit — to the
@@ -377,8 +316,7 @@ class PipelineEngine:
         detects unknown dependencies and deadlocks (no queue head
         dispatchable while tasks remain: the dependencies are cyclic
         across the FIFO queues).  Either way one linear pass places
-        it.  Lane assignment goes to whichever lane of a pool frees
-        first, lowest index on ties.
+        it.
         """
         self._check_not_compacted("run()")
         admissions = self._graph
@@ -407,33 +345,32 @@ class PipelineEngine:
         against :meth:`admit` plus :meth:`run` and the reference
         scanner): tasks already in the engine occupy earlier positions
         of every FIFO queue and never depend on later submissions, so
-        their starts, finishes and lanes cannot move; templates are
+        their starts and finishes cannot move; templates are
         self-contained, so the new tasks need nothing of the placed
-        graph but its end-of-run per-pool lane heaps
-        (:attr:`~repro.pipeline.tasks.Schedule.lane_state`).  Carrying
+        graph but its end-of-run per-resource free times
+        (:attr:`~repro.pipeline.tasks.Schedule.free_at`).  Carrying
         those over reproduces, bit-for-bit, the schedule a full
         :meth:`run` over old + new tasks would compute.  New admissions
-        may introduce new resources (defaulting to one lane).  The
-        engine records the wave, so a later :meth:`run` — or another
+        may introduce new resources (free from time 0).  The engine
+        records the wave, so a later :meth:`run` — or another
         :meth:`extend` — covers old and new tasks alike.
 
         Raises :class:`SchedulingError` when ``schedule`` is a merged
         multi-device reporting view
         (:attr:`~repro.pipeline.tasks.Schedule.is_merged_view`), when
         ``schedule`` does not cover the engine's current tasks or holds
-        tasks but no lane state (stale), when the device is retired or
+        tasks but no free times (stale), when the device is retired or
         crashed, when an admission targets another device or has a
-        negative or non-finite release time, when lane counts changed
-        since ``schedule`` was computed, or when two placed tasks would
-        share a name.  A rejected wave rolls back: the engine and the
-        schedule are left exactly as they were, still extendable.
+        negative or non-finite release time, or when two placed tasks
+        would share a name.  A rejected wave rolls back: the engine and
+        the schedule are left exactly as they were, still extendable.
         """
         if schedule.is_merged_view:
             raise SchedulingError(
                 "cannot extend a merged reporting view: it unions "
-                "per-device schedules whose same-named pools are distinct "
-                "physical resources; extend the owning device's schedule "
-                "instead"
+                "per-device schedules whose same-named resources are "
+                "distinct physical queues; extend the owning device's "
+                "schedule instead"
             )
         if len(schedule.tasks) != self._count:
             raise SchedulingError(
@@ -441,10 +378,10 @@ class PipelineEngine:
                 f"the engine holds {self._count}; extend() needs the "
                 "schedule of exactly the tasks already submitted"
             )
-        if schedule.tasks and not schedule.lane_state:
+        if schedule.tasks and not schedule.free_at:
             raise SchedulingError(
                 f"stale schedule: holds {len(schedule.tasks)} tasks but "
-                "records no lane state; extend() needs the schedule that "
+                "records no free times; extend() needs the schedule that "
                 "run() or extend() returned"
             )
         if len(new_tasks) and self._device_retired:
@@ -453,13 +390,6 @@ class PipelineEngine:
                 f"{len(new_tasks)} new task(s) cannot be placed on an "
                 "engine that left the fleet"
             )
-        for resource, lanes in schedule.lanes.items():
-            if lanes != self.lanes_of(resource):
-                raise SchedulingError(
-                    f"resource {resource!r} changed from {lanes} to "
-                    f"{self.lanes_of(resource)} lanes since the schedule "
-                    "was computed; lane counts must be declared up front"
-                )
         admissions = new_tasks.admissions
         for admission in admissions:
             self._check_admission(admission)
@@ -471,22 +401,19 @@ class PipelineEngine:
 
     def _place(self, schedule: Schedule, admissions: list[Admission]) -> None:
         """The linear dispatch pass: place every admission's template,
-        in order, on top of ``schedule``'s carried-over lane heaps.
+        in order, on top of ``schedule``'s carried-over free times.
 
-        Each task pops its pool's lane heap (the lane that frees first,
-        lowest index on ties) and starts at ``max(lane free, dependency
-        finishes, release)``.  Dispatch order puts a task after its
-        dependencies and its FIFO predecessor, and only a queue's head
-        can start, so every start is final when computed.  Admissions
-        are self-contained graphs, so their dispatch orders concatenate
-        into one for the whole wave.  A name collision with an already
-        placed task rolls the wave back and raises.
+        Each task starts at ``max(resource free, dependency finishes,
+        release)`` and its finish becomes the resource's free time.
+        Dispatch order puts a task after its dependencies and its FIFO
+        predecessor, and only a queue's head can start, so every start
+        is final when computed.  Admissions are self-contained graphs,
+        so their dispatch orders concatenate into one for the whole
+        wave.  A name collision with an already placed task rolls the
+        wave back and raises.
         """
-        lane_free: dict[str, list[tuple[float, int]]] = {}
-        for admission in admissions:
-            for resource in admission.template.pools:
-                if resource not in lane_free:
-                    lane_free[resource] = self._lane_heap(schedule, resource)
+        free_at = dict(schedule.free_at)
+        free = free_at.get
         placed = schedule.tasks
         claim = placed.setdefault
         for done, admission in enumerate(admissions):
@@ -508,20 +435,19 @@ class PipelineEngine:
                     release_of,
                 )
             ):
-                heap = lane_free[resource]
-                start, lane = heap[0]
+                start = free(resource, 0.0)
                 for dep in deps:
                     if finishes[dep] > start:
                         start = finishes[dep]
                 if release > start:
                     start = release
                 finish = start + duration
-                heapq.heapreplace(heap, (finish, lane))
+                free_at[resource] = finish
                 record(finish)
-                item = ScheduledTask(None, start, finish, lane, admission, index)
+                item = ScheduledTask(None, start, finish, admission, index)
                 if claim(prefix + name, item) is not item:
-                    # Roll back every task this pass placed; the lane
-                    # heaps are copies, committed only below.
+                    # Roll back every task this pass placed; the free
+                    # times are a copy, committed only below.
                     for earlier in admissions[:done]:
                         for other in earlier.template.names:
                             del placed[earlier.prefix + other]
@@ -531,23 +457,7 @@ class PipelineEngine:
                         f"duplicate task name: {prefix + name!r}"
                     )
             admission.finish = max(finishes, default=admission.available_at)
-        for resource, heap in lane_free.items():
-            if resource not in schedule.lanes:
-                schedule.lanes[resource] = self.lanes_of(resource)
-            schedule.lane_state[resource] = sorted(heap)
-
-    def _lane_heap(
-        self, schedule: Schedule, resource: str
-    ) -> list[tuple[float, int]]:
-        """A copy of one pool's carried-over lane heap: the recorded
-        :attr:`~repro.pipeline.tasks.Schedule.lane_state` (a sorted list
-        is a valid heap, so pop order matches an uninterrupted
-        simulation), or fresh lanes for a pool the schedule never
-        used."""
-        state = schedule.lane_state.get(resource)
-        if state is not None:
-            return list(state)
-        return [(0.0, lane) for lane in range(self.lanes_of(resource))]
+        schedule.free_at = free_at
 
     def _check_admission(self, admission: Admission) -> None:
         if admission.device != self.device:
@@ -586,7 +496,7 @@ class PipelineEngine:
         subsequent :meth:`extend` still sees schedule and engine in
         agreement.  Returns the number of tasks retired.
 
-        Lane heaps (``lane_state``) and recorded finishes of retained
+        Free times (``free_at``) and recorded finishes of retained
         tasks are untouched, so extensions after a compaction are
         **bit-identical** to the uncompacted run — pinned by
         ``tests/pipeline/test_compaction.py`` on randomized arrival
@@ -614,6 +524,7 @@ class PipelineEngine:
             self._graph = None
             self._names = set()
         return retired
+
     def crash(self, schedule: Schedule, at: float) -> list[str]:
         """Ungraceful device failure at simulated time ``at``.
 
@@ -635,9 +546,12 @@ class PipelineEngine:
         simulate.  :meth:`compact` keeps working on the surviving
         history, so a streaming run's periodic sweeps need not
         special-case crashed devices.  ``schedule`` must be this
-        engine's own current schedule, not a merged reporting view.
-        Idempotent in effect: a second crash on an already-sealed
-        engine just invalidates whatever (nothing) remains unfinished.
+        engine's own current schedule, not a merged reporting view, and
+        ``at`` must be finite and non-negative; either refusal raises
+        :class:`~repro.errors.SchedulingError` before anything is
+        sealed.  Idempotent in effect: a second crash on an
+        already-sealed engine just invalidates whatever (nothing)
+        remains unfinished.
         """
         if schedule.is_merged_view:
             raise SchedulingError(
@@ -650,6 +564,7 @@ class PipelineEngine:
                 f"the engine holds {self._count}; crash() needs the "
                 "schedule of exactly the tasks currently submitted"
             )
+        _check_seconds(at, "crash time", f"device {self.device}")
         lost = sorted(
             name
             for name, item in schedule.tasks.items()
@@ -677,8 +592,8 @@ class PipelineEngine:
     def retire(self) -> None:
         """Seal the engine: its device left the fleet.
 
-        Device-tagged lanes *survive* retirement — the schedule, lane
-        heaps and recorded finishes stay intact so in-flight queries
+        Device-tagged work *survives* retirement — the schedule, free
+        times and recorded finishes stay intact so in-flight queries
         drain normally, reports still merge this device's history, and
         :meth:`compact` keeps working on the drained tail.  What
         retirement forbids is **new work**: any subsequent :meth:`add`

@@ -44,20 +44,14 @@ def run_reference(engine: PipelineEngine) -> Schedule:
     for task in tasks:
         queues[task.resource].append(task)
     cursor = {resource: 0 for resource in queues}
-    # One free-time per lane; a pool's next task is dispatched onto
-    # whichever lane frees first (round-robin copy engines/streams).
-    lane_free = {
-        resource: [0.0] * engine.lanes_of(resource) for resource in queues
-    }
+    # One free time per resource: its FIFO queue runs one task at a time.
+    free_at = {resource: 0.0 for resource in queues}
 
-    schedule = Schedule(
-        lanes={resource: engine.lanes_of(resource) for resource in queues}
-    )
+    schedule = Schedule()
     remaining = len(tasks)
     while remaining:
         best: Task | None = None
         best_start = 0.0
-        best_lane = 0
         for resource, queue in queues.items():
             position = cursor[resource]
             if position >= len(queue):
@@ -68,13 +62,9 @@ def run_reference(engine: PipelineEngine) -> Schedule:
             dep_ready = max(
                 (schedule.tasks[dep].finish for dep in task.deps), default=0.0
             )
-            lane = min(
-                range(len(lane_free[resource])),
-                key=lane_free[resource].__getitem__,
-            )
-            start = max(lane_free[resource][lane], dep_ready, task.available_at)
+            start = max(free_at[resource], dep_ready, task.available_at)
             if best is None or start < best_start:
-                best, best_start, best_lane = task, start, lane
+                best, best_start = task, start
         if best is None:
             pending = [
                 queue[cursor[resource]].name
@@ -86,16 +76,11 @@ def run_reference(engine: PipelineEngine) -> Schedule:
                 "(cyclic dependencies across FIFO queues?)"
             )
         finish = best_start + best.duration
-        schedule.tasks[best.name] = ScheduledTask(
-            best, best_start, finish, lane=best_lane
-        )
-        lane_free[best.resource][best_lane] = finish
+        schedule.tasks[best.name] = ScheduledTask(best, best_start, finish)
+        free_at[best.resource] = finish
         cursor[best.resource] += 1
         remaining -= 1
-    schedule.lane_state = {
-        resource: sorted((free_at, lane) for lane, free_at in enumerate(frees))
-        for resource, frees in lane_free.items()
-    }
+    schedule.free_at = free_at
     return schedule
 
 
@@ -105,15 +90,15 @@ def check_batch_oracle(report, faults=None) -> int:
     Re-simulates each device's final task graph in
     ``report.device_schedules`` from scratch with :func:`run_reference`
     — a batch scheduler's way of placing the graph — and raises
-    :class:`~repro.errors.SchedulingError` unless every task's start,
-    finish and lane equal the ones the run placed by extension.
-    Schedules list tasks in dispatch order, which per resource pool is
-    submission order, so re-adding them rebuilds every FIFO queue.
-    Devices ``faults`` crashes are skipped (the crash dropped their
-    unfinished tail, so the survivors no longer form the graph their
-    lanes were computed from), and compacted schedules are refused:
-    pass a :meth:`~repro.serve.scheduler.QueryScheduler.run_online`
-    report.  Returns the number of tasks checked.
+    :class:`~repro.errors.SchedulingError` unless every task's start and
+    finish equal the ones the run placed by extension.  Schedules list
+    tasks in dispatch order, which per resource is submission order, so
+    re-adding them rebuilds every FIFO queue.  Devices ``faults``
+    crashes are skipped (the crash dropped their unfinished tail, so the
+    survivors no longer form the graph their times were computed from),
+    and compacted schedules are refused: pass a
+    :meth:`~repro.serve.scheduler.QueryScheduler.run_online` report.
+    Returns the number of tasks checked.
     """
     crashed = {crash.device for crash in faults.crashes} if faults else set()
     checked = 0
@@ -125,19 +110,17 @@ def check_batch_oracle(report, faults=None) -> int:
                 f"device {device} schedule was compacted; the batch "
                 "oracle needs a complete one"
             )
-        engine = PipelineEngine(schedule.lanes, device=device)
+        engine = PipelineEngine(device=device)
         for item in schedule.tasks.values():
             engine.add(item.task)
         batch = run_reference(engine)
         for name, item in schedule.tasks.items():
             again = batch.tasks[name]
-            if (item.start, item.finish, item.lane) != (
-                again.start, again.finish, again.lane
-            ):
+            if (item.start, item.finish) != (again.start, again.finish):
                 raise SchedulingError(
                     f"device {device} task {name!r}: incremental "
-                    f"{(item.start, item.finish, item.lane)} != batch "
-                    f"{(again.start, again.finish, again.lane)}"
+                    f"{(item.start, item.finish)} != batch "
+                    f"{(again.start, again.finish)}"
                 )
         checked += len(schedule.tasks)
     return checked

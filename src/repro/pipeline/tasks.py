@@ -24,38 +24,6 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class ResourcePool:
-    """A named execution resource with a fixed number of parallel lanes.
-
-    ``lanes=1`` models a serially-executing queue (one DMA engine, the
-    GPU compute queue); ``lanes=n`` models *n* interchangeable CUDA
-    streams or copy engines fed from one FIFO submission queue: each
-    task is dispatched, in submission order, onto whichever lane frees
-    first.  ``device`` tags which GPU of a sharded fleet owns the pool:
-    device 0's ``h2d`` engine and device 1's ``h2d`` engine are distinct
-    physical resources even though they share a name, and every device's
-    pools live in that device's own :class:`~repro.pipeline.engine.
-    PipelineEngine`.
-    """
-
-    name: str
-    lanes: int = 1
-    device: int = 0
-
-    def __post_init__(self) -> None:
-        if not is_int(self.lanes) or self.lanes < 1:
-            raise ValueError(
-                f"resource {self.name!r} needs an int lane count >= 1, got "
-                f"{self.lanes!r}"
-            )
-        if not is_int(self.device) or self.device < 0:
-            raise ValueError(
-                f"resource {self.name!r} needs an int device >= 0, got "
-                f"{self.device!r}"
-            )
-
-
 @dataclass
 class Task:
     """One unit of work bound to a resource.
@@ -65,7 +33,7 @@ class Task:
     name:
         Unique identifier, referenced by dependents.
     resource:
-        The (pool of) serially-executing lane(s) this task occupies.
+        The serially-executing FIFO queue this task occupies.
     duration:
         Modelled seconds of occupancy.
     deps:
@@ -104,7 +72,7 @@ class Task:
 
 
 class ScheduledTask:
-    """A task with its computed start/finish times and assigned lane.
+    """A task with its computed start/finish times.
 
     The engine places admitted plan templates without building their
     :class:`Task` objects: it passes ``task=None`` plus the
@@ -115,21 +83,19 @@ class ScheduledTask:
     object.
     """
 
-    __slots__ = ("start", "finish", "lane", "_task", "_admission", "_index")
+    __slots__ = ("start", "finish", "_task", "_admission", "_index")
 
     def __init__(
         self,
         task: Task | None,
         start: float,
         finish: float,
-        lane: int = 0,
         admission=None,
         index: int = 0,
     ) -> None:
         self._task = task
         self.start = start
         self.finish = finish
-        self.lane = lane
         self._admission = admission
         self._index = index
 
@@ -143,7 +109,7 @@ class ScheduledTask:
     def __repr__(self) -> str:
         return (
             f"ScheduledTask(task={self.task!r}, start={self.start!r}, "
-            f"finish={self.finish!r}, lane={self.lane!r})"
+            f"finish={self.finish!r})"
         )
 
 
@@ -153,31 +119,26 @@ class Schedule:
 
     All times are simulated seconds on the modelled device, not wall
     clock.  A schedule is deterministic: the same task graph (same
-    submission order, durations, dependencies and lane counts) always
-    produces the same start/finish times and lane assignments.
+    submission order, durations and dependencies) always produces the
+    same start/finish times.
     """
 
     #: Placed tasks by name, in dispatch order: each after its
-    #: dependencies, and per resource pool in submission order.
+    #: dependencies, and per resource in submission order.
     tasks: dict[str, ScheduledTask] = field(default_factory=dict)
-    #: Lane counts of the pools the schedule ran on (default 1 each).
-    lanes: dict[str, int] = field(default_factory=dict)
     #: How many tasks :meth:`compact` has retired so far.
     retired_tasks: int = 0
     #: Latest finish among retired tasks, so :attr:`makespan` stays the
     #: whole run's makespan — compaction drops bookkeeping, not history.
     retired_makespan: float = 0.0
-    #: End-of-run per-pool lane state: ``resource -> sorted list of
-    #: (free_at_seconds, lane_index)``.  This is the carry-over that
-    #: lets :meth:`repro.pipeline.engine.PipelineEngine.extend` place
-    #: newly admitted tasks without re-simulating the whole graph; a
-    #: sorted list is a valid binary heap, so the extension pops lanes
-    #: in exactly the order a full re-run would.
-    lane_state: dict[str, list[tuple[float, int]]] = field(
-        default_factory=dict, repr=False
-    )
+    #: End-of-run free time of each resource: ``resource -> seconds``
+    #: at which its FIFO queue's last task finishes.  This is the
+    #: carry-over that lets
+    #: :meth:`repro.pipeline.engine.PipelineEngine.extend` place newly
+    #: admitted tasks without re-simulating the whole graph.
+    free_at: dict[str, float] = field(default_factory=dict, repr=False)
     #: True for the read-only union built by :meth:`merged`.  A merged
-    #: view spans devices whose same-named pools are physically
+    #: view spans devices whose same-named resources are physically
     #: distinct, so it cannot seed an engine extension;
     #: :meth:`repro.pipeline.engine.PipelineEngine.extend` refuses it.
     is_merged_view: bool = False
@@ -202,16 +163,15 @@ class Schedule:
         * :attr:`makespan` — the retired maximum is folded into
           :attr:`retired_makespan`, so the whole-run makespan is
           unchanged by compaction;
-        * :attr:`lane_state` and :attr:`lanes` — untouched, which is
-          what keeps subsequent
+        * :attr:`free_at` — untouched, which is what keeps subsequent
           :meth:`repro.pipeline.engine.PipelineEngine.extend` calls
           bit-identical to an uncompacted run (extension places
-          self-contained templates, so it reads only the lane heaps).
+          self-contained templates, so it reads only the free times).
 
-        Occupancy reports (:meth:`busy_time`, :meth:`utilization`,
-        :meth:`phase_times`) cover only retained tasks afterwards —
-        streaming callers fold per-query stats into their running
-        accumulator *before* compacting.  A schedule compacted behind
+        Occupancy reports (:meth:`busy_time`, :meth:`phase_times`)
+        cover only retained tasks afterwards — streaming callers fold
+        per-query stats into their running accumulator *before*
+        compacting.  A schedule compacted behind
         its engine's back can no longer seed ``extend``; use
         :meth:`repro.pipeline.engine.PipelineEngine.compact`, which
         retires the same tasks from the engine's books in lockstep.
@@ -233,13 +193,6 @@ class Schedule:
             for item in self.tasks.values()
             if item.task.resource == resource
         )
-
-    def utilization(self, resource: str) -> float:
-        """Occupancy fraction of one resource (all lanes) over the makespan."""
-        span = self.makespan
-        if span <= 0:
-            return 0.0
-        return self.busy_time(resource) / (span * self.lanes.get(resource, 1))
 
     def phase_time(self, phase: str) -> float:
         """Total occupancy attributed to one reporting phase."""
@@ -272,13 +225,11 @@ class Schedule:
         serving layer's qid prefixes guarantee it, since a query runs
         entirely on one device).  The merged view is for *reporting*
         (makespan, per-query latency, cross-query overlap); same-named
-        resources on different devices are distinct physical pools, so
-        :meth:`busy_time` aggregates over all devices sharing the name
-        and lane counts are **summed** per resource name — the fleet's
-        real capacity — keeping :meth:`utilization` a genuine occupancy
-        fraction.  ``lane_state`` is deliberately empty and
-        :attr:`is_merged_view` is set: a merged view cannot be
-        extended, and the engine enforces that.
+        resources on different devices are distinct physical queues, so
+        :meth:`busy_time` aggregates over all devices sharing the name.
+        :attr:`free_at` is deliberately empty and :attr:`is_merged_view`
+        is set: a merged view cannot be extended, and the engine
+        enforces that.
         """
         merged = cls(is_merged_view=True)
         for schedule in schedules:
@@ -289,6 +240,4 @@ class Schedule:
                         "more than one device"
                     )
                 merged.tasks[name] = item
-            for resource, lanes in schedule.lanes.items():
-                merged.lanes[resource] = merged.lanes.get(resource, 0) + lanes
         return merged

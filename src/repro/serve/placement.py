@@ -7,8 +7,9 @@ one arena and one engine.  Sharded serving adds a third axis — *where*
 * :class:`DeviceState` — one GPU's serving state: its private
   :class:`~repro.gpusim.arena.DeviceMemoryArena`, its own
   :class:`~repro.pipeline.engine.PipelineEngine` (with independent
-  ``lane_state``, so schedule extension stays per-device), and the
-  running/predicted-finish books the wait-vs-degrade estimator reads;
+  per-resource free times, so schedule extension stays per-device), and
+  the running/predicted-finish books the wait-vs-degrade estimator
+  reads;
 * :class:`DeviceFleet` — the ordered collection of K device states plus
   the aggregate views reports need (per-device peaks and capacities,
   drain check);
@@ -403,7 +404,10 @@ class DeviceFleet:
         device that already crashed, and — unlike retirement — it *may*
         take down the last accepting device: real failures do not wait
         for spare capacity.  An index that names no device raises
-        :class:`~repro.errors.InvalidConfigError`.
+        :class:`~repro.errors.InvalidConfigError`; a crash time that is
+        not finite and non-negative raises
+        :class:`~repro.errors.SchedulingError` from the engine before
+        the device changes.
         """
         device = self._known(index, "crash")
         if device.crashed:

@@ -313,7 +313,8 @@ class ServeReport:
     #: Each device's own schedule, in device order.  Complete for
     #: ``run_online`` (nothing is compacted), so tests can re-simulate
     #: a device from scratch; the merged :attr:`schedule` cannot serve
-    #: that purpose because it sums lane counts across devices.
+    #: that purpose because it unions devices whose same-named
+    #: resources are distinct queues.
     device_schedules: list[Schedule] = field(default_factory=list, repr=False)
     #: Exact per-device reservation high-water marks, in **bytes**.
     device_peak_bytes: tuple[int, ...] = ()

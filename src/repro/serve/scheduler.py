@@ -26,8 +26,8 @@ admitted* — and, on a sharded fleet, *where*.  The scheduler:
 * lowers every admitted query's :class:`JoinPlan` into **its device's**
   engine — the plan's template, lowered once per plan, admitted under
   the query id as task-name prefix, tagged with the device and released
-  at the admission time — so H2D/D2H/GPU resource lanes interleave
-  across co-resident queries per device;
+  at the admission time — so the H2D/D2H/GPU resource queues
+  interleave across co-resident queries per device;
 * releases the reservation at the query's simulated finish time, which
   is the event that admits the next waiting query.
 
@@ -39,13 +39,14 @@ bounded-queue admission, load shedding and periodic schedule
 compaction, built for steady-state runs of 10^5+ arrivals.  Each
 admission wave extends the placed device's schedule incrementally via
 :meth:`~repro.pipeline.engine.PipelineEngine.extend`, each device
-carrying its own ``lane_state``.  With shedding and compaction off the
-two entry points produce identical outcomes, failures and makespans.
+carrying its own per-resource free times.  With shedding and
+compaction off the two entry points produce identical outcomes,
+failures and makespans.
 The report's ``makespan`` is the fleet's schedule makespan: the
 latest finish of any task on any device.  Re-simulating each device's
 final task graph from scratch — the batch oracle in
-:mod:`repro.pipeline.oracle` — must reproduce every task's start,
-finish and lane.
+:mod:`repro.pipeline.oracle` — must reproduce every task's start and
+finish.
 
 The fleet may be **heterogeneous and elastic**.  Each device carries
 its own :class:`~repro.gpusim.calibration.Calibration`
@@ -459,7 +460,7 @@ class QueryScheduler:
         * every ``compact_every`` releases, each device's engine
           retires tasks that finished at or before the clock
           (:meth:`~repro.pipeline.engine.PipelineEngine.compact`);
-          lane state is untouched, so extension after compaction places
+          free times are untouched, so extension after compaction places
           new tasks exactly where the uncompacted run would;
         * per-query stats are recorded in their :class:`QueryOutcome`
           at admission/extension time, before compaction can drop the

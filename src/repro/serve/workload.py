@@ -26,12 +26,14 @@ planning work is all cache hits.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from typing import Iterator
 
 from repro.data.spec import Distribution, JoinSpec, RelationSpec, unique_pair
 from repro.errors import InvalidConfigError
+from repro.pipeline.tasks import is_int
 from repro.serve.admission import QueryClass
 from repro.serve.scheduler import QueryRequest
 
@@ -107,8 +109,11 @@ def with_classes(
     """
     if not classes:
         raise InvalidConfigError("classes must be non-empty")
-    if deadline_scale <= 0:
-        raise InvalidConfigError("deadline_scale must be positive")
+    # Negated comparison, so NaN fails it too.
+    if not deadline_scale > 0:
+        raise InvalidConfigError(
+            f"deadline_scale must be positive, got {deadline_scale!r}"
+        )
     cache: dict = {}
     return [
         replace(
@@ -122,6 +127,22 @@ def with_classes(
         )
         for i, request in enumerate(requests)
     ]
+
+
+def _check_count(name: str, value: object, least: int) -> None:
+    if not is_int(value) or value < least:
+        raise InvalidConfigError(
+            f"{name} must be an int >= {least}, got {value!r}"
+        )
+
+
+def _check_spacing(name: str, value: float) -> None:
+    # Negated comparison, so NaN fails it too.
+    if not 0.0 <= value < math.inf:
+        raise InvalidConfigError(
+            f"{name} must be finite and >= 0, got {value!r}"
+        )
+
 
 #: Size wobble applied per cycle position so repeated templates differ.
 _WOBBLE = (1.0, 0.75, 1.25)
@@ -155,10 +176,12 @@ def mixed_workload(
     everything cheaper and more resident).  ``spacing_seconds`` staggers
     submissions to model an open arrival process instead of one batch.
     """
-    if n_queries <= 0:
-        raise InvalidConfigError("n_queries must be positive")
-    if scale <= 0:
-        raise InvalidConfigError("scale must be positive")
+    _check_count("n_queries", n_queries, 1)
+    if not 0.0 < scale < math.inf:
+        raise InvalidConfigError(
+            f"scale must be finite and > 0, got {scale!r}"
+        )
+    _check_spacing("spacing_seconds", spacing_seconds)
     requests: list[QueryRequest] = []
     for i in range(n_queries):
         wobble = _WOBBLE[(i // 4) % len(_WOBBLE)]
@@ -238,10 +261,8 @@ def random_workload(
     co-processing regimes so admission control, degradation and
     waiting all get exercised.
     """
-    if max_queries < 2:
-        raise InvalidConfigError("max_queries must be at least 2")
-    if spacing_max_seconds < 0:
-        raise InvalidConfigError("spacing_max_seconds must be non-negative")
+    _check_count("max_queries", max_queries, 2)
+    _check_spacing("spacing_max_seconds", spacing_max_seconds)
     rng = random.Random(seed)
     n_queries = rng.randint(2, max_queries)
     requests: list[QueryRequest] = []
@@ -319,8 +340,7 @@ def stream_workload(
     stream's specs and arrival times match the unclassed stream
     exactly.
     """
-    if n_queries <= 0:
-        raise InvalidConfigError("n_queries must be positive")
+    _check_count("n_queries", n_queries, 1)
     # Negated comparisons, so NaN fails them too.
     if not arrival_rate > 0:
         raise InvalidConfigError(

@@ -4,12 +4,12 @@ must never change what the engine schedules next.
 ``PipelineEngine.compact(schedule, horizon)`` drops tasks whose
 finishes precede the live frontier from both the schedule and the
 engine's books.  Because extension places self-contained templates and
-reads only the carried-over lane heaps (``lane_state``), every
-``extend`` after a compaction must be **bit-identical** (exact ``==``)
-to the same extension on an uncompacted twin engine — replayed here
-over randomized multi-wave arrival sequences, with the uncompacted twin
-as the oracle and the twin pinned to a full ``run()`` and the reference
-scanner.
+reads only the carried-over per-resource free times (``free_at``),
+every ``extend`` after a compaction must be **bit-identical** (exact
+``==``) to the same extension on an uncompacted twin engine — replayed
+here over randomized multi-wave arrival sequences, with the uncompacted
+twin as the oracle and the twin pinned to a full ``run()`` and the
+reference scanner.
 """
 
 import random
@@ -23,7 +23,7 @@ from repro.pipeline.tasks import Schedule, Task
 
 
 def chain_wave(
-    wave: int, rng: random.Random, pools: list[str]
+    wave: int, rng: random.Random, resources: list[str]
 ) -> list[tuple[PlanTemplate, str]]:
     """One admission wave of per-query chain templates, each with the
     alias the serving layer would namespace it under."""
@@ -34,7 +34,7 @@ def chain_wave(
             tasks.append(
                 Task(
                     name=f"t{i}",
-                    resource=rng.choice(pools),
+                    resource=rng.choice(resources),
                     duration=rng.random() * rng.choice([0.5, 2.0]),
                     deps=(tasks[-1].name,) if tasks else (),
                 )
@@ -50,7 +50,7 @@ def admissions(
 
 
 def simple_engine() -> tuple[PipelineEngine, Schedule]:
-    engine = PipelineEngine({"gpu": 1, "h2d": 1})
+    engine = PipelineEngine()
     engine.add(Task("a", "h2d", 1.0))
     engine.add(Task("b", "gpu", 2.0, ("a",)))
     engine.add(Task("c", "gpu", 3.0, ("b",)))
@@ -89,10 +89,9 @@ def test_compact_before_any_finish_is_a_noop():
 
 def test_lane_state_untouched_by_compaction():
     engine, schedule = simple_engine()
-    before = {name: list(heap) for name, heap in schedule.lane_state.items()}
+    before = dict(schedule.free_at)
     engine.compact(schedule, 3.0)
-    after = {name: list(heap) for name, heap in schedule.lane_state.items()}
-    assert after == before
+    assert schedule.free_at == before == {"h2d": 1.0, "gpu": 6.0}
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +130,18 @@ def test_compact_refuses_stale_schedule():
 @pytest.mark.parametrize("seed", range(40))
 def test_compacted_extension_bit_identical(seed):
     rng = random.Random(seed)
-    resources = {f"r{i}": rng.randint(1, 2) for i in range(rng.randint(1, 3))}
-    pools = list(resources)
+    resources = [f"r{i}" for i in range(rng.randint(1, 3))]
 
-    compacted_engine = PipelineEngine(dict(resources))
-    oracle_engine = PipelineEngine(dict(resources))
-    compacted = Schedule(lanes=dict(resources))
-    oracle = Schedule(lanes=dict(resources))
-    batch_engine = PipelineEngine(dict(resources))
+    compacted_engine = PipelineEngine()
+    oracle_engine = PipelineEngine()
+    compacted = Schedule()
+    oracle = Schedule()
+    batch_engine = PipelineEngine()
     clock = 0.0
     total_retired = 0
     for wave in range(rng.randint(3, 6)):
         clock += rng.random() * 2
-        queries = chain_wave(wave, rng, pools)
+        queries = chain_wave(wave, rng, resources)
         compacted_engine.extend(compacted, Wave(admissions(queries, clock)))
         oracle_engine.extend(oracle, Wave(admissions(queries, clock)))
         for admission in admissions(queries, clock):
@@ -151,10 +149,8 @@ def test_compacted_extension_bit_identical(seed):
         # Every retained task agrees exactly with the oracle.
         for name, item in compacted.tasks.items():
             twin = oracle.tasks[name]
-            assert (item.start, item.finish, item.lane) == (
-                twin.start, twin.finish, twin.lane
-            ), name
-        assert compacted.lane_state == oracle.lane_state
+            assert (item.start, item.finish) == (twin.start, twin.finish), name
+        assert compacted.free_at == oracle.free_at
         assert compacted.makespan == oracle.makespan
         # Retire everything finished by a random horizon <= the clock
         # frontier; templates are self-contained, so nothing future
@@ -171,6 +167,4 @@ def test_compacted_extension_bit_identical(seed):
         assert set(batch.tasks) == set(oracle.tasks)
         for name, item in batch.tasks.items():
             twin = oracle.tasks[name]
-            assert (item.start, item.finish, item.lane) == (
-                twin.start, twin.finish, twin.lane
-            ), name
+            assert (item.start, item.finish) == (twin.start, twin.finish), name

@@ -21,8 +21,8 @@ def wave_of(tasks: list[Task]) -> Wave:
 
 def test_single_resource_runs_fifo():
     engine = PipelineEngine()
-    engine.add_task("a", "gpu", 1.0)
-    engine.add_task("b", "gpu", 2.0)
+    engine.add(Task("a", "gpu", 1.0))
+    engine.add(Task("b", "gpu", 2.0))
     schedule = engine.run()
     assert schedule.tasks["a"].start == 0.0
     assert schedule.tasks["b"].start == 1.0
@@ -31,15 +31,15 @@ def test_single_resource_runs_fifo():
 
 def test_independent_resources_overlap():
     engine = PipelineEngine()
-    engine.add_task("copy", "h2d", 5.0)
-    engine.add_task("compute", "gpu", 5.0)
+    engine.add(Task("copy", "h2d", 5.0))
+    engine.add(Task("compute", "gpu", 5.0))
     assert engine.run().makespan == 5.0
 
 
 def test_dependency_delays_start():
     engine = PipelineEngine()
-    engine.add_task("copy", "h2d", 5.0)
-    engine.add_task("compute", "gpu", 1.0, ["copy"])
+    engine.add(Task("copy", "h2d", 5.0))
+    engine.add(Task("compute", "gpu", 1.0, ("copy",)))
     schedule = engine.run()
     assert schedule.tasks["compute"].start == 5.0
     assert schedule.makespan == 6.0
@@ -53,7 +53,7 @@ def test_makespan_bounds():
     for i, duration in enumerate(durations):
         deps = [prev] if prev and i % 2 else []
         prev = f"t{i}"
-        engine.add_task(prev, "gpu" if i % 2 else "h2d", duration, deps)
+        engine.add(Task(prev, "gpu" if i % 2 else "h2d", duration, deps))
     schedule = engine.run()
     busiest = max(schedule.busy_time("gpu"), schedule.busy_time("h2d"))
     assert busiest <= schedule.makespan <= sum(durations) + 1e-12
@@ -61,22 +61,22 @@ def test_makespan_bounds():
 
 def test_duplicate_task_name_rejected():
     engine = PipelineEngine()
-    engine.add_task("a", "gpu", 1.0)
+    engine.add(Task("a", "gpu", 1.0))
     with pytest.raises(SchedulingError):
-        engine.add_task("a", "gpu", 1.0)
+        engine.add(Task("a", "gpu", 1.0))
 
 
 def test_negative_duration_rejected():
     engine = PipelineEngine()
     with pytest.raises(SchedulingError):
-        engine.add_task("a", "gpu", -1.0)
+        engine.add(Task("a", "gpu", -1.0))
 
 
 def test_nan_duration_rejected():
     """A NaN duration used to give a NaN finish and makespan."""
     engine = PipelineEngine()
     with pytest.raises(SchedulingError, match="non-finite duration"):
-        engine.add_task("a", "gpu", math.nan)
+        engine.add(Task("a", "gpu", math.nan))
     schedule = engine.run()
     with pytest.raises(SchedulingError, match="non-finite duration"):
         engine.extend(schedule, wave_of([Task("a", "gpu", math.nan)]))
@@ -100,7 +100,7 @@ def test_infinite_duration_rejected():
     """An infinite duration used to give an infinite makespan."""
     engine = PipelineEngine()
     with pytest.raises(SchedulingError, match="non-finite duration"):
-        engine.add_task("a", "gpu", math.inf)
+        engine.add(Task("a", "gpu", math.inf))
     schedule = engine.run()
     with pytest.raises(SchedulingError, match="non-finite duration"):
         engine.extend(schedule, wave_of([Task("a", "gpu", math.inf)]))
@@ -109,7 +109,7 @@ def test_infinite_duration_rejected():
 
 def test_unknown_dependency_rejected():
     engine = PipelineEngine()
-    engine.add_task("a", "gpu", 1.0, ["ghost"])
+    engine.add(Task("a", "gpu", 1.0, ("ghost",)))
     with pytest.raises(SchedulingError):
         engine.run()
 
@@ -118,18 +118,18 @@ def test_cross_queue_deadlock_detected():
     engine = PipelineEngine()
     # Head of each queue depends on the other queue's head successor:
     # a(h2d) <- b(gpu) and b's queue head c depends on a's successor d.
-    engine.add_task("a", "h2d", 1.0, ["c"])
-    engine.add_task("c", "gpu", 1.0, ["a"])
+    engine.add(Task("a", "h2d", 1.0, ("c",)))
+    engine.add(Task("c", "gpu", 1.0, ("a",)))
     with pytest.raises(SchedulingError):
         engine.run()
 
 
 def test_utilization_and_critical_resource():
     engine = PipelineEngine()
-    engine.add_task("x", "h2d", 4.0)
-    engine.add_task("y", "gpu", 1.0, ["x"])
+    engine.add(Task("x", "h2d", 4.0))
+    engine.add(Task("y", "gpu", 1.0, ("x",)))
     schedule = engine.run()
-    assert schedule.utilization("h2d") == pytest.approx(4.0 / 5.0)
+    assert schedule.busy_time("h2d") / schedule.makespan == pytest.approx(0.8)
     assert schedule.critical_resource() == "h2d"
 
 

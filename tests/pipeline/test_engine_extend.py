@@ -2,11 +2,12 @@
 
 ``PipelineEngine.extend(schedule, new_tasks)`` places a :class:`Wave`
 of plan-template admissions on top of a previous run's carried-over
-lane heaps, in place.  Because already-submitted tasks occupy earlier
-positions of every FIFO queue and templates are self-contained, the
-extended schedule must be **bit-identical** (exact ``==``, not approx)
-to a full ``run()`` over the same admissions and to the reference
-scanner — these tests replay randomized arrival sequences against both.
+per-resource free times, in place.  Because already-submitted tasks
+occupy earlier positions of every FIFO queue and templates are
+self-contained, the extended schedule must be **bit-identical** (exact
+``==``, not approx) to a full ``run()`` over the same admissions and to
+the reference scanner — these tests replay randomized arrival sequences
+against both.
 """
 
 import random
@@ -23,10 +24,8 @@ from repro.pipeline.tasks import Schedule, Task
 Arrival = tuple[PlanTemplate, "str | None", "float | None"]
 
 
-def random_arrival_waves(
-    seed: int, aliased: bool
-) -> tuple[dict[str, int], list[list[Arrival]]]:
-    """Randomized multi-wave arrival sequence over random lane pools.
+def random_arrival_waves(seed: int, aliased: bool) -> list[list[Arrival]]:
+    """Randomized multi-wave arrival sequence over random resources.
 
     Each wave admits one to three random self-contained templates
     (dependencies on earlier tasks of the same template only) with
@@ -36,8 +35,7 @@ def random_arrival_waves(
     are placed as submitted, each at its own release time.
     """
     rng = random.Random(seed)
-    resources = {f"r{i}": rng.randint(1, 3) for i in range(rng.randint(1, 4))}
-    pool_names = list(resources)
+    resources = [f"r{i}" for i in range(rng.randint(1, 4))]
     waves: list[list[Arrival]] = []
     clock = 0.0
     for wave_index in range(rng.randint(1, 6)):
@@ -53,7 +51,7 @@ def random_arrival_waves(
                 tasks.append(
                     Task(
                         name=f"w{wave_index}q{query}t{i}",
-                        resource=rng.choice(pool_names),
+                        resource=rng.choice(resources),
                         duration=rng.random() * rng.choice([0.0, 1.0, 10.0]),
                         deps=tuple(deps),
                         available_at=rng.choice([0.0, clock]),
@@ -62,7 +60,7 @@ def random_arrival_waves(
             alias = f"w{wave_index}q{query}" if aliased else None
             wave.append((PlanTemplate(tasks), alias, clock if aliased else None))
         waves.append(wave)
-    return resources, waves
+    return waves
 
 
 def admissions(wave: list[Arrival]) -> list[Admission]:
@@ -78,25 +76,21 @@ def assert_identical(actual: Schedule, expected: Schedule) -> None:
     assert set(actual.tasks) == set(expected.tasks)
     for name, item in expected.tasks.items():
         placed = actual.tasks[name]
-        assert (placed.start, placed.finish, placed.lane) == (
-            item.start,
-            item.finish,
-            item.lane,
-        ), name
+        assert (placed.start, placed.finish) == (item.start, item.finish), name
     assert actual.makespan == expected.makespan
 
 
 @pytest.mark.parametrize("aliased", [False, True])
 @pytest.mark.parametrize("seed", range(120))
 def test_randomized_arrival_sequences_match_full_run(seed, aliased):
-    resources, waves = random_arrival_waves(seed, aliased)
+    waves = random_arrival_waves(seed, aliased)
 
-    incremental = PipelineEngine(dict(resources))
+    incremental = PipelineEngine()
     schedule = Schedule()
     for wave in waves:
         assert incremental.extend(schedule, Wave(admissions(wave))) is schedule
 
-    oracle = PipelineEngine(dict(resources))
+    oracle = PipelineEngine()
     for wave in waves:
         for admission in admissions(wave):
             oracle.admit(admission)
@@ -104,7 +98,7 @@ def test_randomized_arrival_sequences_match_full_run(seed, aliased):
 
     assert_identical(schedule, full)
     assert_identical(schedule, run_reference(oracle))
-    assert schedule.lane_state == full.lane_state
+    assert schedule.free_at == full.free_at
     # The extending engine retained every admission, so a full re-run
     # of it reproduces the same schedule.
     assert_identical(incremental.run(), full)
@@ -114,8 +108,8 @@ def test_randomized_arrival_sequences_match_full_run(seed, aliased):
 def test_extend_after_run_matches(seed):
     """run() the first wave, submitted task by task, then extend() the
     rest on its schedule."""
-    resources, waves = random_arrival_waves(seed, aliased=True)
-    engine = PipelineEngine(dict(resources))
+    waves = random_arrival_waves(seed, aliased=True)
+    engine = PipelineEngine()
     for admission in admissions(waves[0]):
         for index in range(len(admission)):
             engine.add(admission.task(index))
@@ -123,7 +117,7 @@ def test_extend_after_run_matches(seed):
     for wave in waves[1:]:
         engine.extend(schedule, Wave(admissions(wave)))
 
-    oracle = PipelineEngine(dict(resources))
+    oracle = PipelineEngine()
     for wave in waves:
         for admission in admissions(wave):
             oracle.admit(admission)
@@ -155,52 +149,38 @@ def test_extension_tasks_respect_available_at():
 
 
 def test_extension_may_introduce_new_resources():
-    engine = PipelineEngine({"gpu": 1})
+    engine = PipelineEngine()
     engine.add(Task("a", "gpu", 1.0))
     schedule = engine.run()
     engine.extend(schedule, wave_of([Task("b", "cpu", 2.0, available_at=1.0)]))
     assert schedule.tasks["b"].start == 1.0
-    assert schedule.lanes["cpu"] == 1
-    assert schedule.lane_state["cpu"] == [(3.0, 0)]
-
-
-def test_extension_reuses_freed_lanes_like_a_full_run():
-    """Multi-lane pools: the carried-over lane heap must hand the next
-    task whichever lane frees first, lowest index on ties."""
-    engine = PipelineEngine({"pool": 2})
-    engine.add(Task("a", "pool", 3.0))
-    engine.add(Task("b", "pool", 1.0))
-    schedule = engine.run()
-    engine.extend(schedule, wave_of([Task("c", "pool", 1.0)]))
-    # lane 1 (task b) freed at 1.0, before lane 0 (task a) at 3.0.
-    assert schedule.tasks["c"].lane == 1
-    assert schedule.tasks["c"].start == 1.0
+    assert schedule.free_at == {"gpu": 1.0, "cpu": 3.0}
 
 
 def test_extend_without_recorded_lane_state_is_refused():
-    """Placing on fresh lanes would start new work before the placed
-    tasks free them, so a schedule that holds tasks but records no lane
-    state (e.g. one rebuilt by hand) is stale."""
-    engine = PipelineEngine({"pool": 2})
-    engine.add(Task("a", "pool", 3.0))
-    engine.add(Task("b", "pool", 1.0))
+    """Placing on idle resources would start new work before the placed
+    tasks free them, so a schedule that holds tasks but records no free
+    times (e.g. one rebuilt by hand) is stale."""
+    engine = PipelineEngine()
+    engine.add(Task("a", "h2d", 3.0))
+    engine.add(Task("b", "h2d", 1.0))
     schedule = engine.run()
-    schedule.lane_state = {}
-    with pytest.raises(SchedulingError, match="stale schedule.*no lane state"):
-        engine.extend(schedule, wave_of([Task("c", "pool", 1.0)]))
+    schedule.free_at = {}
+    with pytest.raises(SchedulingError, match="stale schedule.*no free times"):
+        engine.extend(schedule, wave_of([Task("c", "h2d", 1.0)]))
     assert set(schedule.tasks) == {"a", "b"}
     assert [task.name for task in engine.tasks] == ["a", "b"]
 
 
 def test_extend_after_run_reference():
-    """The retained scanner also records carry-over lane state."""
-    engine = PipelineEngine({"pool": 2})
-    engine.add(Task("a", "pool", 3.0))
-    engine.add(Task("b", "pool", 1.0))
+    """The retained scanner also records the carry-over free times."""
+    engine = PipelineEngine()
+    engine.add(Task("a", "h2d", 3.0))
+    engine.add(Task("b", "h2d", 1.0))
     schedule = run_reference(engine)
-    assert schedule.lane_state["pool"] == [(1.0, 1), (3.0, 0)]
-    extended = engine.extend(schedule, wave_of([Task("c", "pool", 1.0)]))
-    assert extended.tasks["c"].lane == 1
+    assert schedule.free_at == {"h2d": 4.0}
+    extended = engine.extend(schedule, wave_of([Task("c", "h2d", 1.0)]))
+    assert extended.tasks["c"].start == 4.0
 
 
 def test_stale_schedule_rejected():
@@ -225,7 +205,7 @@ def test_bad_batches_leave_engine_untouched():
             engine.extend(schedule, wave_of(batch))
         assert [task.name for task in engine.tasks] == ["a"]
         assert set(schedule.tasks) == {"a"}
-        assert schedule.lane_state == {"gpu": [(1.0, 0)]}
+        assert schedule.free_at == {"gpu": 1.0}
     # The engine is still extendable after every rejected batch.
     extended = engine.extend(schedule, wave_of([Task("ok", "gpu", 1.0)]))
     assert extended.tasks["ok"].start == 1.0
@@ -247,41 +227,31 @@ def test_deadlock_among_new_tasks_detected_and_rolled_back():
     # extendable.
     assert [task.name for task in engine.tasks] == ["seed"]
     assert set(schedule.tasks) == {"seed"}
-    assert set(schedule.lanes) == {"r1"}
+    assert schedule.free_at == {"r1": 1.0}
     extended = engine.extend(schedule, wave_of([Task("ok", "r1", 1.0)]))
     assert extended.tasks["ok"].start == 1.0
 
 
 def test_in_place_extension_mutates_and_returns_the_schedule():
-    engine = PipelineEngine({"gpu": 1})
+    engine = PipelineEngine()
     engine.add(Task("a", "gpu", 1.0))
     schedule = engine.run()
     extended = engine.extend(schedule, wave_of([Task("b", "gpu", 2.0)]))
     assert extended is schedule
     assert schedule.tasks["b"].start == 1.0
-    assert schedule.lane_state["gpu"] == [(3.0, 0)]
+    assert schedule.free_at == {"gpu": 3.0}
 
-    oracle = PipelineEngine({"gpu": 1})
+    oracle = PipelineEngine()
     oracle.add(Task("a", "gpu", 1.0))
     oracle.add(Task("b", "gpu", 2.0))
     assert_identical(schedule, oracle.run())
 
 
-def test_lane_count_change_rejected():
-    narrow = PipelineEngine({"pool": 1})
-    narrow.add(Task("a", "pool", 1.0))
-    schedule = narrow.run()
-    wide = PipelineEngine({"pool": 2})
-    wide.add(Task("a", "pool", 1.0))
-    with pytest.raises(SchedulingError, match="lane"):
-        wide.extend(schedule, wave_of([Task("b", "pool", 1.0)]))
-
-
 def test_run_records_lane_state():
-    engine = PipelineEngine({"pool": 2, "gpu": 1})
-    engine.add(Task("a", "pool", 3.0))
-    engine.add(Task("b", "pool", 1.0))
+    """``free_at`` holds each resource's last finish."""
+    engine = PipelineEngine()
+    engine.add(Task("a", "h2d", 3.0))
+    engine.add(Task("b", "h2d", 1.0))
     engine.add(Task("c", "gpu", 2.0, deps=("b",)))
     schedule = engine.run()
-    assert schedule.lane_state["pool"] == [(1.0, 1), (3.0, 0)]
-    assert schedule.lane_state["gpu"] == [(3.0, 0)]
+    assert schedule.free_at == {"h2d": 4.0, "gpu": 6.0}

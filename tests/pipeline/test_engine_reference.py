@@ -1,10 +1,11 @@
 """Schedule identity between the engine's linear pass and the scanner.
 
 ``PipelineEngine.run`` (a template's dispatch order placed in one pass
-over per-pool lane heaps) must produce exactly the schedule of
+over per-resource free times) must produce exactly the schedule of
 ``run_reference`` (the original all-queue-heads scanner, kept in
 :mod:`repro.pipeline.oracle` as the executable specification): same
-start/finish times, same lane assignment, same deadlock detection.
+start/finish times, same carried-over free times, same deadlock
+detection.
 """
 
 import random
@@ -17,12 +18,10 @@ from repro.pipeline.oracle import run_reference
 from repro.pipeline.tasks import Schedule, Task
 
 
-def random_graph(
-    seed: int, *, interleaved: bool = False
-) -> tuple[dict[str, int], list[Task]]:
-    """A randomized DAG over random pools: mixed lane counts, random
-    dependencies (only on earlier tasks — acyclic by construction),
-    zero-duration tasks, and release times.
+def random_graph(seed: int, *, interleaved: bool = False) -> list[Task]:
+    """A randomized DAG over random resources: random dependencies
+    (only on earlier tasks — acyclic by construction), zero-duration
+    tasks, and release times.
 
     ``interleaved`` submits the same graph in a random merge of its
     per-resource queues: each queue keeps its order (so no deadlock
@@ -31,7 +30,6 @@ def random_graph(
     """
     rng = random.Random(seed)
     resources = [f"r{i}" for i in range(rng.randint(1, 5))]
-    lanes = {r: rng.randint(1, 3) for r in resources}
     tasks: list[Task] = []
     for i in range(rng.randint(1, 80)):
         deps = rng.sample(
@@ -52,13 +50,12 @@ def random_graph(
         while any(queues.values()):
             queue = rng.choice([q for q in queues.values() if q])
             tasks.append(queue.pop(0))
-    return lanes, tasks
+    return tasks
 
 
 def random_engine(seed: int, *, interleaved: bool = False) -> PipelineEngine:
-    lanes, tasks = random_graph(seed, interleaved=interleaved)
-    engine = PipelineEngine(lanes)
-    for task in tasks:
+    engine = PipelineEngine()
+    for task in random_graph(seed, interleaved=interleaved):
         engine.add(task)
     return engine
 
@@ -67,14 +64,9 @@ def assert_same_schedule(actual: Schedule, expected: Schedule) -> None:
     assert set(actual.tasks) == set(expected.tasks)
     for name, item in expected.tasks.items():
         placed = actual.tasks[name]
-        assert (placed.start, placed.finish, placed.lane) == (
-            item.start,
-            item.finish,
-            item.lane,
-        ), name
+        assert (placed.start, placed.finish) == (item.start, item.finish), name
     assert actual.makespan == expected.makespan
-    assert actual.lanes == expected.lanes
-    assert actual.lane_state == expected.lane_state
+    assert actual.free_at == expected.free_at
 
 
 @pytest.mark.parametrize("seed", range(200))
@@ -89,17 +81,17 @@ def test_non_topological_submission_matches_reference(seed):
     """``run()``, ``extend()`` of the template as submitted and the
     template admitted under an alias all place an interleaved
     submission exactly like the scanner does."""
-    lanes, tasks = random_graph(seed, interleaved=True)
+    tasks = random_graph(seed, interleaved=True)
     reference = run_reference(random_engine(seed, interleaved=True))
     assert_same_schedule(random_engine(seed, interleaved=True).run(), reference)
     assert_same_schedule(
-        PipelineEngine(lanes).extend(
+        PipelineEngine().extend(
             Schedule(), Wave([Admission(PlanTemplate(tasks))])
         ),
         reference,
     )
 
-    admitted = PipelineEngine(lanes)
+    admitted = PipelineEngine()
     wave = Wave([Admission(PlanTemplate(tasks), "q", 2.5)])
     placed = admitted.extend(Schedule(), wave)
     # The scanner over the admission's namespaced tasks, released at 2.5.
@@ -121,7 +113,7 @@ def test_interleaving_breaks_topological_order():
     shuffled = [
         seed
         for seed in range(100)
-        if not topological(random_graph(seed, interleaved=True)[1])
+        if not topological(random_graph(seed, interleaved=True))
     ]
     assert len(shuffled) >= 20
 
@@ -162,11 +154,3 @@ def test_duplicate_dependencies_are_counted_once():
     schedule = engine.run()
     assert schedule.tasks["b"].start == 1.0
     assert schedule.makespan == 3.0
-
-
-def test_lane_tie_breaks_prefer_lowest_index():
-    engine = PipelineEngine({"pool": 3})
-    for i in range(3):
-        engine.add(Task(f"t{i}", "pool", 1.0))
-    schedule = engine.run()
-    assert [schedule.tasks[f"t{i}"].lane for i in range(3)] == [0, 1, 2]

@@ -739,7 +739,7 @@ def test_arena_force_release_keeps_the_ledger_exact():
 
 
 def test_engine_crash_invalidates_the_unfinished_tail():
-    engine = PipelineEngine({"gpu": 1, "h2d": 1})
+    engine = PipelineEngine()
     engine.add(Task("a", "h2d", 1.0))
     engine.add(Task("b", "gpu", 2.0, ("a",)))
     engine.add(Task("c", "gpu", 3.0, ("b",)))
@@ -765,14 +765,53 @@ def test_engine_crash_invalidates_the_unfinished_tail():
 
 
 def test_engine_crash_rejects_foreign_schedules():
-    engine = PipelineEngine({"gpu": 1})
+    engine = PipelineEngine()
     engine.add(Task("a", "gpu", 1.0))
     schedule = engine.run()
-    other = PipelineEngine({"gpu": 1})
+    other = PipelineEngine()
     other.add(Task("x", "gpu", 1.0))
     other.add(Task("y", "gpu", 1.0))
     with pytest.raises(SchedulingError):
         engine.crash(other.run(), 0.5)
+
+
+def _holding_query_q():
+    """A fleet of one device whose engine holds task ``q:a``, 0 to 2 s."""
+    fleet = DeviceFleet([DEFAULT_CAP])
+    device = fleet[0]
+    template = PlanTemplate([Task("a", "gpu", 2.0)])
+    wave = Wave([Admission(template, "q", 0.0)])
+    device.engine.extend(device.schedule, wave)
+    device.predicted_finish["q"] = 2.0
+    return fleet, device
+
+
+@pytest.mark.parametrize("at", [math.nan, math.inf, -1.0])
+def test_engine_crash_refuses_a_bad_time(at):
+    """A NaN or infinite crash time lost no task yet sealed the engine,
+    and a negative one dropped every task.  The refusal comes before
+    anything changes, so the engine still extends."""
+    _, device = _holding_query_q()
+    engine, schedule = device.engine, device.schedule
+    with pytest.raises(SchedulingError, match="crash time for device 0"):
+        engine.crash(schedule, at)
+    assert not engine.is_crashed and not engine.is_retired
+    assert set(schedule.tasks) == {"q:a"}
+    late = Admission(PlanTemplate([Task("b", "gpu", 1.0)]), "r", 0.0)
+    assert engine.extend(schedule, Wave([late])).tasks["r:b"].start == 2.0
+
+
+@pytest.mark.parametrize("at", [math.nan, math.inf, -1.0])
+def test_fleet_crash_refuses_a_bad_time(at):
+    """``crash_device(0, nan)`` reported ``q`` lost while ``q:a`` stayed
+    in the schedule, and recorded ``crashed_at = nan``."""
+    fleet, device = _holding_query_q()
+    with pytest.raises(SchedulingError, match="crash time"):
+        fleet.crash_device(0, at)
+    assert not device.crashed and device.crashed_at is None
+    assert device.accepting and device.predicted_finish == {"q": 2.0}
+    assert set(device.schedule.tasks) == {"q:a"}
+    assert fleet.crash_device(0, 1.0) == ["q"]
 
 
 def test_fleet_crash_device_validation():

@@ -363,7 +363,7 @@ def test_fleet_event_and_retirement_validation():
 
 
 def test_retired_engine_rejects_new_work():
-    engine = PipelineEngine({"gpu": 1})
+    engine = PipelineEngine()
     engine.add(Task("a", "gpu", 1.0))
     engine.retire()
     assert engine.is_retired

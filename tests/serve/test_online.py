@@ -1,10 +1,10 @@
 """Online admission (incremental schedule extension) vs batch mode.
 
 ``QueryScheduler.run_online`` places every admission wave with
-``PipelineEngine.extend`` over the carried-over lane state; re-running
+``PipelineEngine.extend`` over the carried-over free times; re-running
 each device's final task graph from scratch (the batch oracle,
 :func:`~repro.pipeline.oracle.check_batch_oracle`) must reproduce every
-task's start, finish and lane **exactly**.  These tests pin that
+task's start and finish **exactly**.  These tests pin that
 equivalence on the mixed serving workload, batched and staggered, and
 check the online mode's own determinism and arena accounting.
 """
@@ -27,10 +27,8 @@ def _assert_schedules_identical(left, right):
     assert set(left.schedule.tasks) == set(right.schedule.tasks)
     for name, expected in right.schedule.tasks.items():
         actual = left.schedule.tasks[name]
-        assert (actual.start, actual.finish, actual.lane) == (
-            expected.start,
-            expected.finish,
-            expected.lane,
+        assert (actual.start, actual.finish) == (
+            expected.start, expected.finish
         ), name
 
 
@@ -69,7 +67,7 @@ def test_batch_oracle_catches_a_moved_task():
     (schedule,) = online.device_schedules
     name, item = next(reversed(schedule.tasks.items()))
     schedule.tasks[name] = ScheduledTask(
-        item.task, item.start + 1.0, item.finish + 1.0, lane=item.lane
+        item.task, item.start + 1.0, item.finish + 1.0
     )
     with pytest.raises(SchedulingError, match=re.escape(name)):
         check_batch_oracle(online)

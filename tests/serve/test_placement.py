@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import InvalidConfigError, SchedulingError
 from repro.pipeline.engine import Admission, PipelineEngine, PlanTemplate, Wave
-from repro.pipeline.tasks import ResourcePool, Schedule, ScheduledTask, Task
+from repro.pipeline.tasks import Schedule, ScheduledTask, Task
 from repro.serve import (
     DeviceFleet,
     QueryRequest,
@@ -173,7 +173,7 @@ def test_merged_schedule_is_identity_for_one_device():
 
 def test_schedule_merged_unions_tasks_and_rejects_collisions():
     def one(name, device, finish):
-        schedule = Schedule(lanes={"gpu": 1 + device})
+        schedule = Schedule()
         task = Task(name=name, resource="gpu", duration=finish, device=device)
         schedule.tasks[name] = ScheduledTask(task, 0.0, finish)
         return schedule
@@ -181,19 +181,17 @@ def test_schedule_merged_unions_tasks_and_rejects_collisions():
     merged = Schedule.merged([one("a", 0, 1.0), one("b", 1, 3.0)])
     assert set(merged.tasks) == {"a", "b"}
     assert merged.makespan == 3.0
-    # Lane counts sum (1 + 2 lanes of the two distinct 'gpu' pools):
-    # utilization() stays a genuine fraction of the fleet's capacity.
-    assert merged.lanes == {"gpu": 3}
-    assert merged.utilization("gpu") <= 1.0
+    # Both devices' distinct 'gpu' queues count toward the busy time.
+    assert merged.busy_time("gpu") == 4.0
     assert merged.is_merged_view
     with pytest.raises(ValueError, match="more than one device"):
         Schedule.merged([one("a", 0, 1.0), one("a", 1, 2.0)])
 
 
 def test_extending_a_merged_view_is_refused():
-    """A merged reporting view spans devices whose same-named pools are
-    distinct physical resources — seeding an engine extension with it
-    would silently interleave cross-device lane times, so extend()
+    """A merged reporting view spans devices whose same-named resources
+    are distinct physical queues — seeding an engine extension with it
+    would silently interleave cross-device free times, so extend()
     must reject it loudly (a 2-device ServeReport.schedule is merged)."""
     report = QueryScheduler(devices=2).run_online(mixed_workload(4))
     assert report.schedule.is_merged_view
@@ -232,28 +230,12 @@ def test_engine_extend_rejects_misrouted_tasks_without_side_effects():
     assert extended.tasks["t1"].task.device == 1
 
 
-def test_engine_rejects_pools_of_another_device():
-    with pytest.raises(SchedulingError, match="device"):
-        PipelineEngine([ResourcePool("gpu", 1, device=2)], device=0)
-    with pytest.raises(SchedulingError):
-        PipelineEngine(device=-1)
-    with pytest.raises(ValueError):
-        ResourcePool("gpu", 1, device=-1)
-    # A device id indexes the fleet: a fraction or a bool is no id.
-    for device in (0.5, True):
+def test_engine_device_must_be_a_non_negative_int():
+    # A device id indexes the fleet: a negative number, a fraction or a
+    # bool is no id.
+    for device in (-1, 0.5, True):
         with pytest.raises(SchedulingError, match="an int >= 0"):
             PipelineEngine(device=device)
-        with pytest.raises(ValueError, match="an int device >= 0"):
-            ResourcePool("gpu", 1, device=device)
-
-
-def test_engine_dict_resources_inherit_the_engine_device():
-    """A name->lanes dict describes the engine's own pools, whatever
-    device it simulates (an explicit ResourcePool list must match)."""
-    engine = PipelineEngine({"h2d": 2}, device=1)
-    assert engine.lanes_of("h2d") == 2
-    engine.add(Task(name="t", resource="h2d", duration=1.0, device=1))
-    assert engine.run().tasks["t"].finish == 1.0
 
 
 # ---------------------------------------------------------------------------
