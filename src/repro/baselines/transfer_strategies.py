@@ -15,10 +15,11 @@ pipeline instead of relying on driver-managed mechanisms:
 
 Each mechanism is declared the way the join strategies declare theirs —
 a :class:`~repro.core.strategy.JoinPlan` of H2D bus traversals and GPU
-kernels, simulated by the discrete-event
-:class:`~repro.pipeline.engine.PipelineEngine` — so overlap (e.g. the
-first partitioning pass consuming a UVA stream while it arrives) falls
-out of the simulation rather than being hand-computed.  The reference
+kernels, simulated by
+:meth:`~repro.core.strategy.PipelinedJoinStrategy.simulate` — so
+overlap (e.g. the first partitioning pass consuming a UVA stream while
+it arrives) falls out of the simulation rather than being
+hand-computed.  The reference
 join strategies are obtained from the registry, never named directly.
 """
 
@@ -76,7 +77,7 @@ class TransferStrategyComparison:
         spec = plan.spec
         return JoinMetrics(
             strategy=plan.strategy,
-            seconds=self.join.schedule(plan).makespan,
+            seconds=self.join.simulate(plan).seconds,
             total_tuples=spec.total_tuples,
             output_tuples=stats_mod.expected_join_cardinality(spec),
             notes={"tuple_bytes": float(spec.build.tuple_bytes)},

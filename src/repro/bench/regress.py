@@ -12,14 +12,14 @@ simulated time produced by every entry point that must agree:
   twice (cold cache, then cache hit) so a divergence between memoized
   and recomputed estimates trips the harness;
 * **pipeline** — the decomposed ``simulate(prepare(spec))`` path,
-  proving ``estimate`` is nothing but plan + engine simulation;
-* **scanner** — the same plan simulated by the all-queue-heads
-  reference scanner (:func:`repro.pipeline.oracle.run_reference`),
-  pinning the engine's linear dispatch pass to its executable
-  specification;
+  proving ``estimate`` is nothing but plan + dispatch pass;
+* **scanner** — the makespan of the same plan's tasks simulated by the
+  all-queue-heads reference scanner
+  (:func:`repro.pipeline.oracle.run_reference`), pinning the linear
+  dispatch pass to its executable specification;
 * **hand-summed** (serial strategies only) — when a plan's tasks all
-  occupy one resource, the engine's makespan must equal the summed task
-  durations the pre-engine implementation computed by hand.
+  occupy one resource, the simulated makespan must equal the summed
+  task durations the pre-engine implementation computed by hand.
 
 Run as a module (``python -m repro.bench.regress``) for a table, or
 call :func:`run_regression` from tests.
@@ -86,8 +86,6 @@ class RegressRow:
 
 def run_regression(keys: tuple[str, ...] | None = None) -> list[RegressRow]:
     """Measure entry-point agreement for every (or the given) strategy."""
-    from repro.pipeline.engine import PipelineEngine
-
     rows: list[RegressRow] = []
     for key in keys if keys is not None else registered_strategies():
         spec = reference_spec(key)
@@ -107,12 +105,7 @@ def run_regression(keys: tuple[str, ...] | None = None) -> list[RegressRow]:
         plan = strategy.prepare(spec)
         pipeline = strategy.simulate(plan).seconds
 
-        engine = PipelineEngine()
-        for task in plan.tasks:
-            engine.add(task)
-        scanner = strategy.metrics_from_schedule(
-            plan, run_reference(engine)
-        ).seconds
+        scanner = run_reference(plan.tasks).makespan
 
         handsum: float | None = None
         resources = {task.resource for task in plan.tasks}

@@ -93,6 +93,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Hashable
 
+from repro.pipeline.tasks import is_int
+
 if TYPE_CHECKING:
     from repro.core.results import JoinMetrics
     from repro.core.strategy import JoinPlan
@@ -167,13 +169,19 @@ def configure(*, enabled: bool, max_entries: int | None = None) -> None:
     measured after a ``configure`` reflect only that configuration
     (evictions caused by the shrink itself are counted in the new
     epoch).  Cached entries survive unless the cache is disabled.
+    A ``max_entries`` that is not an int >= 1 raises
+    :class:`ValueError` before anything changes.
     """
     global _enabled, _max_entries
+    if max_entries is not None and not (
+        is_int(max_entries) and max_entries >= 1
+    ):
+        raise ValueError(
+            f"max_entries must be an int >= 1, got {max_entries!r}"
+        )
     _enabled = enabled
     reset_stats()
     if max_entries is not None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         _max_entries = max_entries
         for cache, counter in (
             (_cache, "_evictions"),

@@ -9,11 +9,12 @@ a string-keyed registry and follows one execution model:
   graph over the machine's serially-executing resources (H2D/D2H DMA
   engines, the GPU compute queue, host CPU threads) plus reporting
   metadata — from a workload spec;
-* :meth:`JoinStrategy.schedule` feeds the plan to the discrete-event
-  :class:`~repro.pipeline.engine.PipelineEngine`, whose simulation turns
-  per-task durations into the overlapped end-to-end makespan;
+* :meth:`JoinStrategy.simulate` runs the plan's lowered
+  :class:`~repro.pipeline.engine.PlanTemplate` through its one dispatch
+  pass, which turns per-task durations into the overlapped end-to-end
+  makespan, and folds the pass into :class:`JoinMetrics`;
 * :meth:`JoinStrategy.execute` runs the join functionally on
-  materialized relations, reusing the same plan/schedule machinery with
+  materialized relations, reusing the same plan/simulate machinery with
   observed (rather than expected) task durations.
 
 New strategies (multi-GPU, UVA/UM variants, CPU-only fallbacks) plug in
@@ -31,8 +32,8 @@ from repro.core import estimate_cache
 from repro.core.results import JoinMetrics, JoinRunResult
 from repro.data.spec import JoinSpec
 from repro.errors import InvalidConfigError, UnknownStrategyError
-from repro.pipeline.engine import Admission, PipelineEngine, PlanTemplate
-from repro.pipeline.tasks import Schedule, Task
+from repro.pipeline.engine import PlanTemplate
+from repro.pipeline.tasks import Task
 
 if TYPE_CHECKING:
     from repro.core.config import GpuJoinConfig
@@ -58,7 +59,7 @@ class JoinPlan:
 
     Every resource a task names runs as one serial FIFO lane.
     ``phases`` pre-seeds the metric phases (so a phase with no tasks —
-    e.g. D2H in aggregation mode — still reports 0.0).  :attr:`template`
+    e.g. D2H in aggregation mode — still reports 0).  :attr:`template`
     is the task graph lowered for the engine, built on first use.
     """
 
@@ -122,7 +123,7 @@ class JoinStrategy(Protocol):
         self, spec: JoinSpec, *, materialize: bool = False, **kwargs: Any
     ) -> JoinPlan: ...
 
-    def schedule(self, plan: JoinPlan) -> Schedule: ...
+    def simulate(self, plan: JoinPlan) -> JoinMetrics: ...
 
     def estimate(
         self, spec: JoinSpec, *, materialize: bool = False, **kwargs: Any
@@ -139,7 +140,7 @@ class JoinStrategy(Protocol):
 
 
 class PipelinedJoinStrategy:
-    """Shared plan → schedule → metrics machinery.
+    """Shared plan → metrics machinery.
 
     Subclasses implement :meth:`prepare` (analytic plans from a spec)
     and :meth:`execute` (functional execution, typically re-planning
@@ -196,15 +197,35 @@ class PipelinedJoinStrategy:
     ) -> JoinRunResult:
         raise NotImplementedError
 
-    def schedule(self, plan: JoinPlan) -> Schedule:
-        """Simulate the plan's task graph on a fresh pipeline engine."""
-        engine = PipelineEngine()
-        engine.admit(Admission(plan.template))
-        return engine.run()
-
     def simulate(self, plan: JoinPlan) -> JoinMetrics:
-        """Schedule the plan and fold the result into metrics."""
-        return self.metrics_from_schedule(plan, self.schedule(plan))
+        """The plan's metrics from one dispatch pass of its template on
+        idle resources (:meth:`~repro.pipeline.engine.PlanTemplate.
+        dispatch`).
+
+        ``seconds`` is the latest finish.  ``phases`` holds each phase's
+        total duration, ``sum()`` of its tasks' durations in dispatch
+        order: the declared :attr:`JoinPlan.phases` first, in their
+        order (one with no tasks is ``0``), then any other phase in
+        dispatch order.
+        """
+        template = plan.template
+        _, finishes = template.dispatch({})
+        durations: dict[str, list[float]] = {
+            phase: [] for phase in plan.phases
+        }
+        for task in template.tasks:
+            phase = task.effective_phase
+            durations.setdefault(phase, []).append(task.duration)
+        return JoinMetrics(
+            strategy=plan.strategy,
+            seconds=max(finishes, default=0.0),
+            total_tuples=plan.spec.total_tuples,
+            output_tuples=plan.matches,
+            phases={phase: sum(times) for phase, times in durations.items()},
+            pcie_h2d_bytes=plan.pcie_h2d_bytes,
+            pcie_d2h_bytes=plan.pcie_d2h_bytes,
+            notes=dict(plan.notes),
+        )
 
     # -- estimate memoization ------------------------------------------
     def _fingerprint_extras(self) -> tuple:
@@ -277,24 +298,6 @@ class PipelinedJoinStrategy:
     ) -> JoinRunResult:
         """Alias of :meth:`execute` (the original entry-point name)."""
         return self.execute(build, probe, materialize=materialize, **kwargs)
-
-    # -- shared metric assembly ----------------------------------------
-    def metrics_from_schedule(
-        self, plan: JoinPlan, schedule: Schedule
-    ) -> JoinMetrics:
-        phases = {phase: schedule.phase_time(phase) for phase in plan.phases}
-        for phase, seconds in schedule.phase_times().items():
-            phases.setdefault(phase, seconds)
-        return JoinMetrics(
-            strategy=plan.strategy,
-            seconds=schedule.makespan,
-            total_tuples=plan.spec.total_tuples,
-            output_tuples=plan.matches,
-            phases=phases,
-            pcie_h2d_bytes=plan.pcie_h2d_bytes,
-            pcie_d2h_bytes=plan.pcie_d2h_bytes,
-            notes=dict(plan.notes),
-        )
 
 
 # ---------------------------------------------------------------------------

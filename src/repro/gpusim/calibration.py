@@ -31,6 +31,7 @@ accepts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from repro.frozen import cached_hash
@@ -171,7 +172,8 @@ class Calibration:
 
         Every ``*_efficiency`` / ``*_utilization`` factor must lie in
         ``(0, 1]`` (they multiply ideal hardware rates) and every other
-        numeric constant must be positive.  Raises :class:`ValueError`
+        numeric constant must be positive and finite (NaN fails both
+        checks).  Raises :class:`ValueError`
         naming the offending field — per-device calibrations arrive
         from CLI flags (``bench serve --device-calib``), so a malformed
         one must fail at construction, not as a nonsense estimate.
@@ -184,10 +186,10 @@ class Calibration:
                         f"calibration field {spec.name!r} must be in "
                         f"(0, 1], got {value!r}"
                     )
-            elif isinstance(value, (int, float)) and value <= 0:
+            elif isinstance(value, (int, float)) and not 0 < value < math.inf:
                 raise ValueError(
-                    f"calibration field {spec.name!r} must be positive, "
-                    f"got {value!r}"
+                    f"calibration field {spec.name!r} must be positive "
+                    f"and finite, got {value!r}"
                 )
 
     def gpu_scaled(self, speed: float) -> "Calibration":
@@ -204,8 +206,10 @@ class Calibration:
         GPU-side cost term is monotonically non-increasing, so a
         faster calibration never yields a slower estimate.
         """
-        if speed <= 0:
-            raise ValueError(f"speed factor must be positive, got {speed!r}")
+        if not 0 < speed < math.inf:
+            raise ValueError(
+                f"speed factor must be positive and finite, got {speed!r}"
+            )
         scaled_efficiencies = {
             name: min(1.0, getattr(self, name) * speed)
             for name in (

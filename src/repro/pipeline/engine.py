@@ -22,11 +22,15 @@ order is placed, and one linear pass places the whole graph.  The
 all-queue-heads scanner this pass is checked against lives in
 :mod:`repro.pipeline.oracle`.
 
-A schedule grows by waves: :meth:`PipelineEngine.extend` places a
-:class:`Wave` of :class:`Admission` objects — self-contained templates,
-each under an alias, at a release time, on a device — on top of the
-schedule's carried-over per-resource free times, in place.  The serving
-layer places every admission wave this way.
+A schedule grows by waves: :meth:`PipelineEngine.extend`, the engine's
+one entry point, places a :class:`Wave` of :class:`Admission` objects —
+self-contained templates, each under an alias, at a release time, on a
+device — on top of the schedule's carried-over per-resource free times,
+in place.  The serving layer places every admission wave this way; a
+whole graph is one admission on an empty schedule.  An estimate needs
+no schedule: :meth:`PlanTemplate.dispatch` is the pass itself, and
+:meth:`repro.core.strategy.PipelinedJoinStrategy.simulate` folds its
+finishes into metrics directly.
 """
 
 from __future__ import annotations
@@ -139,6 +143,41 @@ class PlanTemplate:
     def __len__(self) -> int:
         return len(self.tasks)
 
+    def dispatch(
+        self, free_at: dict[str, float], release: float | None = None
+    ) -> tuple[list[float], list[float]]:
+        """The dispatch pass: each task's start and finish, in dispatch
+        order, on top of the per-resource free times ``free_at``.
+
+        Each task starts at ``max(resource free, dependency finishes,
+        release)`` and its finish becomes the resource's free time;
+        ``free_at`` is advanced in place (a resource it lacks is free
+        from time 0).  ``release`` overrides every task's own
+        ``available_at``.  Dispatch order puts a task after its
+        dependencies and its FIFO predecessor, and only a queue's head
+        can start, so every start is final when computed.
+        """
+        free = free_at.get
+        starts: list[float] = []
+        finishes: list[float] = []
+        begin = starts.append
+        end = finishes.append
+        releases = self.releases if release is None else repeat(release)
+        for resource, duration, deps, ready in zip(
+            self.resources, self.durations, self.deps, releases
+        ):
+            start = free(resource, 0.0)
+            for dep in deps:
+                if finishes[dep] > start:
+                    start = finishes[dep]
+            if ready > start:
+                start = ready
+            finish = start + duration
+            free_at[resource] = finish
+            begin(start)
+            end(finish)
+        return starts, finishes
+
 
 class Admission:
     """One placement of a template on an engine.
@@ -215,7 +254,7 @@ class Wave:
 
 
 class PipelineEngine:
-    """Builds and simulates a task graph.
+    """Places task graphs on one device's resources.
 
     Every resource is one serially-executing FIFO queue (a CUDA stream
     or copy engine).  All task durations, release times and schedule
@@ -223,9 +262,9 @@ class PipelineEngine:
     wall clock.  Simulation is deterministic: the same submission
     order, durations and dependencies always yield the same schedule —
     ties are broken by submission order, and no unordered-container
-    iteration or randomness is involved.  Both entry points
-    (:meth:`run`, :meth:`extend`) place tasks with the one linear pass
-    over a :class:`PlanTemplate`, and the pipeline test suite pins them
+    iteration or randomness is involved.  :meth:`extend` is the one
+    entry point; it places each admission with
+    :meth:`PlanTemplate.dispatch`, and the pipeline test suite pins it
     to the reference scanner of :mod:`repro.pipeline.oracle`.
     """
 
@@ -235,23 +274,12 @@ class PipelineEngine:
                 f"engine device must be an int >= 0, got {device!r}"
             )
         #: Which GPU of a sharded fleet this engine simulates.  Every
-        #: submitted task must carry the same tag — a task routed to the
-        #: wrong device's engine is a placement bug, not a schedulable
-        #: input.  Single-device code never sets it (both default to 0).
+        #: admission must carry the same tag — work routed to the wrong
+        #: device's engine is a placement bug, not a schedulable input.
+        #: Single-device code never sets it (both default to 0).
         self.device = device
-        #: The submitted graph — tasks and admissions, in submission
-        #: order — while it can still be re-simulated (``None`` once
-        #: :meth:`compact` or :meth:`crash` dropped part of it).
-        self._graph: list[Task | Admission] | None = []
-        #: Names of the submitted :class:`Task` objects, for
-        #: :meth:`add`'s duplicate check (admissions are checked
-        #: against the schedule they extend).
-        self._names: set[str] = set()
         #: Tasks currently in the engine's books.
         self._count = 0
-        #: Tasks dropped by :meth:`compact` — once nonzero the engine
-        #: only supports :meth:`extend`, never a full re-simulation.
-        self._retired = 0
         #: Set by :meth:`retire`: the device left the fleet, so no new
         #: tasks may be submitted (the schedule and free times survive
         #: for reporting and compaction of in-flight work).
@@ -261,99 +289,32 @@ class PipelineEngine:
         #: unfinished tail of the schedule was invalidated too.
         self._crashed = False
 
-    # ------------------------------------------------------------------
-    def add(self, task: Task) -> Task:
-        """Append a task to its resource's queue."""
-        if self._device_retired:
-            raise SchedulingError(
-                f"device {self.device} is retired: task {task.name!r} "
-                "cannot be placed on an engine that left the fleet"
-            )
-        self._check_not_compacted("add()")
-        if task.name in self._names:
-            raise SchedulingError(f"duplicate task name: {task.name!r}")
-        self._check_task(task)
-        self._graph.append(task)
-        self._names.add(task.name)
-        self._count += 1
-        return task
-
-    def admit(self, admission: Admission) -> Admission:
-        """Append an admission — a template placed as a unit — to the
-        submitted graph, for :meth:`run` to place."""
-        if self._device_retired:
-            raise SchedulingError(
-                f"device {self.device} is retired: admission "
-                f"{admission.alias!r} cannot be placed on an engine that "
-                "left the fleet"
-            )
-        self._check_not_compacted("admit()")
-        self._check_admission(admission)
-        self._graph.append(admission)
-        self._count += len(admission)
-        return admission
-
-    @property
-    def tasks(self) -> list[Task]:
-        """The submitted tasks; admitted templates contribute their
-        namespaced tasks, in dispatch order."""
-        self._check_not_compacted("list tasks")
-        tasks: list[Task] = []
-        for entry in self._graph:
-            if isinstance(entry, Admission):
-                tasks.extend(map(entry.task, range(len(entry))))
-            else:
-                tasks.append(entry)
-        return tasks
-
-    # ------------------------------------------------------------------
-    def run(self) -> Schedule:
-        """Simulate the whole submitted graph from scratch.
-
-        A graph of admissions only is placed as it stands: templates
-        are self-contained, so their dispatch orders concatenate.  Any
-        other graph is lowered into one :class:`PlanTemplate` — which
-        detects unknown dependencies and deadlocks (no queue head
-        dispatchable while tasks remain: the dependencies are cyclic
-        across the FIFO queues).  Either way one linear pass places
-        it.
-        """
-        self._check_not_compacted("run()")
-        admissions = self._graph
-        if not all(isinstance(entry, Admission) for entry in admissions):
-            admissions = [Admission(PlanTemplate(self.tasks), device=self.device)]
-        schedule = Schedule()
-        self._place(schedule, admissions)
-        return schedule
-
-    # ------------------------------------------------------------------
     def extend(self, schedule: Schedule, new_tasks: Wave) -> Schedule:
         """Place the wave ``new_tasks`` on top of ``schedule``, in place,
         and return ``schedule``.
 
-        ``schedule`` must be the result of :meth:`run` (or a previous
-        :meth:`extend`) over *every* task currently in the engine; the
-        wave's admissions are appended to their resources' FIFO queues
-        **without re-simulating the already-placed graph**.  This is
-        what makes per-arrival re-scheduling in the serving layer
-        cheap: one admission wave costs O(new tasks), not O(all tasks
-        admitted so far).  Each :class:`Admission` places its
-        template's tasks — under its alias, at its release time, or as
-        submitted — without building a task object per placed task.
+        ``schedule`` must be the one this engine's earlier extensions
+        built (or an empty :class:`~repro.pipeline.tasks.Schedule` for
+        an engine that holds nothing yet); the wave's admissions are
+        appended to their resources' FIFO queues **without
+        re-simulating the already-placed graph**.  This is what makes
+        per-arrival re-scheduling in the serving layer cheap: one
+        admission wave costs O(new tasks), not O(all tasks admitted so
+        far).  Each :class:`Admission` places its template's tasks —
+        under its alias, at its release time, or as submitted — without
+        building a task object per placed task.
 
         Equivalence (pinned by ``tests/pipeline/test_engine_extend.py``
-        against :meth:`admit` plus :meth:`run` and the reference
-        scanner): tasks already in the engine occupy earlier positions
-        of every FIFO queue and never depend on later submissions, so
+        against one extension of every wave at once and the reference
+        scanner): tasks already placed occupy earlier positions of
+        every FIFO queue and never depend on later submissions, so
         their starts and finishes cannot move; templates are
         self-contained, so the new tasks need nothing of the placed
-        graph but its end-of-run per-resource free times
+        graph but its per-resource free times
         (:attr:`~repro.pipeline.tasks.Schedule.free_at`).  Carrying
-        those over reproduces, bit-for-bit, the schedule a full
-        :meth:`run` over old + new tasks would compute.  New admissions
-        may introduce new resources (free from time 0).  The engine
-        records the wave, so a later :meth:`run` — or another
-        :meth:`extend` — covers old and new tasks alike.
+        those over reproduces, bit-for-bit, the schedule of placing
+        old and new tasks in one wave.  New admissions may introduce
+        new resources (free from time 0).
 
         Raises :class:`SchedulingError` when ``schedule`` is a merged
         multi-device reporting view
@@ -372,17 +333,12 @@ class PipelineEngine:
                 "distinct physical queues; extend the owning device's "
                 "schedule instead"
             )
-        if len(schedule.tasks) != self._count:
-            raise SchedulingError(
-                f"stale schedule: covers {len(schedule.tasks)} tasks but "
-                f"the engine holds {self._count}; extend() needs the "
-                "schedule of exactly the tasks already submitted"
-            )
+        self._check_current(schedule, "extend()")
         if schedule.tasks and not schedule.free_at:
             raise SchedulingError(
                 f"stale schedule: holds {len(schedule.tasks)} tasks but "
                 "records no free times; extend() needs the schedule that "
-                "run() or extend() returned"
+                "extend() returned"
             )
         if len(new_tasks) and self._device_retired:
             raise SchedulingError(
@@ -394,57 +350,32 @@ class PipelineEngine:
         for admission in admissions:
             self._check_admission(admission)
         self._place(schedule, admissions)
-        if self._graph is not None:
-            self._graph.extend(admissions)
         self._count += len(new_tasks)
         return schedule
 
     def _place(self, schedule: Schedule, admissions: list[Admission]) -> None:
-        """The linear dispatch pass: place every admission's template,
-        in order, on top of ``schedule``'s carried-over free times.
+        """Place every admission's template, in order, on top of
+        ``schedule``'s carried-over free times.
 
-        Each task starts at ``max(resource free, dependency finishes,
-        release)`` and its finish becomes the resource's free time.
-        Dispatch order puts a task after its dependencies and its FIFO
-        predecessor, and only a queue's head can start, so every start
-        is final when computed.  Admissions are self-contained graphs,
-        so their dispatch orders concatenate into one for the whole
-        wave.  A name collision with an already placed task rolls the
-        wave back and raises.
+        Admissions are self-contained graphs, so their dispatch orders
+        concatenate into one for the whole wave, and
+        :meth:`PlanTemplate.dispatch` times each in turn.  A name
+        collision with an already placed task rolls the wave back and
+        raises.
         """
         free_at = dict(schedule.free_at)
-        free = free_at.get
         placed = schedule.tasks
         claim = placed.setdefault
         for done, admission in enumerate(admissions):
             template = admission.template
             prefix = admission.prefix
-            release_of = (
-                template.releases
-                if admission.available_at is None
-                else repeat(admission.available_at)
+            starts, finishes = template.dispatch(
+                free_at, admission.available_at
             )
-            finishes: list[float] = []
-            record = finishes.append
-            for index, (name, resource, duration, deps, release) in enumerate(
-                zip(
-                    template.names,
-                    template.resources,
-                    template.durations,
-                    template.deps,
-                    release_of,
+            for index, name in enumerate(template.names):
+                item = ScheduledTask(
+                    None, starts[index], finishes[index], admission, index
                 )
-            ):
-                start = free(resource, 0.0)
-                for dep in deps:
-                    if finishes[dep] > start:
-                        start = finishes[dep]
-                if release > start:
-                    start = release
-                finish = start + duration
-                free_at[resource] = finish
-                record(finish)
-                item = ScheduledTask(None, start, finish, admission, index)
                 if claim(prefix + name, item) is not item:
                     # Roll back every task this pass placed; the free
                     # times are a copy, committed only below.
@@ -473,13 +404,12 @@ class PipelineEngine:
                 f"admission {admission.alias!r}",
             )
 
-    def _check_task(self, task: Task) -> None:
-        _check_seconds(task.duration, "duration", f"task {task.name!r}")
-        _check_seconds(task.available_at, "available_at", f"task {task.name!r}")
-        if task.device != self.device:
+    def _check_current(self, schedule: Schedule, entry_point: str) -> None:
+        if len(schedule.tasks) != self._count:
             raise SchedulingError(
-                f"task {task.name!r} is placed on device {task.device} but "
-                f"this engine simulates device {self.device}"
+                f"stale schedule: covers {len(schedule.tasks)} tasks but "
+                f"the engine holds {self._count}; {entry_point} needs the "
+                "schedule of exactly the tasks currently placed"
             )
 
     def compact(self, schedule: Schedule, horizon: float) -> int:
@@ -490,8 +420,8 @@ class PipelineEngine:
         long-lived serving engine accumulates every task ever admitted;
         with it, retained state is O(in-flight + one compaction
         interval).  ``schedule`` must be this engine's current schedule
-        (the result of :meth:`run` or :meth:`extend` over exactly the
-        engine's tasks) and is compacted **in place**
+        (the one :meth:`extend` built, over exactly the engine's tasks)
+        and is compacted **in place**
         (:meth:`~repro.pipeline.tasks.Schedule.compact`), so a
         subsequent :meth:`extend` still sees schedule and engine in
         agreement.  Returns the number of tasks retired.
@@ -502,27 +432,16 @@ class PipelineEngine:
         ``tests/pipeline/test_compaction.py`` on randomized arrival
         waves.  Any horizon is safe for extension: a wave's templates
         are self-contained, so no new task can depend on a retired
-        one.  A compacted engine drops its record of the submitted
-        graph and refuses :meth:`run` and :meth:`add` — the full graph
-        no longer exists to re-simulate.
+        one.
         """
         if schedule.is_merged_view:
             raise SchedulingError(
                 "cannot compact a merged reporting view: compact each "
                 "owning device's schedule through its own engine"
             )
-        if len(schedule.tasks) != self._count:
-            raise SchedulingError(
-                f"stale schedule: covers {len(schedule.tasks)} tasks but "
-                f"the engine holds {self._count}; compact() needs the "
-                "schedule of exactly the tasks currently submitted"
-            )
+        self._check_current(schedule, "compact()")
         retired = schedule.compact(horizon)
-        if retired:
-            self._count -= retired
-            self._retired += retired
-            self._graph = None
-            self._names = set()
+        self._count -= retired
         return retired
 
     def crash(self, schedule: Schedule, at: float) -> list[str]:
@@ -540,9 +459,8 @@ class PipelineEngine:
         ``retired_makespan``: the schedule's makespan only ever reflects
         work that completed.
 
-        The engine is sealed exactly like retirement (new
-        :meth:`add` / non-empty :meth:`extend` raise) and additionally
-        refuses :meth:`run` — a crashed device has no future to
+        The engine is sealed exactly like retirement (a non-empty
+        :meth:`extend` raises): a crashed device has no future to
         simulate.  :meth:`compact` keeps working on the surviving
         history, so a streaming run's periodic sweeps need not
         special-case crashed devices.  ``schedule`` must be this
@@ -558,12 +476,7 @@ class PipelineEngine:
                 "cannot crash a merged reporting view: crash the owning "
                 "device's schedule through its own engine"
             )
-        if len(schedule.tasks) != self._count:
-            raise SchedulingError(
-                f"stale schedule: covers {len(schedule.tasks)} tasks but "
-                f"the engine holds {self._count}; crash() needs the "
-                "schedule of exactly the tasks currently submitted"
-            )
+        self._check_current(schedule, "crash()")
         _check_seconds(at, "crash time", f"device {self.device}")
         lost = sorted(
             name
@@ -573,8 +486,6 @@ class PipelineEngine:
         for name in lost:
             del schedule.tasks[name]
         self._count -= len(lost)
-        self._graph = None
-        self._names = set()
         self._crashed = True
         self._device_retired = True
         return lost
@@ -596,24 +507,10 @@ class PipelineEngine:
         times and recorded finishes stay intact so in-flight queries
         drain normally, reports still merge this device's history, and
         :meth:`compact` keeps working on the drained tail.  What
-        retirement forbids is **new work**: any subsequent :meth:`add`
-        or non-empty :meth:`extend` raises
-        :class:`~repro.errors.SchedulingError` naming the device, so a
-        placement bug that routes a query onto a retired device fails
-        loudly instead of silently resurrecting it.  Idempotent.
+        retirement forbids is **new work**: any subsequent non-empty
+        :meth:`extend` raises :class:`~repro.errors.SchedulingError`
+        naming the device, so a placement bug that routes a query onto
+        a retired device fails loudly instead of silently resurrecting
+        it.  Idempotent.
         """
         self._device_retired = True
-
-    def _check_not_compacted(self, entry_point: str) -> None:
-        if self._crashed:
-            raise SchedulingError(
-                f"cannot {entry_point} after crash(): device "
-                f"{self.device} failed and its unfinished tasks were "
-                "invalidated; the graph no longer exists to re-simulate"
-            )
-        if self._retired:
-            raise SchedulingError(
-                f"cannot {entry_point} after compact(): {self._retired} "
-                "task(s) were retired, so the full graph no longer exists "
-                "to re-simulate; keep using extend()"
-            )

@@ -3,10 +3,11 @@
 Nothing on a production path calls into this module.  It holds:
 
 * :func:`run_reference` — the original all-queue-heads scanner, the
-  executable specification of :meth:`~repro.pipeline.engine.
-  PipelineEngine.run`: it repeatedly starts the earliest-ready
-  head-of-queue task, rescanning every queue per decision.  It shares
-  no dispatch code with the engine's linear pass.
+  executable specification of the engine's dispatch pass
+  (:meth:`~repro.pipeline.engine.PlanTemplate.dispatch`): it repeatedly
+  starts the earliest-ready head-of-queue task, rescanning every queue
+  per decision.  It takes a plain task list and shares no code with
+  the engine.
 * :func:`check_batch_oracle` — re-simulates each device's final task
   graph of a serving report with the scanner and requires every task
   of the incremental schedule to match.
@@ -17,21 +18,17 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.errors import SchedulingError
-from repro.pipeline.engine import PipelineEngine
 from repro.pipeline.tasks import Schedule, ScheduledTask, Task
 
 
-def run_reference(engine: PipelineEngine) -> Schedule:
-    """Simulate ``engine``'s submitted graph with the all-queue-heads
-    scanner.
+def run_reference(tasks: list[Task]) -> Schedule:
+    """Simulate the graph ``tasks``, in submission order, with the
+    all-queue-heads scanner.
 
-    ``tests/pipeline/test_engine_reference.py`` asserts that it and
-    :meth:`~repro.pipeline.engine.PipelineEngine.run` produce identical
-    schedules on randomized DAGs, deadlock detection included.  Like
-    ``run()`` it refuses a compacted or crashed engine, whose full graph
-    no longer exists.
+    ``tests/pipeline/test_engine_reference.py`` asserts that it and the
+    engine produce identical schedules on randomized DAGs, deadlock
+    and unknown-dependency detection included.
     """
-    tasks = engine.tasks  # refuses a compacted or crashed engine
     names = {task.name for task in tasks}
     for task in tasks:
         for dep in task.deps:
@@ -90,10 +87,11 @@ def check_batch_oracle(report, faults=None) -> int:
     Re-simulates each device's final task graph in
     ``report.device_schedules`` from scratch with :func:`run_reference`
     — a batch scheduler's way of placing the graph — and raises
-    :class:`~repro.errors.SchedulingError` unless every task's start and
-    finish equal the ones the run placed by extension.  Schedules list
-    tasks in dispatch order, which per resource is submission order, so
-    re-adding them rebuilds every FIFO queue.  Devices ``faults``
+    :class:`~repro.errors.SchedulingError` unless every task is tagged
+    with its schedule's device and every task's start and finish equal
+    the ones the run placed by extension.  Schedules list tasks in
+    dispatch order, which per resource is submission order, so
+    resubmitting them rebuilds every FIFO queue.  Devices ``faults``
     crashes are skipped (the crash dropped their unfinished tail, so the
     survivors no longer form the graph their times were computed from),
     and compacted schedules are refused: pass a
@@ -110,10 +108,14 @@ def check_batch_oracle(report, faults=None) -> int:
                 f"device {device} schedule was compacted; the batch "
                 "oracle needs a complete one"
             )
-        engine = PipelineEngine(device=device)
-        for item in schedule.tasks.values():
-            engine.add(item.task)
-        batch = run_reference(engine)
+        tasks = [item.task for item in schedule.tasks.values()]
+        for task in tasks:
+            if task.device != device:
+                raise SchedulingError(
+                    f"task {task.name!r} is tagged for device "
+                    f"{task.device} but placed on device {device}"
+                )
+        batch = run_reference(tasks)
         for name, item in schedule.tasks.items():
             again = batch.tasks[name]
             if (item.start, item.finish) != (again.start, again.finish):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import SchedulingError
+
 #: Conventional resource names used by the join strategies.
 H2D = "h2d"
 D2H = "d2h"
@@ -168,11 +170,10 @@ class Schedule:
           bit-identical to an uncompacted run (extension places
           self-contained templates, so it reads only the free times).
 
-        Occupancy reports (:meth:`busy_time`, :meth:`phase_times`)
-        cover only retained tasks afterwards — streaming callers fold
-        per-query stats into their running accumulator *before*
-        compacting.  A schedule compacted behind
-        its engine's back can no longer seed ``extend``; use
+        :attr:`tasks` holds only retained tasks afterwards — streaming
+        callers fold per-query stats into their running accumulator
+        *before* compacting.  A schedule compacted behind its engine's
+        back can no longer seed ``extend``; use
         :meth:`repro.pipeline.engine.PipelineEngine.compact`, which
         retires the same tasks from the engine's books in lockstep.
         """
@@ -186,47 +187,19 @@ class Schedule:
         self.retired_tasks += len(retired)
         return len(retired)
 
-    def busy_time(self, resource: str) -> float:
-        """Total occupancy of one resource."""
-        return sum(
-            item.task.duration
-            for item in self.tasks.values()
-            if item.task.resource == resource
-        )
-
-    def phase_time(self, phase: str) -> float:
-        """Total occupancy attributed to one reporting phase."""
-        return sum(
-            item.task.duration
-            for item in self.tasks.values()
-            if item.task.effective_phase == phase
-        )
-
-    def phase_times(self) -> dict[str, float]:
-        """Occupancy per reporting phase, keyed in scheduling order."""
-        times: dict[str, float] = {}
-        for item in self.tasks.values():
-            phase = item.task.effective_phase
-            times[phase] = times.get(phase, 0.0) + item.task.duration
-        return times
-
-    def critical_resource(self) -> str | None:
-        """The resource with the highest busy time (the bottleneck)."""
-        resources = {item.task.resource for item in self.tasks.values()}
-        if not resources:
-            return None
-        return max(resources, key=self.busy_time)
-
     @classmethod
     def merged(cls, schedules: "list[Schedule]") -> "Schedule":
         """One read-only view over per-device schedules of a sharded run.
 
         Task dicts are unioned (names must be globally unique — the
         serving layer's qid prefixes guarantee it, since a query runs
-        entirely on one device).  The merged view is for *reporting*
-        (makespan, per-query latency, cross-query overlap); same-named
-        resources on different devices are distinct physical queues, so
-        :meth:`busy_time` aggregates over all devices sharing the name.
+        entirely on one device; a collision raises
+        :class:`~repro.errors.SchedulingError`), and the devices'
+        retired history is kept: :attr:`retired_tasks` is their sum and
+        :attr:`retired_makespan` their maximum, so :attr:`makespan` is
+        the fleet's.  The merged view is for *reporting* (makespan,
+        per-query latency, cross-query overlap); same-named resources
+        on different devices are distinct physical queues.
         :attr:`free_at` is deliberately empty and :attr:`is_merged_view`
         is set: a merged view cannot be extended, and the engine
         enforces that.
@@ -235,9 +208,13 @@ class Schedule:
         for schedule in schedules:
             for name, item in schedule.tasks.items():
                 if name in merged.tasks:
-                    raise ValueError(
+                    raise SchedulingError(
                         f"cannot merge schedules: task {name!r} appears on "
                         "more than one device"
                     )
                 merged.tasks[name] = item
+            merged.retired_tasks += schedule.retired_tasks
+            merged.retired_makespan = max(
+                merged.retired_makespan, schedule.retired_makespan
+            )
         return merged

@@ -303,9 +303,23 @@ def test_plan_and_ladder_caches_evict_at_cap():
     assert estimate_cache.stats().plan_misses == stats.plan_misses + 1
 
 
-def test_configure_rejects_nonpositive_max_entries():
-    with pytest.raises(ValueError):
-        estimate_cache.configure(enabled=True, max_entries=0)
+@pytest.mark.parametrize("max_entries", [0, float("nan"), 2.5, True])
+def test_configure_rejects_nonpositive_max_entries(max_entries):
+    """Only an int >= 1 bounds the caches (NaN made every cache
+    unbounded, 2.5 kept three entries and ``True`` one), and a refused
+    call changes nothing: not the switch, the bound, the entries or the
+    counters."""
+    estimate_cache.configure(enabled=True, max_entries=4)
+    strategy = create_strategy("gpu_resident")
+    strategy.estimate(SPEC)
+    strategy.estimate(SPEC)
+    before = estimate_cache.stats()
+    assert before.entries == 1 and before.hits == 1
+    with pytest.raises(ValueError, match="max_entries"):
+        estimate_cache.configure(enabled=False, max_entries=max_entries)
+    assert estimate_cache.stats() == before
+    strategy.estimate(SPEC)
+    assert estimate_cache.stats().hits == 2  # still enabled
 
 
 def test_configure_resets_counters_but_keeps_entries():

@@ -1,5 +1,6 @@
 """Calibrations are validated once, at construction."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -22,6 +23,11 @@ def test_bad_efficiency_fails_at_construction():
 def test_replace_with_a_bad_value_fails_at_construction():
     with pytest.raises(ValueError, match="lane_ops_insert"):
         replace(DEFAULT_CALIBRATION, lane_ops_insert=-1)
+    # Not finite: the first estimate used to blame a task's duration.
+    with pytest.raises(ValueError, match="kernel_launch_seconds"):
+        Calibration(kernel_launch_seconds=math.nan)
+    with pytest.raises(ValueError, match="lane_ops_insert"):
+        Calibration(lane_ops_insert=math.inf)
 
 
 def test_gpu_scaled_results_are_validated_calibrations():
@@ -29,8 +35,9 @@ def test_gpu_scaled_results_are_validated_calibrations():
         scaled = DEFAULT_CALIBRATION.gpu_scaled(speed)
         assert isinstance(scaled, Calibration)
         scaled.validate()
-    with pytest.raises(ValueError, match="speed"):
-        DEFAULT_CALIBRATION.gpu_scaled(-1.0)
+    for speed in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="speed"):
+            DEFAULT_CALIBRATION.gpu_scaled(speed)
 
 
 def test_cost_model_does_not_revalidate(monkeypatch):

@@ -8,8 +8,8 @@ reads only the carried-over per-resource free times (``free_at``),
 every ``extend`` after a compaction must be **bit-identical** (exact
 ``==``) to the same extension on an uncompacted twin engine — replayed
 here over randomized multi-wave arrival sequences, with the uncompacted
-twin as the oracle and the twin pinned to a full ``run()`` and the
-reference scanner.
+twin as the oracle and the twin pinned to placing every wave at once
+and to the reference scanner.
 """
 
 import random
@@ -20,6 +20,7 @@ from repro.errors import SchedulingError
 from repro.pipeline.engine import Admission, PipelineEngine, PlanTemplate, Wave
 from repro.pipeline.oracle import run_reference
 from repro.pipeline.tasks import Schedule, Task
+from tests.pipeline.graphs import place, placed_tasks
 
 
 def chain_wave(
@@ -51,10 +52,12 @@ def admissions(
 
 def simple_engine() -> tuple[PipelineEngine, Schedule]:
     engine = PipelineEngine()
-    engine.add(Task("a", "h2d", 1.0))
-    engine.add(Task("b", "gpu", 2.0, ("a",)))
-    engine.add(Task("c", "gpu", 3.0, ("b",)))
-    return engine, engine.run()
+    tasks = [
+        Task("a", "h2d", 1.0),
+        Task("b", "gpu", 2.0, ("a",)),
+        Task("c", "gpu", 3.0, ("b",)),
+    ]
+    return engine, place(tasks, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +86,7 @@ def test_compact_before_any_finish_is_a_noop():
     engine, schedule = simple_engine()
     assert engine.compact(schedule, 0.5) == 0
     assert len(schedule.tasks) == 3
-    # Nothing retired: the full graph still exists, run() stays legal.
-    assert engine.run().makespan == 6.0
+    assert schedule.retired_tasks == 0 and schedule.makespan == 6.0
 
 
 def test_lane_state_untouched_by_compaction():
@@ -97,15 +99,6 @@ def test_lane_state_untouched_by_compaction():
 # ---------------------------------------------------------------------------
 # Guard rails
 # ---------------------------------------------------------------------------
-def test_run_and_reference_refuse_after_compact():
-    engine, schedule = simple_engine()
-    engine.compact(schedule, 3.0)
-    with pytest.raises(SchedulingError, match="after compact"):
-        engine.run()
-    with pytest.raises(SchedulingError, match="after compact"):
-        run_reference(engine)
-
-
 def test_compact_refuses_merged_view():
     engine, schedule = simple_engine()
     merged = Schedule.merged([schedule])
@@ -136,7 +129,7 @@ def test_compacted_extension_bit_identical(seed):
     oracle_engine = PipelineEngine()
     compacted = Schedule()
     oracle = Schedule()
-    batch_engine = PipelineEngine()
+    admitted: list[Admission] = []
     clock = 0.0
     total_retired = 0
     for wave in range(rng.randint(3, 6)):
@@ -144,8 +137,7 @@ def test_compacted_extension_bit_identical(seed):
         queries = chain_wave(wave, rng, resources)
         compacted_engine.extend(compacted, Wave(admissions(queries, clock)))
         oracle_engine.extend(oracle, Wave(admissions(queries, clock)))
-        for admission in admissions(queries, clock):
-            batch_engine.admit(admission)
+        admitted += admissions(queries, clock)
         # Every retained task agrees exactly with the oracle.
         for name, item in compacted.tasks.items():
             twin = oracle.tasks[name]
@@ -161,9 +153,12 @@ def test_compacted_extension_bit_identical(seed):
     assert compacted.makespan == oracle.makespan
     assert compacted.retired_tasks == total_retired
     assert len(compacted.tasks) == len(oracle.tasks) - total_retired
-    # The uncompacted twin is the schedule of admitting every wave up
-    # front and placing it in one batch.
-    for batch in (batch_engine.run(), run_reference(batch_engine)):
+    # The uncompacted twin is the schedule of placing every wave at
+    # once, by the engine and by the scanner.
+    for batch in (
+        PipelineEngine().extend(Schedule(), Wave(admitted)),
+        run_reference(placed_tasks(admitted)),
+    ):
         assert set(batch.tasks) == set(oracle.tasks)
         for name, item in batch.tasks.items():
             twin = oracle.tasks[name]

@@ -1,13 +1,13 @@
-"""Incremental schedule extension is pinned to full re-simulation.
+"""Incremental schedule extension is pinned to one-wave placement.
 
 ``PipelineEngine.extend(schedule, new_tasks)`` places a :class:`Wave`
-of plan-template admissions on top of a previous run's carried-over
-per-resource free times, in place.  Because already-submitted tasks
-occupy earlier positions of every FIFO queue and templates are
+of plan-template admissions on top of a previous extension's
+carried-over per-resource free times, in place.  Because already-placed
+tasks occupy earlier positions of every FIFO queue and templates are
 self-contained, the extended schedule must be **bit-identical** (exact
-``==``, not approx) to a full ``run()`` over the same admissions and to
-the reference scanner — these tests replay randomized arrival sequences
-against both.
+``==``, not approx) to placing every admission in one wave on an empty
+schedule and to the reference scanner — these tests replay randomized
+arrival sequences against both.
 """
 
 import random
@@ -18,6 +18,7 @@ from repro.errors import SchedulingError
 from repro.pipeline.engine import Admission, PipelineEngine, PlanTemplate, Wave
 from repro.pipeline.oracle import run_reference
 from repro.pipeline.tasks import Schedule, Task
+from tests.pipeline.graphs import place, placed_tasks
 
 #: One arrival: a template and the alias and release time it is
 #: admitted under (both ``None`` to place its tasks as submitted).
@@ -90,40 +91,12 @@ def test_randomized_arrival_sequences_match_full_run(seed, aliased):
     for wave in waves:
         assert incremental.extend(schedule, Wave(admissions(wave))) is schedule
 
-    oracle = PipelineEngine()
-    for wave in waves:
-        for admission in admissions(wave):
-            oracle.admit(admission)
-    full = oracle.run()
+    admitted = [admission for wave in waves for admission in admissions(wave)]
+    full = PipelineEngine().extend(Schedule(), Wave(admitted))
 
     assert_identical(schedule, full)
-    assert_identical(schedule, run_reference(oracle))
+    assert_identical(schedule, run_reference(placed_tasks(admitted)))
     assert schedule.free_at == full.free_at
-    # The extending engine retained every admission, so a full re-run
-    # of it reproduces the same schedule.
-    assert_identical(incremental.run(), full)
-
-
-@pytest.mark.parametrize("seed", range(0, 120, 10))
-def test_extend_after_run_matches(seed):
-    """run() the first wave, submitted task by task, then extend() the
-    rest on its schedule."""
-    waves = random_arrival_waves(seed, aliased=True)
-    engine = PipelineEngine()
-    for admission in admissions(waves[0]):
-        for index in range(len(admission)):
-            engine.add(admission.task(index))
-    schedule = engine.run()
-    for wave in waves[1:]:
-        engine.extend(schedule, Wave(admissions(wave)))
-
-    oracle = PipelineEngine()
-    for wave in waves:
-        for admission in admissions(wave):
-            oracle.admit(admission)
-    assert_identical(schedule, oracle.run())
-    # Tasks and admissions in one graph re-simulate to the same schedule.
-    assert_identical(engine.run(), schedule)
 
 
 def test_extend_empty_schedule_equals_run():
@@ -134,15 +107,12 @@ def test_extend_empty_schedule_equals_run():
     ]
     engine = PipelineEngine()
     schedule = engine.extend(Schedule(), wave_of(tasks))
-    oracle = PipelineEngine()
-    for task in tasks:
-        oracle.add(task)
-    assert_identical(schedule, oracle.run())
+    assert_identical(schedule, run_reference(tasks))
 
 
 def test_extension_tasks_respect_available_at():
     engine = PipelineEngine()
-    schedule = engine.run()
+    schedule = Schedule()
     engine.extend(schedule, wave_of([Task("late", "gpu", 1.0, available_at=5.0)]))
     assert schedule.tasks["late"].start == 5.0
     assert schedule.makespan == 6.0
@@ -150,8 +120,7 @@ def test_extension_tasks_respect_available_at():
 
 def test_extension_may_introduce_new_resources():
     engine = PipelineEngine()
-    engine.add(Task("a", "gpu", 1.0))
-    schedule = engine.run()
+    schedule = place([Task("a", "gpu", 1.0)], engine)
     engine.extend(schedule, wave_of([Task("b", "cpu", 2.0, available_at=1.0)]))
     assert schedule.tasks["b"].start == 1.0
     assert schedule.free_at == {"gpu": 1.0, "cpu": 3.0}
@@ -162,22 +131,25 @@ def test_extend_without_recorded_lane_state_is_refused():
     tasks free them, so a schedule that holds tasks but records no free
     times (e.g. one rebuilt by hand) is stale."""
     engine = PipelineEngine()
-    engine.add(Task("a", "h2d", 3.0))
-    engine.add(Task("b", "h2d", 1.0))
-    schedule = engine.run()
+    schedule = place([Task("a", "h2d", 3.0), Task("b", "h2d", 1.0)], engine)
+    free_at = schedule.free_at
     schedule.free_at = {}
     with pytest.raises(SchedulingError, match="stale schedule.*no free times"):
         engine.extend(schedule, wave_of([Task("c", "h2d", 1.0)]))
     assert set(schedule.tasks) == {"a", "b"}
-    assert [task.name for task in engine.tasks] == ["a", "b"]
+    # The refusal changed nothing: with its free times back the schedule
+    # extends.
+    schedule.free_at = free_at
+    engine.extend(schedule, wave_of([Task("c", "h2d", 1.0)]))
+    assert schedule.tasks["c"].start == 4.0
 
 
 def test_extend_after_run_reference():
     """The retained scanner also records the carry-over free times."""
+    tasks = [Task("a", "h2d", 3.0), Task("b", "h2d", 1.0)]
     engine = PipelineEngine()
-    engine.add(Task("a", "h2d", 3.0))
-    engine.add(Task("b", "h2d", 1.0))
-    schedule = run_reference(engine)
+    place(tasks, engine)
+    schedule = run_reference(tasks)
     assert schedule.free_at == {"h2d": 4.0}
     extended = engine.extend(schedule, wave_of([Task("c", "h2d", 1.0)]))
     assert extended.tasks["c"].start == 4.0
@@ -185,15 +157,14 @@ def test_extend_after_run_reference():
 
 def test_stale_schedule_rejected():
     engine = PipelineEngine()
-    engine.add(Task("a", "gpu", 1.0))
+    place([Task("a", "gpu", 1.0)], engine)
     with pytest.raises(SchedulingError, match="stale"):
         engine.extend(Schedule(), wave_of([Task("b", "gpu", 1.0)]))
 
 
 def test_bad_batches_leave_engine_untouched():
     engine = PipelineEngine()
-    engine.add(Task("a", "gpu", 1.0))
-    schedule = engine.run()
+    schedule = place([Task("a", "gpu", 1.0)], engine)
     for batch, message in [
         ([Task("a", "gpu", 1.0)], "duplicate"),
         ([Task("x", "gpu", 1.0), Task("x", "gpu", 1.0)], "duplicate"),
@@ -203,7 +174,6 @@ def test_bad_batches_leave_engine_untouched():
     ]:
         with pytest.raises(SchedulingError, match=message):
             engine.extend(schedule, wave_of(batch))
-        assert [task.name for task in engine.tasks] == ["a"]
         assert set(schedule.tasks) == {"a"}
         assert schedule.free_at == {"gpu": 1.0}
     # The engine is still extendable after every rejected batch.
@@ -213,8 +183,7 @@ def test_bad_batches_leave_engine_untouched():
 
 def test_deadlock_among_new_tasks_detected_and_rolled_back():
     engine = PipelineEngine()
-    engine.add(Task("seed", "r1", 1.0))
-    schedule = engine.run()
+    schedule = place([Task("seed", "r1", 1.0)], engine)
     deadlocked = [
         Task("a", "r1", 1.0, deps=("d",)),
         Task("b", "r1", 1.0),
@@ -225,7 +194,6 @@ def test_deadlock_among_new_tasks_detected_and_rolled_back():
         engine.extend(schedule, wave_of(deadlocked))
     # Rolled back: engine and schedule exactly as before, still
     # extendable.
-    assert [task.name for task in engine.tasks] == ["seed"]
     assert set(schedule.tasks) == {"seed"}
     assert schedule.free_at == {"r1": 1.0}
     extended = engine.extend(schedule, wave_of([Task("ok", "r1", 1.0)]))
@@ -234,24 +202,21 @@ def test_deadlock_among_new_tasks_detected_and_rolled_back():
 
 def test_in_place_extension_mutates_and_returns_the_schedule():
     engine = PipelineEngine()
-    engine.add(Task("a", "gpu", 1.0))
-    schedule = engine.run()
+    schedule = place([Task("a", "gpu", 1.0)], engine)
     extended = engine.extend(schedule, wave_of([Task("b", "gpu", 2.0)]))
     assert extended is schedule
     assert schedule.tasks["b"].start == 1.0
     assert schedule.free_at == {"gpu": 3.0}
-
-    oracle = PipelineEngine()
-    oracle.add(Task("a", "gpu", 1.0))
-    oracle.add(Task("b", "gpu", 2.0))
-    assert_identical(schedule, oracle.run())
+    assert_identical(
+        schedule, run_reference([Task("a", "gpu", 1.0), Task("b", "gpu", 2.0)])
+    )
 
 
 def test_run_records_lane_state():
     """``free_at`` holds each resource's last finish."""
-    engine = PipelineEngine()
-    engine.add(Task("a", "h2d", 3.0))
-    engine.add(Task("b", "h2d", 1.0))
-    engine.add(Task("c", "gpu", 2.0, deps=("b",)))
-    schedule = engine.run()
+    schedule = place([
+        Task("a", "h2d", 3.0),
+        Task("b", "h2d", 1.0),
+        Task("c", "gpu", 2.0, deps=("b",)),
+    ])
     assert schedule.free_at == {"h2d": 4.0, "gpu": 6.0}

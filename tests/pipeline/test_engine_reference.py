@@ -1,7 +1,7 @@
 """Schedule identity between the engine's linear pass and the scanner.
 
-``PipelineEngine.run`` (a template's dispatch order placed in one pass
-over per-resource free times) must produce exactly the schedule of
+The engine (a template's dispatch order placed in one pass over
+per-resource free times) must produce exactly the schedule of
 ``run_reference`` (the original all-queue-heads scanner, kept in
 :mod:`repro.pipeline.oracle` as the executable specification): same
 start/finish times, same carried-over free times, same deadlock
@@ -16,6 +16,7 @@ from repro.errors import SchedulingError
 from repro.pipeline.engine import Admission, PipelineEngine, PlanTemplate, Wave
 from repro.pipeline.oracle import run_reference
 from repro.pipeline.tasks import Schedule, Task
+from tests.pipeline.graphs import place, placed_tasks
 
 
 def random_graph(seed: int, *, interleaved: bool = False) -> list[Task]:
@@ -53,13 +54,6 @@ def random_graph(seed: int, *, interleaved: bool = False) -> list[Task]:
     return tasks
 
 
-def random_engine(seed: int, *, interleaved: bool = False) -> PipelineEngine:
-    engine = PipelineEngine()
-    for task in random_graph(seed, interleaved=interleaved):
-        engine.add(task)
-    return engine
-
-
 def assert_same_schedule(actual: Schedule, expected: Schedule) -> None:
     assert set(actual.tasks) == set(expected.tasks)
     for name, item in expected.tasks.items():
@@ -71,31 +65,22 @@ def assert_same_schedule(actual: Schedule, expected: Schedule) -> None:
 
 @pytest.mark.parametrize("seed", range(200))
 def test_randomized_dag_schedules_identical(seed):
-    assert_same_schedule(
-        random_engine(seed).run(), run_reference(random_engine(seed))
-    )
+    tasks = random_graph(seed)
+    assert_same_schedule(place(tasks), run_reference(tasks))
 
 
 @pytest.mark.parametrize("seed", range(100))
 def test_non_topological_submission_matches_reference(seed):
-    """``run()``, ``extend()`` of the template as submitted and the
-    template admitted under an alias all place an interleaved
-    submission exactly like the scanner does."""
+    """The template as submitted and the template admitted under an
+    alias both place an interleaved submission exactly like the
+    scanner does."""
     tasks = random_graph(seed, interleaved=True)
-    reference = run_reference(random_engine(seed, interleaved=True))
-    assert_same_schedule(random_engine(seed, interleaved=True).run(), reference)
-    assert_same_schedule(
-        PipelineEngine().extend(
-            Schedule(), Wave([Admission(PlanTemplate(tasks))])
-        ),
-        reference,
-    )
+    assert_same_schedule(place(tasks), run_reference(tasks))
 
-    admitted = PipelineEngine()
-    wave = Wave([Admission(PlanTemplate(tasks), "q", 2.5)])
-    placed = admitted.extend(Schedule(), wave)
+    admission = Admission(PlanTemplate(tasks), "q", 2.5)
+    placed = PipelineEngine().extend(Schedule(), Wave([admission]))
     # The scanner over the admission's namespaced tasks, released at 2.5.
-    assert_same_schedule(placed, run_reference(admitted))
+    assert_same_schedule(placed, run_reference(placed_tasks([admission])))
 
 
 def test_interleaving_breaks_topological_order():
@@ -119,38 +104,31 @@ def test_interleaving_breaks_topological_order():
 
 
 def test_cross_queue_deadlock_detected_by_both():
-    def build() -> PipelineEngine:
-        engine = PipelineEngine()
-        # Head of r1 waits on a task stuck behind the head of r2 and
-        # vice versa: a cycle across FIFO queues, not in the DAG.
-        engine.add(Task("a", "r1", 1.0, deps=("d",)))
-        engine.add(Task("b", "r1", 1.0))
-        engine.add(Task("c", "r2", 1.0, deps=("b",)))
-        engine.add(Task("d", "r2", 1.0))
-        return engine
-
+    # Head of r1 waits on a task stuck behind the head of r2 and vice
+    # versa: a cycle across FIFO queues, not in the DAG.
+    tasks = [
+        Task("a", "r1", 1.0, deps=("d",)),
+        Task("b", "r1", 1.0),
+        Task("c", "r2", 1.0, deps=("b",)),
+        Task("d", "r2", 1.0),
+    ]
     with pytest.raises(SchedulingError, match="deadlock"):
-        build().run()
+        place(tasks)
     with pytest.raises(SchedulingError, match="deadlock"):
-        run_reference(build())
+        run_reference(tasks)
 
 
 def test_unknown_dependency_detected_by_both():
-    def build() -> PipelineEngine:
-        engine = PipelineEngine()
-        engine.add(Task("a", "r", 1.0, deps=("ghost",)))
-        return engine
-
+    tasks = [Task("a", "r", 1.0, deps=("ghost",))]
     with pytest.raises(SchedulingError, match="unknown"):
-        build().run()
+        place(tasks)
     with pytest.raises(SchedulingError, match="unknown"):
-        run_reference(build())
+        run_reference(tasks)
 
 
 def test_duplicate_dependencies_are_counted_once():
-    engine = PipelineEngine()
-    engine.add(Task("a", "r", 1.0))
-    engine.add(Task("b", "r", 2.0, deps=("a", "a")))
-    schedule = engine.run()
+    schedule = place(
+        [Task("a", "r", 1.0), Task("b", "r", 2.0, deps=("a", "a"))]
+    )
     assert schedule.tasks["b"].start == 1.0
     assert schedule.makespan == 3.0

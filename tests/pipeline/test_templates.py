@@ -4,7 +4,7 @@ A :class:`~repro.pipeline.engine.PlanTemplate` holds a graph's tasks in
 dispatch order and is validated when built; an
 :class:`~repro.pipeline.engine.Admission` places it under an alias, at
 a release time, on a device.  Admitting a template must place exactly
-what submitting its namespaced tasks one by one places.
+what placing its namespaced tasks as one graph places.
 """
 
 import math
@@ -16,6 +16,7 @@ from repro.data import unique_pair
 from repro.errors import SchedulingError
 from repro.pipeline.engine import Admission, PipelineEngine, PlanTemplate, Wave
 from repro.pipeline.tasks import Schedule, Task
+from tests.pipeline.graphs import place
 
 DEADLOCKED = [
     Task("a", "r1", 1.0, deps=("d",)),
@@ -67,7 +68,7 @@ def test_deadlocked_template_rejected_when_built():
     plan = JoinPlan(strategy="gpu_resident", spec=unique_pair(1000))
     plan.tasks.extend(DEADLOCKED)
     with pytest.raises(SchedulingError, match="deadlock"):
-        create_strategy("gpu_resident").schedule(plan)
+        create_strategy("gpu_resident").simulate(plan)
 
 
 @pytest.mark.parametrize(
@@ -92,7 +93,7 @@ def test_duplicate_names_rejected():
 
 def test_admissions_match_namespaced_tasks():
     """Three admissions of one template, in two waves, place exactly
-    what submitting the namespaced tasks by name places."""
+    what the namespaced tasks placed as one graph place."""
     template = PlanTemplate(PLAN)
     engine = PipelineEngine(device=1)
     schedule = engine.extend(
@@ -101,19 +102,20 @@ def test_admissions_match_namespaced_tasks():
     )
     engine.extend(schedule, Wave([Admission(template, "q2", 3.0, 1)]))
 
-    oracle = PipelineEngine(device=1)
-    for alias, at in (("q0", 0.0), ("q1", 0.5), ("q2", 3.0)):
-        for task in namespaced(alias, at, device=1):
-            oracle.add(task)
-    expected = oracle.run()
+    expected = place(
+        [
+            task
+            for alias, at in (("q0", 0.0), ("q1", 0.5), ("q2", 3.0))
+            for task in namespaced(alias, at, device=1)
+        ],
+        PipelineEngine(device=1),
+    )
     assert set(schedule.tasks) == set(expected.tasks)
     for name, item in expected.tasks.items():
         placed = schedule.tasks[name]
         assert (placed.start, placed.finish) == (item.start, item.finish), name
         assert placed.task == item.task
     assert schedule.free_at == expected.free_at
-    # The engine re-simulates its admitted graph to the same schedule.
-    assert engine.run().free_at == expected.free_at
 
 
 def test_admission_records_its_finish():
@@ -129,20 +131,25 @@ def test_admission_records_its_finish():
 @pytest.mark.parametrize("at", [-1.0, math.nan, math.inf])
 def test_bad_admission_clock_rejected(at):
     engine = PipelineEngine()
-    schedule = engine.run()
+    schedule = Schedule()
     wave = Wave([Admission(PlanTemplate(PLAN), "q", at)])
     with pytest.raises(SchedulingError, match="available_at for admission 'q'"):
         engine.extend(schedule, wave)
-    with pytest.raises(SchedulingError, match="available_at for admission 'q'"):
-        engine.admit(Admission(PlanTemplate(PLAN), "q", at))
-    assert schedule.tasks == {} and engine.tasks == []
+    assert schedule.tasks == {} and schedule.free_at == {}
+    # Nothing was counted: the empty schedule still extends.
+    engine.extend(schedule, Wave([Admission(PlanTemplate(PLAN), "q", 0.0)]))
+    assert len(schedule.tasks) == len(PLAN)
 
 
 def test_admission_for_another_device_rejected():
     engine = PipelineEngine(device=1)
+    schedule = Schedule()
+    template = PlanTemplate(PLAN)
     with pytest.raises(SchedulingError, match="device"):
-        engine.extend(Schedule(), Wave([Admission(PlanTemplate(PLAN), "q", 0.0, 0)]))
-    assert engine.tasks == []
+        engine.extend(schedule, Wave([Admission(template, "q", 0.0, 0)]))
+    assert schedule.tasks == {}
+    engine.extend(schedule, Wave([Admission(template, "q", 0.0, 1)]))
+    assert len(schedule.tasks) == len(PLAN)
 
 
 def test_name_collision_rolls_the_wave_back():

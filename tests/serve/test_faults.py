@@ -64,6 +64,7 @@ from repro.serve import (
     validate_fleet_events,
 )
 from repro.serve.placement import DeviceFleet
+from tests.pipeline.graphs import place
 from tests.serve.golden import GOLDEN, assert_matches_golden
 
 M = 1_000_000
@@ -740,20 +741,20 @@ def test_arena_force_release_keeps_the_ledger_exact():
 
 def test_engine_crash_invalidates_the_unfinished_tail():
     engine = PipelineEngine()
-    engine.add(Task("a", "h2d", 1.0))
-    engine.add(Task("b", "gpu", 2.0, ("a",)))
-    engine.add(Task("c", "gpu", 3.0, ("b",)))
-    schedule = engine.run()
+    schedule = place(
+        [
+            Task("a", "h2d", 1.0),
+            Task("b", "gpu", 2.0, ("a",)),
+            Task("c", "gpu", 3.0, ("b",)),
+        ],
+        engine,
+    )
     assert schedule.makespan == 6.0
     lost = engine.crash(schedule, 3.0)  # a (1.0) and b (3.0) survive
     assert lost == ["c"]
     assert sorted(schedule.tasks) == ["a", "b"]
     assert engine.is_crashed and engine.is_retired
-    # Sealed harder than retirement: no new work, no re-simulation.
-    with pytest.raises(SchedulingError, match="retired"):
-        engine.add(Task("d", "gpu", 1.0))
-    with pytest.raises(SchedulingError, match="crash"):
-        engine.run()
+    # Sealed like retirement: no new work.
     with pytest.raises(SchedulingError, match="retired"):
         engine.extend(
             schedule, Wave([Admission(PlanTemplate([Task("d", "gpu", 1.0)]))])
@@ -766,13 +767,11 @@ def test_engine_crash_invalidates_the_unfinished_tail():
 
 def test_engine_crash_rejects_foreign_schedules():
     engine = PipelineEngine()
-    engine.add(Task("a", "gpu", 1.0))
-    schedule = engine.run()
-    other = PipelineEngine()
-    other.add(Task("x", "gpu", 1.0))
-    other.add(Task("y", "gpu", 1.0))
-    with pytest.raises(SchedulingError):
-        engine.crash(other.run(), 0.5)
+    place([Task("a", "gpu", 1.0)], engine)
+    other = place([Task("x", "gpu", 1.0), Task("y", "gpu", 1.0)])
+    with pytest.raises(SchedulingError, match="stale"):
+        engine.crash(other, 0.5)
+    assert not engine.is_crashed
 
 
 def _holding_query_q():

@@ -42,7 +42,7 @@ from repro.gpusim.calibration import (
     calibration_preset,
 )
 from repro.gpusim.spec import SystemSpec
-from repro.pipeline.engine import PipelineEngine
+from repro.pipeline.engine import Admission, PipelineEngine, PlanTemplate, Wave
 from repro.pipeline.oracle import check_batch_oracle
 from repro.pipeline.tasks import Task
 from repro.serve import (
@@ -54,6 +54,7 @@ from repro.serve import (
 )
 from repro.serve.placement import DeviceFleet
 from repro.serve.scheduler import QueryRequest
+from tests.pipeline.graphs import place
 
 M = 1_000_000
 DEFAULT_CAP = 8_589_934_592  # SystemSpec().gpu.device_memory
@@ -364,11 +365,14 @@ def test_fleet_event_and_retirement_validation():
 
 def test_retired_engine_rejects_new_work():
     engine = PipelineEngine()
-    engine.add(Task("a", "gpu", 1.0))
+    schedule = place([Task("a", "gpu", 1.0)], engine)
     engine.retire()
     assert engine.is_retired
     with pytest.raises(SchedulingError, match="retired"):
-        engine.add(Task("b", "gpu", 1.0))
+        engine.extend(
+            schedule, Wave([Admission(PlanTemplate([Task("b", "gpu", 1.0)]))])
+        )
+    assert set(schedule.tasks) == {"a"}
     engine.retire()  # idempotent
 
 

@@ -10,6 +10,7 @@ check the online mode's own determinism and arena accounting.
 """
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -70,6 +71,19 @@ def test_batch_oracle_catches_a_moved_task():
         item.task, item.start + 1.0, item.finish + 1.0
     )
     with pytest.raises(SchedulingError, match=re.escape(name)):
+        check_batch_oracle(online)
+
+
+def test_batch_oracle_catches_a_misrouted_task():
+    """Nor is it blind to devices: a task tagged for another device than
+    the schedule it was placed in fails it."""
+    online = QueryScheduler().run_online(mixed_workload(4))
+    (schedule,) = online.device_schedules
+    name, item = next(iter(schedule.tasks.items()))
+    schedule.tasks[name] = ScheduledTask(
+        replace(item.task, device=1), item.start, item.finish
+    )
+    with pytest.raises(SchedulingError, match=re.escape(name) + ".*device 1"):
         check_batch_oracle(online)
 
 

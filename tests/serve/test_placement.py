@@ -14,6 +14,7 @@ from repro.serve import (
     create_placement_policy,
     mixed_workload,
     registered_placement_policies,
+    stream_workload,
 )
 from repro.serve.placement import (
     FIRST_FIT,
@@ -22,8 +23,11 @@ from repro.serve.placement import (
     PlacementCandidate,
     PlacementPolicy,
 )
+from tests.pipeline.graphs import place
 
 GB = 10**9
+#: One task for device 1, for tests of a sealed device's engine.
+LATE = Wave([Admission(PlanTemplate([Task("late", "gpu", 1.0)]), device=1)])
 
 
 def _candidates(*devices: int) -> list[PlacementCandidate]:
@@ -143,7 +147,7 @@ def test_crashing_an_idle_device_seals_its_engine():
     assert fleet.crash_device(1, 1.0) == []
     assert fleet[1].engine.is_crashed and fleet[1].schedule.tasks == {}
     with pytest.raises(SchedulingError, match="left the fleet"):
-        fleet[1].engine.add(Task("late", "gpu", 1.0, device=1))
+        fleet[1].engine.extend(fleet[1].schedule, LATE)
     assert not fleet[0].engine.is_crashed
 
 
@@ -154,7 +158,7 @@ def test_retiring_an_idle_device_seals_its_engine_at_once():
     assert fleet.retire_device(1).retired
     assert fleet[1].engine.is_retired and not fleet[1].engine.is_crashed
     with pytest.raises(SchedulingError, match="left the fleet"):
-        fleet[1].engine.add(Task("late", "gpu", 1.0, device=1))
+        fleet[1].engine.extend(fleet[1].schedule, LATE)
     assert not fleet[0].engine.is_retired
 
 
@@ -181,11 +185,24 @@ def test_schedule_merged_unions_tasks_and_rejects_collisions():
     merged = Schedule.merged([one("a", 0, 1.0), one("b", 1, 3.0)])
     assert set(merged.tasks) == {"a", "b"}
     assert merged.makespan == 3.0
-    # Both devices' distinct 'gpu' queues count toward the busy time.
-    assert merged.busy_time("gpu") == 4.0
     assert merged.is_merged_view
-    with pytest.raises(ValueError, match="more than one device"):
+    with pytest.raises(SchedulingError, match="more than one device"):
         Schedule.merged([one("a", 0, 1.0), one("a", 1, 2.0)])
+
+
+def test_merged_view_keeps_the_devices_retired_history():
+    """Compaction drops bookkeeping, not history, on a fleet too: the
+    merged view sums the devices' retired tasks and keeps the latest
+    retired finish, so its makespan is the run's."""
+    report = QueryScheduler(devices=2).run_stream(
+        stream_workload(200, seed=0), max_queue_depth=128, compact_every=1
+    )
+    merged = report.schedule
+    assert merged.is_merged_view
+    assert merged.retired_tasks == sum(
+        schedule.retired_tasks for schedule in report.device_schedules
+    ) > 0
+    assert merged.makespan == report.makespan > 0.0
 
 
 def test_extending_a_merged_view_is_refused():
@@ -209,17 +226,11 @@ def test_extending_a_merged_view_is_refused():
 # ---------------------------------------------------------------------------
 # Device-tagged tasks and engines
 # ---------------------------------------------------------------------------
-def test_engine_rejects_tasks_for_another_device():
-    engine = PipelineEngine(device=1)
-    engine.add(Task(name="ok", resource="gpu", duration=1.0, device=1))
-    with pytest.raises(SchedulingError, match="device"):
-        engine.add(Task(name="bad", resource="gpu", duration=1.0, device=0))
-
-
 def test_engine_extend_rejects_misrouted_tasks_without_side_effects():
     engine = PipelineEngine(device=1)
-    engine.add(Task(name="t0", resource="gpu", duration=1.0, device=1))
-    schedule = engine.run()
+    schedule = place(
+        [Task(name="t0", resource="gpu", duration=1.0, device=1)], engine
+    )
     template = PlanTemplate([Task(name="t1", resource="gpu", duration=1.0)])
     with pytest.raises(SchedulingError, match="device"):
         engine.extend(schedule, Wave([Admission(template, device=0)]))
